@@ -102,15 +102,6 @@ class RatPoly:
     def one() -> "RatPoly":
         return RatPoly((1,))
 
-    @staticmethod
-    def variable() -> "RatPoly":
-        """The monomial x."""
-        return RatPoly((0, 1))
-
-    @staticmethod
-    def constant(c: RationalLike) -> "RatPoly":
-        return RatPoly((Fraction(c),))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

@@ -1,15 +1,21 @@
 """Exact integration-by-parts reduction of moment integrals of Hurwitz zeta.
 
-For Re s < 1 and integers i >= 0, repeated integration by parts against the
-antiderivative zeta(s-1, a)/(1-s) turns
+For Re s < 1 and integers i >= 0, integration by parts against the
+antiderivative zeta(s-1, a)/(1-s), repeated until int_0^1 zeta(s - i, a) da
+= 0 ends it, turns
 
     int_0^1 a^i zeta(s, a) da          (and the zeta'(s, a) variant)
 
 into finite linear combinations of shifted Riemann zeta values
 zeta^(j)(s - k) whose coefficients are rational functions of s.  The
-recursion bottoms out at int_0^1 zeta(s - i, a) da = 0.  All coefficient
-arithmetic is exact over the rationals; poles of the coefficients land only
-at integer shifts s = 1..N by construction.
+repetition has an explicit solution: the coefficient of zeta(s - k) is
+
+    (-1)^(k-1) i!/(i-k+1)! / prod_{j=1..k} (j - s),      k = 1..i,
+
+and differentiating in s gives the zeta' variant, so :func:`reduce_poly`
+writes every coefficient down directly.  All coefficient arithmetic is
+exact over the rationals; poles of the coefficients land only at integer
+shifts s = 1..N by construction.
 
 The closed-form product integrals (the two-factor integral over (0,1), its
 s -> 1 limit combination, and the specific triple-product evaluation) live
@@ -22,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterator, Sequence
 
 from . import kernels
@@ -43,6 +49,9 @@ __all__ = [
 ]
 
 MAX_DEGREE = 64
+# The integers searched for denominator roots: every pole a reduction of
+# degree <= MAX_DEGREE can have (1..MAX_DEGREE), with a margin either side.
+_ROOT_SCAN = range(-8, MAX_DEGREE + 6)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +115,14 @@ class RationalFunctionOfS:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalFunctionOfS is immutable")
 
+    @classmethod
+    def _reduced(cls, num: RatPoly, den: RatPoly) -> "RationalFunctionOfS":
+        """Wrap a quotient the caller knows is gcd-reduced with monic den."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
     @staticmethod
     def constant(c) -> "RationalFunctionOfS":
         return RationalFunctionOfS(RatPoly((Fraction(c),)))
@@ -155,7 +172,7 @@ class RationalFunctionOfS:
 
     def denominator_integer_roots(self) -> list[int]:
         """Integer roots of the denominator (exact evaluation test)."""
-        return [k for k in range(-8, MAX_DEGREE + 6)
+        return [k for k in _ROOT_SCAN
                 if self.den.degree >= 1 and self.den.evaluate(k) == 0]
 
     def __str__(self) -> str:
@@ -248,10 +265,8 @@ class LinearCombination:
 
 
 # ---------------------------------------------------------------------------
-# The reduction recursion
+# The closed-form reduction
 # ---------------------------------------------------------------------------
-
-_S_MINUS_1 = RatPoly((-1, 1))  # s - 1
 
 
 def _check_r(r: int) -> None:
@@ -259,47 +274,53 @@ def _check_r(r: int) -> None:
         raise ValueError("derivative order for the reduction must be 0 or 1")
 
 
-@lru_cache(maxsize=None)
-def reduce_monomial(i: int, r: int) -> LinearCombination:
-    """Exact reduction of int_0^1 a^i zeta^(r)(s, a) da, r in {0, 1}.
+def _times_s_minus(q: list[int], k: int) -> list[int]:
+    """Ascending coefficients of q(s) * (s - k)."""
+    return [lo - k * hi for hi, lo in zip(q + [0], [0] + q)]
 
-    One integration by parts against the order-r antiderivative family gives
-    boundary terms at a = 1 plus i times the same integral with i-1 and
-    s-1; the i = 0 case vanishes identically (zero-mean over the unit
-    interval for Re s < 1).
-    """
+
+def reduce_monomial(i: int, r: int) -> LinearCombination:
+    """Exact reduction of int_0^1 a^i zeta^(r)(s, a) da, r in {0, 1}:
+    :func:`reduce_poly` applied to a^i; the i = 0 case vanishes."""
     _check_r(r)
     if not 0 <= i <= MAX_DEGREE:
         raise ValueError(f"monomial degree must be in 0..{MAX_DEGREE}")
-    if i == 0:
-        return LinearCombination.zero()
-    inv_1ms = RationalFunctionOfS(RatPoly((-1,)), _S_MINUS_1)       # 1/(1-s)
-    inv_1ms2 = RationalFunctionOfS(RatPoly((1,)), _S_MINUS_1 * _S_MINUS_1)
-    if r == 0:
-        lc = LinearCombination({DerivAtom(0, 1): inv_1ms})
-        # + i/(s-1) * I_{i-1}(s-1)
-        factor = RationalFunctionOfS(RatPoly((i,)), _S_MINUS_1)
-        return lc + reduce_monomial(i - 1, 0).shifted().scale(factor)
-    lc = LinearCombination({DerivAtom(1, 1): inv_1ms, DerivAtom(0, 1): inv_1ms2})
-    # - i/(1-s) * I^{(1)}_{i-1}(s-1) - i/(1-s)^2 * I^{(0)}_{i-1}(s-1)
-    f1 = RationalFunctionOfS(RatPoly((i,)), _S_MINUS_1)
-    f0 = RationalFunctionOfS(RatPoly((-i,)), _S_MINUS_1 * _S_MINUS_1)
-    return (lc
-            + reduce_monomial(i - 1, 1).shifted().scale(f1)
-            + reduce_monomial(i - 1, 0).shifted().scale(f0))
+    return reduce_poly(RatPoly((0,) * i + (1,)), r)
 
 
 def reduce_poly(p: RatPoly, r: int) -> LinearCombination:
-    """Reduction of int_0^1 p(a) zeta^(r)(s, a) da by linearity."""
+    """Reduction of int_0^1 p(a) zeta^(r)(s, a) da, in closed form.
+
+    With p(a) = sum_i p_i a^i, A_k = sum_{i>=k} p_i i!/(i-k+1)!, which is
+    p^(k-1)(1) - p^(k-1)(0), and the monic Q_k(s) = prod_{j=1..k} (s - j),
+    the shift-k atoms are
+
+        r = 0:  zeta(s-k) * (-A_k/Q_k)
+        r = 1:  zeta'(s-k) * (-A_k/Q_k)  +  zeta(s-k) * (A_k Q_k'/Q_k^2),
+
+    the r = 1 line being the s-derivative of the r = 0 one.  Q_k has simple
+    roots, so both coefficients are already gcd-reduced with monic
+    denominators; atoms with A_k = 0 are omitted.
+    """
     _check_r(r)
     if p.degree > MAX_DEGREE:
         raise ValueError(f"polynomial degree must be <= {MAX_DEGREE}")
-    total = LinearCombination.zero()
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
+    terms: dict[DerivAtom, RationalFunctionOfS] = {}
+    q, q2 = [1], [1]  # integer coefficients of Q_k and Q_k^2, ascending
+    deriv = p         # p^(k-1), so that A_k = p^(k-1)(1) - p^(k-1)(0)
+    for k in range(1, p.degree + 1):
+        q = _times_s_minus(q, k)
+        q2 = _times_s_minus(_times_s_minus(q2, k), k)
+        a_k = sum(deriv.coeffs[1:])
+        deriv = deriv.derivative()
+        if a_k == 0:
             continue
-        total = total + reduce_monomial(i, r).scale(c)
-    return total
+        den = RatPoly(q)
+        terms[DerivAtom(r, k)] = RationalFunctionOfS._reduced(RatPoly((-a_k,)), den)
+        if r == 1:
+            terms[DerivAtom(0, k)] = RationalFunctionOfS._reduced(
+                den.derivative().scale(a_k), RatPoly(q2))
+    return LinearCombination(terms)
 
 
 def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
@@ -326,9 +347,11 @@ def eval_combination(lc: LinearCombination, s: complex,
     reports which shift is at fault when a zeta evaluation sits on the pole.
     """
     s = complex(s)
-    for atom, coeff in lc.items():
-        for root in coeff.denominator_integer_roots():
-            if abs(s - root) <= 1e-8:
+    # Integers are 1 apart, so only the nearest one can lie within 1e-8 of s.
+    root = round(s.real) if math.isfinite(s.real) else None
+    if root is not None and root in _ROOT_SCAN and abs(s - root) <= 1e-8:
+        for atom, coeff in lc.items():
+            if coeff.den.evaluate(root) == 0:
                 raise PoleProximityError(
                     f"coefficient of {atom} has a pole at s = {root}")
     total = 0j

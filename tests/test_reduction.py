@@ -1,12 +1,18 @@
 """IBP reduction engine: symbolic structure, exact values, closed forms."""
 
+import hashlib
+import itertools
+import json
+import math
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from zetalab.errors import DomainError, PoleProximityError
-from zetalab.exact import (RatPoly, poly_integral_01, poly_mul,
-                           zeta_neg_int_poly)
+from zetalab.exact import (RatPoly, bernoulli_number, poly_integral_01,
+                           poly_mul, zeta_neg_int_poly)
 from zetalab.kernels import hurwitz_zeta, riemann_zeta
 from zetalab.quadrature import tanh_sinh_01
 from zetalab.reduction import (DerivAtom, LinearCombination,
@@ -166,6 +172,136 @@ class TestIntegralPolyZeta:
             integral_poly_zeta((40, 40), 0)
         with pytest.raises(ValueError):
             integral_poly_zeta((-1,), 0)
+
+
+@lru_cache(maxsize=None)
+def _recursive_monomial(i, r):
+    """The reduction as one integration by parts at a time: boundary terms
+    at a = 1 plus i times the (i-1, s-1) integral.  This was the engine
+    before the closed form; it stays here as the exact reference."""
+    if i == 0:
+        return LinearCombination.zero()
+    inv_1ms = rf((-1,), S_MINUS_1)                  # 1/(1-s)
+    inv_1ms2 = rf((1,), S_MINUS_1 * S_MINUS_1)      # 1/(1-s)^2
+    if r == 0:
+        factor = rf((i,), S_MINUS_1)
+        return (LinearCombination({DerivAtom(0, 1): inv_1ms})
+                + _recursive_monomial(i - 1, 0).shifted().scale(factor))
+    f1 = rf((i,), S_MINUS_1)
+    f0 = rf((-i,), S_MINUS_1 * S_MINUS_1)
+    return (LinearCombination({DerivAtom(1, 1): inv_1ms, DerivAtom(0, 1): inv_1ms2})
+            + _recursive_monomial(i - 1, 1).shifted().scale(f1)
+            + _recursive_monomial(i - 1, 0).shifted().scale(f0))
+
+
+class TestClosedFormAgainstRecursion:
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_every_monomial_to_degree_16(self, r):
+        for i in range(17):
+            old, new = _recursive_monomial(i, r), reduce_monomial(i, r)
+            assert new == old, (i, r)
+            assert new.serialize() == old.serialize(), (i, r)
+
+
+FROZEN = Path(__file__).parent / "data" / "integral_poly_zeta_sha256.json"
+
+
+def _small_multisets(max_degree):
+    """Every multiset of 1 to 3 indices m >= 0 with sum(m + 1) <= max_degree,
+    as descending tuples."""
+    for parts in (1, 2, 3):
+        for ms in itertools.combinations_with_replacement(range(max_degree), parts):
+            if sum(m + 1 for m in ms) <= max_degree:
+                yield tuple(sorted(ms, reverse=True))
+
+
+class TestFrozenSerialization:
+    """sha256 of ``integral_poly_zeta(ms, r).serialize()`` for every multiset
+    of degree <= 16 and r in {0, 1}, recorded from the recursive engine."""
+
+    def test_every_small_multiset(self):
+        frozen = json.loads(FROZEN.read_text())
+        keys = {f"{','.join(map(str, ms))};{r}"
+                for ms in _small_multisets(16) for r in (0, 1)}
+        assert set(frozen) == keys
+        for key, digest in frozen.items():
+            ms_text, r = key.split(";")
+            ms = tuple(int(m) for m in ms_text.split(","))
+            text = integral_poly_zeta(ms, int(r)).serialize()
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+
+
+def _expected_atoms(ms, r):
+    """{atom: (num, den)} from A_k and Q_k, built here from bernoulli_number:
+    zeta(-m, a) = -B_{m+1}(a)/(m+1) with B_n(a) = sum_j C(n, j) B_{n-j} a^j."""
+    p = RatPoly.one()
+    for m in ms:
+        n = m + 1
+        p = p * RatPoly([Fraction(-math.comb(n, j) * bernoulli_number(n - j), n)
+                         for j in range(n + 1)])
+    out, q = {}, RatPoly.one()
+    for k in range(1, p.degree + 1):
+        q = q * RatPoly((-k, 1))
+        a_k = sum(p.coefficient(i) * math.perm(i, k - 1)
+                  for i in range(k, p.degree + 1))
+        if a_k == 0:
+            continue
+        out[DerivAtom(r, k)] = (RatPoly((-a_k,)), q)
+        if r == 1:
+            out[DerivAtom(0, k)] = (q.derivative().scale(a_k), q * q)
+    return out
+
+
+class TestHighDegreeClosedForm:
+    """Degrees the recursive engine took minutes over (degree 42 alone took
+    152 s): every atom must carry exactly -A_k/Q_k (or its s-derivative)."""
+
+    @pytest.mark.parametrize("ms, r", [((63,), 1), ((20, 20), 0)])
+    def test_atoms_match_closed_form(self, ms, r):
+        lc = integral_poly_zeta(ms, r)
+        expected = _expected_atoms(ms, r)
+        assert set(lc.atoms()) == set(expected)
+        for atom, (num, den) in expected.items():
+            coeff = lc.coefficient(atom)
+            assert (coeff.num, coeff.den) == (num, den), atom
+
+
+def _scanned_pole_error(lc, s):
+    """The message the refusal must give: the first atom, in order, whose
+    denominator has an integer root within 1e-8 of s."""
+    for atom, coeff in lc.items():
+        for root in coeff.denominator_integer_roots():
+            if abs(s - root) <= 1e-8:
+                return f"coefficient of {atom} has a pole at s = {root}"
+    return None
+
+
+class TestPoleRefusal:
+    LC = reduce_monomial(6, 1)
+
+    @pytest.mark.parametrize("shift", range(1, 7))
+    @pytest.mark.parametrize("offset", [0, 5e-9, -9e-9, 5e-9j, -7e-9j, 6e-9 + 6e-9j])
+    def test_refuses_near_each_shift(self, shift, offset):
+        s = shift + offset
+        expected = _scanned_pole_error(self.LC, s)
+        assert expected is not None
+        with pytest.raises(PoleProximityError) as err:
+            eval_combination(self.LC, s)
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize("s", [0.0, 1e-9, -3.0, -3.0 + 5e-9j])
+    def test_evaluates_near_non_pole_integers(self, s):
+        assert _scanned_pole_error(self.LC, s) is None
+        assert math.isfinite(abs(eval_combination(self.LC, s)))
+
+    @pytest.mark.parametrize("s", [2.0 + 2e-8, 3.0 - 2e-8j])
+    def test_window_is_1e_minus_8(self, s):
+        # just outside the window the coefficients are let through; the
+        # zeta(s-k) factor on the kernel's pole is refused instead
+        assert _scanned_pole_error(self.LC, s) is None
+        with pytest.raises(PoleProximityError) as err:
+            eval_combination(self.LC, s)
+        assert str(err.value).startswith("shift ")
 
 
 class TestEvalCombination:

@@ -1,12 +1,14 @@
 """Check registry, report rendering, and the command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import zetalab
 from zetalab.checks import (REQUIRED_ID_PREFIXES, build_registry,
                             render_report, run_checks)
 from zetalab.cli import main, parse_complex
@@ -223,12 +225,16 @@ class TestCli:
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# The demos import the same zetalab as this test run, installed or not.
+ZETALAB_ROOT = str(Path(zetalab.__file__).resolve().parents[1])
 
 
 class TestDemos:
     @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
     def test_demo_runs_clean(self, script):
+        path = os.pathsep.join(filter(None, [ZETALAB_ROOT, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, str(script)],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
