@@ -147,10 +147,9 @@ def stieltjes_alpha_derivative(r: int, alpha: float,
     if alpha <= 0.0:
         raise DomainError("stieltjes_alpha_derivative requires alpha > 0")
 
-    def h(t: complex) -> complex:
-        return t * (t + 1.0) * kernels._em_hurwitz(t + 2.0, alpha, cfg)
-
-    coeff = kernels._contour_coeff(h, cfg.contour_radius, cfg.contour_points, r)
+    coeff = kernels._contour_coeff(
+        lambda t: t * (t + 1.0) * kernels._em_hurwitz_batch(t + 2.0, alpha, cfg),
+        cfg.contour_radius, cfg.contour_points, r)
     # d^r/ds^r at 0 is r! * coeff; dividing by r! leaves the bare coefficient
     return -coeff
 

@@ -18,6 +18,13 @@ subtracted form: the Euler-Maclaurin integral term minus the pole is
 expm1(-t*log(M+a))/t, which is stable uniformly in t.  Doing the subtraction
 on finished zeta values instead would lose all precision near t = 0.
 
+Euler-Maclaurin has two forms with the same head length, correction count
+and truncation policy.  A single point (``hurwitz_zeta``) runs the scalar
+pure-Python form: for one point numpy's per-call overhead costs about six
+times the whole loop.  The K samples of a contour run as one numpy batch, a
+K x M matrix of head terms and a K x J matrix of corrections, each row
+keeping its own M and J; the batch takes the pole-subtracted form by a flag.
+
 Accuracy is absolute (``target_abs_error``) for values of moderate magnitude;
 when the value itself is astronomically large (e.g. Re s very negative and
 alpha large) accuracy degrades gracefully to relative ~1e-13.
@@ -29,6 +36,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import factorial
+
+import numpy as np
 
 from . import exact
 from .errors import (ConvergenceError, DomainError, NumericOverflowError,
@@ -100,6 +109,7 @@ class StieltjesValue:
 _B2J_OVER_FACT = tuple(
     float(exact.bernoulli_number(2 * j)) / factorial(2 * j) for j in range(1, 21)
 )
+_B2J_OVER_FACT_ARRAY = np.array(_B2J_OVER_FACT)
 _B2J_OVER_2J = tuple(
     float(exact.bernoulli_number(2 * j) / (2 * j)) for j in range(1, 21)
 )
@@ -217,44 +227,67 @@ def _em_tail(s: complex, big_t: float, t_pow: complex, terms: int) -> complex:
 
 def _em_hurwitz(s: complex, alpha: float, cfg: PrecisionConfig) -> complex:
     m = _em_head_length(s, alpha, cfg)
-    head = 0j
-    for n in range(m):
-        head += (n + alpha) ** (-s)
-    big_t = m + alpha
-    t_ms = cmath.exp(-s * math.log(big_t))  # (M+a)^-s
-    value = head + t_ms * big_t / (s - 1.0) + 0.5 * t_ms
-    value += _em_tail(s, big_t, t_ms / big_t, _em_tail_terms(s, cfg))
+    try:
+        head = 0j
+        for n in range(m):
+            head += (n + alpha) ** (-s)
+        big_t = m + alpha
+        t_ms = cmath.exp(-s * math.log(big_t))  # (M+a)^-s
+        value = head + t_ms * big_t / (s - 1.0) + 0.5 * t_ms
+        value += _em_tail(s, big_t, t_ms / big_t, _em_tail_terms(s, cfg))
+    except OverflowError:
+        raise NumericOverflowError("Euler-Maclaurin overflow in hurwitz_zeta") from None
     return value
 
 
-def _em_hurwitz_minus_pole(t: complex, alpha: float, cfg: PrecisionConfig) -> complex:
-    """zeta(1+t, alpha) - 1/t, stable for |t| small (t = 0 allowed)."""
-    s = 1.0 + t
-    m = cfg.em_cutoff
-    head = 0j
-    for n in range(m):
-        head += (n + alpha) ** (-s)
+def _em_hurwitz_batch(s: np.ndarray, alpha: float, cfg: PrecisionConfig,
+                      minus_pole: bool = False) -> np.ndarray:
+    """:func:`_em_hurwitz` at every point of the 1-D array ``s``, one alpha.
+
+    With ``minus_pole`` the points are t and the value is
+    zeta(1+t, alpha) - 1/t, the pole removed inside the integral term:
+    (M+a)^(1-s)/(s-1) - 1/t = expm1(-t log(M+a))/t.  t = 0 is not allowed.
+    Each point keeps its own head length M and correction count J; overflow
+    yields non-finite entries, never a warning.
+    """
+    t = np.asarray(s, dtype=complex)
+    s = 1.0 + t if minus_pole else t
+    points = s.tolist()
+    rows = np.arange(len(points))
+    m = np.array([_em_head_length(z, alpha, cfg) for z in points])
+    j = np.array([_em_tail_terms(z, cfg) for z in points])
     big_t = m + alpha
-    log_t = math.log(big_t)
-    t_ms = cmath.exp(-s * log_t)
-    # (M+a)^(1-s)/(s-1) - 1/t = ((M+a)^-t - 1)/t = expm1(-t log(M+a))/t
-    if t == 0:
-        integral = complex(-log_t)
-    else:
-        integral = _cexpm1(-t * log_t) / t
-    value = head + integral + 0.5 * t_ms
-    value += _em_tail(s, big_t, t_ms / big_t, _em_tail_terms(s, cfg))
-    return value
-
-
-def _cexpm1(z: complex) -> complex:
-    """exp(z) - 1 without cancellation for small |z|."""
-    x, y = z.real, z.imag
-    if y == 0.0:
-        return complex(math.expm1(x))
-    re = math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2
-    im = math.exp(x) * math.sin(y)
-    return complex(re, im)
+    # logarithms from math.log, as in the scalar core: numpy's vectorised log
+    # may differ by an ulp, which s*log(M+a) amplifies
+    log_n = np.array([math.log(n + alpha) for n in range(m.max())])
+    log_t = np.array([math.log(x) for x in big_t.tolist()])
+    with np.errstate(all="ignore"):
+        # (n+a)^-s as modulus and phase, as the scalar complex power forms it,
+        # summed in the scalar's order: running sums, read off at n = M-1
+        modulus = np.power(np.arange(m.max()) + alpha, -s.real[:, None])
+        phase = -s.imag[:, None] * log_n
+        powers = modulus * np.cos(phase) + 1j * (modulus * np.sin(phase))
+        head = np.cumsum(powers, axis=1)[rows, m - 1]
+        t_ms = np.exp(-s * log_t)  # (M+a)^-s
+        if minus_pole:
+            integral = np.expm1(-t * log_t) / t
+        else:
+            integral = t_ms * big_t / (s - 1.0)
+        # Bernoulli corrections B_{2j}/(2j)! (s)_{2j-1} (M+a)^(-s-2j+1), each
+        # the previous one times (s+2j-1)(s+2j)/(M+a)^2, cut at the smallest
+        ks = 2.0 * np.arange(1, j.max())
+        steps = (s[:, None] + ks - 1.0) * (s[:, None] + ks) / (big_t * big_t)[:, None]
+        first = s * t_ms / big_t
+        terms = _B2J_OVER_FACT_ARRAY[:j.max()] * np.cumprod(
+            np.column_stack((first, steps)), axis=1)
+        acc = np.cumsum(terms, axis=1)
+        mags = np.where(np.arange(j.max()) < j[:, None], np.abs(terms), np.inf)
+        # the last smallest term; keep the sum there only when the final term
+        # has clearly re-entered asymptotic growth (see _em_tail)
+        at_min = mags.shape[1] - 1 - np.argmin(mags[:, ::-1], axis=1)
+        last = j - 1
+        cut = np.where(mags[rows, last] > 10.0 * mags[rows, at_min], at_min, last)
+        return head + integral + 0.5 * t_ms + acc[rows, cut]
 
 
 def hurwitz_zeta(s: complex, alpha: float,
@@ -281,12 +314,14 @@ def riemann_zeta(s: complex, config: PrecisionConfig | None = None) -> complex:
 
 
 def _contour_coeff(f, rho: float, points: int, order: int) -> complex:
-    """Taylor coefficient a_order of f about 0 from samples on |t| = rho."""
-    acc = 0j
-    for k in range(points):
-        theta = _TWO_PI * k / points
-        t = cmath.rect(rho, theta)
-        acc += f(t) * cmath.exp(complex(0.0, -order * theta))
+    """Taylor coefficient a_order of f about 0 from samples on |t| = rho.
+
+    ``f`` maps the array of the ``points`` sample points to their values.
+    """
+    theta = _TWO_PI * np.arange(points) / points
+    with np.errstate(all="ignore"):  # overflow leaves non-finite samples
+        samples = f(rho * np.exp(1j * theta))
+        acc = complex(np.dot(samples, np.exp(-1j * order * theta)))
     return acc / (points * rho ** order)
 
 
@@ -311,7 +346,7 @@ def hurwitz_zeta_deriv(r: int, s: complex, alpha: float,
         raise PoleProximityError(
             f"contour of radius {cfg.contour_radius} around s={s!r} meets the pole at 1")
     rho = min(cfg.contour_radius, 0.5 * dist)
-    coeff = _contour_coeff(lambda t: _em_hurwitz(s + t, alpha, cfg),
+    coeff = _contour_coeff(lambda t: _em_hurwitz_batch(s + t, alpha, cfg),
                            rho, cfg.contour_points, r)
     return _require_finite(factorial(r) * coeff, "hurwitz_zeta_deriv")
 
@@ -341,7 +376,7 @@ def stieltjes(n: int, alpha: float, config: PrecisionConfig | None = None) -> co
     alpha = float(alpha)
     if alpha <= 0.0:
         raise DomainError("stieltjes requires alpha > 0")
-    coeff = _contour_coeff(lambda t: _em_hurwitz_minus_pole(t, alpha, cfg),
+    coeff = _contour_coeff(lambda t: _em_hurwitz_batch(t, alpha, cfg, minus_pole=True),
                            cfg.contour_radius, cfg.contour_points, n)
     return _require_finite(coeff, "stieltjes")
 

@@ -343,13 +343,14 @@ def eval_combination(lc: LinearCombination, s: complex,
                      config: kernels.PrecisionConfig | None = None) -> complex:
     """Numeric value of a reduction at the point s.
 
-    Refuses s within 1e-8 of a coefficient pole (the integer shifts) and
-    reports which shift is at fault when a zeta evaluation sits on the pole.
+    Refuses s within 1e-8 of an integer coefficient pole (the shifts, for a
+    reduction), or on any other coefficient pole, and reports which shift is
+    at fault when a zeta evaluation sits on the pole.
     """
     s = complex(s)
     # Integers are 1 apart, so only the nearest one can lie within 1e-8 of s.
     root = round(s.real) if math.isfinite(s.real) else None
-    if root is not None and root in _ROOT_SCAN and abs(s - root) <= 1e-8:
+    if root is not None and abs(s - root) <= 1e-8:
         for atom, coeff in lc.items():
             if coeff.den.evaluate(root) == 0:
                 raise PoleProximityError(
@@ -360,7 +361,12 @@ def eval_combination(lc: LinearCombination, s: complex,
             value = kernels.riemann_zeta_deriv(atom.deriv_order, s - atom.shift, config)
         except PoleProximityError as exc:
             raise PoleProximityError(f"shift {atom.shift}: {exc}") from None
-        total += coeff.evaluate(s) * value
+        try:
+            total += coeff.evaluate(s) * value
+        except ZeroDivisionError:
+            # a hand-built coefficient with a pole off the integers
+            raise PoleProximityError(
+                f"coefficient of {atom} has a pole at s = {kernels.format_complex(s)}") from None
     return total
 
 

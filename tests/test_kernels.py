@@ -4,15 +4,21 @@ Oracles used here: closed forms (pi^2/6, sqrt(pi), -log(2 pi)/2), the exact
 rational module for zeta at non-positive integers, the dyadic identity
 zeta(s, 1/2) = (2^s - 1) zeta(s), lgamma for zeta'(0, a), an accelerated
 alternating series for zeta'(2), finite differences for contour consistency,
-and the Laurent definition for Stieltjes constants.
+and the Laurent definition for Stieltjes constants.  The numpy batch core
+behind the contours is checked against the scalar core, and the contour
+kernels against the pure-Python contour loop they replaced.
 """
 
 import cmath
 import math
+import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from zetalab import calculus, kernels
 from zetalab.errors import (DomainError, NumericOverflowError,
                             PoleProximityError)
 from zetalab.exact import poly_eval, zeta_neg_int_poly
@@ -313,3 +319,206 @@ class TestSerialization:
 
     def test_negative_zero_normalised(self):
         assert format_complex(complex(-0.0, -0.0)) == "0+0i"
+
+
+# ---------------------------------------------------------------------------
+# The numpy Euler-Maclaurin batch behind every contour
+# ---------------------------------------------------------------------------
+
+EPS = 2.220446049250313e-16
+CIRCLE = 0.5 * np.exp(2j * np.pi * np.arange(32) / 32)
+ALPHAS = (0.05, 0.3, 1.0, 2.7, 12.0, 50.0)
+
+
+def zeta_bound(value):
+    """The README accuracy of a zeta value: 1e-11 absolute or 1e-13 relative."""
+    return max(1e-11, 1e-13 * abs(value))
+
+
+def batch_vs_scalar(points, alpha, cfg, allowance=lambda z, alpha: 0.0):
+    """Worst |batch - scalar| over the points, in units of a tenth of the
+    README bound plus ``allowance(z, alpha)``."""
+    batch = kernels._em_hurwitz_batch(np.array(points), alpha, cfg)
+    worst = 0.0
+    for z, got in zip(points, batch.tolist()):
+        ref = kernels._em_hurwitz(z, alpha, cfg)
+        worst = max(worst, abs(got - ref) / (0.1 * zeta_bound(ref) + allowance(z, alpha)))
+    return worst
+
+
+class TestBatchCore:
+    def test_grid_matches_scalar(self):
+        rng = random.Random(20261018)
+        worst = 0.0
+        for _ in range(40):
+            alpha = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+            points = []
+            while len(points) < 32:
+                s = complex(rng.uniform(-1.0, 10.0), rng.uniform(-40.0, 40.0))
+                if abs(s - 1.0) >= 0.05:
+                    points.append(s)
+            worst = max(worst, batch_vs_scalar(points, alpha, DEFAULT_CONFIG))
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("centre", [-1.6, -1.9 + 4.0j, -2.2 - 10.0j])
+    def test_head_length_varies_per_point(self, centre):
+        # The circles cross Re s = -1.8, where M shrinks with Re s, and stay
+        # at |Im s| <= 10.5, where the scalar core meets its bound.  The
+        # shrink makes one rounding of the cancelling head and integral terms
+        # worth about a fifth of the bound, so the two cores may also differ
+        # by a few roundings of the integral term (numpy divides complex
+        # numbers through a reciprocal).
+        def integral_ulps(z, alpha):
+            big_t = kernels._em_head_length(z, alpha, DEFAULT_CONFIG) + alpha
+            return 4.0 * EPS * abs(big_t ** (1.0 - z) / (z - 1.0))
+
+        points = (centre + CIRCLE).tolist()
+        varied = 0
+        for alpha in ALPHAS:
+            heads = {kernels._em_head_length(z, alpha, DEFAULT_CONFIG) for z in points}
+            varied += len(heads) > 1
+            assert batch_vs_scalar(points, alpha, DEFAULT_CONFIG, integral_ulps) <= 1.0
+        assert varied >= 4
+
+    @pytest.mark.parametrize("centre", [-0.3, 0.2 + 7.0j, -0.1 - 25.0j])
+    def test_tail_count_varies_per_point(self, centre):
+        # with em_tail_terms = 2, J is 2 where Re s >= 0 and 3 below
+        cfg = PrecisionConfig(em_tail_terms=2)
+        points = (centre + CIRCLE).tolist()
+        assert len({kernels._em_tail_terms(z, cfg) for z in points}) > 1
+        for alpha in ALPHAS:
+            assert batch_vs_scalar(points, alpha, cfg) <= 1.0
+
+    def test_single_correction_term(self):
+        # J = 1 at every point: the tail is the first correction alone
+        cfg = PrecisionConfig(em_tail_terms=1)
+        points = (3.0 + CIRCLE).tolist()
+        assert {kernels._em_tail_terms(z, cfg) for z in points} == {1}
+        assert batch_vs_scalar(points, 0.7, cfg) <= 1.0
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_minus_pole_on_the_stieltjes_circle(self, alpha):
+        got = kernels._em_hurwitz_batch(CIRCLE, alpha, DEFAULT_CONFIG, minus_pole=True)
+        for t, value in zip(CIRCLE.tolist(), got.tolist()):
+            zeta = hurwitz_zeta(1.0 + t, alpha)
+            assert abs(value - (zeta - 1.0 / t)) <= 0.1 * zeta_bound(zeta)
+
+    @pytest.mark.parametrize("centre", [2.0 - 45.0j, 2.0 - 60.0j])
+    def test_smallest_term_cut(self, centre):
+        # With a short head, the corrections stop shrinking once |s| passes
+        # about 2 pi (M + alpha).  The sum is then cut back to its smallest
+        # term: at some points of the first circle, and at every point of the
+        # second for alpha <= 1, where the terms past the cut exceed the bound.
+        cfg = PrecisionConfig(em_cutoff=8, em_tail_terms=20)
+        points = (centre + CIRCLE).tolist()
+        for alpha in ALPHAS:
+            assert batch_vs_scalar(points, alpha, cfg) <= 1.0
+
+    def test_overflow_is_non_finite_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels._em_hurwitz_batch(np.array([-300.0 + 0j, 2.0]), 1e6,
+                                            DEFAULT_CONFIG)
+        assert not np.isfinite(got[0]) and np.isfinite(got[1])
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_derivative_overflow_raises_without_warnings(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError):
+                hurwitz_zeta_deriv(r, -300.0, 1e6)
+
+    @pytest.mark.parametrize("s", [-300.0, -300.0 + 2.0j, -150.5])
+    def test_scalar_overflow_raises(self, s):
+        with pytest.raises(NumericOverflowError):
+            hurwitz_zeta(s, 1e6)
+
+
+# ---------------------------------------------------------------------------
+# Contour kernels against the pure-Python contour loop they replaced
+# ---------------------------------------------------------------------------
+
+
+def old_contour_coeff(f, rho, points, order):
+    """One pure-Python pass over the circle for one Taylor order."""
+    acc = 0j
+    for k in range(points):
+        theta = 2.0 * math.pi * k / points
+        acc += f(cmath.rect(rho, theta)) * cmath.exp(complex(0.0, -order * theta))
+    return acc / (points * rho ** order)
+
+
+def old_cexpm1(z):
+    x, y = z.real, z.imag
+    if y == 0.0:
+        return complex(math.expm1(x))
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                   math.exp(x) * math.sin(y))
+
+
+def old_minus_pole(t, alpha, cfg):
+    """The scalar zeta(1+t, alpha) - 1/t that the Stieltjes contour sampled."""
+    s = 1.0 + t
+    m = cfg.em_cutoff
+    head = 0j
+    for n in range(m):
+        head += (n + alpha) ** (-s)
+    big_t = m + alpha
+    log_t = math.log(big_t)
+    t_ms = cmath.exp(-s * log_t)
+    value = head + old_cexpm1(-t * log_t) / t + 0.5 * t_ms
+    return value + kernels._em_tail(s, big_t, t_ms / big_t,
+                                    kernels._em_tail_terms(s, cfg))
+
+
+def contour_bound(value):
+    """A tenth of the README bound for contour kernels, 100x the zeta bound."""
+    return 0.1 * 100.0 * zeta_bound(value)
+
+
+class TestContourRegression:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_minus_pole_near_zero(self, alpha):
+        # expm1 keeps zeta(1+t) - 1/t accurate where exp(.) - 1 would lose
+        # about eps/|t| to cancellation
+        ts = 2e-6 * CIRCLE
+        got = kernels._em_hurwitz_batch(ts, alpha, DEFAULT_CONFIG, minus_pole=True)
+        for t, value in zip(ts.tolist(), got.tolist()):
+            expected = old_minus_pole(t, alpha, DEFAULT_CONFIG)
+            assert abs(value - expected) <= 0.1 * zeta_bound(expected)
+
+
+    def test_derivatives(self):
+        cfg = DEFAULT_CONFIG
+        rng = random.Random(4)
+        for _ in range(60):
+            s = complex(rng.uniform(-2.0, 6.0), rng.uniform(-20.0, 20.0))
+            if abs(s - 1.0) < 1.5:
+                continue
+            alpha = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+            for r in range(1, 5):
+                coeff = old_contour_coeff(
+                    lambda t: kernels._em_hurwitz(s + t, alpha, cfg),
+                    cfg.contour_radius, cfg.contour_points, r)
+                expected = math.factorial(r) * coeff
+                got = hurwitz_zeta_deriv(r, s, alpha)
+                assert abs(got - expected) <= contour_bound(expected), (r, s, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 1.0, 1.7, 3.3, 10.0, 50.0])
+    def test_stieltjes(self, alpha):
+        cfg = DEFAULT_CONFIG
+        for n in range(6):
+            expected = old_contour_coeff(lambda t: old_minus_pole(t, alpha, cfg),
+                                         cfg.contour_radius, cfg.contour_points, n)
+            got = stieltjes(n, alpha)
+            assert abs(got - expected) <= contour_bound(expected), (n, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.8, 4.0])
+    def test_stieltjes_alpha_derivative(self, alpha):
+        cfg = DEFAULT_CONFIG
+        for r in range(1, 6):
+            expected = -old_contour_coeff(
+                lambda t: t * (t + 1.0) * kernels._em_hurwitz(t + 2.0, alpha, cfg),
+                cfg.contour_radius, cfg.contour_points, r)
+            got = calculus.stieltjes_alpha_derivative(r, alpha)
+            assert abs(got - expected) <= contour_bound(expected), (r, alpha)

@@ -305,6 +305,21 @@ class TestPoleRefusal:
 
 
 class TestEvalCombination:
+    def test_pole_outside_the_shifts(self):
+        # a hand-built coefficient with its pole at s = 100
+        lc = LinearCombination({DerivAtom(0, 1): RationalFunctionOfS(
+            RatPoly((1,)), RatPoly((-100, 1)))})
+        with pytest.raises(PoleProximityError) as err:
+            eval_combination(lc, 100.0)
+        assert str(err.value) == "coefficient of zeta^(0)(s-1) has a pole at s = 100"
+
+    def test_pole_off_the_integers(self):
+        lc = LinearCombination({DerivAtom(0, 1): RationalFunctionOfS(
+            RatPoly((1,)), RatPoly((-1, 2)))})
+        with pytest.raises(PoleProximityError) as err:
+            eval_combination(lc, 0.5)
+        assert str(err.value) == "coefficient of zeta^(0)(s-1) has a pole at s = 0.5+0i"
+
     def test_empty(self):
         assert eval_combination(LinearCombination(), 0.3) == 0j
 

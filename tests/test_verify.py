@@ -197,6 +197,21 @@ class TestCli:
         assert main(["eval", "--fn", "zeta", "--s", "1"]) == 2
         assert "pole" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("deriv", ["0", "1"])
+    def test_overflow_is_an_error_not_a_traceback(self, deriv):
+        # zeta(-300, 1e6) overflows a double, on the scalar path (deriv 0)
+        # and on the contour path (deriv 1)
+        path = os.pathsep.join(filter(None, [ZETALAB_ROOT, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetalab.cli", "eval", "--fn", "hurwitz",
+             "--deriv", deriv, "--s=-300", "--alpha", "1e6"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
     def test_negative_complex_uses_equals_form(self, capsys):
         assert main(["eval", "--fn", "zeta", "--s=-1.5"]) == 0
         assert capsys.readouterr().out.strip().startswith("-0.02548520189")
