@@ -164,8 +164,13 @@ def main(argv: list[str] | None = None) -> int:
             results = run_checks(args.filter, cfg)
             report = render_report(results, args.format, cfg)
             if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(report)
+                try:
+                    with open(args.out, "w") as fh:
+                        fh.write(report)
+                except OSError as exc:
+                    print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                          file=sys.stderr)
+                    return 2
             else:
                 sys.stdout.write(report)
             return 0 if all(r.status != "fail" for r in results) else 1

@@ -4,6 +4,12 @@ Rationals are ``fractions.Fraction`` (always reduced, positive denominator,
 zero stored as 0/1).  Polynomials are dense sequences of rational
 coefficients in ascending degree order, wrapped in :class:`RatPoly`.
 
+The hot paths (Bernoulli product integrals here, the IBP reduction in
+``zetalab.reduction``) run on a private integer core instead: a polynomial
+as integer numerators over one common denominator, multiplied by integer
+convolution, with the endpoint jumps p^(k-1)(1) - p^(k-1)(0) taken along the
+integer derivative chain.  Only the final values become Fractions.
+
 Convention: B1 = -1/2 (the "first" Bernoulli numbers).  This is forced by
 zeta(0, a) = 1/2 - a together with zeta(-n, a) = -B_{n+1}(a)/(n+1); the
 B1 = +1/2 convention seen elsewhere is NOT used anywhere in this package.
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -86,7 +92,7 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -239,6 +245,40 @@ class RatPoly:
 
 
 # ---------------------------------------------------------------------------
+# Integer core: integer numerators over one common denominator
+# ---------------------------------------------------------------------------
+
+
+def _integer_form(p: RatPoly) -> tuple[list[int], int]:
+    """(c, d) with p = sum_i (c_i / d) x^i, d the least common denominator."""
+    d = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
+
+
+def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Ascending coefficients of the product of two integer polynomials."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _endpoint_jumps(c: Sequence[int]) -> list[int]:
+    """[p^(k-1)(1) - p^(k-1)(0) for k = 1..deg p] for p = sum_i c_i x^i,
+    with c free of trailing zeros, by the integer derivative chain."""
+    jumps = []
+    deriv = list(c)
+    while len(deriv) > 1:
+        jumps.append(sum(deriv[1:]))
+        deriv = [i * deriv[i] for i in range(1, len(deriv))]
+    return jumps
+
+
+# ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
@@ -303,21 +343,19 @@ def bernoulli_product_integral(indices: Sequence[int]) -> Fraction:
         int_0^1 p = p(0) - sum_{n>=1} B_n * (p^{(n-1)}(1) - p^{(n-1)}(0)) / n!
 
     which gives an integration path independent of ``poly_integral_01``.
+    The product and its jumps are taken in the integer core.
     """
     if any(m < 1 for m in indices):
         raise ValueError("Bernoulli product indices must be >= 1")
-    prod = RatPoly.one()
+    c, d = [1], 1
     for m in indices:
-        prod = prod * bernoulli_polynomial(m)
-    total = prod.evaluate(0)
-    deriv = prod
-    n = 1
-    while not deriv.is_zero():
-        jump = deriv.evaluate(1) - deriv.evaluate(0)
-        total -= bernoulli_number(n) * jump / factorial(n)
-        deriv = deriv.derivative()
-        n += 1
-    return total
+        cm, dm = _integer_form(bernoulli_polynomial(m))
+        c, d = _int_poly_mul(c, cm), d * dm
+    total = Fraction(c[0])
+    for n, jump in enumerate(_endpoint_jumps(c), start=1):
+        if jump and (n == 1 or n % 2 == 0):  # B_n = 0 for the other n
+            total -= bernoulli_number(n) * jump / factorial(n)
+    return total / d
 
 
 def zeta_neg_int_poly(m: int) -> RatPoly:

@@ -196,6 +196,27 @@ def _em_tail_terms(s: complex, cfg: PrecisionConfig) -> int:
     return min(j, len(_B2J_OVER_FACT))
 
 
+def _em_lengths(s: np.ndarray, alpha: float,
+                cfg: PrecisionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_em_head_length` and :func:`_em_tail_terms` at every point of
+    the complex array ``s``, as two integer arrays (M, J).
+
+    The cap is taken by ``np.float_power``, which calls the C library's pow
+    as Python's ``**`` does; ``np.power`` may differ from it by an ulp, and
+    an ulp moved in round(cap - alpha) would move M.  Clamping in floats
+    before the integer cast keeps every extreme cap and Re s exact.
+    """
+    re = s.real
+    low = re < 0.5
+    # the other points keep M = em_cutoff; Re s -> 0 there keeps 1/(1 - Re s) finite
+    cap = np.float_power(cfg.target_abs_error / (5.0 * _MACH_EPS),
+                         1.0 / (1.0 - np.where(low, re, 0.0)))
+    m = np.where(low, np.maximum(np.round(cap - alpha) + 1.0, 2.0), np.inf)
+    j = np.where(re < 0.0, np.floor(-re / 2.0) + 3.0, 0.0)
+    return (np.minimum(m, cfg.em_cutoff).astype(int),
+            np.minimum(np.maximum(j, cfg.em_tail_terms), len(_B2J_OVER_FACT)).astype(int))
+
+
 def _em_tail(s: complex, big_t: float, t_pow: complex, terms: int) -> complex:
     """Bernoulli correction sum with optimal (smallest-term) truncation.
 
@@ -252,10 +273,8 @@ def _em_hurwitz_batch(s: np.ndarray, alpha: float, cfg: PrecisionConfig,
     """
     t = np.asarray(s, dtype=complex)
     s = 1.0 + t if minus_pole else t
-    points = s.tolist()
-    rows = np.arange(len(points))
-    m = np.array([_em_head_length(z, alpha, cfg) for z in points])
-    j = np.array([_em_tail_terms(z, cfg) for z in points])
+    rows = np.arange(len(s))
+    m, j = _em_lengths(s, alpha, cfg)
     big_t = m + alpha
     # logarithms from math.log, as in the scalar core: numpy's vectorised log
     # may differ by an ulp, which s*log(M+a) amplifies

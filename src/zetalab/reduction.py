@@ -14,8 +14,12 @@ repetition has an explicit solution: the coefficient of zeta(s - k) is
 
 and differentiating in s gives the zeta' variant, so :func:`reduce_poly`
 writes every coefficient down directly.  All coefficient arithmetic is
-exact over the rationals; poles of the coefficients land only at integer
-shifts s = 1..N by construction.
+exact: the polynomial (for :func:`integral_poly_zeta`, the product of
+Bernoulli polynomials) is held as integer numerators over one denominator in
+the integer core of ``zetalab.exact``, whose endpoint jumps give the
+numerators of the rational constants, and the denominators Q_k(s), Q_k'(s)
+and Q_k(s)^2 come from one table cached for k <= MAX_DEGREE.  Poles of the
+coefficients land only at integer shifts s = 1..N by construction.
 
 The closed-form product integrals (the two-factor integral over (0,1), its
 s -> 1 limit combination, and the specific triple-product evaluation) live
@@ -28,12 +32,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import kernels
 from .errors import DomainError, PoleProximityError
-from .exact import RatPoly, zeta_neg_int_poly
+from .exact import (RatPoly, _endpoint_jumps, _int_poly_mul, _integer_form,
+                    bernoulli_polynomial)
 
 __all__ = [
     "DerivAtom",
@@ -274,9 +279,14 @@ def _check_r(r: int) -> None:
         raise ValueError("derivative order for the reduction must be 0 or 1")
 
 
-def _times_s_minus(q: list[int], k: int) -> list[int]:
-    """Ascending coefficients of q(s) * (s - k)."""
-    return [lo - k * hi for hi, lo in zip(q + [0], [0] + q)]
+@lru_cache(maxsize=MAX_DEGREE)
+def _pochhammer(k: int) -> tuple[RatPoly, RatPoly, RatPoly]:
+    """Q_k(s) = prod_{j=1..k} (s - j), its s-derivative and its square."""
+    q = [1]
+    for j in range(1, k + 1):
+        q = [lo - j * hi for hi, lo in zip(q + [0], [0] + q)]  # q * (s - j)
+    poly = RatPoly(q)
+    return poly, poly.derivative(), RatPoly(_int_poly_mul(q, q))
 
 
 def reduce_monomial(i: int, r: int) -> LinearCombination:
@@ -305,21 +315,20 @@ def reduce_poly(p: RatPoly, r: int) -> LinearCombination:
     _check_r(r)
     if p.degree > MAX_DEGREE:
         raise ValueError(f"polynomial degree must be <= {MAX_DEGREE}")
+    return _reduce_integer_form(*_integer_form(p), r)
+
+
+def _reduce_integer_form(c: list[int], d: int, r: int) -> LinearCombination:
+    """:func:`reduce_poly` of p = sum_i (c_i / d) a^i: A_k is jump_k / d."""
     terms: dict[DerivAtom, RationalFunctionOfS] = {}
-    q, q2 = [1], [1]  # integer coefficients of Q_k and Q_k^2, ascending
-    deriv = p         # p^(k-1), so that A_k = p^(k-1)(1) - p^(k-1)(0)
-    for k in range(1, p.degree + 1):
-        q = _times_s_minus(q, k)
-        q2 = _times_s_minus(_times_s_minus(q2, k), k)
-        a_k = sum(deriv.coeffs[1:])
-        deriv = deriv.derivative()
-        if a_k == 0:
+    for k, jump in enumerate(_endpoint_jumps(c), start=1):
+        if jump == 0:
             continue
-        den = RatPoly(q)
-        terms[DerivAtom(r, k)] = RationalFunctionOfS._reduced(RatPoly((-a_k,)), den)
+        a_k = Fraction(jump, d)
+        q, dq, q2 = _pochhammer(k)
+        terms[DerivAtom(r, k)] = RationalFunctionOfS._reduced(RatPoly((-a_k,)), q)
         if r == 1:
-            terms[DerivAtom(0, k)] = RationalFunctionOfS._reduced(
-                den.derivative().scale(a_k), RatPoly(q2))
+            terms[DerivAtom(0, k)] = RationalFunctionOfS._reduced(dq.scale(a_k), q2)
     return LinearCombination(terms)
 
 
@@ -327,7 +336,8 @@ def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
     """Reduction of int_0^1 zeta(-m_1, a) ... zeta(-m_k, a) zeta^(r)(s, a) da.
 
     Builds the exact product polynomial prod_i (-B_{m_i+1}(a)/(m_i+1)) of
-    degree N = sum (m_i + 1); the resulting atoms have shifts 1..N.
+    degree N = sum (m_i + 1), in integers over one denominator; the
+    resulting atoms have shifts 1..N.
     """
     _check_r(r)
     if any(m < 0 for m in ms):
@@ -335,8 +345,11 @@ def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
     degree = sum(m + 1 for m in ms)
     if degree > MAX_DEGREE:
         raise ValueError(f"total product degree {degree} exceeds {MAX_DEGREE}")
-    prod = reduce(lambda acc, m: acc * zeta_neg_int_poly(m), ms, RatPoly.one())
-    return reduce_poly(prod, r)
+    c, d = [1], 1
+    for m in ms:
+        cb, db = _integer_form(bernoulli_polynomial(m + 1))
+        c, d = _int_poly_mul(c, [-x for x in cb]), d * db * (m + 1)
+    return _reduce_integer_form(c, d, r)
 
 
 def eval_combination(lc: LinearCombination, s: complex,

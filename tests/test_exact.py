@@ -139,6 +139,48 @@ class TestIntegrals:
             assert bernoulli_product_integral(ms) == 0, ms
 
 
+def chain_product_integral(indices):
+    """The Bernoulli-basis integral by the Fraction derivative chain that the
+    integer core replaced: every p^(n-1) evaluated at 0 and at 1."""
+    if any(m < 1 for m in indices):
+        raise ValueError("Bernoulli product indices must be >= 1")
+    prod = RatPoly.one()
+    for m in indices:
+        prod = prod * bernoulli_polynomial(m)
+    total = prod.evaluate(0)
+    deriv = prod
+    n = 1
+    while not deriv.is_zero():
+        jump = deriv.evaluate(1) - deriv.evaluate(0)
+        total -= bernoulli_number(n) * jump / math.factorial(n)
+        deriv = deriv.derivative()
+        n += 1
+    return total
+
+
+class TestProductIntegralAgainstChain:
+    def test_every_small_multiset(self):
+        cases = multisets(15)
+        assert len(cases) > 100
+        for ms in cases:
+            assert bernoulli_product_integral(ms) == chain_product_integral(ms), ms
+
+    @pytest.mark.parametrize("ms", [(20, 20), (13, 13, 14), (31, 32)])
+    def test_large(self, ms):
+        got = bernoulli_product_integral(ms)
+        assert got == chain_product_integral(ms)
+        assert got != 0 or sum(ms) % 2 == 1
+
+    def test_empty_product(self):
+        assert bernoulli_product_integral(()) == 1
+        assert isinstance(bernoulli_product_integral(()), Fraction)
+
+    @pytest.mark.parametrize("ms", [(0,), (3, 0), (2, -1, 4)])
+    def test_index_below_one_rejected(self, ms):
+        with pytest.raises(ValueError):
+            bernoulli_product_integral(ms)
+
+
 class TestZetaNegIntPoly:
     def test_zeta_zero(self):
         # zeta(0, x) = 1/2 - x

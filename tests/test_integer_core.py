@@ -1,0 +1,61 @@
+"""Property tests of the private integer core of ``zetalab.exact``: integer
+numerators over the least common denominator, and the endpoint jumps
+p^(k-1)(1) - p^(k-1)(0) against the Fraction derivative chain."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from zetalab.exact import (RatPoly, _endpoint_jumps, _int_poly_mul,  # noqa: E402
+                           _integer_form)
+
+coefficients = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+polys = st.lists(coefficients, max_size=65).map(RatPoly)  # degree -1..64
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+
+def chain_jumps(p):
+    """[p^(k-1)(1) - p^(k-1)(0) for k = 1..deg p] in Fractions."""
+    out = []
+    deriv = p
+    while deriv.degree >= 1:
+        out.append(deriv.evaluate(1) - deriv.evaluate(0))
+        deriv = deriv.derivative()
+    return out
+
+
+@PROPERTY
+@given(polys)
+@example(RatPoly())
+@example(RatPoly((Fraction(-7, 3),)))
+@example(RatPoly((0,) * 64 + (1,)))
+def test_jumps_match_the_derivative_chain(p):
+    c, d = _integer_form(p)
+    assert [Fraction(j, d) for j in _endpoint_jumps(c)] == chain_jumps(p)
+
+
+@PROPERTY
+@given(polys)
+@example(RatPoly())
+@example(RatPoly((5,)))
+@example(RatPoly((Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3))))
+def test_integer_form_round_trips_over_the_least_denominator(p):
+    c, d = _integer_form(p)
+    assert d >= 1 and all(isinstance(x, int) for x in c)
+    assert tuple(Fraction(x, d) for x in c) == p.coeffs
+    # d is least: no factor of d divides every numerator
+    assert math.gcd(d, *c) == 1
+
+
+@PROPERTY
+@given(st.lists(coefficients, max_size=33).map(RatPoly),
+       st.lists(coefficients, max_size=33).map(RatPoly))
+def test_integer_product_matches_ratpoly_product(p, q):
+    (a, da), (b, db) = _integer_form(p), _integer_form(q)
+    product = _int_poly_mul(a, b)
+    assert tuple(Fraction(x, da * db) for x in product) == (p * q).coeffs

@@ -346,19 +346,58 @@ def batch_vs_scalar(points, alpha, cfg, allowance=lambda z, alpha: 0.0):
     return worst
 
 
+def seeded_grid():
+    """40 (points, alpha) pairs: 32 points with Re s in [-1, 10], |Im s| <= 40,
+    away from s = 1, and alpha in [0.05, 50]."""
+    rng = random.Random(20261018)
+    for _ in range(40):
+        alpha = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+        points = []
+        while len(points) < 32:
+            s = complex(rng.uniform(-1.0, 10.0), rng.uniform(-40.0, 40.0))
+            if abs(s - 1.0) >= 0.05:
+                points.append(s)
+        yield points, alpha
+
+
+def lengths_match_scalar(points, alpha, cfg):
+    """The batch's (M, J) arrays equal the scalar policy at every point."""
+    m, j = kernels._em_lengths(np.array(points, dtype=complex), alpha, cfg)
+    return (m.tolist() == [kernels._em_head_length(z, alpha, cfg) for z in points]
+            and j.tolist() == [kernels._em_tail_terms(z, cfg) for z in points])
+
+
 class TestBatchCore:
     def test_grid_matches_scalar(self):
-        rng = random.Random(20261018)
-        worst = 0.0
-        for _ in range(40):
-            alpha = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
-            points = []
-            while len(points) < 32:
-                s = complex(rng.uniform(-1.0, 10.0), rng.uniform(-40.0, 40.0))
-                if abs(s - 1.0) >= 0.05:
-                    points.append(s)
-            worst = max(worst, batch_vs_scalar(points, alpha, DEFAULT_CONFIG))
+        worst = max(batch_vs_scalar(points, alpha, DEFAULT_CONFIG)
+                    for points, alpha in seeded_grid())
         assert worst <= 1.0
+
+    def test_lengths_match_scalar_policy(self):
+        for points, alpha in seeded_grid():
+            assert lengths_match_scalar(points, alpha, DEFAULT_CONFIG)
+        circles = [(DEFAULT_CONFIG, (-1.6, -1.9 + 4.0j, -2.2 - 10.0j)),
+                   (PrecisionConfig(em_tail_terms=2), (-0.3, 0.2 + 7.0j, -0.1 - 25.0j)),
+                   (PrecisionConfig(em_cutoff=8, em_tail_terms=20), (2.0 - 45.0j, 2.0 - 60.0j))]
+        for cfg, centres in circles:
+            for centre in centres:
+                for alpha in ALPHAS:
+                    assert lengths_match_scalar((centre + CIRCLE).tolist(), alpha, cfg)
+
+    def test_lengths_at_rounding_ties(self):
+        # Re s where cap - alpha sits within a few ulps of k + 1/2, so that
+        # one ulp in the cap would move M; and extreme or non-finite Re s
+        base = DEFAULT_CONFIG.target_abs_error / (5.0 * EPS)
+        for alpha in ALPHAS:
+            points = [complex(x, 0.0) for x in (-1e300, -40.5, -41.0, 0.5, 1e300,
+                                                 math.nan)]
+            for k in range(1, DEFAULT_CONFIG.em_cutoff):
+                tie = 1.0 - math.log(base) / math.log(k + 0.5 + alpha)
+                points += [complex(tie + d * EPS * abs(tie), 0.0) for d in range(-20, 21)]
+            assert lengths_match_scalar(points, alpha, DEFAULT_CONFIG)
+        # J steps at Re s = 0 and at every even Re s below it
+        edges = [complex(x, 0.0) for x in (0.0, -1e-300, -2.0, -2.0 + 1e-15, -4.0)]
+        assert lengths_match_scalar(edges, 1.0, PrecisionConfig(em_tail_terms=2))
 
     @pytest.mark.parametrize("centre", [-1.6, -1.9 + 4.0j, -2.2 - 10.0j])
     def test_head_length_varies_per_point(self, centre):
@@ -427,6 +466,13 @@ class TestBatchCore:
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflowError):
                 hurwitz_zeta_deriv(r, -300.0, 1e6)
+
+    def test_infinite_s_raises_without_warnings(self):
+        # the head length and correction count stay finite at Re s = -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError):
+                hurwitz_zeta_deriv(1, -math.inf, 1.0)
 
     @pytest.mark.parametrize("s", [-300.0, -300.0 + 2.0j, -150.5])
     def test_scalar_overflow_raises(self, s):

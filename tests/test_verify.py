@@ -212,6 +212,22 @@ class TestCli:
         assert proc.stderr.startswith("error:"), proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_is_an_error_not_a_traceback(self, tmp_path, target):
+        # a missing directory, and a directory in place of the file
+        out = tmp_path / target
+        path = os.pathsep.join(filter(None, [ZETALAB_ROOT, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetalab.cli", "verify", "--filter", "cor6_value",
+             "--format", "json", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == []
+
     def test_negative_complex_uses_equals_form(self, capsys):
         assert main(["eval", "--fn", "zeta", "--s=-1.5"]) == 0
         assert capsys.readouterr().out.strip().startswith("-0.02548520189")
