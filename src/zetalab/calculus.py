@@ -62,6 +62,18 @@ def antiderivative_terms(r: int) -> tuple[AntiderivativeTerm, ...]:
     )
 
 
+def _antiderivative(r: int, s: complex, alpha: float,
+                    cfg: PrecisionConfig) -> complex:
+    """sum_l c_l zeta^(l)(s-1, a)/(1-s)^(r+1-l), every order from one contour."""
+    terms = antiderivative_terms(r)
+    zetas = kernels._hurwitz_derivs([t.deriv_order for t in terms], s - 1.0, alpha, cfg)
+    one_minus_s = 1.0 - s
+    total = 0j
+    for term, z in zip(terms, zetas):
+        total += float(term.coefficient) * z / one_minus_s ** term.pole_power
+    return total
+
+
 def antiderivative_eval(r: int, s: complex, alpha: float,
                         config: PrecisionConfig | None = None) -> complex:
     """Numeric antiderivative value sum_l c_l zeta^(l)(s-1, a)/(1-s)^(r+1-l)."""
@@ -71,12 +83,7 @@ def antiderivative_eval(r: int, s: complex, alpha: float,
     s = complex(s)
     if abs(s - 1.0) <= cfg.contour_radius:
         raise PoleProximityError("antiderivative family is singular at s = 1")
-    one_minus_s = 1.0 - s
-    total = 0j
-    for term in antiderivative_terms(r):
-        z = kernels.hurwitz_zeta_deriv(term.deriv_order, s - 1.0, alpha, cfg)
-        total += float(term.coefficient) * z / one_minus_s ** term.pole_power
-    return total
+    return _antiderivative(r, s, alpha, cfg)
 
 
 def antiderivative_alpha_derivative_symbolic(r: int) -> dict[int, RationalFunctionOfS]:
@@ -116,10 +123,11 @@ def alpha_derivative(r: int, s: complex, alpha: float,
     if not 0 <= r <= _MAX_R:
         raise ValueError(f"derivative order must be in 0..{_MAX_R}")
     s = complex(s)
-    value = -s * kernels.hurwitz_zeta_deriv(r, s + 1.0, alpha, config)
-    if r >= 1:
-        value -= r * kernels.hurwitz_zeta_deriv(r - 1, s + 1.0, alpha, config)
-    return value
+    if r == 0:
+        return -s * kernels.hurwitz_zeta(s + 1.0, alpha, config)
+    lower, upper = kernels._hurwitz_derivs((r - 1, r), s + 1.0, alpha,
+                                           config or kernels.DEFAULT_CONFIG)
+    return -s * upper - r * lower
 
 
 def alpha_derivative_at_zero(r: int, alpha: float,
@@ -147,9 +155,9 @@ def stieltjes_alpha_derivative(r: int, alpha: float,
     if alpha <= 0.0:
         raise DomainError("stieltjes_alpha_derivative requires alpha > 0")
 
-    coeff = kernels._contour_coeff(
+    coeff, = kernels._contour_coeff(
         lambda t: t * (t + 1.0) * kernels._em_hurwitz_batch(t + 2.0, alpha, cfg),
-        cfg.contour_radius, cfg.contour_points, r)
+        cfg.contour_radius, cfg.contour_points, (r,))
     # d^r/ds^r at 0 is r! * coeff; dividing by r! leaves the bare coefficient
     return -coeff
 
@@ -166,10 +174,11 @@ def integral_01(r: int, s: complex,
                 config: PrecisionConfig | None = None) -> complex:
     """int_0^1 zeta^(r)(s, a) da for Re s < 1, via antiderivative endpoints.
 
-    The antiderivative is continuous up to a = 0 with the a -> 0 limit equal
-    to the a = 1 value (both reduce to zeta^(l)(s-1)), so the difference
-    F(1) - F(0+) vanishes; the returned magnitude certifies the identity.
-    The independent check of the same statement is tanh-sinh quadrature.
+    For Re s < 1 the antiderivative F is continuous up to a = 0, and term by
+    term F(0+) equals F(1): both are sums of zeta^(l)(s-1).  So the endpoint
+    route F(1) - F(0+) is an identity and returns 0; evaluating F still
+    refuses the points where the kernels do.  The independent check of the
+    statement is tanh-sinh quadrature (the ``cor4_quad`` checks).
     """
     cfg = config or kernels.DEFAULT_CONFIG
     if not 0 <= r <= 4:
@@ -177,14 +186,8 @@ def integral_01(r: int, s: complex,
     s = complex(s)
     if s.real >= 1.0:
         raise DomainError("integral_01 requires Re s < 1")
-    one_minus_s = 1.0 - s
-    total = 0j
-    for term in antiderivative_terms(r):
-        at_one = kernels.hurwitz_zeta_deriv(term.deriv_order, s - 1.0, 1.0, cfg)
-        at_zero = kernels.riemann_zeta_deriv(term.deriv_order, s - 1.0, cfg)
-        total += (float(term.coefficient)
-                  * (at_one - at_zero) / one_minus_s ** term.pole_power)
-    return total
+    at_one = _antiderivative(r, s, 1.0, cfg)
+    return at_one - at_one
 
 
 def integral_1_inf(r: int, s: complex,
@@ -197,9 +200,4 @@ def integral_1_inf(r: int, s: complex,
     s = complex(s)
     if s.real <= 2.0:
         raise DomainError("integral_1_inf requires Re s > 2")
-    one_minus_s = 1.0 - s
-    total = 0j
-    for term in antiderivative_terms(r):
-        z = kernels.riemann_zeta_deriv(term.deriv_order, s - 1.0, cfg)
-        total += float(term.coefficient) * z / one_minus_s ** term.pole_power
-    return -total
+    return -_antiderivative(r, s, 1.0, cfg)

@@ -184,9 +184,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             lhs = calculus.alpha_derivative_at_zero(r, a, cfg)
             # independent route: r-th Taylor coefficient of s*zeta(s+1,a)
             # sampled directly, without the pole-subtracted kernel
-            coeff = kernels._contour_coeff(
+            coeff, = kernels._contour_coeff(
                 lambda ts: [t * kernels.hurwitz_zeta(t + 1.0, a, cfg) for t in ts.tolist()],
-                cfg.contour_radius, cfg.contour_points, r)
+                cfg.contour_radius, cfg.contour_points, (r,))
             rhs = -math.factorial(r) * coeff
             return lhs, rhs
         return run

@@ -101,10 +101,6 @@ class RatPoly:
         raise AttributeError("RatPoly is immutable")
 
     @staticmethod
-    def zero() -> "RatPoly":
-        return RatPoly()
-
-    @staticmethod
     def one() -> "RatPoly":
         return RatPoly((1,))
 

@@ -12,7 +12,9 @@ head/integral cancellation cannot eat the absolute accuracy target; the
 correction sum always stops at its smallest term (optimal truncation).
 
 s-derivatives of any order share one kernel: trapezoidal (Cauchy) contour
-differentiation on a circle around s.  Stieltjes constants gamma_n(a) are the
+differentiation on a circle around s.  One set of contour samples per point
+serves every order a caller needs at that point: each Taylor coefficient is
+one dot product of the same samples.  Stieltjes constants gamma_n(a) are the
 Taylor coefficients at 0 of g(t) = zeta(1+t, a) - 1/t, where g is evaluated in
 subtracted form: the Euler-Maclaurin integral term minus the pole is
 expm1(-t*log(M+a))/t, which is stable uniformly in t.  Doing the subtraction
@@ -46,7 +48,6 @@ from .errors import (ConvergenceError, DomainError, NumericOverflowError,
 __all__ = [
     "PrecisionConfig",
     "DEFAULT_CONFIG",
-    "StieltjesValue",
     "gamma_complex",
     "riemann_zeta",
     "hurwitz_zeta",
@@ -54,7 +55,6 @@ __all__ = [
     "riemann_zeta_deriv",
     "hurwitz_taylor",
     "stieltjes",
-    "stieltjes_value",
     "digamma",
     "format_complex",
 ]
@@ -94,15 +94,6 @@ class PrecisionConfig:
 
 
 DEFAULT_CONFIG = PrecisionConfig()
-
-
-@dataclass(frozen=True)
-class StieltjesValue:
-    """A generalized Stieltjes constant gamma_order(at), tagged with its index."""
-
-    order: int
-    at: float
-    value: complex
 
 
 # B_{2j}/(2j)! and B_{2j}/(2j) for j = 1..20, from the exact module.
@@ -152,6 +143,8 @@ _LANCZOS_C = (
 def gamma_complex(z: complex, config: PrecisionConfig | None = None) -> complex:
     """Gamma(z) by the Lanczos approximation, reflection for Re z < 1/2."""
     z = complex(z)
+    if cmath.isnan(z):
+        raise DomainError("gamma_complex got NaN for z")
     if z.real < 0.5:
         nearest = round(z.real)
         if nearest <= 0 and abs(z - nearest) < 1e-12:
@@ -315,6 +308,8 @@ def hurwitz_zeta(s: complex, alpha: float,
     cfg = config or DEFAULT_CONFIG
     s = complex(s)
     alpha = float(alpha)
+    if cmath.isnan(s) or math.isnan(alpha):
+        raise DomainError(f"hurwitz_zeta got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
     if alpha <= 0.0:
         raise DomainError("hurwitz_zeta requires alpha > 0")
     if abs(s - 1.0) <= 1e-10:
@@ -332,16 +327,45 @@ def riemann_zeta(s: complex, config: PrecisionConfig | None = None) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _contour_coeff(f, rho: float, points: int, order: int) -> complex:
-    """Taylor coefficient a_order of f about 0 from samples on |t| = rho.
+def _contour_coeff(f, rho: float, points: int, orders) -> list[complex]:
+    """Taylor coefficients a_n of f about 0, for each n in ``orders``, from
+    one set of samples on |t| = rho.
 
     ``f`` maps the array of the ``points`` sample points to their values.
+    Each a_n is one dot product with exp(-i n theta), never a matrix
+    product, so it does not depend on which other orders are asked for.
     """
     theta = _TWO_PI * np.arange(points) / points
     with np.errstate(all="ignore"):  # overflow leaves non-finite samples
         samples = f(rho * np.exp(1j * theta))
-        acc = complex(np.dot(samples, np.exp(-1j * order * theta)))
-    return acc / (points * rho ** order)
+        return [complex(np.dot(samples, np.exp(-1j * n * theta))) / (points * rho ** n)
+                for n in orders]
+
+
+def _hurwitz_derivs(orders, s: complex, alpha: float,
+                    cfg: PrecisionConfig) -> list[complex]:
+    """zeta^(n)(s, alpha) for each n in ``orders``, in that order: order 0 from
+    the scalar core, evaluated first, and every order >= 1 from one contour."""
+    s = complex(s)
+    alpha = float(alpha)
+    values = {0: hurwitz_zeta(s, alpha, cfg)} if 0 in orders else {}
+    higher = [n for n in orders if n > 0]
+    if higher:
+        if cmath.isnan(s) or math.isnan(alpha):
+            raise DomainError(
+                f"hurwitz_zeta_deriv got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
+        if alpha <= 0.0:
+            raise DomainError("hurwitz_zeta_deriv requires alpha > 0")
+        dist = abs(s - 1.0)
+        if dist <= cfg.contour_radius + 1e-10:
+            raise PoleProximityError(
+                f"contour of radius {cfg.contour_radius} around s={s!r} meets the pole at 1")
+        rho = min(cfg.contour_radius, 0.5 * dist)
+        coeffs = _contour_coeff(lambda t: _em_hurwitz_batch(s + t, alpha, cfg),
+                                rho, cfg.contour_points, higher)
+        for n, coeff in zip(higher, coeffs):
+            values[n] = _require_finite(factorial(n) * coeff, "hurwitz_zeta_deriv")
+    return [values[n] for n in orders]
 
 
 def hurwitz_zeta_deriv(r: int, s: complex, alpha: float,
@@ -351,23 +375,9 @@ def hurwitz_zeta_deriv(r: int, s: complex, alpha: float,
     Trapezoidal contour differentiation on a circle around s; the radius
     shrinks to half the distance to the pole at s = 1 when necessary.
     """
-    cfg = config or DEFAULT_CONFIG
     if not 0 <= r <= 6:
         raise ValueError("derivative order must be in 0..6")
-    if r == 0:
-        return hurwitz_zeta(s, alpha, cfg)
-    s = complex(s)
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError("hurwitz_zeta_deriv requires alpha > 0")
-    dist = abs(s - 1.0)
-    if dist <= cfg.contour_radius + 1e-10:
-        raise PoleProximityError(
-            f"contour of radius {cfg.contour_radius} around s={s!r} meets the pole at 1")
-    rho = min(cfg.contour_radius, 0.5 * dist)
-    coeff = _contour_coeff(lambda t: _em_hurwitz_batch(s + t, alpha, cfg),
-                           rho, cfg.contour_points, r)
-    return _require_finite(factorial(r) * coeff, "hurwitz_zeta_deriv")
+    return _hurwitz_derivs((r,), s, alpha, config or DEFAULT_CONFIG)[0]
 
 
 def riemann_zeta_deriv(r: int, s: complex,
@@ -393,17 +403,13 @@ def stieltjes(n: int, alpha: float, config: PrecisionConfig | None = None) -> co
     if n == -1:
         return complex(1.0)
     alpha = float(alpha)
+    if math.isnan(alpha):
+        raise DomainError("stieltjes got NaN for alpha")
     if alpha <= 0.0:
         raise DomainError("stieltjes requires alpha > 0")
-    coeff = _contour_coeff(lambda t: _em_hurwitz_batch(t, alpha, cfg, minus_pole=True),
-                           cfg.contour_radius, cfg.contour_points, n)
+    coeff, = _contour_coeff(lambda t: _em_hurwitz_batch(t, alpha, cfg, minus_pole=True),
+                            cfg.contour_radius, cfg.contour_points, (n,))
     return _require_finite(coeff, "stieltjes")
-
-
-def stieltjes_value(n: int, alpha: float,
-                    config: PrecisionConfig | None = None) -> StieltjesValue:
-    """Like :func:`stieltjes`, tagged with its index and evaluation point."""
-    return StieltjesValue(order=n, at=float(alpha), value=stieltjes(n, alpha, config))
 
 
 def digamma(alpha: float, config: PrecisionConfig | None = None) -> float:
@@ -413,6 +419,8 @@ def digamma(alpha: float, config: PrecisionConfig | None = None) -> float:
     then the Bernoulli asymptotic series.
     """
     alpha = float(alpha)
+    if math.isnan(alpha):
+        raise DomainError("digamma got NaN for alpha")
     if alpha <= 0.0:
         raise DomainError("digamma requires alpha > 0")
     acc = 0.0
@@ -452,6 +460,8 @@ def hurwitz_taylor(s: complex, alpha: complex, k: int,
     cfg = config or DEFAULT_CONFIG
     s = complex(s)
     alpha = complex(alpha)
+    if cmath.isnan(s) or cmath.isnan(alpha):
+        raise DomainError(f"hurwitz_taylor got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
     if k < 1:
         raise ValueError("k must be a positive integer")
     if abs(alpha) >= k - 0.25:

@@ -17,6 +17,7 @@ error estimate is the max over components.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -55,6 +56,7 @@ def _tanh_sinh_node(t: float) -> tuple[float, float]:
     return x, w
 
 
+@functools.lru_cache(maxsize=None)
 def _level_nodes(level: int) -> list[tuple[float, float]]:
     """Nodes introduced at the given refinement level (h = 2**-level)."""
     nodes = []
@@ -80,17 +82,6 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
     return nodes
 
 
-_node_cache: dict[int, list[tuple[float, float]]] = {}
-
-
-def _nodes(level: int) -> list[tuple[float, float]]:
-    cached = _node_cache.get(level)
-    if cached is None:
-        cached = _level_nodes(level)
-        _node_cache[level] = cached
-    return cached
-
-
 def _check_sample(v: complex, x: float) -> complex:
     v = complex(v)
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
@@ -113,7 +104,7 @@ def tanh_sinh_01(f: Callable[[float], complex], tol: float,
     value_prev: complex | None = None
     err = math.inf
     for level in range(0, 14):
-        nodes = _nodes(level)
+        nodes = _level_nodes(level)
         if evaluations + len(nodes) > budget:
             raise ConvergenceError(
                 f"tanh-sinh budget exhausted: {evaluations} evaluations, "

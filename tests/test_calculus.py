@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import central, diff5
+from zetalab import kernels
 from zetalab.calculus import (AntiderivativeTerm, alpha_derivative,
                               alpha_derivative_at_zero,
                               antiderivative_alpha_derivative_symbolic,
@@ -201,3 +202,108 @@ class TestIntegral1Inf:
             integral_1_inf(0, 2.0)
         with pytest.raises(ValueError):
             integral_1_inf(4, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# The primitive's sum, once per point, against one kernel call per order
+# ---------------------------------------------------------------------------
+
+
+def per_order_antiderivative(r, s, alpha, cfg):
+    """antiderivative_eval as one hurwitz_zeta_deriv call per order."""
+    s = complex(s)
+    one_minus_s = 1.0 - s
+    total = 0j
+    for term in antiderivative_terms(r):
+        z = hurwitz_zeta_deriv(term.deriv_order, s - 1.0, alpha, cfg)
+        total += float(term.coefficient) * z / one_minus_s ** term.pole_power
+    return total
+
+
+def per_order_integral_01(r, s, cfg):
+    """integral_01 as F(1) - F(0+), both endpoints evaluated order by order."""
+    s = complex(s)
+    one_minus_s = 1.0 - s
+    total = 0j
+    for term in antiderivative_terms(r):
+        at_one = hurwitz_zeta_deriv(term.deriv_order, s - 1.0, 1.0, cfg)
+        at_zero = riemann_zeta_deriv(term.deriv_order, s - 1.0, cfg)
+        total += (float(term.coefficient)
+                  * (at_one - at_zero) / one_minus_s ** term.pole_power)
+    return total
+
+
+def per_order_integral_1_inf(r, s, cfg):
+    """integral_1_inf as minus the Riemann-zeta sum, order by order."""
+    s = complex(s)
+    one_minus_s = 1.0 - s
+    total = 0j
+    for term in antiderivative_terms(r):
+        z = riemann_zeta_deriv(term.deriv_order, s - 1.0, cfg)
+        total += float(term.coefficient) * z / one_minus_s ** term.pole_power
+    return -total
+
+
+def per_order_alpha_derivative(r, s, alpha, cfg):
+    """The forward rule with one hurwitz_zeta_deriv call per order."""
+    s = complex(s)
+    value = -s * hurwitz_zeta_deriv(r, s + 1.0, alpha, cfg)
+    if r >= 1:
+        value -= r * hurwitz_zeta_deriv(r - 1, s + 1.0, alpha, cfg)
+    return value
+
+
+CONFIGS = [PrecisionConfig(), FINE]
+ALPHAS = (0.3, 1.0, 2.5)
+# -0.7, 0.3+0.6j and 2.7 put a contour in the band where its radius shrinks
+GRID_S = (-2.5, -0.7, -1.5 + 2.0j, 0.3 + 0.6j, 2.7, 3.0 - 1.5j)
+
+
+class TestOneContourPerPoint:
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_antiderivative_eval(self, cfg):
+        for r in range(5):
+            for s in GRID_S:
+                for a in ALPHAS:
+                    assert (antiderivative_eval(r, s, a, cfg)
+                            == per_order_antiderivative(r, s, a, cfg)), (r, s, a)
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_alpha_derivative(self, cfg):
+        for r in range(7):
+            for s in GRID_S:
+                for a in ALPHAS:
+                    assert (alpha_derivative(r, s, a, cfg)
+                            == per_order_alpha_derivative(r, s, a, cfg)), (r, s, a)
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_integral_01(self, cfg):
+        for r in range(5):
+            for s in (-2.5, -0.5, 0.3, 0.5 + 0.5j, -1.5 + 2.0j):
+                assert integral_01(r, s, cfg) == per_order_integral_01(r, s, cfg)
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_integral_1_inf(self, cfg):
+        for r in range(4):
+            for s in (2.6, 3.0, 4.0 + 1.0j, 2.2 - 0.5j):
+                assert integral_1_inf(r, s, cfg) == per_order_integral_1_inf(r, s, cfg)
+
+    @pytest.mark.parametrize("call, r_max", [
+        (lambda r: antiderivative_eval(r, -0.5 + 1.0j, 0.7), 4),
+        (lambda r: integral_01(r, 0.3), 4),
+        (lambda r: integral_1_inf(r, 3.0), 3),
+        (lambda r: alpha_derivative(r, 2.0, 0.3), 6),
+    ], ids=["antiderivative_eval", "integral_01", "integral_1_inf", "alpha_derivative"])
+    def test_one_batch_per_call(self, monkeypatch, call, r_max):
+        batches = []
+        batch = kernels._em_hurwitz_batch
+
+        def counted(*args, **kwargs):
+            batches.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_em_hurwitz_batch", counted)
+        for r in range(1, r_max + 1):
+            batches.clear()
+            call(r)
+            assert len(batches) == 1, r

@@ -22,11 +22,10 @@ from zetalab import calculus, kernels
 from zetalab.errors import (DomainError, NumericOverflowError,
                             PoleProximityError)
 from zetalab.exact import poly_eval, zeta_neg_int_poly
-from zetalab.kernels import (DEFAULT_CONFIG, PrecisionConfig, StieltjesValue,
-                             digamma, format_complex, gamma_complex,
-                             hurwitz_taylor, hurwitz_zeta, hurwitz_zeta_deriv,
-                             riemann_zeta, riemann_zeta_deriv, stieltjes,
-                             stieltjes_value)
+from zetalab.kernels import (DEFAULT_CONFIG, PrecisionConfig, digamma,
+                             format_complex, gamma_complex, hurwitz_taylor,
+                             hurwitz_zeta, hurwitz_zeta_deriv, riemann_zeta,
+                             riemann_zeta_deriv, stieltjes)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -248,9 +247,9 @@ class TestStieltjes:
         with pytest.raises(ValueError):
             stieltjes(-2, 1.0)
 
-    def test_tagged_value(self):
-        sv = stieltjes_value(-1, 2.0)
-        assert sv == StieltjesValue(order=-1, at=2.0, value=1.0 + 0j)
+    def test_order_minus_one_is_complex_one(self):
+        value = stieltjes(-1, 2.0)
+        assert type(value) is complex and value == 1.0 + 0j
 
 
 class TestDigamma:
@@ -267,6 +266,36 @@ class TestDigamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             digamma(0.0)
+
+
+NAN = float("nan")
+
+
+class TestNaNArguments:
+    @pytest.mark.parametrize("call, fn, name", [
+        (lambda: hurwitz_zeta(NAN, 1.0), "hurwitz_zeta", "s"),
+        (lambda: hurwitz_zeta(complex(2.0, NAN), 1.0), "hurwitz_zeta", "s"),
+        (lambda: hurwitz_zeta(2.0, NAN), "hurwitz_zeta", "alpha"),
+        (lambda: hurwitz_zeta_deriv(0, NAN, 1.0), "hurwitz_zeta", "s"),
+        (lambda: hurwitz_zeta_deriv(1, NAN, 1.0), "hurwitz_zeta_deriv", "s"),
+        (lambda: hurwitz_zeta_deriv(4, 2.0, NAN), "hurwitz_zeta_deriv", "alpha"),
+        (lambda: riemann_zeta_deriv(2, complex(NAN, 3.0)), "hurwitz_zeta_deriv", "s"),
+        (lambda: stieltjes(1, NAN), "stieltjes", "alpha"),
+        (lambda: digamma(NAN), "digamma", "alpha"),
+        (lambda: gamma_complex(NAN), "gamma_complex", "z"),
+        (lambda: gamma_complex(complex(-2.5, NAN)), "gamma_complex", "z"),
+        (lambda: hurwitz_taylor(NAN, 0.5, 2), "hurwitz_taylor", "s"),
+        (lambda: hurwitz_taylor(-1.5, complex(0.3, NAN), 3), "hurwitz_taylor", "alpha"),
+    ])
+    def test_nan_is_a_domain_error_naming_the_argument(self, call, fn, name):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == f"{fn} got NaN for {name}"
+
+    @pytest.mark.parametrize("s", [math.inf, -math.inf])
+    def test_infinity_is_not_a_domain_error(self, s):
+        with pytest.raises(NumericOverflowError):
+            hurwitz_zeta(s, 1.0)
 
 
 class TestPoleStructure:
@@ -568,3 +597,94 @@ class TestContourRegression:
                 cfg.contour_radius, cfg.contour_points, r)
             got = calculus.stieltjes_alpha_derivative(r, alpha)
             assert abs(got - expected) <= contour_bound(expected), (r, alpha)
+
+
+# ---------------------------------------------------------------------------
+# Every order from one contour, against one contour per order
+# ---------------------------------------------------------------------------
+
+
+def one_order_contour_coeff(f, rho, points, order):
+    """One numpy contour for one Taylor order: one dot product with
+    exp(-i order theta), as every derivative order was taken before all
+    orders shared one sample set."""
+    theta = 2.0 * math.pi * np.arange(points) / points
+    with np.errstate(all="ignore"):
+        samples = f(rho * np.exp(1j * theta))
+        acc = complex(np.dot(samples, np.exp(-1j * order * theta)))
+    return acc / (points * rho ** order)
+
+
+def multi_order_points():
+    """(s, alpha) pairs: 12 with 0.5 < |s - 1| < 1, where the contour radius
+    shrinks to half the distance to the pole, and 12 farther out."""
+    rng = random.Random(20261019)
+    for band in ((0.55, 0.95), (1.1, 8.0)):
+        for _ in range(12):
+            s = 1.0 + cmath.rect(rng.uniform(*band), rng.uniform(-math.pi, math.pi))
+            alpha = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+            yield s, alpha
+
+
+FINE = PrecisionConfig(contour_points=64)
+
+
+class TestMultiOrderContour:
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE])
+    def test_coefficients_equal_one_contour_per_order(self, cfg):
+        shrunk = 0
+        for s, alpha in multi_order_points():
+            rho = min(cfg.contour_radius, 0.5 * abs(s - 1.0))
+            shrunk += rho < cfg.contour_radius
+            f = lambda t: kernels._em_hurwitz_batch(s + t, alpha, cfg)  # noqa: E731
+            got = kernels._contour_coeff(f, rho, cfg.contour_points, range(1, 7))
+            for r, coeff in zip(range(1, 7), got):
+                assert coeff == one_order_contour_coeff(f, rho, cfg.contour_points, r)
+        assert shrunk == 12
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE])
+    def test_derivatives_equal_one_contour_per_order(self, cfg):
+        for s, alpha in multi_order_points():
+            rho = min(cfg.contour_radius, 0.5 * abs(s - 1.0))
+            f = lambda t: kernels._em_hurwitz_batch(s + t, alpha, cfg)  # noqa: E731
+            expected = [hurwitz_zeta(s, alpha, cfg)] + [
+                math.factorial(r) * one_order_contour_coeff(f, rho, cfg.contour_points, r)
+                for r in range(1, 7)]
+            assert kernels._hurwitz_derivs(range(7), s, alpha, cfg) == expected
+            assert [hurwitz_zeta_deriv(r, s, alpha, cfg) for r in range(7)] == expected
+
+    def test_orders_in_any_order_and_subset(self):
+        s, alpha = 0.3 + 0.6j, 0.7
+        every = kernels._hurwitz_derivs(range(7), s, alpha, DEFAULT_CONFIG)
+        assert (kernels._hurwitz_derivs((4, 1), s, alpha, DEFAULT_CONFIG)
+                == [every[4], every[1]])
+
+    # The contour's refusals, worded as when each order had its own contour
+    @pytest.mark.parametrize("r", range(1, 7))
+    @pytest.mark.parametrize("s, alpha, error, message", [
+        (1.2, 0.7, PoleProximityError,
+         "contour of radius 0.5 around s=(1.2+0j) meets the pole at 1"),
+        (0.6 + 0.3j, 2.0, PoleProximityError,
+         "contour of radius 0.5 around s=(0.6+0.3j) meets the pole at 1"),
+        (1.0, 0.7, PoleProximityError,
+         "contour of radius 0.5 around s=(1+0j) meets the pole at 1"),
+        (2.0, 0.0, DomainError, "hurwitz_zeta_deriv requires alpha > 0"),
+        (-1.5 + 2.0j, -0.3, DomainError, "hurwitz_zeta_deriv requires alpha > 0"),
+    ])
+    def test_refusals_keep_type_and_message(self, r, s, alpha, error, message):
+        with pytest.raises(error) as info:
+            hurwitz_zeta_deriv(r, s, alpha)
+        assert str(info.value) == message
+
+    # order 0 is evaluated first, as in a loop over the orders
+    @pytest.mark.parametrize("s, alpha, error, message", [
+        (1.2, 0.7, PoleProximityError,
+         "contour of radius 0.5 around s=(1.2+0j) meets the pole at 1"),
+        (1.0, 0.7, PoleProximityError, "hurwitz_zeta pole at s = 1"),
+        (2.0, 0.0, DomainError, "hurwitz_zeta requires alpha > 0"),
+    ])
+    def test_all_orders_raise_the_first_error_of_the_order_loop(self, s, alpha,
+                                                                error, message):
+        with pytest.raises(error) as info:
+            kernels._hurwitz_derivs(range(7), s, alpha, DEFAULT_CONFIG)
+        assert str(info.value) == message
