@@ -23,7 +23,7 @@ from .kernels import (DEFAULT_CONFIG, PrecisionConfig, digamma, format_complex,
                       gamma_complex, hurwitz_taylor, hurwitz_zeta,
                       hurwitz_zeta_deriv, riemann_zeta, riemann_zeta_deriv,
                       stieltjes)
-from .quadrature import QuadResult, integrate_1_to_A, tanh_sinh_01
+from .quadrature import QuadResult, tanh_sinh_01
 from .reduction import (DerivAtom, LinearCombination, RationalFunctionOfS,
                         eval_combination, integral_poly_zeta, pair_integral,
                         pair_limit_weighted, reduce_monomial, reduce_poly,

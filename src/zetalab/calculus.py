@@ -15,6 +15,7 @@ for every r used anywhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -152,6 +153,8 @@ def stieltjes_alpha_derivative(r: int, alpha: float,
     if r > 5:
         raise ValueError("order must be <= 5")
     alpha = float(alpha)
+    if math.isnan(alpha):
+        raise DomainError("stieltjes_alpha_derivative got NaN for alpha")
     if alpha <= 0.0:
         raise DomainError("stieltjes_alpha_derivative requires alpha > 0")
 
@@ -159,7 +162,7 @@ def stieltjes_alpha_derivative(r: int, alpha: float,
         lambda t: t * (t + 1.0) * kernels._em_hurwitz_batch(t + 2.0, alpha, cfg),
         cfg.contour_radius, cfg.contour_points, (r,))
     # d^r/ds^r at 0 is r! * coeff; dividing by r! leaves the bare coefficient
-    return -coeff
+    return kernels._require_finite(-coeff, "stieltjes_alpha_derivative")
 
 
 def psi_chain(r: int, alpha: float,

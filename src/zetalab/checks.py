@@ -29,7 +29,7 @@ from .errors import EvaluationError
 from .exact import (RatPoly, bernoulli_polynomial, bernoulli_product_integral,
                     poly_eval, poly_integral_01, rational_str, zeta_neg_int_poly)
 from .kernels import DEFAULT_CONFIG, PrecisionConfig, format_complex
-from .quadrature import integrate_1_to_A, tanh_sinh_01
+from .quadrature import tanh_sinh_01
 from .reduction import (DerivAtom, LinearCombination, RationalFunctionOfS,
                         eval_combination, integral_poly_zeta, pair_integral,
                         pair_limit_weighted, reduce_monomial,
@@ -348,9 +348,12 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             lhs = calculus.integral_1_inf(r, s, cfg)
             big_a = 200.0
-            quad = integrate_1_to_A(
-                lambda a: kernels.hurwitz_zeta_deriv(r, s, a, cfg), big_a, 5e-9)
-            rhs = quad.value - calculus.antiderivative_eval(r, s, big_a, cfg)
+            # [1, A] onto (0, 1): the integral is (A-1) times the mapped one
+            width = big_a - 1.0
+            quad = tanh_sinh_01(
+                lambda x: kernels.hurwitz_zeta_deriv(r, s, 1.0 + width * x, cfg),
+                5e-9 / width)
+            rhs = width * quad.value - calculus.antiderivative_eval(r, s, big_a, cfg)
             return lhs, rhs
         return run
 

@@ -249,7 +249,9 @@ def _em_hurwitz(s: complex, alpha: float, cfg: PrecisionConfig) -> complex:
         t_ms = cmath.exp(-s * math.log(big_t))  # (M+a)^-s
         value = head + t_ms * big_t / (s - 1.0) + 0.5 * t_ms
         value += _em_tail(s, big_t, t_ms / big_t, _em_tail_terms(s, cfg))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
+        # an infinite Im s makes the power's phase infinite, which CPython's
+        # complex ** reports as ZeroDivisionError; like a real +-inf it is an overflow
         raise NumericOverflowError("Euler-Maclaurin overflow in hurwitz_zeta") from None
     return value
 
@@ -400,13 +402,13 @@ def stieltjes(n: int, alpha: float, config: PrecisionConfig | None = None) -> co
     cfg = config or DEFAULT_CONFIG
     if not -1 <= n <= 5:
         raise ValueError("stieltjes order must be in -1..5")
-    if n == -1:
-        return complex(1.0)
     alpha = float(alpha)
     if math.isnan(alpha):
         raise DomainError("stieltjes got NaN for alpha")
     if alpha <= 0.0:
         raise DomainError("stieltjes requires alpha > 0")
+    if n == -1:
+        return complex(1.0)
     coeff, = _contour_coeff(lambda t: _em_hurwitz_batch(t, alpha, cfg, minus_pole=True),
                             cfg.contour_radius, cfg.contour_points, (n,))
     return _require_finite(coeff, "stieltjes")

@@ -1,15 +1,13 @@
 """Numeric integration used as an independent cross-check oracle.
 
-Two integrators:
-
-* :func:`tanh_sinh_01` -- double-exponential quadrature on (0, 1).  The
-  tanh-sinh substitution x = (1 + tanh((pi/2) sinh t)) / 2 clusters nodes at
-  both endpoints, so integrands with algebraic endpoint singularities
-  x**(-sigma), sigma < 1, converge at the usual double-exponential rate.
-  Levels double the node count and reuse all previous nodes.
-
-* :func:`integrate_1_to_A` -- adaptive bisection with fixed-order
-  Gauss-Legendre panels for smooth integrands on [1, A].
+One integrator, :func:`tanh_sinh_01`: double-exponential quadrature on
+(0, 1).  The tanh-sinh substitution x = (1 + tanh((pi/2) sinh t)) / 2
+clusters nodes at both endpoints, so integrands with algebraic endpoint
+singularities x**(-sigma), sigma < 1, converge at the usual
+double-exponential rate.  Levels double the node count and reuse all
+previous nodes.  A smooth integrand on a finite interval [a, b] goes through
+the affine map: the integral is (b - a) times that of f(a + (b - a) x) over
+(0, 1), with the tolerance divided by b - a.
 
 Integrands may be complex-valued; they are integrated component-wise and the
 error estimate is the max over components.
@@ -22,11 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConvergenceError, NumericOverflowError
 
-__all__ = ["QuadResult", "tanh_sinh_01", "integrate_1_to_A"]
+__all__ = ["QuadResult", "tanh_sinh_01"]
 
 _HALF_PI = math.pi / 2.0
 
@@ -121,48 +117,3 @@ def tanh_sinh_01(f: Callable[[float], complex], tol: float,
                 return QuadResult(value, err, evaluations)
         value_prev = value
     raise ConvergenceError("tanh-sinh refinement limit reached without convergence")
-
-
-_GAUSS_ORDER = 16
-_gauss_x, _gauss_w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-
-
-def _gauss_panel(f, a: float, b: float) -> complex:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    total = 0j
-    for xi, wi in zip(_gauss_x, _gauss_w):
-        x = mid + half * xi
-        total += wi * _check_sample(f(x), x)
-    return half * total
-
-
-def integrate_1_to_A(f: Callable[[float], complex], A: float, tol: float,
-                     budget: int = 2 ** 16) -> QuadResult:
-    """Adaptive Gauss-Legendre integration of a smooth f over [1, A]."""
-    if A <= 1.0:
-        raise ValueError("upper limit must exceed 1")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    evaluations = 0
-    total = 0j
-    err_total = 0.0
-    stack = [(1.0, A, _gauss_panel(f, 1.0, A), 0)]
-    evaluations += _GAUSS_ORDER
-    while stack:
-        a, b, whole, depth = stack.pop()
-        mid = 0.5 * (a + b)
-        left = _gauss_panel(f, a, mid)
-        right = _gauss_panel(f, mid, b)
-        evaluations += 2 * _GAUSS_ORDER
-        if evaluations > budget:
-            raise ConvergenceError("adaptive Gauss budget exhausted")
-        diff = whole - (left + right)
-        err = max(abs(diff.real), abs(diff.imag))
-        if err <= tol * (b - a) / (A - 1.0) or depth >= 40:
-            total += left + right
-            err_total += err
-        else:
-            stack.append((a, mid, left, depth + 1))
-            stack.append((mid, b, right, depth + 1))
-    return QuadResult(total, err_total, evaluations)

@@ -14,7 +14,7 @@ from zetalab.calculus import (AntiderivativeTerm, alpha_derivative,
                               antiderivative_eval, antiderivative_terms,
                               integral_01, integral_1_inf, psi_chain,
                               stieltjes_alpha_derivative)
-from zetalab.errors import DomainError, PoleProximityError
+from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import poly_eval, zeta_neg_int_poly
 from zetalab.kernels import (PrecisionConfig, digamma, hurwitz_zeta,
                              hurwitz_zeta_deriv, riemann_zeta,
@@ -128,6 +128,11 @@ class TestAlphaDerivativeAtZero:
         got = alpha_derivative_at_zero(2, 1.0)
         assert abs(got - (-2.0 * stieltjes(1, 1.0))) < 1e-11
 
+    def test_r0_refuses_bad_alpha(self):
+        # -0! gamma_{-1}(a) is -1 only for a > 0
+        with pytest.raises(DomainError):
+            alpha_derivative_at_zero(0, -1.0)
+
 
 class TestStieltjesAlphaDerivative:
     def test_r1_is_minus_zeta2(self):
@@ -148,6 +153,16 @@ class TestStieltjesAlphaDerivative:
             stieltjes_alpha_derivative(1, -0.5)
         with pytest.raises(ValueError):
             stieltjes_alpha_derivative(0, 1.0)
+
+    def test_nan_alpha_is_a_domain_error(self):
+        with pytest.raises(DomainError) as info:
+            stieltjes_alpha_derivative(1, float("nan"))
+        assert str(info.value) == "stieltjes_alpha_derivative got NaN for alpha"
+
+    def test_overflow_is_not_returned(self):
+        # zeta(2 + t, 1e-300) overflows on the contour
+        with pytest.raises(NumericOverflowError):
+            stieltjes_alpha_derivative(2, 1e-300)
 
 
 class TestPsiChain:

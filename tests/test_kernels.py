@@ -251,6 +251,17 @@ class TestStieltjes:
         value = stieltjes(-1, 2.0)
         assert type(value) is complex and value == 1.0 + 0j
 
+    @pytest.mark.parametrize("alpha, message", [
+        (0.0, "stieltjes requires alpha > 0"),
+        (-2.0, "stieltjes requires alpha > 0"),
+        (float("nan"), "stieltjes got NaN for alpha"),
+    ])
+    def test_order_minus_one_checks_alpha(self, alpha, message):
+        # gamma_{-1} = 1 holds only where the family is defined
+        with pytest.raises(DomainError) as info:
+            stieltjes(-1, alpha)
+        assert str(info.value) == message
+
 
 class TestDigamma:
     def test_euler(self):
@@ -292,10 +303,17 @@ class TestNaNArguments:
             call()
         assert str(info.value) == f"{fn} got NaN for {name}"
 
-    @pytest.mark.parametrize("s", [math.inf, -math.inf])
-    def test_infinity_is_not_a_domain_error(self, s):
+    @pytest.mark.parametrize("call", [
+        lambda: hurwitz_zeta(math.inf, 1.0),
+        lambda: hurwitz_zeta(-math.inf, 1.0),
+        lambda: hurwitz_zeta(complex(2.0, math.inf), 1.0),
+        lambda: hurwitz_zeta(complex(2.0, -math.inf), 1.0),
+        lambda: hurwitz_zeta(complex(-3.0, math.inf), 2.5),
+        lambda: hurwitz_taylor(complex(2.0, math.inf), 0.5, 2),
+    ], ids=["re+inf", "re-inf", "im+inf", "im-inf", "re-3_im+inf", "taylor_im+inf"])
+    def test_infinity_is_not_a_domain_error(self, call):
         with pytest.raises(NumericOverflowError):
-            hurwitz_zeta(s, 1.0)
+            call()
 
 
 class TestPoleStructure:

@@ -240,6 +240,23 @@ class TestCli:
         assert skipped and all("pole" in r.status for r in skipped)
         assert all(r.status == "pass" for r in results if r not in skipped)
 
+    def test_cor3_passes_with_a_wide_contour(self):
+        # every quadrature node stays in alpha <= 200, where the contour
+        # derivatives keep their accuracy at radius 0.9
+        results = run_checks("cor3", PrecisionConfig(contour_radius=0.9))
+        assert len(results) == 7
+        assert all(r.status == "pass" for r in results), [(r.id, r.status) for r in results]
+
+    def test_import_leaves_numpy_polynomial_out(self):
+        path = os.pathsep.join(filter(None, [ZETALAB_ROOT, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, zetalab; print('numpy.polynomial' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_skipped_results_render(self):
         results = run_checks("note_fwd", PrecisionConfig(contour_radius=0.9))
         report = render_report(results, "json", PrecisionConfig(contour_radius=0.9))
