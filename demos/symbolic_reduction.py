@@ -25,7 +25,8 @@ for line in lc.serialize().splitlines():
 print("\nNumeric evaluation vs direct tanh-sinh quadrature at s = -0.7+0.2i:")
 s = -0.7 + 0.2j
 prod = zeta_neg_int_poly(1) * zeta_neg_int_poly(2)
-quad = tanh_sinh_01(lambda a: prod.evaluate_complex(a) * hurwitz_zeta(s, a), 1e-10)
+quad = tanh_sinh_01(
+    lambda xs: [prod.evaluate_complex(a) * hurwitz_zeta(s, a) for a in xs.tolist()], 1e-10)
 print(f"  reduction:  {eval_combination(lc, s):.12g}")
 print(f"  quadrature: {quad.value:.12g}   ({quad.evaluations} samples)")
 

@@ -67,7 +67,7 @@ def _antiderivative(r: int, s: complex, alpha: float,
                     cfg: PrecisionConfig) -> complex:
     """sum_l c_l zeta^(l)(s-1, a)/(1-s)^(r+1-l), every order from one contour."""
     terms = antiderivative_terms(r)
-    zetas = kernels._hurwitz_derivs([t.deriv_order for t in terms], s - 1.0, alpha, cfg)
+    zetas, = kernels._hurwitz_derivs([t.deriv_order for t in terms], s - 1.0, (alpha,), cfg)
     one_minus_s = 1.0 - s
     total = 0j
     for term, z in zip(terms, zetas):
@@ -126,8 +126,8 @@ def alpha_derivative(r: int, s: complex, alpha: float,
     s = complex(s)
     if r == 0:
         return -s * kernels.hurwitz_zeta(s + 1.0, alpha, config)
-    lower, upper = kernels._hurwitz_derivs((r - 1, r), s + 1.0, alpha,
-                                           config or kernels.DEFAULT_CONFIG)
+    (lower, upper), = kernels._hurwitz_derivs((r - 1, r), s + 1.0, (alpha,),
+                                              config or kernels.DEFAULT_CONFIG)
     return -s * upper - r * lower
 
 
@@ -158,8 +158,8 @@ def stieltjes_alpha_derivative(r: int, alpha: float,
     if alpha <= 0.0:
         raise DomainError("stieltjes_alpha_derivative requires alpha > 0")
 
-    coeff, = kernels._contour_coeff(
-        lambda t: t * (t + 1.0) * kernels._em_hurwitz_batch(t + 2.0, alpha, cfg),
+    (coeff,), = kernels._contour_coeff(
+        lambda t: t * (t + 1.0) * kernels._em_hurwitz_batch(t + 2.0, (alpha,), cfg),
         cfg.contour_radius, cfg.contour_points, (r,))
     # d^r/ds^r at 0 is r! * coeff; dividing by r! leaves the bare coefficient
     return kernels._require_finite(-coeff, "stieltjes_alpha_derivative")

@@ -99,6 +99,18 @@ def _fd_step(alpha: float) -> float:
     return 0.002 * min(1.0, alpha)
 
 
+def _deriv_at_nodes(r: int, s: complex, alphas, cfg: PrecisionConfig) -> list[complex]:
+    """zeta^(r)(s, a) at every a of a quadrature level, with the values and
+    errors of hurwitz_zeta_deriv node by node: order 0 from the scalar core
+    at each node, higher orders as one alpha-batched contour call."""
+    return [row[0] for row in kernels._hurwitz_derivs((r,), s, alphas, cfg)]
+
+
+def _per_node(g: Callable[[float], complex]) -> Callable:
+    """A scalar integrand as a quadrature integrand over a level's nodes."""
+    return lambda xs: [g(x) for x in xs.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -184,7 +196,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             lhs = calculus.alpha_derivative_at_zero(r, a, cfg)
             # independent route: r-th Taylor coefficient of s*zeta(s+1,a)
             # sampled directly, without the pole-subtracted kernel
-            coeff, = kernels._contour_coeff(
+            (coeff,), = kernels._contour_coeff(
                 lambda ts: [t * kernels.hurwitz_zeta(t + 1.0, a, cfg) for t in ts.tolist()],
                 cfg.contour_radius, cfg.contour_points, (r,))
             rhs = -math.factorial(r) * coeff
@@ -351,8 +363,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             # [1, A] onto (0, 1): the integral is (A-1) times the mapped one
             width = big_a - 1.0
             quad = tanh_sinh_01(
-                lambda x: kernels.hurwitz_zeta_deriv(r, s, 1.0 + width * x, cfg),
-                5e-9 / width)
+                lambda xs: _deriv_at_nodes(r, s, 1.0 + width * xs, cfg), 5e-9 / width)
             rhs = width * quad.value - calculus.antiderivative_eval(r, s, big_a, cfg)
             return lhs, rhs
         return run
@@ -387,8 +398,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             vals = []
             for s in (-1.5, 0.3):
-                q = tanh_sinh_01(
-                    lambda a: kernels.hurwitz_zeta_deriv(r, s, a, cfg), 1e-8)
+                q = tanh_sinh_01(lambda xs: _deriv_at_nodes(r, s, xs, cfg), 1e-8)
                 vals.append(q.value)
             return max(vals, key=abs), 0j
         return run
@@ -412,7 +422,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             # int (s-1) zeta(s,a) f0 da = 0 for Re s < 1, so subtracting the
             # constant f0 changes nothing analytically but removes the
             # a^(1-s) boundary layer that no double-precision node can reach.
-            lhs = tanh_sinh_01(integrand, 1e-9).value
+            lhs = tanh_sinh_01(_per_node(integrand), 1e-9).value
             rhs = pair_limit_weighted(s1, s2, cfg)
             return lhs, rhs
         return run
@@ -493,9 +503,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
                 for m in ms:
                     prod = prod * zeta_neg_int_poly(m)
 
-                def integrand(a: float, _p=prod, _s=s) -> complex:
-                    return (_p.evaluate_complex(a)
-                            * kernels.hurwitz_zeta_deriv(r, _s, a, cfg))
+                def integrand(xs, _p=prod, _s=s) -> list[complex]:
+                    return [_p.evaluate_complex(a) * z for a, z in
+                            zip(xs.tolist(), _deriv_at_nodes(r, _s, xs, cfg))]
 
                 rhs = tanh_sinh_01(integrand, 1e-9).value
                 pairs.append((lhs, rhs))
@@ -605,7 +615,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
                     * kernels.hurwitz_zeta(1.0 - s, a, cfg)
                     * kernels.hurwitz_zeta(2.0 - s, a, cfg))
 
-        rhs = tanh_sinh_01(integrand, 1e-9).value
+        rhs = tanh_sinh_01(_per_node(integrand), 1e-9).value
         return lhs, rhs
 
     add("cor9_quad_s25", "closed form at s=2.5 matches tanh-sinh quadrature",
@@ -629,9 +639,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     def _pair_quad():
         lhs = pair_integral(-0.5, -1.5, cfg)
-        rhs = tanh_sinh_01(
+        rhs = tanh_sinh_01(_per_node(
             lambda a: (kernels.hurwitz_zeta(-0.5, a, cfg)
-                       * kernels.hurwitz_zeta(-1.5, a, cfg)), 1e-10).value
+                       * kernels.hurwitz_zeta(-1.5, a, cfg))), 1e-10).value
         return lhs, rhs
 
     add("pair_quad", "pair integral at (-0.5, -1.5) matches tanh-sinh quadrature",

@@ -23,9 +23,12 @@ on finished zeta values instead would lose all precision near t = 0.
 Euler-Maclaurin has two forms with the same head length, correction count
 and truncation policy.  A single point (``hurwitz_zeta``) runs the scalar
 pure-Python form: for one point numpy's per-call overhead costs about six
-times the whole loop.  The K samples of a contour run as one numpy batch, a
-K x M matrix of head terms and a K x J matrix of corrections, each row
+times the whole loop.  The K samples of a contour run as one numpy batch, an
+M x K array of head terms and a J x K array of corrections, each sample
 keeping its own M and J; the batch takes the pole-subtracted form by a flag.
+The contours of several alphas around the same s (a quadrature level's
+nodes) share one batch, up to 256 rows of alpha x contour point, each row
+computed exactly as it would be alone.
 
 Accuracy is absolute (``target_abs_error``) for values of moderate magnitude;
 when the value itself is astronomically large (e.g. Re s very negative and
@@ -35,6 +38,7 @@ alpha large) accuracy degrades gracefully to relative ~1e-13.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from math import factorial
@@ -42,8 +46,8 @@ from math import factorial
 import numpy as np
 
 from . import exact
-from .errors import (ConvergenceError, DomainError, NumericOverflowError,
-                     PoleProximityError)
+from .errors import (ConvergenceError, DomainError, EvaluationError,
+                     NumericOverflowError, PoleProximityError)
 
 __all__ = [
     "PrecisionConfig",
@@ -189,10 +193,11 @@ def _em_tail_terms(s: complex, cfg: PrecisionConfig) -> int:
     return min(j, len(_B2J_OVER_FACT))
 
 
-def _em_lengths(s: np.ndarray, alpha: float,
+def _em_lengths(s: np.ndarray, alpha: np.ndarray,
                 cfg: PrecisionConfig) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_em_head_length` and :func:`_em_tail_terms` at every point of
-    the complex array ``s``, as two integer arrays (M, J).
+    the complex array ``s``, as two integer arrays (M, J): M for every alpha
+    of ``alpha`` broadcast against ``s``, J for the points alone.
 
     The cap is taken by ``np.float_power``, which calls the C library's pow
     as Python's ``**`` does; ``np.power`` may differ from it by an ulp, and
@@ -256,32 +261,43 @@ def _em_hurwitz(s: complex, alpha: float, cfg: PrecisionConfig) -> complex:
     return value
 
 
-def _em_hurwitz_batch(s: np.ndarray, alpha: float, cfg: PrecisionConfig,
+def _em_hurwitz_batch(s: np.ndarray, alphas, cfg: PrecisionConfig,
                       minus_pole: bool = False) -> np.ndarray:
-    """:func:`_em_hurwitz` at every point of the 1-D array ``s``, one alpha.
+    """:func:`_em_hurwitz` on the grid ``alphas`` x ``s``: row i holds the
+    values at every point of the 1-D array ``s`` for alpha = alphas[i].
 
     With ``minus_pole`` the points are t and the value is
     zeta(1+t, alpha) - 1/t, the pole removed inside the integral term:
     (M+a)^(1-s)/(s-1) - 1/t = expm1(-t log(M+a))/t.  t = 0 is not allowed.
-    Each point keeps its own head length M and correction count J; overflow
-    yields non-finite entries, never a warning.
+    Every (alpha, point) pair keeps its own head length M and correction
+    count J, and its value does not depend on the other pairs; overflow
+    yields non-finite entries, never a warning.  The head terms and the
+    corrections are laid out with the term index first, so each running sum
+    or product runs over all pairs at once.
     """
+    alphas = [float(a) for a in alphas]
     t = np.asarray(s, dtype=complex)
     s = 1.0 + t if minus_pole else t
-    rows = np.arange(len(s))
-    m, j = _em_lengths(s, alpha, cfg)
-    big_t = m + alpha
+    alpha = np.array(alphas)[:, None]
+    m, j = _em_lengths(s, alpha, cfg)  # M per pair, J per point
+    width = m.max()
     # logarithms from math.log, as in the scalar core: numpy's vectorised log
-    # may differ by an ulp, which s*log(M+a) amplifies
-    log_n = np.array([math.log(n + alpha) for n in range(m.max())])
-    log_t = np.array([math.log(x) for x in big_t.tolist()])
+    # may differ by an ulp, which s*log(M+a) amplifies.  One row per alpha,
+    # up to n = width so that it also holds log(M+a) for every M.
+    log_n = np.array([list(map(math.log, row))
+                      for row in (np.arange(width + 1) + alpha).tolist()])
+    # the alpha and point index of every pair, to read off its own M-th or cut entry
+    rows, cols = np.arange(len(alphas))[:, None], np.arange(len(s))
     with np.errstate(all="ignore"):
         # (n+a)^-s as modulus and phase, as the scalar complex power forms it,
-        # summed in the scalar's order: running sums, read off at n = M-1
-        modulus = np.power(np.arange(m.max()) + alpha, -s.real[:, None])
-        phase = -s.imag[:, None] * log_n
-        powers = modulus * np.cos(phase) + 1j * (modulus * np.sin(phase))
-        head = np.cumsum(powers, axis=1)[rows, m - 1]
+        # summed in the scalar's order: running sums over n, read off at M-1
+        modulus = np.power((np.arange(width)[:, None] + alpha.T)[:, :, None], -s.real)
+        phase = -s.imag * log_n.T[:width, :, None]
+        powers = 1j * (np.sin(phase) * modulus)
+        powers += np.cos(phase, out=phase) * modulus
+        head = powers.cumsum(axis=0, out=powers)[m - 1, rows, cols]
+        big_t = m + alpha
+        log_t = log_n[rows, m]
         t_ms = np.exp(-s * log_t)  # (M+a)^-s
         if minus_pole:
             integral = np.expm1(-t * log_t) / t
@@ -289,19 +305,21 @@ def _em_hurwitz_batch(s: np.ndarray, alpha: float, cfg: PrecisionConfig,
             integral = t_ms * big_t / (s - 1.0)
         # Bernoulli corrections B_{2j}/(2j)! (s)_{2j-1} (M+a)^(-s-2j+1), each
         # the previous one times (s+2j-1)(s+2j)/(M+a)^2, cut at the smallest
-        ks = 2.0 * np.arange(1, j.max())
-        steps = (s[:, None] + ks - 1.0) * (s[:, None] + ks) / (big_t * big_t)[:, None]
+        depth = j.max()
+        ks = 2.0 * np.arange(1, depth)[:, None, None]
+        steps = (s + ks - 1.0) * (s + ks) / (big_t * big_t)
         first = s * t_ms / big_t
-        terms = _B2J_OVER_FACT_ARRAY[:j.max()] * np.cumprod(
-            np.column_stack((first, steps)), axis=1)
-        acc = np.cumsum(terms, axis=1)
-        mags = np.where(np.arange(j.max()) < j[:, None], np.abs(terms), np.inf)
+        terms = _B2J_OVER_FACT_ARRAY[:depth, None, None] * np.concatenate(
+            (first[None], steps)).cumprod(axis=0)
+        acc = terms.cumsum(axis=0)
+        mags = np.where(np.arange(depth)[:, None, None] < j, np.abs(terms), np.inf)
         # the last smallest term; keep the sum there only when the final term
         # has clearly re-entered asymptotic growth (see _em_tail)
-        at_min = mags.shape[1] - 1 - np.argmin(mags[:, ::-1], axis=1)
+        at_min = depth - 1 - mags[::-1].argmin(axis=0)
         last = j - 1
-        cut = np.where(mags[rows, last] > 10.0 * mags[rows, at_min], at_min, last)
-        return head + integral + 0.5 * t_ms + acc[rows, cut]
+        cut = np.where(mags[last, rows, cols] > 10.0 * mags[at_min, rows, cols],
+                       at_min, last)
+        return head + integral + 0.5 * t_ms + acc[cut, rows, cols]
 
 
 def hurwitz_zeta(s: complex, alpha: float,
@@ -329,45 +347,85 @@ def riemann_zeta(s: complex, config: PrecisionConfig | None = None) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _contour_coeff(f, rho: float, points: int, orders) -> list[complex]:
-    """Taylor coefficients a_n of f about 0, for each n in ``orders``, from
-    one set of samples on |t| = rho.
+@functools.lru_cache(maxsize=None)
+def _twiddle(points: int, n: int) -> np.ndarray:
+    """exp(-i n theta) at the ``points`` angles theta = 2 pi k / points, as a
+    read-only array; n = -1 gives the unit circle the samples sit on."""
+    w = np.exp(-1j * n * (_TWO_PI * np.arange(points) / points))
+    w.flags.writeable = False
+    return w
 
-    ``f`` maps the array of the ``points`` sample points to their values.
-    Each a_n is one dot product with exp(-i n theta), never a matrix
-    product, so it does not depend on which other orders are asked for.
+
+def _contour_coeff(f, rho: float, points: int, orders) -> list[list[complex]]:
+    """Taylor coefficients a_n about 0, for each n in ``orders``, of every
+    function sampled by ``f`` on |t| = rho: one list per function.
+
+    ``f`` maps the array of the ``points`` sample points to their values,
+    one row per function (a 1-D result is one function).  Each a_n is one
+    dot product of a row with exp(-i n theta), never a matrix product, so it
+    depends neither on the other rows nor on which other orders are asked for.
     """
-    theta = _TWO_PI * np.arange(points) / points
     with np.errstate(all="ignore"):  # overflow leaves non-finite samples
-        samples = f(rho * np.exp(1j * theta))
-        return [complex(np.dot(samples, np.exp(-1j * n * theta))) / (points * rho ** n)
-                for n in orders]
+        samples = np.atleast_2d(f(rho * _twiddle(points, -1)))
+        twiddles = [(_twiddle(points, n), points * rho ** n) for n in orders]
+        return [[complex(np.dot(row, twiddle)) / scale for twiddle, scale in twiddles]
+                for row in samples]
 
 
-def _hurwitz_derivs(orders, s: complex, alpha: float,
-                    cfg: PrecisionConfig) -> list[complex]:
-    """zeta^(n)(s, alpha) for each n in ``orders``, in that order: order 0 from
-    the scalar core, evaluated first, and every order >= 1 from one contour."""
+# At most this many Euler-Maclaurin rows (alpha values x contour points) go
+# into one numpy batch, which bounds its memory when many alphas share a contour.
+_BATCH_ROWS = 256
+
+
+def _hurwitz_derivs(orders, s: complex, alphas,
+                    cfg: PrecisionConfig) -> list[list[complex]]:
+    """zeta^(n)(s, a) for each n in ``orders`` and each a in the sequence
+    ``alphas``: one list per alpha, in the order of ``orders``.
+
+    Order 0 comes from the scalar core, evaluated first; every order >= 1
+    from one contour per alpha, the contours of up to _BATCH_ROWS sample rows
+    running as one alpha x contour batch.  Values and errors are those of
+    taking the alphas one after another: the first that fails raises.
+    """
     s = complex(s)
-    alpha = float(alpha)
-    values = {0: hurwitz_zeta(s, alpha, cfg)} if 0 in orders else {}
     higher = [n for n in orders if n > 0]
-    if higher:
-        if cmath.isnan(s) or math.isnan(alpha):
-            raise DomainError(
-                f"hurwitz_zeta_deriv got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
-        if alpha <= 0.0:
-            raise DomainError("hurwitz_zeta_deriv requires alpha > 0")
-        dist = abs(s - 1.0)
-        if dist <= cfg.contour_radius + 1e-10:
-            raise PoleProximityError(
-                f"contour of radius {cfg.contour_radius} around s={s!r} meets the pole at 1")
-        rho = min(cfg.contour_radius, 0.5 * dist)
-        coeffs = _contour_coeff(lambda t: _em_hurwitz_batch(s + t, alpha, cfg),
-                                rho, cfg.contour_points, higher)
-        for n, coeff in zip(higher, coeffs):
-            values[n] = _require_finite(factorial(n) * coeff, "hurwitz_zeta_deriv")
-    return [values[n] for n in orders]
+    rows: list[dict[int, complex]] = []
+    failure = None
+    for alpha in alphas:
+        alpha = float(alpha)
+        try:
+            row = {0: hurwitz_zeta(s, alpha, cfg)} if 0 in orders else {}
+            if higher:
+                _check_contour(s, alpha, cfg)
+        except EvaluationError as exc:
+            failure = exc
+            break
+        rows.append(row)
+    if higher and rows:
+        rho = min(cfg.contour_radius, 0.5 * abs(s - 1.0))
+        step = max(1, _BATCH_ROWS // cfg.contour_points)
+        for start in range(0, len(rows), step):
+            chunk = alphas[start:min(start + step, len(rows))]
+            coeffs = _contour_coeff(lambda t: _em_hurwitz_batch(s + t, chunk, cfg),
+                                    rho, cfg.contour_points, higher)
+            for row, row_coeffs in zip(rows[start:], coeffs):
+                for n, coeff in zip(higher, row_coeffs):
+                    row[n] = _require_finite(factorial(n) * coeff, "hurwitz_zeta_deriv")
+    if failure is not None:
+        raise failure
+    return [[row[n] for n in orders] for row in rows]
+
+
+def _check_contour(s: complex, alpha: float, cfg: PrecisionConfig) -> None:
+    """Refuse a NaN, an alpha <= 0 and a contour around s that meets the pole."""
+    if cmath.isnan(s) or math.isnan(alpha):
+        raise DomainError(
+            f"hurwitz_zeta_deriv got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
+    if alpha <= 0.0:
+        raise DomainError("hurwitz_zeta_deriv requires alpha > 0")
+    if abs(s - 1.0) <= cfg.contour_radius + 1e-10:
+        raise PoleProximityError(
+            f"contour of radius {cfg.contour_radius} around s={s!r} meets the pole at 1")
 
 
 def hurwitz_zeta_deriv(r: int, s: complex, alpha: float,
@@ -379,7 +437,7 @@ def hurwitz_zeta_deriv(r: int, s: complex, alpha: float,
     """
     if not 0 <= r <= 6:
         raise ValueError("derivative order must be in 0..6")
-    return _hurwitz_derivs((r,), s, alpha, config or DEFAULT_CONFIG)[0]
+    return _hurwitz_derivs((r,), s, (alpha,), config or DEFAULT_CONFIG)[0][0]
 
 
 def riemann_zeta_deriv(r: int, s: complex,
@@ -409,8 +467,9 @@ def stieltjes(n: int, alpha: float, config: PrecisionConfig | None = None) -> co
         raise DomainError("stieltjes requires alpha > 0")
     if n == -1:
         return complex(1.0)
-    coeff, = _contour_coeff(lambda t: _em_hurwitz_batch(t, alpha, cfg, minus_pole=True),
-                            cfg.contour_radius, cfg.contour_points, (n,))
+    (coeff,), = _contour_coeff(
+        lambda t: _em_hurwitz_batch(t, (alpha,), cfg, minus_pole=True),
+        cfg.contour_radius, cfg.contour_points, (n,))
     return _require_finite(coeff, "stieltjes")
 
 

@@ -9,6 +9,13 @@ previous nodes.  A smooth integrand on a finite interval [a, b] goes through
 the affine map: the integral is (b - a) times that of f(a + (b - a) x) over
 (0, 1), with the tolerance divided by b - a.
 
+The integrand is vectorised over a level: it receives the 1-D float array of
+the level's new nodes and returns one value per node, so a costly integrand
+(a contour derivative at every node's alpha) can evaluate a whole level as
+one batch.  A scalar g goes in as ``lambda xs: [g(x) for x in xs.tolist()]``.
+The values are accumulated one by one in node order, so the result depends
+only on the samples, not on how the integrand computed them.
+
 Integrands may be complex-valued; they are integrated component-wise and the
 error estimate is the max over components.
 """
@@ -18,7 +25,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import ConvergenceError, NumericOverflowError
 
@@ -53,8 +62,9 @@ def _tanh_sinh_node(t: float) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=None)
-def _level_nodes(level: int) -> list[tuple[float, float]]:
-    """Nodes introduced at the given refinement level (h = 2**-level)."""
+def _level_nodes(level: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Abscissae (a read-only array) and weights of the nodes introduced at
+    the given refinement level (h = 2**-level)."""
     nodes = []
     h = 2.0 ** (-level)
     if level == 0:
@@ -75,7 +85,9 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
         x, w = _tanh_sinh_node(k * h)
         if 0.0 < x < 1.0 and w > 1e-300:
             nodes.append((x, w))
-    return nodes
+    xs = np.array([x for x, _ in nodes])
+    xs.flags.writeable = False
+    return xs, tuple(w for _, w in nodes)
 
 
 def _check_sample(v: complex, x: float) -> complex:
@@ -85,29 +97,30 @@ def _check_sample(v: complex, x: float) -> complex:
     return v
 
 
-def tanh_sinh_01(f: Callable[[float], complex], tol: float,
+def tanh_sinh_01(f: Callable[[np.ndarray], Sequence[complex]], tol: float,
                  budget: int = 2 ** 16) -> QuadResult:
     """Integrate f over (0, 1) by level-doubled tanh-sinh quadrature.
 
+    ``f`` maps the array of a level's new nodes to one value per node.
     Refines until the difference between consecutive levels drops below
     ``tol`` or the evaluation budget is exhausted (then raises
     :class:`ConvergenceError`).  The integrand is never called at 0 or 1.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     evaluations = 0
     partial = 0j  # sum of w*f over all nodes seen so far (no h factor)
     value_prev: complex | None = None
     err = math.inf
     for level in range(0, 14):
-        nodes = _level_nodes(level)
-        if evaluations + len(nodes) > budget:
+        xs, ws = _level_nodes(level)
+        if evaluations + len(ws) > budget:
             raise ConvergenceError(
                 f"tanh-sinh budget exhausted: {evaluations} evaluations, "
                 f"last refinement difference {err:.3e} > tol {tol:.3e}")
         h = 2.0 ** (-level)
-        for x, w in nodes:
-            partial += w * _check_sample(f(x), x)
+        for x, w, v in zip(xs.tolist(), ws, f(xs), strict=True):
+            partial += w * _check_sample(v, x)
             evaluations += 1
         value = h * partial
         if value_prev is not None:

@@ -159,7 +159,8 @@ def test_criterion_07_improper_integral():
             # [1, A] onto (0, 1) by the affine map a = 1 + (A-1) x
             width = big_a - 1.0
             quad = tanh_sinh_01(
-                lambda x: hurwitz_zeta_deriv(r, s, 1.0 + width * x), 5e-9 / width)
+                lambda xs: [hurwitz_zeta_deriv(r, s, 1.0 + width * x) for x in xs.tolist()],
+                5e-9 / width)
             tail = -calculus.antiderivative_eval(r, s, big_a)
             worst = max(worst, abs(closed - (width * quad.value + tail)))
     assert worst <= 1e-6
@@ -174,7 +175,8 @@ def test_criterion_08_zero_mean_interval():
     for r in (0, 1, 2):
         for s in (-1.5, -0.5, 0.3):
             worst_end = max(worst_end, abs(calculus.integral_01(r, s)))
-            q = tanh_sinh_01(lambda a: hurwitz_zeta_deriv(r, s, a), 1e-8)
+            q = tanh_sinh_01(
+                lambda xs: [hurwitz_zeta_deriv(r, s, a) for a in xs.tolist()], 1e-8)
             worst_quad = max(worst_quad, abs(q.value))
     assert worst_end <= 1e-9
     assert worst_quad <= 1e-7
@@ -197,7 +199,8 @@ def test_criterion_09_reduction_vs_quadrature():
         for m in ms:
             prod = poly_mul(prod, zeta_neg_int_poly(m))
         quad = tanh_sinh_01(
-            lambda a: prod.evaluate_complex(a) * hurwitz_zeta_deriv(r, s, a), 1e-9)
+            lambda xs: [prod.evaluate_complex(a) * hurwitz_zeta_deriv(r, s, a)
+                        for a in xs.tolist()], 1e-9)
         worst = max(worst, abs(eval_combination(lc, s) - quad.value))
     assert worst <= 1e-7
 
@@ -228,7 +231,7 @@ def test_criterion_10_product_integral_closed_forms():
 
     # subtracting f0 uses int_0^1 zeta(s,a) da = 0 (criterion 8) to remove
     # the a^(1-s) boundary layer below double-precision resolution
-    limit = tanh_sinh_01(integrand, 1e-9).value
+    limit = tanh_sinh_01(lambda xs: [integrand(a) for a in xs.tolist()], 1e-9).value
     target = pair_limit_weighted(s1, s1)
     assert abs(target + 1.0 / 180.0) <= 1e-12
     assert abs(limit - target) <= 1e-3

@@ -5,8 +5,9 @@ rational module for zeta at non-positive integers, the dyadic identity
 zeta(s, 1/2) = (2^s - 1) zeta(s), lgamma for zeta'(0, a), an accelerated
 alternating series for zeta'(2), finite differences for contour consistency,
 and the Laurent definition for Stieltjes constants.  The numpy batch core
-behind the contours is checked against the scalar core, and the contour
-kernels against the pure-Python contour loop they replaced.
+behind the contours is checked against the scalar core, its alpha x contour
+grid against the single-alpha batch it generalises, and the contour kernels
+against the pure-Python contour loop they replaced.
 """
 
 import cmath
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from zetalab import calculus, kernels
-from zetalab.errors import (DomainError, NumericOverflowError,
+from zetalab.errors import (DomainError, EvaluationError, NumericOverflowError,
                             PoleProximityError)
 from zetalab.exact import poly_eval, zeta_neg_int_poly
 from zetalab.kernels import (DEFAULT_CONFIG, PrecisionConfig, digamma,
@@ -385,7 +386,7 @@ def zeta_bound(value):
 def batch_vs_scalar(points, alpha, cfg, allowance=lambda z, alpha: 0.0):
     """Worst |batch - scalar| over the points, in units of a tenth of the
     README bound plus ``allowance(z, alpha)``."""
-    batch = kernels._em_hurwitz_batch(np.array(points), alpha, cfg)
+    batch, = kernels._em_hurwitz_batch(np.array(points), (alpha,), cfg)
     worst = 0.0
     for z, got in zip(points, batch.tolist()):
         ref = kernels._em_hurwitz(z, alpha, cfg)
@@ -484,7 +485,7 @@ class TestBatchCore:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_minus_pole_on_the_stieltjes_circle(self, alpha):
-        got = kernels._em_hurwitz_batch(CIRCLE, alpha, DEFAULT_CONFIG, minus_pole=True)
+        got, = kernels._em_hurwitz_batch(CIRCLE, (alpha,), DEFAULT_CONFIG, minus_pole=True)
         for t, value in zip(CIRCLE.tolist(), got.tolist()):
             zeta = hurwitz_zeta(1.0 + t, alpha)
             assert abs(value - (zeta - 1.0 / t)) <= 0.1 * zeta_bound(zeta)
@@ -503,7 +504,7 @@ class TestBatchCore:
     def test_overflow_is_non_finite_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kernels._em_hurwitz_batch(np.array([-300.0 + 0j, 2.0]), 1e6,
+            got, = kernels._em_hurwitz_batch(np.array([-300.0 + 0j, 2.0]), (1e6,),
                                             DEFAULT_CONFIG)
         assert not np.isfinite(got[0]) and np.isfinite(got[1])
 
@@ -575,7 +576,7 @@ class TestContourRegression:
         # expm1 keeps zeta(1+t) - 1/t accurate where exp(.) - 1 would lose
         # about eps/|t| to cancellation
         ts = 2e-6 * CIRCLE
-        got = kernels._em_hurwitz_batch(ts, alpha, DEFAULT_CONFIG, minus_pole=True)
+        got, = kernels._em_hurwitz_batch(ts, (alpha,), DEFAULT_CONFIG, minus_pole=True)
         for t, value in zip(ts.tolist(), got.tolist()):
             expected = old_minus_pole(t, alpha, DEFAULT_CONFIG)
             assert abs(value - expected) <= 0.1 * zeta_bound(expected)
@@ -654,8 +655,8 @@ class TestMultiOrderContour:
         for s, alpha in multi_order_points():
             rho = min(cfg.contour_radius, 0.5 * abs(s - 1.0))
             shrunk += rho < cfg.contour_radius
-            f = lambda t: kernels._em_hurwitz_batch(s + t, alpha, cfg)  # noqa: E731
-            got = kernels._contour_coeff(f, rho, cfg.contour_points, range(1, 7))
+            f = lambda t: kernels._em_hurwitz_batch(s + t, (alpha,), cfg)[0]  # noqa: E731
+            got, = kernels._contour_coeff(f, rho, cfg.contour_points, range(1, 7))
             for r, coeff in zip(range(1, 7), got):
                 assert coeff == one_order_contour_coeff(f, rho, cfg.contour_points, r)
         assert shrunk == 12
@@ -664,18 +665,18 @@ class TestMultiOrderContour:
     def test_derivatives_equal_one_contour_per_order(self, cfg):
         for s, alpha in multi_order_points():
             rho = min(cfg.contour_radius, 0.5 * abs(s - 1.0))
-            f = lambda t: kernels._em_hurwitz_batch(s + t, alpha, cfg)  # noqa: E731
+            f = lambda t: kernels._em_hurwitz_batch(s + t, (alpha,), cfg)[0]  # noqa: E731
             expected = [hurwitz_zeta(s, alpha, cfg)] + [
                 math.factorial(r) * one_order_contour_coeff(f, rho, cfg.contour_points, r)
                 for r in range(1, 7)]
-            assert kernels._hurwitz_derivs(range(7), s, alpha, cfg) == expected
+            assert kernels._hurwitz_derivs(range(7), s, (alpha,), cfg) == [expected]
             assert [hurwitz_zeta_deriv(r, s, alpha, cfg) for r in range(7)] == expected
 
     def test_orders_in_any_order_and_subset(self):
         s, alpha = 0.3 + 0.6j, 0.7
-        every = kernels._hurwitz_derivs(range(7), s, alpha, DEFAULT_CONFIG)
-        assert (kernels._hurwitz_derivs((4, 1), s, alpha, DEFAULT_CONFIG)
-                == [every[4], every[1]])
+        every, = kernels._hurwitz_derivs(range(7), s, (alpha,), DEFAULT_CONFIG)
+        assert (kernels._hurwitz_derivs((4, 1), s, (alpha,), DEFAULT_CONFIG)
+                == [[every[4], every[1]]])
 
     # The contour's refusals, worded as when each order had its own contour
     @pytest.mark.parametrize("r", range(1, 7))
@@ -704,5 +705,167 @@ class TestMultiOrderContour:
     def test_all_orders_raise_the_first_error_of_the_order_loop(self, s, alpha,
                                                                 error, message):
         with pytest.raises(error) as info:
-            kernels._hurwitz_derivs(range(7), s, alpha, DEFAULT_CONFIG)
+            kernels._hurwitz_derivs(range(7), s, (alpha,), DEFAULT_CONFIG)
         assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The alpha x contour grid against one alpha at a time
+# ---------------------------------------------------------------------------
+
+
+def single_alpha_em_batch(s, alpha, cfg, minus_pole=False):
+    """The numpy batch for one alpha, as every contour ran before the
+    quadrature checks sampled a whole level's alphas at once."""
+    t = np.asarray(s, dtype=complex)
+    s = 1.0 + t if minus_pole else t
+    rows = np.arange(len(s))
+    m, j = kernels._em_lengths(s, alpha, cfg)
+    big_t = m + alpha
+    log_n = np.array([math.log(n + alpha) for n in range(m.max())])
+    log_t = np.array([math.log(x) for x in big_t.tolist()])
+    with np.errstate(all="ignore"):
+        modulus = np.power(np.arange(m.max()) + alpha, -s.real[:, None])
+        phase = -s.imag[:, None] * log_n
+        powers = modulus * np.cos(phase) + 1j * (modulus * np.sin(phase))
+        head = np.cumsum(powers, axis=1)[rows, m - 1]
+        t_ms = np.exp(-s * log_t)
+        if minus_pole:
+            integral = np.expm1(-t * log_t) / t
+        else:
+            integral = t_ms * big_t / (s - 1.0)
+        ks = 2.0 * np.arange(1, j.max())
+        steps = (s[:, None] + ks - 1.0) * (s[:, None] + ks) / (big_t * big_t)[:, None]
+        first = s * t_ms / big_t
+        terms = kernels._B2J_OVER_FACT_ARRAY[:j.max()] * np.cumprod(
+            np.column_stack((first, steps)), axis=1)
+        acc = np.cumsum(terms, axis=1)
+        mags = np.where(np.arange(j.max()) < j[:, None], np.abs(terms), np.inf)
+        at_min = mags.shape[1] - 1 - np.argmin(mags[:, ::-1], axis=1)
+        last = j - 1
+        cut = np.where(mags[rows, last] > 10.0 * mags[rows, at_min], at_min, last)
+        return head + integral + 0.5 * t_ms + acc[rows, cut]
+
+
+GRID_ALPHAS = [1e-3, 0.0123, 0.05, 0.3, 1.0, 2.7, 12.0, 50.0, 199.0, 200.0]
+# circle centres: Re s >= 1/2; Re s < 1/2, where M shrinks with alpha; large
+# |Im s|; and very negative Re s, where J grows
+GRID_CENTRES = [3.0, 0.7 - 0.2j, -1.6, -1.9 + 4.0j, 0.2 + 7.0j, 2.0 - 45.0j, -30.0 + 2.0j]
+
+
+def circle(points, rho=0.5):
+    return rho * np.exp(2j * np.pi * np.arange(points) / points)
+
+
+class TestAlphaGrid:
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE])
+    def test_rows_equal_the_single_alpha_batch(self, cfg):
+        alpha_varies_m = 0
+        for centre in GRID_CENTRES:
+            points = centre + circle(cfg.contour_points)
+            grid = kernels._em_hurwitz_batch(points, GRID_ALPHAS, cfg)
+            assert grid.shape == (len(GRID_ALPHAS), cfg.contour_points)
+            heads = set()
+            for row, alpha in zip(grid, GRID_ALPHAS):
+                expected = single_alpha_em_batch(points, alpha, cfg)
+                assert row.tobytes() == expected.tobytes(), (centre, alpha)
+                heads.add(tuple(kernels._em_lengths(points, alpha, cfg)[0]))
+            alpha_varies_m += len(heads) > 1
+        assert alpha_varies_m == 2  # the circles about -1.6 and -1.9+4i
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE])
+    @pytest.mark.parametrize("scale", [1.0, 2e-6])
+    def test_minus_pole_rows_equal_the_single_alpha_batch(self, cfg, scale):
+        ts = scale * circle(cfg.contour_points)
+        grid = kernels._em_hurwitz_batch(ts, GRID_ALPHAS, cfg, minus_pole=True)
+        for row, alpha in zip(grid, GRID_ALPHAS):
+            expected = single_alpha_em_batch(ts, alpha, cfg, minus_pole=True)
+            assert row.tobytes() == expected.tobytes(), alpha
+
+    def test_a_row_ignores_the_other_alphas(self):
+        points = -1.6 + CIRCLE
+        alone = kernels._em_hurwitz_batch(points, (0.3,), DEFAULT_CONFIG)[0]
+        for others in ([1e-3, 0.3], [0.3, 200.0, 5.0], [0.3] * 3):
+            grid = kernels._em_hurwitz_batch(points, others, DEFAULT_CONFIG)
+            assert grid[others.index(0.3)].tobytes() == alone.tobytes()
+
+    def test_overflow_rows_stay_apart(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = kernels._em_hurwitz_batch(np.array([-300.0 + 0j, 2.0]), (1.0, 1e6),
+                                             DEFAULT_CONFIG)
+        assert np.isfinite(grid[0]).all()
+        assert not np.isfinite(grid[1, 0]) and np.isfinite(grid[1, 1])
+
+
+def one_alpha_at_a_time(orders, s, alphas, cfg):
+    """The loop an alpha array replaces: one single-alpha call per alpha."""
+    return [kernels._hurwitz_derivs(orders, s, (alpha,), cfg)[0] for alpha in alphas]
+
+
+def outcome(call):
+    """The value of call(), or the type and message of the error it raised."""
+    try:
+        return call()
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+class TestDerivativesOverAlphas:
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE])
+    def test_every_order_equals_one_alpha_at_a_time(self, cfg):
+        # 21 alphas: several batches at either contour size
+        alphas = np.geomspace(1e-3, 200.0, 21)
+        for s in (3.0, 3.5 + 0.5j, 0.3 + 0.6j, -1.5, 1.6 - 0.2j):
+            got = kernels._hurwitz_derivs(range(7), s, alphas, cfg)
+            assert got == one_alpha_at_a_time(range(7), s, alphas, cfg)
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE,
+                                     PrecisionConfig(contour_points=16),
+                                     PrecisionConfig(contour_points=512)])
+    def test_batches_stay_under_the_row_cap(self, monkeypatch, cfg):
+        sizes = []
+        batch = kernels._em_hurwitz_batch
+
+        def counted(s, alphas, *args, **kwargs):
+            sizes.append(len(alphas) * len(s))
+            return batch(s, alphas, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_em_hurwitz_batch", counted)
+        kernels._hurwitz_derivs((1, 2), 3.0, np.linspace(1.0, 5.0, 37), cfg)
+        per_batch = max(1, kernels._BATCH_ROWS // cfg.contour_points)
+        assert len(sizes) == -(-37 // per_batch)
+        # a single contour larger than the cap still runs, as one batch
+        assert max(sizes) == max(kernels._BATCH_ROWS, cfg.contour_points)
+
+    # the array path raises what calling one alpha after another raises
+    @pytest.mark.parametrize("orders, s, alphas, error, message", [
+        ((1,), 1.2, [0.5, 0.7], PoleProximityError,
+         "contour of radius 0.5 around s=(1.2+0j) meets the pole at 1"),
+        ((1,), 0.6 + 0.3j, [math.nan, 0.7], DomainError,
+         "hurwitz_zeta_deriv got NaN for alpha"),
+        ((2,), 3.0, [0.5, math.nan, 0.7], DomainError,
+         "hurwitz_zeta_deriv got NaN for alpha"),
+        ((0, 1), 3.0, [0.5, math.nan], DomainError, "hurwitz_zeta got NaN for alpha"),
+        ((1,), math.nan, [1.0], DomainError, "hurwitz_zeta_deriv got NaN for s"),
+        ((1,), 3.0, [1.0, 0.0], DomainError, "hurwitz_zeta_deriv requires alpha > 0"),
+        ((1, 2), 3.0, [1.0, 2.0, -2.0, math.nan], DomainError,
+         "hurwitz_zeta_deriv requires alpha > 0"),
+        ((1,), 3.0, list(np.linspace(1.0, 9.0, 13)) + [math.nan], DomainError,
+         "hurwitz_zeta_deriv got NaN for alpha"),
+        ((1, 3), -300.0, [0.5, 1e6, 1.0], NumericOverflowError,
+         "non-finite value in hurwitz_zeta_deriv"),
+        ((1,), -300.0, [1e3, math.nan], NumericOverflowError,
+         "non-finite value in hurwitz_zeta_deriv"),
+        ((0, 1), -300.0, [3.0, 0.5, 1e3, -1.0], NumericOverflowError,
+         "Euler-Maclaurin overflow in hurwitz_zeta"),
+    ])
+    def test_refusals_equal_one_alpha_at_a_time(self, orders, s, alphas, error, message):
+        got = outcome(lambda: kernels._hurwitz_derivs(orders, s, alphas, DEFAULT_CONFIG))
+        assert got == (error, message)
+        assert got == outcome(lambda: one_alpha_at_a_time(orders, s, alphas, DEFAULT_CONFIG))
+
+    def test_finite_at_very_negative_s(self):
+        alphas = [0.5, 1.0, 3.0]
+        got = kernels._hurwitz_derivs((1,), -300.0, alphas, DEFAULT_CONFIG)
+        assert got == one_alpha_at_a_time((1,), -300.0, alphas, DEFAULT_CONFIG)

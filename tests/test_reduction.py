@@ -344,7 +344,8 @@ class TestEvalCombination:
         lc = integral_poly_zeta(ms, 0)
         prod = zeta_neg_int_poly(1)
         quad = tanh_sinh_01(
-            lambda a: prod.evaluate_complex(a) * hurwitz_zeta(s, a), 1e-10)
+            lambda xs: [prod.evaluate_complex(a) * hurwitz_zeta(s, a) for a in xs.tolist()],
+            1e-10)
         assert abs(eval_combination(lc, s) - quad.value) < 1e-8
 
     def test_pole_guard_names_shift(self):
@@ -374,7 +375,8 @@ class TestPairIntegral:
     def test_vs_quadrature(self):
         got = pair_integral(-0.5, -1.5)
         quad = tanh_sinh_01(
-            lambda a: hurwitz_zeta(-0.5, a) * hurwitz_zeta(-1.5, a), 1e-11)
+            lambda xs: [hurwitz_zeta(-0.5, a) * hurwitz_zeta(-1.5, a) for a in xs.tolist()],
+            1e-11)
         assert abs(got - quad.value) < 1e-9
 
     def test_gamma_pole_guard(self):
@@ -410,7 +412,8 @@ class TestPairLimitWeighted:
             def g(a, s=s):
                 f = hurwitz_zeta(s1, a) ** 2
                 return (s - 1.0) * hurwitz_zeta(s, a) * (f - f0)
-            devs.append(abs(tanh_sinh_01(g, 1e-9).value - target))
+            devs.append(abs(tanh_sinh_01(
+                lambda xs: [g(a) for a in xs.tolist()], 1e-9).value - target))
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] <= 1e-3
 
@@ -433,8 +436,8 @@ class TestTripleProductIntegral:
     def test_vs_quadrature(self):
         s = 2.5
         quad = tanh_sinh_01(
-            lambda a: (hurwitz_zeta(0.0, a) * hurwitz_zeta(1.0 - s, a)
-                       * hurwitz_zeta(2.0 - s, a)), 1e-11)
+            lambda xs: [hurwitz_zeta(0.0, a) * hurwitz_zeta(1.0 - s, a)
+                        * hurwitz_zeta(2.0 - s, a) for a in xs.tolist()], 1e-11)
         assert abs(triple_product_integral(s) - quad.value) < 1e-9
 
     def test_domain_guard(self):

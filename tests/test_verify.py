@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import zetalab
+from zetalab import checks, kernels
 from zetalab.checks import (REQUIRED_ID_PREFIXES, build_registry,
                             render_report, run_checks)
 from zetalab.cli import main, parse_complex
 from zetalab.kernels import PrecisionConfig
+from zetalab.quadrature import _level_nodes
 
 
 @pytest.fixture(scope="module")
@@ -286,3 +288,53 @@ class TestDemos:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
+
+
+class TestQuadratureBatches:
+    def test_cor3_makes_one_batch_per_eight_nodes(self, monkeypatch):
+        sizes = []
+        batch = kernels._em_hurwitz_batch
+
+        def counted(s, alphas, *args, **kwargs):
+            sizes.append(len(alphas) * len(s))
+            return batch(s, alphas, *args, **kwargs)
+
+        evaluations = []
+        quad = checks.tanh_sinh_01
+
+        def recorded(*args, **kwargs):
+            result = quad(*args, **kwargs)
+            evaluations.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(kernels, "_em_hurwitz_batch", counted)
+        monkeypatch.setattr(checks, "tanh_sinh_01", recorded)
+        assert run_checks("cor3_quad_r1_s3")[0].status == "pass"
+        # the levels the quadrature ran, at ceil(nodes / 8) batches each, and
+        # one batch each for the closed form and the analytic tail
+        per_level, seen, level = [], 0, 0
+        while seen < evaluations[0]:
+            nodes = len(_level_nodes(level)[1])
+            per_level.append(-(-nodes // 8))
+            seen += nodes
+            level += 1
+        assert seen == evaluations[0] == 296
+        assert len(sizes) <= sum(per_level) + 2 == 43
+        assert max(sizes) <= kernels._BATCH_ROWS == 256
+
+    def test_contour_refusals_unchanged(self):
+        # the alpha-batched quadrature integrands refuse a contour that meets
+        # the pole with the same reason as the one-alpha contour
+        cfg = PrecisionConfig(contour_radius=0.9)
+        results = [res for family in ("cor4_quad", "cor8", "note_fwd")
+                   for res in run_checks(family, cfg)]
+        skipped = {r.id: r.status for r in results if r.status != "pass"}
+        meets = "skipped(contour of radius 0.9 around s={} meets the pole at 1)"
+        assert skipped == {
+            "cor4_quad_r1": meets.format("(0.3+0j)"),
+            "cor4_quad_r2": meets.format("(0.3+0j)"),
+            "cor8_random_quad": meets.format("(0.20541391532713194-0.1372688132497536j)"),
+            "note_fwd_r1": meets.format("(0.5+0.5j)"),
+            "note_fwd_r2": meets.format("(0.5+0.5j)"),
+            "note_fwd_r3": meets.format("(0.5+0.5j)"),
+        }
