@@ -89,7 +89,9 @@ class RatPoly:
     highest-degree stored coefficient is always nonzero.
     """
 
-    __slots__ = ("coeffs",)
+    # _floats: the coefficients rounded to floats, highest degree first, set
+    # by the first evaluate_complex
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
@@ -168,18 +170,29 @@ class RatPoly:
     # -- evaluation and transforms ----------------------------------------
 
     def evaluate(self, x: RationalLike) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact evaluation at a rational point x = p/q, by Horner in
+        integers: with d the common denominator of the coefficients,
+        d q^n P(p/q) = sum_i (d c_i) p^i q^(n-i) is an integer."""
         x = Fraction(x)
-        acc = Fraction(0)
+        p, q = x.numerator, x.denominator
+        d = lcm(*(c.denominator for c in self.coeffs))
+        acc, q_pow = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * p + c.numerator * (d // c.denominator) * q_pow
+            q_pow *= q
+        return Fraction(acc, d * q ** max(self.degree, 0))
 
     def evaluate_complex(self, z: complex) -> complex:
-        """Horner evaluation at a complex point (coefficients rounded once)."""
+        """Horner evaluation at a complex point (coefficients rounded once
+        per polynomial, on the first call)."""
+        try:
+            floats = self._floats
+        except AttributeError:
+            floats = tuple(float(c) for c in reversed(self.coeffs))
+            object.__setattr__(self, "_floats", floats)
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + float(c)
+        for c in floats:
+            acc = acc * z + c
         return acc
 
     def derivative(self) -> "RatPoly":

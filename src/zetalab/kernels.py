@@ -26,9 +26,10 @@ pure-Python form: for one point numpy's per-call overhead costs about six
 times the whole loop.  The K samples of a contour run as one numpy batch, an
 M x K array of head terms and a J x K array of corrections, each sample
 keeping its own M and J; the batch takes the pole-subtracted form by a flag.
-The contours of several alphas around the same s (a quadrature level's
-nodes) share one batch, up to 256 rows of alpha x contour point, each row
-computed exactly as it would be alone.
+Up to 256 rows of contour points share one batch, and each row is computed
+exactly as it would be alone: the contours of several alphas around the same
+s (a quadrature level's nodes), or of alpha = 1 around several centres, each
+on its own circle (the shifts s - k of a moment integral's reduction).
 
 Accuracy is absolute (``target_abs_error``) for values of moderate magnitude;
 when the value itself is astronomically large (e.g. Re s very negative and
@@ -244,27 +245,49 @@ def _em_tail(s: complex, big_t: float, t_pow: complex, terms: int) -> complex:
     return acc
 
 
-def _em_hurwitz(s: complex, alpha: float, cfg: PrecisionConfig) -> complex:
+def _em_hurwitz(s: complex, alpha: float, cfg: PrecisionConfig,
+                exp_log: bool = False) -> complex:
+    """The Euler-Maclaurin sum.  ``exp_log`` forms every power as
+    exp(-s log(n+a)) and the integral term as exp((1-s) log(M+a))."""
     m = _em_head_length(s, alpha, cfg)
     try:
         head = 0j
-        for n in range(m):
-            head += (n + alpha) ** (-s)
+        if exp_log:
+            for n in range(m):
+                head += cmath.exp(-s * math.log(n + alpha))
+        else:
+            for n in range(m):
+                head += (n + alpha) ** (-s)
         big_t = m + alpha
-        t_ms = cmath.exp(-s * math.log(big_t))  # (M+a)^-s
-        value = head + t_ms * big_t / (s - 1.0) + 0.5 * t_ms
+        log_t = math.log(big_t)
+        t_ms = cmath.exp(-s * log_t)  # (M+a)^-s
+        if exp_log:
+            integral = cmath.exp((1.0 - s) * log_t) / (s - 1.0)
+        else:
+            integral = t_ms * big_t / (s - 1.0)
+        value = head + integral + 0.5 * t_ms
         value += _em_tail(s, big_t, t_ms / big_t, _em_tail_terms(s, cfg))
     except (OverflowError, ZeroDivisionError):
         # an infinite Im s makes the power's phase infinite, which CPython's
         # complex ** reports as ZeroDivisionError; like a real +-inf it is an overflow
         raise NumericOverflowError("Euler-Maclaurin overflow in hurwitz_zeta") from None
+    if not exp_log and not cmath.isfinite(value):
+        # For an integral exponent CPython's complex ** multiplies the power
+        # out before inverting it, so (1e78) ** -(4+0j) is nan although the
+        # power is representable; exp and log keep every term in range.
+        try:
+            return _em_hurwitz(s, alpha, cfg, exp_log=True)
+        except NumericOverflowError:
+            pass  # still out of range: the caller refuses the non-finite value
     return value
 
 
 def _em_hurwitz_batch(s: np.ndarray, alphas, cfg: PrecisionConfig,
                       minus_pole: bool = False) -> np.ndarray:
     """:func:`_em_hurwitz` on the grid ``alphas`` x ``s``: row i holds the
-    values at every point of the 1-D array ``s`` for alpha = alphas[i].
+    values at every point of the 1-D array ``s`` for alpha = alphas[i].  A
+    2-D ``s`` gives each alpha its own points instead: row i of the result
+    is alpha = alphas[i] at the points of row i of ``s``.
 
     With ``minus_pole`` the points are t and the value is
     zeta(1+t, alpha) - 1/t, the pole removed inside the integral term:
@@ -279,7 +302,7 @@ def _em_hurwitz_batch(s: np.ndarray, alphas, cfg: PrecisionConfig,
     t = np.asarray(s, dtype=complex)
     s = 1.0 + t if minus_pole else t
     alpha = np.array(alphas)[:, None]
-    m, j = _em_lengths(s, alpha, cfg)  # M per pair, J per point
+    m, j = _em_lengths(s, alpha, cfg)  # M per pair, J per point of s
     width = m.max()
     # logarithms from math.log, as in the scalar core: numpy's vectorised log
     # may differ by an ulp, which s*log(M+a) amplifies.  One row per alpha,
@@ -287,7 +310,7 @@ def _em_hurwitz_batch(s: np.ndarray, alphas, cfg: PrecisionConfig,
     log_n = np.array([list(map(math.log, row))
                       for row in (np.arange(width + 1) + alpha).tolist()])
     # the alpha and point index of every pair, to read off its own M-th or cut entry
-    rows, cols = np.arange(len(alphas))[:, None], np.arange(len(s))
+    rows, cols = np.arange(len(alphas))[:, None], np.arange(s.shape[-1])
     with np.errstate(all="ignore"):
         # (n+a)^-s as modulus and phase, as the scalar complex power forms it,
         # summed in the scalar's order: running sums over n, read off at M-1
@@ -356,25 +379,84 @@ def _twiddle(points: int, n: int) -> np.ndarray:
     return w
 
 
-def _contour_coeff(f, rho: float, points: int, orders) -> list[list[complex]]:
+def _contour_coeff(f, rho, points: int, orders) -> list[list[complex]]:
     """Taylor coefficients a_n about 0, for each n in ``orders``, of every
     function sampled by ``f`` on |t| = rho: one list per function.
 
-    ``f`` maps the array of the ``points`` sample points to their values,
-    one row per function (a 1-D result is one function).  Each a_n is one
-    dot product of a row with exp(-i n theta), never a matrix product, so it
-    depends neither on the other rows nor on which other orders are asked for.
+    ``rho`` is one radius for every function, and ``f`` then maps the 1-D
+    array of the ``points`` sample points to their values, one row per
+    function (a 1-D result is one function).  Or ``rho`` is a list of one
+    radius per function, and ``f`` maps the 2-D array whose row i holds the
+    points on |t| = rho[i] to the same rows.  Each a_n is one dot product of
+    a row with exp(-i n theta), never a matrix product, so it depends neither
+    on the other rows nor on which other orders are asked for.
     """
+    circle = _twiddle(points, -1)
+    per_row = isinstance(rho, list)
     with np.errstate(all="ignore"):  # overflow leaves non-finite samples
-        samples = np.atleast_2d(f(rho * _twiddle(points, -1)))
-        twiddles = [(_twiddle(points, n), points * rho ** n) for n in orders]
-        return [[complex(np.dot(row, twiddle)) / scale for twiddle, scale in twiddles]
-                for row in samples]
+        samples = np.atleast_2d(f(np.array(rho)[:, None] * circle if per_row
+                                  else rho * circle))
+        radii = rho if per_row else [rho] * len(samples)
+        twiddles = [(n, _twiddle(points, n)) for n in orders]
+        return [[complex(np.dot(row, twiddle)) / (points * radius ** n)
+                 for n, twiddle in twiddles]
+                for row, radius in zip(samples, radii)]
 
 
-# At most this many Euler-Maclaurin rows (alpha values x contour points) go
-# into one numpy batch, which bounds its memory when many alphas share a contour.
+# At most this many Euler-Maclaurin rows (contours x contour points) go into
+# one numpy batch, which bounds its memory when many contours share a batch.
 _BATCH_ROWS = 256
+
+
+def _contour_radius(s: complex, cfg: PrecisionConfig) -> float:
+    """The configured radius, shrunk to half the distance to the pole."""
+    return min(cfg.contour_radius, 0.5 * abs(s - 1.0))
+
+
+def _hurwitz_rows(orders, centres, alphas, cfg: PrecisionConfig) -> list:
+    """zeta^(n)(s, a) for each n in ``orders`` at each point (s, a) of the
+    sequences ``centres`` and ``alphas``: one entry per point, in order.
+
+    An entry is the dict {n: value} of its orders, or the EvaluationError
+    that refuses its point; nothing is raised.  Order 0 comes from the scalar
+    core; every order >= 1 from one contour per point, the contours of up to
+    _BATCH_ROWS sample rows running as one batch, each on its own circle.
+    Contour values are left unchecked: a non-finite one is the caller's to
+    refuse, in its own order.
+    """
+    centres = [complex(s) for s in centres]
+    shared = len(set(centres)) == 1  # one centre: every row on the same circle
+    higher = [n for n in orders if n > 0]
+    rows: list = []
+    for centre, alpha in zip(centres, alphas):
+        alpha = float(alpha)
+        try:
+            row = {0: hurwitz_zeta(centre, alpha, cfg)} if 0 in orders else {}
+            if higher:
+                _check_contour(centre, alpha, cfg)
+        except EvaluationError as exc:
+            row = exc
+        rows.append(row)
+    live = [i for i, row in enumerate(rows) if higher and isinstance(row, dict)]
+    step = max(1, _BATCH_ROWS // cfg.contour_points)
+    for start in range(0, len(live), step):
+        chunk = live[start:start + step]
+        chunk_alphas = [alphas[i] for i in chunk]
+        if shared:
+            centre = centres[0]
+            coeffs = _contour_coeff(
+                lambda t: _em_hurwitz_batch(centre + t, chunk_alphas, cfg),
+                _contour_radius(centre, cfg), cfg.contour_points, higher)
+        else:
+            at = np.array([centres[i] for i in chunk])[:, None]
+            coeffs = _contour_coeff(
+                lambda t: _em_hurwitz_batch(at + t, chunk_alphas, cfg),
+                [_contour_radius(centres[i], cfg) for i in chunk],
+                cfg.contour_points, higher)
+        for i, row_coeffs in zip(chunk, coeffs):
+            for n, coeff in zip(higher, row_coeffs):
+                rows[i][n] = factorial(n) * coeff
+    return rows
 
 
 def _hurwitz_derivs(orders, s: complex, alphas,
@@ -382,38 +464,15 @@ def _hurwitz_derivs(orders, s: complex, alphas,
     """zeta^(n)(s, a) for each n in ``orders`` and each a in the sequence
     ``alphas``: one list per alpha, in the order of ``orders``.
 
-    Order 0 comes from the scalar core, evaluated first; every order >= 1
-    from one contour per alpha, the contours of up to _BATCH_ROWS sample rows
-    running as one alpha x contour batch.  Values and errors are those of
-    taking the alphas one after another: the first that fails raises.
+    The values of :func:`_hurwitz_rows` about one centre; errors are those
+    of taking the alphas one after another: the first that fails raises.
     """
-    s = complex(s)
-    higher = [n for n in orders if n > 0]
-    rows: list[dict[int, complex]] = []
-    failure = None
-    for alpha in alphas:
-        alpha = float(alpha)
-        try:
-            row = {0: hurwitz_zeta(s, alpha, cfg)} if 0 in orders else {}
-            if higher:
-                _check_contour(s, alpha, cfg)
-        except EvaluationError as exc:
-            failure = exc
-            break
-        rows.append(row)
-    if higher and rows:
-        rho = min(cfg.contour_radius, 0.5 * abs(s - 1.0))
-        step = max(1, _BATCH_ROWS // cfg.contour_points)
-        for start in range(0, len(rows), step):
-            chunk = alphas[start:min(start + step, len(rows))]
-            coeffs = _contour_coeff(lambda t: _em_hurwitz_batch(s + t, chunk, cfg),
-                                    rho, cfg.contour_points, higher)
-            for row, row_coeffs in zip(rows[start:], coeffs):
-                for n, coeff in zip(higher, row_coeffs):
-                    row[n] = _require_finite(factorial(n) * coeff, "hurwitz_zeta_deriv")
-    if failure is not None:
-        raise failure
-    return [[row[n] for n in orders] for row in rows]
+    out = []
+    for row in _hurwitz_rows(orders, [s] * len(alphas), alphas, cfg):
+        if isinstance(row, EvaluationError):
+            raise row
+        out.append([_require_finite(row[n], "hurwitz_zeta_deriv") for n in orders])
+    return out
 
 
 def _check_contour(s: complex, alpha: float, cfg: PrecisionConfig) -> None:

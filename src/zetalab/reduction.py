@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import kernels
-from .errors import DomainError, PoleProximityError
+from .errors import DomainError, EvaluationError, PoleProximityError
 from .exact import (RatPoly, _endpoint_jumps, _int_poly_mul, _integer_form,
                     bernoulli_polynomial)
 
@@ -356,10 +356,18 @@ def eval_combination(lc: LinearCombination, s: complex,
                      config: kernels.PrecisionConfig | None = None) -> complex:
     """Numeric value of a reduction at the point s.
 
+    Atoms of order 0 take the scalar zeta(s - k).  Every atom of order 1..6
+    takes its value from one contour about s - k per shift, the contours of
+    all shifts sampled together, 8 shifts per numpy batch at 32 points; each
+    order is one dot product of its shift's samples, so every value equals
+    its one-atom contour.  The sum runs in atom order.
+
     Refuses s within 1e-8 of an integer coefficient pole (the shifts, for a
     reduction), or on any other coefficient pole, and reports which shift is
-    at fault when a zeta evaluation sits on the pole.
+    at fault when a zeta evaluation sits on the pole.  Errors are raised at
+    the first atom, in atom order, whose value or coefficient fails.
     """
+    cfg = config or kernels.DEFAULT_CONFIG
     s = complex(s)
     # Integers are 1 apart, so only the nearest one can lie within 1e-8 of s.
     root = round(s.real) if math.isfinite(s.real) else None
@@ -368,12 +376,26 @@ def eval_combination(lc: LinearCombination, s: complex,
             if coeff.den.evaluate(root) == 0:
                 raise PoleProximityError(
                     f"coefficient of {atom} has a pole at s = {root}")
+    terms = list(lc.items())
+    contour_orders = sorted({a.deriv_order for a, _ in terms if 1 <= a.deriv_order <= 6})
+    shifts = sorted({a.shift for a, _ in terms if a.deriv_order in contour_orders})
+    contours = dict(zip(shifts, kernels._hurwitz_rows(
+        contour_orders, [s - k for k in shifts], [1.0] * len(shifts), cfg)))
     total = 0j
-    for atom, coeff in lc.items():
+    for atom, coeff in terms:
+        n, k = atom.deriv_order, atom.shift
         try:
-            value = kernels.riemann_zeta_deriv(atom.deriv_order, s - atom.shift, config)
+            if n == 0:
+                value = kernels.riemann_zeta(s - k, cfg)
+            elif n in contour_orders:
+                row = contours[k]
+                if isinstance(row, EvaluationError):
+                    raise row
+                value = kernels._require_finite(row[n], "hurwitz_zeta_deriv")
+            else:  # an order the kernels refuse
+                value = kernels.riemann_zeta_deriv(n, s - k, cfg)
         except PoleProximityError as exc:
-            raise PoleProximityError(f"shift {atom.shift}: {exc}") from None
+            raise PoleProximityError(f"shift {k}: {exc}") from None
         try:
             total += coeff.evaluate(s) * value
         except ZeroDivisionError:

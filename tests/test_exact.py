@@ -85,6 +85,17 @@ class TestBernoulliPolynomials:
         assert poly_eval(bernoulli_polynomial(2), 0) == Fraction(1, 6)
         assert poly_eval(RatPoly(), Fraction(7, 3)) == 0
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 16])
+    def test_eval_equals_fraction_horner(self, n):
+        # the integer Horner against Horner in Fractions
+        for x in (0, 1, -3, Fraction(7, 3), Fraction(-5, 12), Fraction(1, 10 ** 9)):
+            for p in (bernoulli_polynomial(n), bernoulli_polynomial(n).derivative(),
+                      RatPoly((Fraction(3, 4),) * n + (Fraction(-2, 9),))):
+                acc = Fraction(0)
+                for c in reversed(p.coeffs):
+                    acc = acc * x + c
+                assert p.evaluate(x) == acc, (n, x, p)
+
     @pytest.mark.parametrize("n", range(17))
     def test_reflection(self, n):
         # B_n(1 - x) = (-1)^n B_n(x), coefficient-wise

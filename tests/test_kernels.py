@@ -139,6 +139,18 @@ class TestHurwitzZeta:
         with pytest.raises(PoleProximityError):
             hurwitz_zeta(1.0, 0.5)
 
+    @pytest.mark.parametrize("s, alpha", [(4.0, 1e78), (2.0, 1e160)])
+    def test_huge_alpha_at_integral_s(self, s, alpha):
+        # complex ** gives nan for these integral exponents although every
+        # power is representable; the value is the integral and half terms
+        expected = alpha ** (1.0 - s) / (s - 1.0) + alpha ** -s / 2.0
+        assert abs(hurwitz_zeta(s, alpha) - expected) <= 1e-13 * abs(expected)
+
+    def test_huge_alpha_overflow_still_raises(self):
+        # about alpha^5 / 5 = 2e349: out of range in either form
+        with pytest.raises(NumericOverflowError, match="^non-finite value in hurwitz_zeta$"):
+            hurwitz_zeta(-4.0, 1e70)
+
 
 class TestDerivatives:
     def test_order_zero_delegates(self):

@@ -10,14 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from zetalab.errors import DomainError, PoleProximityError
+from zetalab import kernels
+from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import (RatPoly, bernoulli_number, poly_integral_01,
                            poly_mul, zeta_neg_int_poly)
-from zetalab.kernels import hurwitz_zeta, riemann_zeta
+from zetalab.kernels import (DEFAULT_CONFIG, PrecisionConfig, hurwitz_zeta,
+                             riemann_zeta)
 from zetalab.quadrature import tanh_sinh_01
 from zetalab.reduction import (DerivAtom, LinearCombination,
                                RationalFunctionOfS, eval_combination,
-                               integral_poly_zeta, pair_integral,
+                               MAX_DEGREE, integral_poly_zeta, pair_integral,
                                pair_limit_weighted, reduce_monomial,
                                reduce_poly, triple_product_integral)
 
@@ -356,6 +358,134 @@ class TestEvalCombination:
             eval_combination(
                 LinearCombination({DerivAtom(0, 3): rf((1,))}), 4.0 + 1e-12j)
         assert "shift 3" in str(err.value)
+
+
+@lru_cache(maxsize=None)
+def riemann_zeta_deriv_cached(n, z, config):
+    """riemann_zeta_deriv, remembered: the parity grid meets each zeta^(n)(s-k)
+    at every degree >= k."""
+    return kernels.riemann_zeta_deriv(n, z, config)
+
+
+def atom_by_atom(lc, s, config=None):
+    """eval_combination as one riemann_zeta_deriv call per atom: the loop
+    that the batch over shifts replaced, kept as its reference."""
+    s = complex(s)
+    root = round(s.real) if math.isfinite(s.real) else None
+    if root is not None and abs(s - root) <= 1e-8:
+        for atom, coeff in lc.items():
+            if coeff.den.evaluate(root) == 0:
+                raise PoleProximityError(
+                    f"coefficient of {atom} has a pole at s = {root}")
+    total = 0j
+    for atom, coeff in lc.items():
+        try:
+            value = riemann_zeta_deriv_cached(atom.deriv_order, s - atom.shift, config)
+        except PoleProximityError as exc:
+            raise PoleProximityError(f"shift {atom.shift}: {exc}") from None
+        try:
+            total += coeff.evaluate(s) * value
+        except ZeroDivisionError:
+            raise PoleProximityError(
+                f"coefficient of {atom} has a pole at s = {kernels.format_complex(s)}") from None
+    return total
+
+
+def outcome(call):
+    """The value of call(), or the type and message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as exc:  # EvaluationError is a ValueError
+        return type(exc), str(exc)
+
+
+def parity_multiset(n):
+    """One multiset of degree n: 1, 2 or 3 near-equal factors by n mod 3."""
+    parts = min(1 + n % 3, n)
+    return tuple(n // parts + (i < n % parts) - 1 for i in range(parts))
+
+
+PARITY_S = (0.0, -1.0, -3.0, 0.3, 0.55, -0.7 + 0.2j, -1.6 - 0.4j)
+PARITY_CONFIGS = (DEFAULT_CONFIG, PrecisionConfig(contour_points=64),
+                  PrecisionConfig(contour_radius=0.9))
+
+
+class TestShiftBatch:
+    """eval_combination samples the contours of every shift in one batch;
+    each value and each refusal must equal the atom-by-atom loop's."""
+
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("cfg", PARITY_CONFIGS,
+                             ids=["default", "points64", "radius09"])
+    def test_bitwise_equal_to_atom_by_atom(self, cfg, r):
+        for n in range(2, MAX_DEGREE + 1):
+            ms = parity_multiset(n)
+            assert sum(m + 1 for m in ms) == n
+            lc = integral_poly_zeta(ms, r)
+            for s in PARITY_S:
+                got = outcome(lambda: eval_combination(lc, s, cfg))
+                assert got == outcome(lambda: atom_by_atom(lc, s, cfg)), (ms, s)
+
+    ONE = RationalFunctionOfS.one()
+    # 1/(s - 33/10): a pole off the integers, at s = 3.3
+    POLE_33 = rf((1,), (Fraction(-33, 10), 1))
+    POLE_4675 = rf((1,), (Fraction(935, 2), 1))
+
+    @pytest.mark.parametrize("terms, s, error, message", [
+        ({DerivAtom(0, 1): ONE, DerivAtom(1, 2): ONE}, complex("nan"), DomainError,
+         "hurwitz_zeta got NaN for s"),
+        ({DerivAtom(1, 1): ONE, DerivAtom(2, 3): ONE}, complex("nan"), DomainError,
+         "hurwitz_zeta_deriv got NaN for s"),
+        ({DerivAtom(0, 1): ONE, DerivAtom(1, 1): ONE}, complex(0.3, math.inf),
+         NumericOverflowError, "Euler-Maclaurin overflow in hurwitz_zeta"),
+        ({DerivAtom(1, 1): ONE, DerivAtom(1, 2): ONE}, complex(0.3, math.inf),
+         NumericOverflowError, "non-finite value in hurwitz_zeta_deriv"),
+        ({DerivAtom(1, 1): ONE, DerivAtom(7, 2): ONE, DerivAtom(1, 3): ONE}, 0.3,
+         ValueError, "derivative order must be in 0..6"),
+        ({DerivAtom(-1, 2): ONE, DerivAtom(1, 1): ONE}, 0.3,
+         ValueError, "derivative order must be in 0..6"),
+        ({DerivAtom(0, 1): ONE, DerivAtom(1, 3): ONE, DerivAtom(1, 1): ONE,
+          DerivAtom(2, 2): ONE}, 2.3, PoleProximityError,
+         "shift 1: contour of radius 0.5 around s=(1.2999999999999998+0j) "
+         "meets the pole at 1"),
+        ({DerivAtom(1, 1): POLE_33, DerivAtom(1, 2): ONE, DerivAtom(2, 4): ONE}, 3.3,
+         PoleProximityError, "coefficient of zeta^(1)(s-1) has a pole at s = 3.3+0i"),
+        ({DerivAtom(1, 2): ONE, DerivAtom(2, 1): POLE_33}, 3.3, PoleProximityError,
+         "shift 2: contour of radius 0.5 around s=(1.2999999999999998+0j) "
+         "meets the pole at 1"),
+        # zeta'(-468.5) is finite, zeta'(-469.5) overflows
+        ({DerivAtom(1, 1): ONE, DerivAtom(1, 2): ONE}, -467.5,
+         NumericOverflowError, "non-finite value in hurwitz_zeta_deriv"),
+        ({DerivAtom(1, 1): POLE_4675, DerivAtom(1, 2): ONE}, -467.5, PoleProximityError,
+         "coefficient of zeta^(1)(s-1) has a pole at s = -467.5+0i"),
+        ({DerivAtom(0, 1): POLE_4675, DerivAtom(1, 2): ONE}, -467.5, PoleProximityError,
+         "coefficient of zeta^(0)(s-1) has a pole at s = -467.5+0i"),
+    ])
+    def test_refusals_equal_atom_by_atom(self, terms, s, error, message):
+        lc = LinearCombination(terms)
+        got = outcome(lambda: eval_combination(lc, s))
+        assert got == (error, message)
+        assert got == outcome(lambda: atom_by_atom(lc, s))
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(contour_points=64)],
+                             ids=["default", "points64"])
+    @pytest.mark.parametrize("n", [2, 8, 9, 16, 33, MAX_DEGREE])
+    def test_batch_count(self, monkeypatch, cfg, n):
+        calls = []
+        batch = kernels._em_hurwitz_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_em_hurwitz_batch", counted)
+        ms = parity_multiset(n)
+        eval_combination(integral_poly_zeta(ms, 1), -0.7 + 0.2j, cfg)
+        # one row per shift 1..n, _BATCH_ROWS // contour_points rows a batch
+        assert 0 < len(calls) <= -(-n * cfg.contour_points // kernels._BATCH_ROWS)
+        calls.clear()
+        eval_combination(integral_poly_zeta(ms, 0), -0.7 + 0.2j, cfg)
+        assert calls == []
 
 
 class TestPairIntegral:
