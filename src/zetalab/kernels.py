@@ -21,15 +21,20 @@ expm1(-t*log(M+a))/t, which is stable uniformly in t.  Doing the subtraction
 on finished zeta values instead would lose all precision near t = 0.
 
 Euler-Maclaurin has two forms with the same head length, correction count
-and truncation policy.  A single point (``hurwitz_zeta``) runs the scalar
-pure-Python form: for one point numpy's per-call overhead costs about six
-times the whole loop.  The K samples of a contour run as one numpy batch, an
-M x K array of head terms and a J x K array of corrections, each sample
+and truncation policy.  A single point (``hurwitz_zeta``, and so
+``riemann_zeta`` and order 0 of the derivatives) runs the scalar pure-Python
+form: for one point numpy's per-call overhead costs about six times the whole
+loop.  Every caller that needs many points at once runs the numpy batch, an
+M x K array of head terms and a J x K array of corrections, each point
 keeping its own M and J; the batch takes the pole-subtracted form by a flag.
-Up to 256 rows of contour points share one batch, and each row is computed
-exactly as it would be alone: the contours of several alphas around the same
-s (a quadrature level's nodes), or of alpha = 1 around several centres, each
-on its own circle (the shifts s - k of a moment integral's reduction).
+The K samples of a contour (derivatives of order >= 1, ``stieltjes``) are one
+batch row.  Up to 256 rows of contour points share one batch, and each row is
+computed exactly as it would be alone: the contours of several alphas around
+the same s (a quadrature level's nodes), or of alpha = 1 around several
+centres, each on its own circle (the shifts s - k of a moment integral's
+reduction).  ``hurwitz_taylor`` takes its zeta(s+n, k), n = 0, 1, ..., as
+one row at alpha = k per chunk of n; an entry the batch leaves non-finite is
+taken again from the scalar form, which retries it or refuses it.
 
 Accuracy is absolute (``target_abs_error``) for values of moderate magnitude;
 when the value itself is astronomically large (e.g. Re s very negative and
@@ -41,6 +46,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from math import factorial
 
@@ -150,22 +156,25 @@ def gamma_complex(z: complex, config: PrecisionConfig | None = None) -> complex:
     z = complex(z)
     if cmath.isnan(z):
         raise DomainError("gamma_complex got NaN for z")
-    if z.real < 0.5:
-        nearest = round(z.real)
-        if nearest <= 0 and abs(z - nearest) < 1e-12:
-            raise PoleProximityError(f"gamma pole at non-positive integer near {z!r}")
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return _require_finite(
-            math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z, config)),
-            "gamma reflection")
-    w = z - 1.0
-    acc = complex(_LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
     try:
+        if z.real < 0.5:
+            nearest = round(z.real)
+            if nearest <= 0 and abs(z - nearest) < 1e-12:
+                raise PoleProximityError(f"gamma pole at non-positive integer near {z!r}")
+            # Gamma(z) Gamma(1-z) = pi / sin(pi z)
+            return _require_finite(
+                math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z, config)),
+                "gamma reflection")
+        w = z - 1.0
+        acc = complex(_LANCZOS_C[0])
+        for i in range(1, len(_LANCZOS_C)):
+            acc += _LANCZOS_C[i] / (w + i)
+        t = w + _LANCZOS_G + 0.5
         value = math.sqrt(_TWO_PI) * t ** (w + 0.5) * cmath.exp(-t) * acc
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
+        # round(-inf), sin of a large imaginary part and exp overflow; an
+        # infinite Im z makes the power's phase infinite, which CPython's
+        # complex ** reports as ZeroDivisionError
         raise NumericOverflowError("gamma overflow") from None
     return _require_finite(value, "gamma")
 
@@ -564,6 +573,9 @@ def digamma(alpha: float, config: PrecisionConfig | None = None) -> float:
 # Taylor-disc evaluation (complex alpha)
 # ---------------------------------------------------------------------------
 
+# The series refuses to converge after this many terms.
+_TAYLOR_TERMS = 400
+
 
 def hurwitz_taylor(s: complex, alpha: complex, k: int,
                    config: PrecisionConfig | None = None) -> complex:
@@ -582,42 +594,63 @@ def hurwitz_taylor(s: complex, alpha: complex, k: int,
     alpha = complex(alpha)
     if cmath.isnan(s) or cmath.isnan(alpha):
         raise DomainError(f"hurwitz_taylor got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
-    if k < 1:
+    if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError("k must be a positive integer")
     if abs(alpha) >= k - 0.25:
         raise DomainError(f"alpha={alpha!r} outside the safe disc |alpha| < {k - 0.25}")
     # s + n = 1 for some integer n >= 0 would hit the zeta pole
     d = 1.0 - s
-    if abs(d.imag) < 1e-10 and d.real > -1e-10 and abs(d.real - round(d.real)) < 1e-10:
+    if (abs(d.imag) < 1e-10 and -1e-10 < d.real < math.inf
+            and abs(d.real - round(d.real)) < 1e-10):
         raise PoleProximityError(f"pole collision: s + {round(d.real)} = 1")
 
     head = 0j
-    for n in range(k):
-        base = n + alpha
-        if base == 0:
-            raise DomainError("alpha makes a head term (n + alpha) vanish")
-        head += cmath.exp(-s * cmath.log(base))
+    try:
+        for n in range(k):
+            base = n + alpha
+            if base == 0:
+                raise DomainError("alpha makes a head term (n + alpha) vanish")
+            head += cmath.exp(-s * cmath.log(base))
+    except OverflowError:
+        raise NumericOverflowError("hurwitz_taylor head overflow") from None
 
-    def zeta_k(u: complex) -> complex:
-        # zeta(u) - sum_{1<=m<k} m^-u == zeta(u, k); the index-shifted form
-        # avoids the cancellation that the literal subtraction suffers once
-        # zeta(u) rounds to 1 (the series would then blow up in the noise).
-        return hurwitz_zeta(u, float(k), cfg)
-
+    # zeta_k(s+n) is zeta(s+n, k): the index-shifted form avoids the
+    # cancellation that the literal zeta(u) - sum m^-u suffers once zeta(u)
+    # rounds to 1 (the series would then blow up in the noise).  The values
+    # come a chunk of n at a time from one batch row at alpha = k, the chunk
+    # sized so that terms falling at the rate |alpha|/k < 1 reach the
+    # threshold in one (alpha != 0 here: the head refuses it).
     threshold = cfg.target_abs_error / 10.0
+    log_rate = math.log(abs(alpha)) - math.log(k)
+    chunk = min(64, max(8, int(math.log(threshold) / log_rate) + 8))
     total = head
     poch = 1.0 + 0j  # (s)_n
     coef = 1.0 + 0j  # (-alpha)^n / n!
     small_run = 0
-    for n in range(400):
-        term = poch * zeta_k(s + n) * coef
-        total += term
-        if abs(term) < threshold:
-            small_run += 1
-            if small_run >= 2 and n >= 4:
-                return _require_finite(total, "hurwitz_taylor")
-        else:
-            small_run = 0
-        poch *= s + n
-        coef *= -alpha / (n + 1)
-    raise ConvergenceError("hurwitz_taylor did not reach the term threshold in 400 terms")
+    for start in range(0, _TAYLOR_TERMS, chunk):
+        u = s + np.arange(start, min(start + chunk, _TAYLOR_TERMS))
+        row = _em_hurwitz_batch(u, (k,), cfg)[0]
+        # entries the scalar core would refuse or retry in exp/log form are
+        # taken from it when the series reaches them
+        rescalar = (~np.isfinite(row) | (np.abs(u - 1.0) <= 1e-10)).tolist()
+        for n, zeta_k, redo in zip(range(start, _TAYLOR_TERMS), row.tolist(), rescalar):
+            if redo:
+                zeta_k = hurwitz_zeta(s + n, k, cfg)
+            term = poch * zeta_k * coef
+            total += term
+            try:
+                small = abs(term) < threshold
+            except OverflowError:
+                # a modulus beyond the float range; CPython's abs also raises
+                # this for a NaN term when numpy left errno set to ERANGE
+                small = False
+            if small:
+                small_run += 1
+                if small_run >= 2 and n >= 4:
+                    return _require_finite(total, "hurwitz_taylor")
+            else:
+                small_run = 0
+            poch *= s + n
+            coef *= -alpha / (n + 1)
+    raise ConvergenceError(
+        f"hurwitz_taylor did not reach the term threshold in {_TAYLOR_TERMS} terms")

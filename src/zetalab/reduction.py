@@ -36,7 +36,8 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import kernels
-from .errors import DomainError, EvaluationError, PoleProximityError
+from .errors import (DomainError, EvaluationError, NumericOverflowError,
+                     PoleProximityError)
 from .exact import (RatPoly, _endpoint_jumps, _int_poly_mul, _integer_form,
                     bernoulli_polynomial)
 
@@ -413,6 +414,8 @@ _LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 def _near_nonpositive_integer(z: complex, margin: float) -> int | None:
+    if not math.isfinite(z.real):
+        return None
     nearest = round(z.real)
     if nearest <= 0 and abs(z - nearest) < margin:
         return nearest
@@ -435,11 +438,16 @@ def pair_integral(s1: complex, s2: complex,
             raise PoleProximityError(f"{label} pole: argument near {bad}")
     if abs(1.0 - s1 - s2) <= 1e-10:
         raise PoleProximityError("zeta factor pole: 2 - s1 - s2 near 1")
-    value = (2.0 * cmath.exp((s1 + s2 - 2.0) * _LOG_TWO_PI)
-             * kernels.gamma_complex(1.0 - s1, config)
-             * kernels.gamma_complex(1.0 - s2, config)
-             * cmath.cos(0.5 * math.pi * (s1 - s2))
-             * kernels.riemann_zeta(2.0 - s1 - s2, config))
+    try:
+        value = (2.0 * cmath.exp((s1 + s2 - 2.0) * _LOG_TWO_PI)
+                 * kernels.gamma_complex(1.0 - s1, config)
+                 * kernels.gamma_complex(1.0 - s2, config)
+                 * cmath.cos(0.5 * math.pi * (s1 - s2))
+                 * kernels.riemann_zeta(2.0 - s1 - s2, config))
+    except OverflowError:
+        raise NumericOverflowError("pair integral overflow") from None
+    if not cmath.isfinite(value):
+        raise NumericOverflowError("non-finite value in pair integral")
     return value
 
 

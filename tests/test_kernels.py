@@ -7,7 +7,8 @@ alternating series for zeta'(2), finite differences for contour consistency,
 and the Laurent definition for Stieltjes constants.  The numpy batch core
 behind the contours is checked against the scalar core, its alpha x contour
 grid against the single-alpha batch it generalises, and the contour kernels
-against the pure-Python contour loop they replaced.
+against the pure-Python contour loop they replaced, and the Taylor-disc
+series against its form with one scalar zeta call per term.
 """
 
 import cmath
@@ -20,9 +21,10 @@ import numpy as np
 import pytest
 
 from zetalab import calculus, kernels
-from zetalab.errors import (DomainError, EvaluationError, NumericOverflowError,
-                            PoleProximityError)
+from zetalab.errors import (ConvergenceError, DomainError, EvaluationError,
+                            NumericOverflowError, PoleProximityError)
 from zetalab.exact import poly_eval, zeta_neg_int_poly
+from zetalab.reduction import pair_integral
 from zetalab.kernels import (DEFAULT_CONFIG, PrecisionConfig, digamma,
                              format_complex, gamma_complex, hurwitz_taylor,
                              hurwitz_zeta, hurwitz_zeta_deriv, riemann_zeta,
@@ -225,6 +227,11 @@ class TestTaylorDisc:
         with pytest.raises(PoleProximityError):
             hurwitz_taylor(-2.0, 0.5, 2)  # s + 3 = 1
 
+    @pytest.mark.parametrize("k", [3.0, 2.5, "3"])
+    def test_non_integer_k_is_refused(self, k):
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            hurwitz_taylor(0.5, 0.3, k)
+
 
 class TestStieltjes:
     def test_order_minus_one_exact(self):
@@ -323,7 +330,15 @@ class TestNaNArguments:
         lambda: hurwitz_zeta(complex(2.0, -math.inf), 1.0),
         lambda: hurwitz_zeta(complex(-3.0, math.inf), 2.5),
         lambda: hurwitz_taylor(complex(2.0, math.inf), 0.5, 2),
-    ], ids=["re+inf", "re-inf", "im+inf", "im-inf", "re-3_im+inf", "taylor_im+inf"])
+        lambda: hurwitz_taylor(-math.inf, 0.5, 3),
+        lambda: gamma_complex(-math.inf),
+        lambda: gamma_complex(complex(0.0, math.inf)),
+        lambda: gamma_complex(0.3 + 800j),
+        lambda: pair_integral(0.3 + 800j, 0.2),
+        lambda: pair_integral(-math.inf, 0.3),
+    ], ids=["re+inf", "re-inf", "im+inf", "im-inf", "re-3_im+inf", "taylor_im+inf",
+            "taylor_re-inf", "gamma_re-inf", "gamma_im+inf", "gamma_im800",
+            "pair_im800", "pair_re-inf"])
     def test_infinity_is_not_a_domain_error(self, call):
         with pytest.raises(NumericOverflowError):
             call()
@@ -881,3 +896,106 @@ class TestDerivativesOverAlphas:
         alphas = [0.5, 1.0, 3.0]
         got = kernels._hurwitz_derivs((1,), -300.0, alphas, DEFAULT_CONFIG)
         assert got == one_alpha_at_a_time((1,), -300.0, alphas, DEFAULT_CONFIG)
+
+
+# ---------------------------------------------------------------------------
+# The Taylor-disc series, its zeta_k values taken from one batch row
+# ---------------------------------------------------------------------------
+
+
+def scalar_taylor(s, alpha, k, cfg=DEFAULT_CONFIG):
+    """hurwitz_taylor term by term, one scalar hurwitz_zeta(s+n, k) per term,
+    with the kernel's refusals.  Returns the value, the number of terms and
+    the sum of the terms' moduli, the scale of the sum's rounding."""
+    s, alpha = complex(s), complex(alpha)
+    if cmath.isnan(s) or cmath.isnan(alpha):
+        raise DomainError(f"hurwitz_taylor got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
+    d = 1.0 - s
+    if (abs(d.imag) < 1e-10 and -1e-10 < d.real < math.inf
+            and abs(d.real - round(d.real)) < 1e-10):
+        raise PoleProximityError(f"pole collision: s + {round(d.real)} = 1")
+    if any(n + alpha == 0 for n in range(k)):
+        raise DomainError("alpha makes a head term (n + alpha) vanish")
+    total = sum(cmath.exp(-s * cmath.log(n + alpha)) for n in range(k))
+    poch, coef, small_run, scale = 1.0 + 0j, 1.0 + 0j, 0, 0.0
+    for n in range(400):
+        term = poch * hurwitz_zeta(s + n, k, cfg) * coef
+        total += term
+        scale += abs(term)
+        small_run = small_run + 1 if abs(term) < cfg.target_abs_error / 10.0 else 0
+        if small_run >= 2 and n >= 4:
+            return total, n + 1, scale
+        poch *= s + n
+        coef *= -alpha / (n + 1)
+    raise ConvergenceError("hurwitz_taylor did not reach the term threshold in 400 terms")
+
+
+def taylor_grid():
+    """(s, alpha, k) with complex alpha inside the disc of each k."""
+    for k in (2, 3, 4):
+        for s in (-6.5 + 0.2j, -2.5, -1.3 + 0.7j, 0.4 - 1.2j, 1.7 + 0.3j, 3.1, 8.5):
+            for alpha in (0.05j, 0.3 + 0.4j, -0.6 + 0.9j, 1.2 - 0.5j, -1.6 - 0.1j,
+                          2.5 + 1.5j, -0.2 - 3.1j):
+                if abs(alpha) < k - 0.25:
+                    yield s, alpha, k
+
+
+class TestTaylorBatch:
+    def test_values_match_the_scalar_series(self):
+        converged = 0
+        for s, alpha, k in taylor_grid():
+            try:
+                ref, _, scale = scalar_taylor(s, alpha, k)
+            except ConvergenceError:
+                with pytest.raises(ConvergenceError):
+                    hurwitz_taylor(s, alpha, k)
+                continue
+            converged += 1
+            # batch and scalar zeta values differ by up to ~5e-13 relative
+            assert abs(hurwitz_taylor(s, alpha, k) - ref) <= 1e-12 * max(1.0, scale), \
+                (s, alpha, k)
+        assert converged >= 80
+
+    @pytest.mark.parametrize("s, alpha, k", [
+        (-2.0, 0.5, 2),  # pole collision: s + 3 = 1
+        (complex(1.0, 1e-10), 0.5, 2),  # on the scalar core's pole disc, off the collision box
+        (1.5, -1.0, 3),  # zero head base
+        (math.nan, 0.5, 2),
+        (-1.5, complex(0.3, math.nan), 3),
+        (math.inf, 0.5, 3),
+        (-math.inf, 0.5, 3),
+        (complex(2.0, math.inf), 0.5, 2),
+        (complex(2.0, -math.inf), 0.5, 2),
+        (-400.5, 0.5, 3),  # no convergence in 400 terms
+    ])
+    def test_refusals_match_the_scalar_series(self, s, alpha, k):
+        got = outcome(lambda: hurwitz_taylor(s, alpha, k))
+        assert isinstance(got, tuple)
+        assert got == outcome(lambda: scalar_taylor(s, alpha, k))
+
+    def test_one_batch_call_per_chunk_and_no_scalar_call(self, monkeypatch):
+        sizes = []
+        batch = kernels._em_hurwitz_batch
+
+        def counted(s, alphas, *args, **kwargs):
+            sizes.append(len(s))
+            return batch(s, alphas, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("scalar hurwitz_zeta called for a finite input")
+
+        cases = [(s, alpha, k, outcome(lambda: scalar_taylor(s, alpha, k)))
+                 for s, alpha, k in taylor_grid()]
+        # the series that converge: (value, terms, scale), not (error, message)
+        cases = [(s, alpha, k, ref[1]) for s, alpha, k, ref in cases if len(ref) == 3]
+        monkeypatch.setattr(kernels, "_em_hurwitz_batch", counted)
+        monkeypatch.setattr(kernels, "hurwitz_zeta", refused)
+        several = 0
+        for s, alpha, k, terms in cases:
+            sizes.clear()
+            hurwitz_taylor(s, alpha, k)
+            chunk = sizes[0]
+            assert 8 <= chunk <= 64
+            assert len(sizes) <= -(-terms // chunk) + 1, (s, alpha, k)
+            several += len(sizes) > 1
+        assert several  # the grid reaches past the first chunk

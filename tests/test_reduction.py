@@ -517,6 +517,11 @@ class TestPairIntegral:
         with pytest.raises(PoleProximityError):
             pair_integral(0.5, 0.5)
 
+    def test_non_finite_product_is_an_overflow(self):
+        # every factor is finite, their product is not
+        with pytest.raises(NumericOverflowError, match="non-finite value in pair integral"):
+            pair_integral(-136.17 + 76.66j, -132.1 - 61.84j)
+
 
 class TestPairLimitWeighted:
     def test_minus_one_twice(self):

@@ -203,27 +203,35 @@ class TestCli:
     def test_overflow_is_an_error_not_a_traceback(self, deriv):
         # zeta(-300, 1e6) overflows a double, on the scalar path (deriv 0)
         # and on the contour path (deriv 1)
-        path = os.pathsep.join(filter(None, [ZETALAB_ROOT, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "zetalab.cli", "eval", "--fn", "hurwitz",
-             "--deriv", deriv, "--s=-300", "--alpha", "1e6"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path})
+        proc = run_module("zetalab.cli", "eval", "--fn", "hurwitz",
+                          "--deriv", deriv, "--s=-300", "--alpha", "1e6")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:"), proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--fn", "gamma", "--s", "0.3+800i"),
+        ("pair", "--s1", "0.3+800i", "--s2", "0.2"),
+        ("pair", "--s1=-1e400", "--s2=0.3"),
+    ], ids=["gamma_im800", "pair_im800", "pair_re-inf"])
+    def test_large_or_infinite_argument_is_an_error(self, argv):
+        proc = run_module("zetalab", *argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_python_dash_m_zetalab(self):
+        proc = run_module("zetalab", "bernoulli", "--n", "12")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "-691/2730\n"
+
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
     def test_unwritable_out_is_an_error_not_a_traceback(self, tmp_path, target):
         # a missing directory, and a directory in place of the file
         out = tmp_path / target
-        path = os.pathsep.join(filter(None, [ZETALAB_ROOT, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "zetalab.cli", "verify", "--filter", "cor6_value",
-             "--format", "json", "--out", str(out)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path})
+        proc = run_module("zetalab.cli", "verify", "--filter", "cor6_value",
+                          "--format", "json", "--out", str(out))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
@@ -277,6 +285,14 @@ class TestCli:
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # The demos import the same zetalab as this test run, installed or not.
 ZETALAB_ROOT = str(Path(zetalab.__file__).resolve().parents[1])
+
+
+def run_module(*argv):
+    """``python -m`` argv in a subprocess that imports this run's zetalab."""
+    path = os.pathsep.join(filter(None, [ZETALAB_ROOT, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestDemos:
