@@ -82,7 +82,7 @@ def antiderivative_eval(r: int, s: complex, alpha: float,
     if not 0 <= r <= 4:
         raise ValueError("derivative order must be in 0..4")
     s = complex(s)
-    if abs(s - 1.0) <= cfg.contour_radius:
+    if abs(s - 1.0) <= kernels._CONTOUR_RADIUS:
         raise PoleProximityError("antiderivative family is singular at s = 1")
     return _antiderivative(r, s, alpha, cfg)
 
@@ -160,7 +160,7 @@ def stieltjes_alpha_derivative(r: int, alpha: float,
 
     (coeff,), = kernels._contour_coeff(
         lambda t: t * (t + 1.0) * kernels._em_hurwitz_batch(t + 2.0, (alpha,), cfg),
-        cfg.contour_radius, cfg.contour_points, (r,))
+        kernels._CONTOUR_RADIUS, cfg.contour_points, (r,))
     # d^r/ds^r at 0 is r! * coeff; dividing by r! leaves the bare coefficient
     return kernels._require_finite(-coeff, "stieltjes_alpha_derivative")
 

@@ -20,7 +20,7 @@ import cmath
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -198,7 +198,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             # sampled directly, without the pole-subtracted kernel
             (coeff,), = kernels._contour_coeff(
                 lambda ts: [t * kernels.hurwitz_zeta(t + 1.0, a, cfg) for t in ts.tolist()],
-                cfg.contour_radius, cfg.contour_points, (r,))
+                kernels._CONTOUR_RADIUS, cfg.contour_points, (r,))
             rhs = -math.factorial(r) * coeff
             return lhs, rhs
         return run
@@ -824,13 +824,10 @@ def _render_text(results: Sequence[CheckResult]) -> str:
 def _render_json(results: Sequence[CheckResult], cfg: PrecisionConfig) -> str:
     passed, failed, skipped = _tally(results)
     doc = {
-        "config": {
-            "em_cutoff": cfg.em_cutoff,
-            "em_tail_terms": cfg.em_tail_terms,
-            "contour_radius": cfg.contour_radius,
-            "contour_points": cfg.contour_points,
-            "target_abs_error": cfg.target_abs_error,
-        },
+        # the fixed policy too, so the report records what its numbers rest on
+        "config": {**asdict(cfg), "em_cutoff": kernels._EM_CUTOFF,
+                   "em_tail_terms": kernels._EM_TAIL_TERMS,
+                   "contour_radius": kernels._CONTOUR_RADIUS},
         "summary": {"passed": passed, "failed": failed, "skipped": skipped},
         "checks": [
             {

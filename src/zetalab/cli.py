@@ -54,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "zeta kernels, and a verified identity suite.")
     parser.add_argument("--precision-target", type=float, default=None,
                         metavar="REAL", help="absolute accuracy target")
-    parser.add_argument("--em-cutoff", type=int, default=None, metavar="INT",
-                        help="Euler-Maclaurin head length")
     parser.add_argument("--contour-points", type=int, default=None, metavar="INT",
                         help="contour sample count (power of two)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,8 +95,6 @@ def _config_from_args(args: argparse.Namespace) -> PrecisionConfig:
     kwargs = {}
     if args.precision_target is not None:
         kwargs["target_abs_error"] = args.precision_target
-    if args.em_cutoff is not None:
-        kwargs["em_cutoff"] = args.em_cutoff
     if args.contour_points is not None:
         kwargs["contour_points"] = args.contour_points
     return PrecisionConfig(**kwargs)

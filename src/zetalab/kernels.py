@@ -6,10 +6,10 @@ Hurwitz zeta is computed by Euler-Maclaurin summation,
     zeta(s, a) ~= sum_{n<M} (n+a)^-s  +  (M+a)^(1-s)/(s-1)  +  (M+a)^-s / 2
                   + sum_{j=1..J} B_{2j}/(2j)! * (s)_{2j-1} * (M+a)^(-s-2j+1),
 
-with the head length M and the Bernoulli-correction count J taken from
-:class:`PrecisionConfig`.  For Re s < 1/2 the head length is shrunk so the
-head/integral cancellation cannot eat the absolute accuracy target; the
-correction sum always stops at its smallest term (optimal truncation).
+with the head length M and the Bernoulli-correction count J fixed by module
+constants.  For Re s < 1/2 the head length is shrunk so the head/integral
+cancellation cannot eat the absolute accuracy target; the correction sum
+always stops at its smallest term (optimal truncation).
 
 s-derivatives of any order share one kernel: trapezoidal (Cauchy) contour
 differentiation on a circle around s.  One set of contour samples per point
@@ -36,9 +36,8 @@ reduction).  ``hurwitz_taylor`` takes its zeta(s+n, k), n = 0, 1, ..., as
 one row at alpha = k per chunk of n; an entry the batch leaves non-finite is
 taken again from the scalar form, which retries it or refuses it.
 
-Accuracy is absolute (``target_abs_error``) for values of moderate magnitude;
-when the value itself is astronomically large (e.g. Re s very negative and
-alpha large) accuracy degrades gracefully to relative ~1e-13.
+The README lists where, measured against mpmath, values miss the accuracy
+target without warning.
 """
 
 from __future__ import annotations
@@ -72,34 +71,27 @@ __all__ = [
 
 _MACH_EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
+# The fixed numerical policy: Euler-Maclaurin head length M, correction count
+# J, Cauchy contour radius.  Read at call time, so a test may monkeypatch them.
+_EM_CUTOFF = 25
+_EM_TAIL_TERMS = 12
+_CONTOUR_RADIUS = 0.5
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Accuracy knobs shared by every numeric kernel.
+    """The accuracy settings a caller may vary; the rest is fixed above.
 
-    em_cutoff        Euler-Maclaurin head length M
-    em_tail_terms    number J of Bernoulli correction terms
-    contour_radius   radius rho for Cauchy differentiation
     contour_points   sample count K on the contour (power of two)
     target_abs_error absolute accuracy target for moderate-size values
     """
 
-    em_cutoff: int = 25
-    em_tail_terms: int = 12
-    contour_radius: float = 0.5
     contour_points: int = 32
     target_abs_error: float = 1e-11
 
     def __post_init__(self):
-        if self.em_cutoff < 8:
-            raise ValueError("em_cutoff must be >= 8")
-        if not 1 <= self.em_tail_terms <= 20:
-            raise ValueError("em_tail_terms must be in 1..20")
         if self.contour_points < 16 or self.contour_points & (self.contour_points - 1):
             raise ValueError("contour_points must be a power of two >= 16")
-        if not 0.0 < self.contour_radius <= 1.0:
-            raise ValueError("contour_radius must be in (0, 1]")
         if self.target_abs_error < 1e-13:
             raise ValueError("target_abs_error must be >= 1e-13 at double precision")
 
@@ -121,6 +113,13 @@ def _require_finite(value: complex, what: str) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NumericOverflowError(f"non-finite value in {what}")
     return value
+
+
+def _refuse_huge_real(z: complex, name: str) -> None:
+    """Every double of magnitude >= 2**52 is an integer, so no pole test can
+    tell such a finite real part from a pole: refuse it as an overflow."""
+    if 2.0 ** 52 <= abs(z.real) < math.inf:
+        raise NumericOverflowError(f"Re {name} = {z.real:.3g} is too large to tell from a pole")
 
 
 def format_complex(z: complex) -> str:
@@ -156,6 +155,7 @@ def gamma_complex(z: complex, config: PrecisionConfig | None = None) -> complex:
     z = complex(z)
     if cmath.isnan(z):
         raise DomainError("gamma_complex got NaN for z")
+    _refuse_huge_real(z, "z")
     try:
         if z.real < 0.5:
             nearest = round(z.real)
@@ -185,19 +185,19 @@ def gamma_complex(z: complex, config: PrecisionConfig | None = None) -> complex:
 
 
 def _em_head_length(s: complex, alpha: float, cfg: PrecisionConfig) -> int:
-    """Head length M: config default, shrunk when Re s < 1/2 to keep the
+    """Head length M: _EM_CUTOFF, shrunk when Re s < 1/2 to keep the
     head/integral cancellation below the absolute accuracy target."""
-    m = cfg.em_cutoff
+    m = _EM_CUTOFF
     if s.real < 0.5:
         cap = (cfg.target_abs_error / (5.0 * _MACH_EPS)) ** (1.0 / (1.0 - s.real))
         m = min(m, max(2, int(round(cap - alpha)) + 1))
     return m
 
 
-def _em_tail_terms(s: complex, cfg: PrecisionConfig) -> int:
+def _em_tail_terms(s: complex) -> int:
     """For very negative Re s the correction series only terminates after
     the rising factorial crosses zero; make sure we reach that point."""
-    j = cfg.em_tail_terms
+    j = _EM_TAIL_TERMS
     if s.real < 0.0:
         j = max(j, int(-s.real / 2.0) + 3)
     return min(j, len(_B2J_OVER_FACT))
@@ -216,13 +216,13 @@ def _em_lengths(s: np.ndarray, alpha: np.ndarray,
     """
     re = s.real
     low = re < 0.5
-    # the other points keep M = em_cutoff; Re s -> 0 there keeps 1/(1 - Re s) finite
+    # the other points keep M = _EM_CUTOFF; Re s -> 0 there keeps 1/(1 - Re s) finite
     cap = np.float_power(cfg.target_abs_error / (5.0 * _MACH_EPS),
                          1.0 / (1.0 - np.where(low, re, 0.0)))
     m = np.where(low, np.maximum(np.round(cap - alpha) + 1.0, 2.0), np.inf)
     j = np.where(re < 0.0, np.floor(-re / 2.0) + 3.0, 0.0)
-    return (np.minimum(m, cfg.em_cutoff).astype(int),
-            np.minimum(np.maximum(j, cfg.em_tail_terms), len(_B2J_OVER_FACT)).astype(int))
+    return (np.minimum(m, _EM_CUTOFF).astype(int),
+            np.minimum(np.maximum(j, _EM_TAIL_TERMS), len(_B2J_OVER_FACT)).astype(int))
 
 
 def _em_tail(s: complex, big_t: float, t_pow: complex, terms: int) -> complex:
@@ -275,7 +275,7 @@ def _em_hurwitz(s: complex, alpha: float, cfg: PrecisionConfig,
         else:
             integral = t_ms * big_t / (s - 1.0)
         value = head + integral + 0.5 * t_ms
-        value += _em_tail(s, big_t, t_ms / big_t, _em_tail_terms(s, cfg))
+        value += _em_tail(s, big_t, t_ms / big_t, _em_tail_terms(s))
     except (OverflowError, ZeroDivisionError):
         # an infinite Im s makes the power's phase infinite, which CPython's
         # complex ** reports as ZeroDivisionError; like a real +-inf it is an overflow
@@ -417,9 +417,9 @@ def _contour_coeff(f, rho, points: int, orders) -> list[list[complex]]:
 _BATCH_ROWS = 256
 
 
-def _contour_radius(s: complex, cfg: PrecisionConfig) -> float:
-    """The configured radius, shrunk to half the distance to the pole."""
-    return min(cfg.contour_radius, 0.5 * abs(s - 1.0))
+def _contour_radius(s: complex) -> float:
+    """_CONTOUR_RADIUS, shrunk to half the distance to the pole."""
+    return min(_CONTOUR_RADIUS, 0.5 * abs(s - 1.0))
 
 
 def _hurwitz_rows(orders, centres, alphas, cfg: PrecisionConfig) -> list:
@@ -442,7 +442,7 @@ def _hurwitz_rows(orders, centres, alphas, cfg: PrecisionConfig) -> list:
         try:
             row = {0: hurwitz_zeta(centre, alpha, cfg)} if 0 in orders else {}
             if higher:
-                _check_contour(centre, alpha, cfg)
+                _check_contour(centre, alpha)
         except EvaluationError as exc:
             row = exc
         rows.append(row)
@@ -455,12 +455,12 @@ def _hurwitz_rows(orders, centres, alphas, cfg: PrecisionConfig) -> list:
             centre = centres[0]
             coeffs = _contour_coeff(
                 lambda t: _em_hurwitz_batch(centre + t, chunk_alphas, cfg),
-                _contour_radius(centre, cfg), cfg.contour_points, higher)
+                _contour_radius(centre), cfg.contour_points, higher)
         else:
             at = np.array([centres[i] for i in chunk])[:, None]
             coeffs = _contour_coeff(
                 lambda t: _em_hurwitz_batch(at + t, chunk_alphas, cfg),
-                [_contour_radius(centres[i], cfg) for i in chunk],
+                [_contour_radius(centres[i]) for i in chunk],
                 cfg.contour_points, higher)
         for i, row_coeffs in zip(chunk, coeffs):
             for n, coeff in zip(higher, row_coeffs):
@@ -484,16 +484,16 @@ def _hurwitz_derivs(orders, s: complex, alphas,
     return out
 
 
-def _check_contour(s: complex, alpha: float, cfg: PrecisionConfig) -> None:
+def _check_contour(s: complex, alpha: float) -> None:
     """Refuse a NaN, an alpha <= 0 and a contour around s that meets the pole."""
     if cmath.isnan(s) or math.isnan(alpha):
         raise DomainError(
             f"hurwitz_zeta_deriv got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
     if alpha <= 0.0:
         raise DomainError("hurwitz_zeta_deriv requires alpha > 0")
-    if abs(s - 1.0) <= cfg.contour_radius + 1e-10:
+    if abs(s - 1.0) <= _CONTOUR_RADIUS + 1e-10:
         raise PoleProximityError(
-            f"contour of radius {cfg.contour_radius} around s={s!r} meets the pole at 1")
+            f"contour of radius {_CONTOUR_RADIUS} around s={s!r} meets the pole at 1")
 
 
 def hurwitz_zeta_deriv(r: int, s: complex, alpha: float,
@@ -537,7 +537,7 @@ def stieltjes(n: int, alpha: float, config: PrecisionConfig | None = None) -> co
         return complex(1.0)
     (coeff,), = _contour_coeff(
         lambda t: _em_hurwitz_batch(t, (alpha,), cfg, minus_pole=True),
-        cfg.contour_radius, cfg.contour_points, (n,))
+        _CONTOUR_RADIUS, cfg.contour_points, (n,))
     return _require_finite(coeff, "stieltjes")
 
 
@@ -596,6 +596,7 @@ def hurwitz_taylor(s: complex, alpha: complex, k: int,
         raise DomainError(f"hurwitz_taylor got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
     if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError("k must be a positive integer")
+    _refuse_huge_real(s, "s")
     if abs(alpha) >= k - 0.25:
         raise DomainError(f"alpha={alpha!r} outside the safe disc |alpha| < {k - 0.25}")
     # s + n = 1 for some integer n >= 0 would hit the zeta pole

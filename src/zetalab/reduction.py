@@ -432,6 +432,8 @@ def pair_integral(s1: complex, s2: complex,
     valid away from the singularities of either side.
     """
     s1, s2 = complex(s1), complex(s2)
+    kernels._refuse_huge_real(s1, "s1")
+    kernels._refuse_huge_real(s2, "s2")
     for label, z in (("Gamma(1-s1)", 1.0 - s1), ("Gamma(1-s2)", 1.0 - s2)):
         bad = _near_nonpositive_integer(z, 1e-10)
         if bad is not None:

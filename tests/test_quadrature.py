@@ -1,11 +1,14 @@
 """tanh-sinh quadrature against analytic antiderivatives, on (0, 1) and, through
 the affine map, on [1, A]."""
 
+import inspect
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from zetalab import quadrature
 from zetalab.errors import ConvergenceError, NumericOverflowError
 from zetalab.quadrature import _level_nodes, tanh_sinh_01
 
@@ -28,7 +31,7 @@ def scalar_tanh_sinh(g, tol, budget=2 ** 16):
     evaluations = 0
     partial = 0j
     value_prev = None
-    for level in range(14):
+    for level in itertools.count():
         xs, ws = _level_nodes(level)
         if evaluations + len(ws) > budget:
             raise ConvergenceError("budget")
@@ -42,7 +45,6 @@ def scalar_tanh_sinh(g, tol, budget=2 ** 16):
             if err <= tol:
                 return value, err, evaluations
         value_prev = value
-    raise ConvergenceError("levels")
 
 
 # (scalar integrand, tolerance): every integrand of the tests below
@@ -123,9 +125,18 @@ class TestTanhSinh:
             tanh_sinh_01(f, 1e-8)
         assert str(info.value) == f"non-finite integrand sample at x={xs0[3]!r}"
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_BUDGET", 64)
         with pytest.raises(ConvergenceError):
-            tanh_sinh_01(lambda xs: xs ** -0.999, 1e-14, budget=64)
+            tanh_sinh_01(lambda xs: xs ** -0.999, 1e-14)
+
+    def test_default_budget_stops_after_level_12(self):
+        # levels 0..12 hold 37 886 nodes; level 13 would pass 2**16
+        with pytest.raises(ConvergenceError, match="budget exhausted: 37886 evaluations"):
+            tanh_sinh_01(lambda xs: xs ** -0.999, 1e-14)
+
+    def test_takes_only_the_integrand_and_tolerance(self):
+        assert list(inspect.signature(tanh_sinh_01).parameters) == ["f", "tol"]
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from zetalab import checks, kernels
 from zetalab.checks import (REQUIRED_ID_PREFIXES, build_registry,
                             render_report, run_checks)
 from zetalab.cli import main, parse_complex
-from zetalab.kernels import PrecisionConfig
 from zetalab.quadrature import _level_nodes
 
 
@@ -96,8 +95,9 @@ class TestReports:
 
     def test_json_config_block(self, full_results):
         doc = json.loads(render_report(full_results, "json"))
-        assert doc["config"]["em_cutoff"] == 25
-        assert doc["config"]["contour_points"] == 32
+        assert doc["config"] == {"contour_points": 32, "contour_radius": 0.5,
+                                 "em_cutoff": 25, "em_tail_terms": 12,
+                                 "target_abs_error": 1e-11}
 
     def test_json_deterministic(self):
         one = render_report(run_checks("pair"), "json")
@@ -183,9 +183,17 @@ class TestCli:
         assert doc["summary"]["failed"] == 0
 
     def test_global_precision_flags(self, capsys):
-        assert main(["--em-cutoff", "30", "--contour-points", "64",
-                     "eval", "--fn", "zeta", "--s", "2"]) == 0
+        flags = ["--precision-target", "1e-10", "--contour-points", "64"]
+        assert main([*flags, "eval", "--fn", "zeta", "--s", "2"]) == 0
         assert capsys.readouterr().out.strip() == "1.64493406684823+0i"
+        assert main([*flags, "verify", "--filter", "cor6_value_11", "--format", "json"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["contour_points"], config["target_abs_error"]) == (64, 1e-10)
+
+    def test_em_cutoff_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--em-cutoff", "30", "eval", "--fn", "zeta", "--s", "2"])
+        assert info.value.code == 2
 
     def test_bad_config_rejected(self, capsys):
         assert main(["--contour-points", "21", "eval", "--fn", "zeta", "--s", "2"]) == 2
@@ -214,12 +222,14 @@ class TestCli:
         ("eval", "--fn", "gamma", "--s", "0.3+800i"),
         ("pair", "--s1", "0.3+800i", "--s2", "0.2"),
         ("pair", "--s1=-1e400", "--s2=0.3"),
-    ], ids=["gamma_im800", "pair_im800", "pair_re-inf"])
+        ("pair", "--s1=1e300", "--s2=0.2"),
+    ], ids=["gamma_im800", "pair_im800", "pair_re-inf", "pair_re1e300"])
     def test_large_or_infinite_argument_is_an_error(self, argv):
         proc = run_module("zetalab", *argv)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert len(proc.stderr) < 80, proc.stderr
 
     def test_python_dash_m_zetalab(self):
         proc = run_module("zetalab", "bernoulli", "--n", "12")
@@ -242,20 +252,14 @@ class TestCli:
         assert main(["eval", "--fn", "zeta", "--s=-1.5"]) == 0
         assert capsys.readouterr().out.strip().startswith("-0.02548520189")
 
-    def test_skipped_on_config_violation(self):
+    def test_skipped_on_config_violation(self, monkeypatch):
         # a contour radius that reaches the pole at s=1 must downgrade the
         # affected checks to skipped(reason), never to a silent pass
-        results = run_checks("note_fwd", PrecisionConfig(contour_radius=0.9))
+        monkeypatch.setattr(kernels, "_CONTOUR_RADIUS", 0.9)
+        results = run_checks("note_fwd")
         skipped = [r for r in results if r.status.startswith("skipped(")]
         assert skipped and all("pole" in r.status for r in skipped)
         assert all(r.status == "pass" for r in results if r not in skipped)
-
-    def test_cor3_passes_with_a_wide_contour(self):
-        # every quadrature node stays in alpha <= 200, where the contour
-        # derivatives keep their accuracy at radius 0.9
-        results = run_checks("cor3", PrecisionConfig(contour_radius=0.9))
-        assert len(results) == 7
-        assert all(r.status == "pass" for r in results), [(r.id, r.status) for r in results]
 
     def test_import_leaves_numpy_polynomial_out(self):
         path = os.pathsep.join(filter(None, [ZETALAB_ROOT, os.environ.get("PYTHONPATH")]))
@@ -267,9 +271,10 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_skipped_results_render(self):
-        results = run_checks("note_fwd", PrecisionConfig(contour_radius=0.9))
-        report = render_report(results, "json", PrecisionConfig(contour_radius=0.9))
+    def test_skipped_results_render(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_CONTOUR_RADIUS", 0.9)
+        results = run_checks("note_fwd")
+        report = render_report(results, "json")
         doc = json.loads(report)
         assert doc["summary"]["skipped"] >= 1
         skipped = [c for c in doc["checks"] if c["status"].startswith("skipped(")]
@@ -338,12 +343,12 @@ class TestQuadratureBatches:
         assert len(sizes) <= sum(per_level) + 2 == 43
         assert max(sizes) <= kernels._BATCH_ROWS == 256
 
-    def test_contour_refusals_unchanged(self):
+    def test_contour_refusals_unchanged(self, monkeypatch):
         # the alpha-batched quadrature integrands refuse a contour that meets
         # the pole with the same reason as the one-alpha contour
-        cfg = PrecisionConfig(contour_radius=0.9)
+        monkeypatch.setattr(kernels, "_CONTOUR_RADIUS", 0.9)
         results = [res for family in ("cor4_quad", "cor8", "note_fwd")
-                   for res in run_checks(family, cfg)]
+                   for res in run_checks(family)]
         skipped = {r.id: r.status for r in results if r.status != "pass"}
         meets = "skipped(contour of radius 0.9 around s={} meets the pole at 1)"
         assert skipped == {
