@@ -32,7 +32,7 @@ print("\nThe Taylor route also reaches complex alpha inside the disc:")
 value = hurwitz_taylor(-1.5, 0.4 + 0.8j, 3)
 print(f"  zeta(-1.5, 0.4+0.8i) = {format_complex(value)}")
 
-print("\ns-derivatives by contour differentiation:")
+print("\ns-derivatives from one Euler-Maclaurin sum taken as a power series in s:")
 print(f"  zeta'(0, 1/2) = {hurwitz_zeta_deriv(1, 0.0, 0.5).real:.12g}")
 print(f"  log(Gamma(1/2)/sqrt(2 pi)) = {math.lgamma(0.5) - 0.5*math.log(2*math.pi):.12g}")
 print(f"  zeta''(2)     = {riemann_zeta_deriv(2, 2.0).real:.12g}")

@@ -1,7 +1,7 @@
 """zetalab: a Hurwitz zeta toolkit.
 
 Exact Bernoulli/rational arithmetic, Euler-Maclaurin zeta kernels with
-contour s-derivatives and generalized Stieltjes constants, the
+Taylor-mode s-derivatives and generalized Stieltjes constants, the
 alpha-derivative/antiderivative calculus built on them, an exact
 integration-by-parts reduction engine, and a registry that mechanically
 verifies every identity the package implements.

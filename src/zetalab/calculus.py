@@ -65,9 +65,10 @@ def antiderivative_terms(r: int) -> tuple[AntiderivativeTerm, ...]:
 
 def _antiderivative(r: int, s: complex, alpha: float,
                     cfg: PrecisionConfig) -> complex:
-    """sum_l c_l zeta^(l)(s-1, a)/(1-s)^(r+1-l), every order from one contour."""
+    """sum_l c_l zeta^(l)(s-1, a)/(1-s)^(r+1-l), every order from one
+    Taylor-mode sum."""
     terms = antiderivative_terms(r)
-    zetas, = kernels._hurwitz_derivs([t.deriv_order for t in terms], s - 1.0, (alpha,), cfg)
+    zetas = kernels._hurwitz_derivs([t.deriv_order for t in terms], s - 1.0, alpha, cfg)
     one_minus_s = 1.0 - s
     total = 0j
     for term, z in zip(terms, zetas):
@@ -82,7 +83,7 @@ def antiderivative_eval(r: int, s: complex, alpha: float,
     if not 0 <= r <= 4:
         raise ValueError("derivative order must be in 0..4")
     s = complex(s)
-    if abs(s - 1.0) <= kernels._CONTOUR_RADIUS:
+    if abs(s - 1.0) <= kernels._POLE_GUARD:
         raise PoleProximityError("antiderivative family is singular at s = 1")
     return _antiderivative(r, s, alpha, cfg)
 
@@ -126,8 +127,8 @@ def alpha_derivative(r: int, s: complex, alpha: float,
     s = complex(s)
     if r == 0:
         return -s * kernels.hurwitz_zeta(s + 1.0, alpha, config)
-    (lower, upper), = kernels._hurwitz_derivs((r - 1, r), s + 1.0, (alpha,),
-                                              config or kernels.DEFAULT_CONFIG)
+    lower, upper = kernels._hurwitz_derivs((r - 1, r), s + 1.0, alpha,
+                                           config or kernels.DEFAULT_CONFIG)
     return -s * upper - r * lower
 
 
@@ -143,9 +144,8 @@ def stieltjes_alpha_derivative(r: int, alpha: float,
                                config: PrecisionConfig | None = None) -> complex:
     """d/da gamma_{r-1}(a) = -(1/r!) d^r/ds^r [s(s+1) zeta(s+2, a)] at s=0.
 
-    The bracketed function is entire (the factor s+1 removes the zeta pole),
-    so plain contour differentiation about 0 applies; for r = 1 this equals
-    -zeta(2, a).
+    With a_k the Taylor coefficients of zeta(2+t, a) in t, that is
+    -(a_{r-1} + a_{r-2}); for r = 1 it equals -zeta(2, a).
     """
     cfg = config or kernels.DEFAULT_CONFIG
     if r < 1:
@@ -157,11 +157,8 @@ def stieltjes_alpha_derivative(r: int, alpha: float,
         raise DomainError("stieltjes_alpha_derivative got NaN for alpha")
     if alpha <= 0.0:
         raise DomainError("stieltjes_alpha_derivative requires alpha > 0")
-
-    (coeff,), = kernels._contour_coeff(
-        lambda t: t * (t + 1.0) * kernels._em_hurwitz_batch(t + 2.0, (alpha,), cfg),
-        kernels._CONTOUR_RADIUS, cfg.contour_points, (r,))
-    # d^r/ds^r at 0 is r! * coeff; dividing by r! leaves the bare coefficient
+    coeffs = kernels._em_jet(2.0 + 0j, alpha, r - 1, cfg)
+    coeff = coeffs[r - 1] + coeffs[r - 2] if r >= 2 else coeffs[0]
     return kernels._require_finite(-coeff, "stieltjes_alpha_derivative")
 
 

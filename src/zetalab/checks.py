@@ -20,9 +20,11 @@ import cmath
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import calculus, kernels
 from .errors import EvaluationError
@@ -99,11 +101,13 @@ def _fd_step(alpha: float) -> float:
     return 0.002 * min(1.0, alpha)
 
 
-def _deriv_at_nodes(r: int, s: complex, alphas, cfg: PrecisionConfig) -> list[complex]:
-    """zeta^(r)(s, a) at every a of a quadrature level, with the values and
-    errors of hurwitz_zeta_deriv node by node: order 0 from the scalar core
-    at each node, higher orders as one alpha-batched contour call."""
-    return [row[0] for row in kernels._hurwitz_derivs((r,), s, alphas, cfg)]
+def _trapezoid_coeff(f: Callable[[complex], complex], n: int) -> complex:
+    """The n-th Taylor coefficient at 0 of f, by the trapezoidal rule on 32
+    samples of the circle |t| = 1/2 (Cauchy's integral formula)."""
+    points, rho = 32, 0.5
+    theta = 2.0 * math.pi * np.arange(points) / points
+    samples = np.array([f(t) for t in (rho * np.exp(1j * theta)).tolist()])
+    return complex(np.dot(samples, np.exp(-1j * n * theta))) / (points * rho ** n)
 
 
 def _per_node(g: Callable[[float], complex]) -> Callable:
@@ -119,9 +123,6 @@ def _per_node(g: Callable[[float], complex]) -> Callable:
 def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
     """All registered checks, sorted by id, for the given configuration."""
     cfg = config or DEFAULT_CONFIG
-    # Finite differences of contour-based derivatives need the extra contour
-    # accuracy; everything else runs on the caller's configuration.
-    fine = replace(cfg, contour_points=max(64, cfg.contour_points))
     specs: list[CheckSpec] = []
     seen: set[str] = set()
 
@@ -160,8 +161,8 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             pairs = []
             for s, a in _prop2_points[r]:
-                lhs = calculus.alpha_derivative(r, s, a, fine)
-                rhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(r, s, x, fine),
+                lhs = calculus.alpha_derivative(r, s, a, cfg)
+                rhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(r, s, x, cfg),
                              a, _fd_step(a))
                 pairs.append((lhs, rhs))
             return _worst_pair(pairs)
@@ -178,8 +179,8 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             pairs = []
             for a in (0.7, 1.0):
-                lhs = calculus.alpha_derivative_at_zero(r, a, fine)
-                rhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(r, 0.0, x, fine),
+                lhs = calculus.alpha_derivative_at_zero(r, a, cfg)
+                rhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(r, 0.0, x, cfg),
                              a, _fd_step(a))
                 pairs.append((lhs, rhs))
             return _worst_pair(pairs)
@@ -195,11 +196,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             a = 0.8
             lhs = calculus.alpha_derivative_at_zero(r, a, cfg)
             # independent route: r-th Taylor coefficient of s*zeta(s+1,a)
-            # sampled directly, without the pole-subtracted kernel
-            (coeff,), = kernels._contour_coeff(
-                lambda ts: [t * kernels.hurwitz_zeta(t + 1.0, a, cfg) for t in ts.tolist()],
-                kernels._CONTOUR_RADIUS, cfg.contour_points, (r,))
-            rhs = -math.factorial(r) * coeff
+            # from raw samples on a circle, without the pole-subtracted kernel
+            rhs = -math.factorial(r) * _trapezoid_coeff(
+                lambda t: t * kernels.hurwitz_zeta(t + 1.0, a, cfg), r)
             return lhs, rhs
         return run
 
@@ -277,9 +276,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             pairs = []
             for s, a in ((-0.5, 0.6), (-1.5, 1.1)):
-                lhs = _diff5(lambda x: calculus.antiderivative_eval(r, s, x, fine),
+                lhs = _diff5(lambda x: calculus.antiderivative_eval(r, s, x, cfg),
                              a, _fd_step(a))
-                rhs = kernels.hurwitz_zeta_deriv(r, s, a, fine)
+                rhs = kernels.hurwitz_zeta_deriv(r, s, a, cfg)
                 pairs.append((lhs, rhs))
             return _worst_pair(pairs)
         return run
@@ -310,9 +309,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
     def _cor2_psi():
         pairs = []
         for a in (0.5, 1.0, 1.5):
-            lhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(1, 0.0, x, fine),
+            lhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(1, 0.0, x, cfg),
                          a, _fd_step(a))
-            pairs.append((lhs, complex(kernels.digamma(a, fine))))
+            pairs.append((lhs, complex(kernels.digamma(a))))
         return _worst_pair(pairs)
 
     add("cor2_psi_link", "d/da zeta'(0,a) = psi(a)", "Corollary 2", 1e-7, _cor2_psi)
@@ -320,9 +319,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
     def _cor2_second():
         pairs = []
         for a in (0.5, 1.0, 1.5):
-            lhs = _diff2_5(lambda x: kernels.hurwitz_zeta_deriv(1, 0.0, x, fine),
+            lhs = _diff2_5(lambda x: kernels.hurwitz_zeta_deriv(1, 0.0, x, cfg),
                            a, 0.01 * min(1.0, a))
-            pairs.append((lhs, kernels.hurwitz_zeta(2.0, a, fine)))
+            pairs.append((lhs, kernels.hurwitz_zeta(2.0, a, cfg)))
         return _worst_pair(pairs)
 
     add("cor2_second_link", "d^2/da^2 zeta'(0,a) = zeta(2,a)",
@@ -331,9 +330,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
     def _cor2_gamma1():
         pairs = []
         for a in (0.5, 1.0):
-            lhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(2, 0.0, x, fine),
+            lhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(2, 0.0, x, cfg),
                          a, _fd_step(a))
-            pairs.append((lhs, -2.0 * kernels.stieltjes(1, a, fine)))
+            pairs.append((lhs, -2.0 * kernels.stieltjes(1, a, cfg)))
         return _worst_pair(pairs)
 
     add("cor2_gamma1_link", "d/da zeta''(0,a) = -2 gamma_1(a)",
@@ -352,7 +351,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     add("cor2_euler", "psi(1) = -gamma_0(1), Euler's constant",
         "Corollary 2", 1e-9,
-        lambda: (complex(kernels.digamma(1.0, cfg)), -kernels.stieltjes(0, 1.0, cfg)))
+        lambda: (complex(kernels.digamma(1.0)), -kernels.stieltjes(0, 1.0, cfg)))
 
     # -- Corollary 3: the improper integral on [1, inf) ----------------------
 
@@ -363,7 +362,8 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             # [1, A] onto (0, 1): the integral is (A-1) times the mapped one
             width = big_a - 1.0
             quad = tanh_sinh_01(
-                lambda xs: _deriv_at_nodes(r, s, 1.0 + width * xs, cfg), 5e-9 / width)
+                _per_node(lambda a: kernels.hurwitz_zeta_deriv(r, s, 1.0 + width * a, cfg)),
+                5e-9 / width)
             rhs = width * quad.value - calculus.antiderivative_eval(r, s, big_a, cfg)
             return lhs, rhs
         return run
@@ -398,7 +398,8 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             vals = []
             for s in (-1.5, 0.3):
-                q = tanh_sinh_01(lambda xs: _deriv_at_nodes(r, s, xs, cfg), 1e-8)
+                q = tanh_sinh_01(
+                    _per_node(lambda a: kernels.hurwitz_zeta_deriv(r, s, a, cfg)), 1e-8)
                 vals.append(q.value)
             return max(vals, key=abs), 0j
         return run
@@ -503,11 +504,10 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
                 for m in ms:
                     prod = prod * zeta_neg_int_poly(m)
 
-                def integrand(xs, _p=prod, _s=s) -> list[complex]:
-                    return [_p.evaluate_complex(a) * z for a, z in
-                            zip(xs.tolist(), _deriv_at_nodes(r, _s, xs, cfg))]
+                def integrand(a: float, _p=prod, _s=s) -> complex:
+                    return _p.evaluate_complex(a) * kernels.hurwitz_zeta_deriv(r, _s, a, cfg)
 
-                rhs = tanh_sinh_01(integrand, 1e-9).value
+                rhs = tanh_sinh_01(_per_node(integrand), 1e-9).value
                 pairs.append((lhs, rhs))
             return _worst_pair(pairs)
         return run
@@ -663,13 +663,13 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     add("pole_psi_simple", "eps psi(eps) -> -1 via the recurrence",
         "pole structure in alpha", 1e-3,
-        lambda: (complex(1e-4 * (kernels.digamma(1.0 + 1e-4, cfg) - 1.0 / 1e-4)),
+        lambda: (complex(1e-4 * (kernels.digamma(1.0 + 1e-4) - 1.0 / 1e-4)),
                  complex(-1.0)))
 
     def _pole_psi_trend():
         devs = []
         for e in (1e-2, 1e-3, 1e-4):
-            psi_eps = kernels.digamma(1.0 + e, cfg) - 1.0 / e
+            psi_eps = kernels.digamma(1.0 + e) - 1.0 / e
             devs.append(abs(e * psi_eps + 1.0))
         return _indicator(devs[0] > 5 * devs[1] > 25 * devs[2])
 
@@ -678,7 +678,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     def _pole_psi_chain():
         a, h = 0.5, 1e-4
-        lhs = (kernels.digamma(a + h, cfg) - kernels.digamma(a - h, cfg)) / (2 * h)
+        lhs = (kernels.digamma(a + h) - kernels.digamma(a - h)) / (2 * h)
         rhs = calculus.psi_chain(1, a, cfg)
         return complex(lhs), rhs
 
@@ -826,8 +826,7 @@ def _render_json(results: Sequence[CheckResult], cfg: PrecisionConfig) -> str:
     doc = {
         # the fixed policy too, so the report records what its numbers rest on
         "config": {**asdict(cfg), "em_cutoff": kernels._EM_CUTOFF,
-                   "em_tail_terms": kernels._EM_TAIL_TERMS,
-                   "contour_radius": kernels._CONTOUR_RADIUS},
+                   "em_tail_terms": kernels._EM_TAIL_TERMS},
         "summary": {"passed": passed, "failed": failed, "skipped": skipped},
         "checks": [
             {

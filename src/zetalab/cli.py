@@ -54,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "zeta kernels, and a verified identity suite.")
     parser.add_argument("--precision-target", type=float, default=None,
                         metavar="REAL", help="absolute accuracy target")
-    parser.add_argument("--contour-points", type=int, default=None, metavar="INT",
-                        help="contour sample count (power of two)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", help="Bernoulli number or polynomial, exact")
@@ -92,12 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> PrecisionConfig:
-    kwargs = {}
-    if args.precision_target is not None:
-        kwargs["target_abs_error"] = args.precision_target
-    if args.contour_points is not None:
-        kwargs["contour_points"] = args.contour_points
-    return PrecisionConfig(**kwargs)
+    if args.precision_target is None:
+        return PrecisionConfig()
+    return PrecisionConfig(target_abs_error=args.precision_target)
 
 
 def _require(value, flag: str):
@@ -109,9 +104,9 @@ def _require(value, flag: str):
 def _run_eval(args, cfg: PrecisionConfig) -> str:
     fn = args.fn
     if fn == "gamma":
-        return format_complex(kernels.gamma_complex(_require(args.s, "--s"), cfg))
+        return format_complex(kernels.gamma_complex(_require(args.s, "--s")))
     if fn == "digamma":
-        return format_complex(complex(kernels.digamma(_require(args.alpha, "--alpha"), cfg)))
+        return format_complex(complex(kernels.digamma(_require(args.alpha, "--alpha"))))
     if fn == "stieltjes":
         return format_complex(kernels.stieltjes(args.deriv, _require(args.alpha, "--alpha"), cfg))
     if fn == "zeta":

@@ -11,30 +11,21 @@ constants.  For Re s < 1/2 the head length is shrunk so the head/integral
 cancellation cannot eat the absolute accuracy target; the correction sum
 always stops at its smallest term (optimal truncation).
 
-s-derivatives of any order share one kernel: trapezoidal (Cauchy) contour
-differentiation on a circle around s.  One set of contour samples per point
-serves every order a caller needs at that point: each Taylor coefficient is
-one dot product of the same samples.  Stieltjes constants gamma_n(a) are the
-Taylor coefficients at 0 of g(t) = zeta(1+t, a) - 1/t, where g is evaluated in
-subtracted form: the Euler-Maclaurin integral term minus the pole is
-expm1(-t*log(M+a))/t, which is stable uniformly in t.  Doing the subtraction
-on finished zeta values instead would lose all precision near t = 0.
+s-derivatives of any order come from the same sum taken as a power series in
+t at s + t (Taylor mode, Johansson, arXiv:1309.2877 sections 2-3): every
+piece has a closed-form series, so one pass over the head gives the Taylor
+coefficients a_0..a_R of zeta(s+t, a), and zeta^(r)(s, a) = r! a_r.
+Stieltjes constants gamma_n(a) are the coefficients at s = 1 of
+g(t) = zeta(1+t, a) - 1/t, where the integral term minus the pole is the
+series of expm1(-t*log(M+a))/t.  Subtracting the pole from finished zeta
+values instead would lose all precision near t = 0.
 
-Euler-Maclaurin has two forms with the same head length, correction count
-and truncation policy.  A single point (``hurwitz_zeta``, and so
-``riemann_zeta`` and order 0 of the derivatives) runs the scalar pure-Python
-form: for one point numpy's per-call overhead costs about six times the whole
-loop.  Every caller that needs many points at once runs the numpy batch, an
-M x K array of head terms and a J x K array of corrections, each point
-keeping its own M and J; the batch takes the pole-subtracted form by a flag.
-The K samples of a contour (derivatives of order >= 1, ``stieltjes``) are one
-batch row.  Up to 256 rows of contour points share one batch, and each row is
-computed exactly as it would be alone: the contours of several alphas around
-the same s (a quadrature level's nodes), or of alpha = 1 around several
-centres, each on its own circle (the shifts s - k of a moment integral's
-reduction).  ``hurwitz_taylor`` takes its zeta(s+n, k), n = 0, 1, ..., as
-one row at alpha = k per chunk of n; an entry the batch leaves non-finite is
-taken again from the scalar form, which retries it or refuses it.
+Order 0 is always the scalar pure-Python sum (``hurwitz_zeta``).
+``hurwitz_taylor`` needs zeta(s+n, k) for n = 0, 1, ... at once and takes
+them from a numpy batch of one row at alpha = k, an M x K array of head terms
+and a J x K array of corrections, each point keeping its own M and J; an
+entry the batch leaves non-finite is taken again from the scalar form, which
+retries it or refuses it.
 
 The README lists where, measured against mpmath, values miss the accuracy
 target without warning.
@@ -43,7 +34,6 @@ target without warning.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -71,27 +61,26 @@ __all__ = [
 
 _MACH_EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
-# The fixed numerical policy: Euler-Maclaurin head length M, correction count
-# J, Cauchy contour radius.  Read at call time, so a test may monkeypatch them.
+# The fixed numerical policy: Euler-Maclaurin head length M and correction
+# count J; s-derivatives are refused within _POLE_GUARD of the pole at s = 1.
+# Read at call time, so a test may monkeypatch them.
 _EM_CUTOFF = 25
 _EM_TAIL_TERMS = 12
-_CONTOUR_RADIUS = 0.5
+_POLE_GUARD = 0.5
+# The highest s-derivative order of the kernels.
+_MAX_ORDER = 6
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """The accuracy settings a caller may vary; the rest is fixed above.
+    """The accuracy setting a caller may vary; the rest is fixed above.
 
-    contour_points   sample count K on the contour (power of two)
     target_abs_error absolute accuracy target for moderate-size values
     """
 
-    contour_points: int = 32
     target_abs_error: float = 1e-11
 
     def __post_init__(self):
-        if self.contour_points < 16 or self.contour_points & (self.contour_points - 1):
-            raise ValueError("contour_points must be a power of two >= 16")
         if self.target_abs_error < 1e-13:
             raise ValueError("target_abs_error must be >= 1e-13 at double precision")
 
@@ -150,7 +139,7 @@ _LANCZOS_C = (
 )
 
 
-def gamma_complex(z: complex, config: PrecisionConfig | None = None) -> complex:
+def gamma_complex(z: complex) -> complex:
     """Gamma(z) by the Lanczos approximation, reflection for Re z < 1/2."""
     z = complex(z)
     if cmath.isnan(z):
@@ -163,7 +152,7 @@ def gamma_complex(z: complex, config: PrecisionConfig | None = None) -> complex:
                 raise PoleProximityError(f"gamma pole at non-positive integer near {z!r}")
             # Gamma(z) Gamma(1-z) = pi / sin(pi z)
             return _require_finite(
-                math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z, config)),
+                math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z)),
                 "gamma reflection")
         w = z - 1.0
         acc = complex(_LANCZOS_C[0])
@@ -184,12 +173,14 @@ def gamma_complex(z: complex, config: PrecisionConfig | None = None) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _em_head_length(s: complex, alpha: float, cfg: PrecisionConfig) -> int:
+def _em_head_length(s: complex, alpha: float, cfg: PrecisionConfig,
+                    growth: float = 1.0) -> int:
     """Head length M: _EM_CUTOFF, shrunk when Re s < 1/2 to keep the
-    head/integral cancellation below the absolute accuracy target."""
+    head/integral cancellation, taken ``growth`` times, below the absolute
+    accuracy target."""
     m = _EM_CUTOFF
     if s.real < 0.5:
-        cap = (cfg.target_abs_error / (5.0 * _MACH_EPS)) ** (1.0 / (1.0 - s.real))
+        cap = (cfg.target_abs_error / (5.0 * _MACH_EPS * growth)) ** (1.0 / (1.0 - s.real))
         m = min(m, max(2, int(round(cap - alpha)) + 1))
     return m
 
@@ -203,11 +194,10 @@ def _em_tail_terms(s: complex) -> int:
     return min(j, len(_B2J_OVER_FACT))
 
 
-def _em_lengths(s: np.ndarray, alpha: np.ndarray,
+def _em_lengths(s: np.ndarray, alpha: float,
                 cfg: PrecisionConfig) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_em_head_length` and :func:`_em_tail_terms` at every point of
-    the complex array ``s``, as two integer arrays (M, J): M for every alpha
-    of ``alpha`` broadcast against ``s``, J for the points alone.
+    the complex array ``s``, as two integer arrays (M, J).
 
     The cap is taken by ``np.float_power``, which calls the C library's pow
     as Python's ``**`` does; ``np.power`` may differ from it by an ulp, and
@@ -291,67 +281,52 @@ def _em_hurwitz(s: complex, alpha: float, cfg: PrecisionConfig,
     return value
 
 
-def _em_hurwitz_batch(s: np.ndarray, alphas, cfg: PrecisionConfig,
-                      minus_pole: bool = False) -> np.ndarray:
-    """:func:`_em_hurwitz` on the grid ``alphas`` x ``s``: row i holds the
-    values at every point of the 1-D array ``s`` for alpha = alphas[i].  A
-    2-D ``s`` gives each alpha its own points instead: row i of the result
-    is alpha = alphas[i] at the points of row i of ``s``.
+def _em_hurwitz_batch(s: np.ndarray, alpha: float, cfg: PrecisionConfig) -> np.ndarray:
+    """:func:`_em_hurwitz` at every point of the 1-D complex array ``s``.
 
-    With ``minus_pole`` the points are t and the value is
-    zeta(1+t, alpha) - 1/t, the pole removed inside the integral term:
-    (M+a)^(1-s)/(s-1) - 1/t = expm1(-t log(M+a))/t.  t = 0 is not allowed.
-    Every (alpha, point) pair keeps its own head length M and correction
-    count J, and its value does not depend on the other pairs; overflow
-    yields non-finite entries, never a warning.  The head terms and the
-    corrections are laid out with the term index first, so each running sum
-    or product runs over all pairs at once.
+    Every point keeps its own head length M and correction count J, and its
+    value does not depend on the other points; overflow yields non-finite
+    entries, never a warning.  The head terms and the corrections are laid
+    out with the term index first, so each running sum or product runs over
+    all points at once.
     """
-    alphas = [float(a) for a in alphas]
-    t = np.asarray(s, dtype=complex)
-    s = 1.0 + t if minus_pole else t
-    alpha = np.array(alphas)[:, None]
-    m, j = _em_lengths(s, alpha, cfg)  # M per pair, J per point of s
+    s = np.asarray(s, dtype=complex)
+    alpha = float(alpha)
+    m, j = _em_lengths(s, alpha, cfg)  # M and J per point
     width = m.max()
     # logarithms from math.log, as in the scalar core: numpy's vectorised log
-    # may differ by an ulp, which s*log(M+a) amplifies.  One row per alpha,
-    # up to n = width so that it also holds log(M+a) for every M.
-    log_n = np.array([list(map(math.log, row))
-                      for row in (np.arange(width + 1) + alpha).tolist()])
-    # the alpha and point index of every pair, to read off its own M-th or cut entry
-    rows, cols = np.arange(len(alphas))[:, None], np.arange(s.shape[-1])
+    # may differ by an ulp, which s*log(M+a) amplifies.  Up to n = width, so
+    # that it also holds log(M+a) for every M.
+    log_n = np.array(list(map(math.log, (np.arange(width + 1) + alpha).tolist())))
+    cols = np.arange(len(s))  # to read off each point's own M-th or cut entry
     with np.errstate(all="ignore"):
         # (n+a)^-s as modulus and phase, as the scalar complex power forms it,
         # summed in the scalar's order: running sums over n, read off at M-1
-        modulus = np.power((np.arange(width)[:, None] + alpha.T)[:, :, None], -s.real)
-        phase = -s.imag * log_n.T[:width, :, None]
+        modulus = np.power((np.arange(width) + alpha)[:, None], -s.real)
+        phase = -s.imag * log_n[:width, None]
         powers = 1j * (np.sin(phase) * modulus)
         powers += np.cos(phase, out=phase) * modulus
-        head = powers.cumsum(axis=0, out=powers)[m - 1, rows, cols]
+        head = powers.cumsum(axis=0, out=powers)[m - 1, cols]
         big_t = m + alpha
-        log_t = log_n[rows, m]
+        log_t = log_n[m]
         t_ms = np.exp(-s * log_t)  # (M+a)^-s
-        if minus_pole:
-            integral = np.expm1(-t * log_t) / t
-        else:
-            integral = t_ms * big_t / (s - 1.0)
+        integral = t_ms * big_t / (s - 1.0)
         # Bernoulli corrections B_{2j}/(2j)! (s)_{2j-1} (M+a)^(-s-2j+1), each
         # the previous one times (s+2j-1)(s+2j)/(M+a)^2, cut at the smallest
         depth = j.max()
-        ks = 2.0 * np.arange(1, depth)[:, None, None]
+        ks = 2.0 * np.arange(1, depth)[:, None]
         steps = (s + ks - 1.0) * (s + ks) / (big_t * big_t)
         first = s * t_ms / big_t
-        terms = _B2J_OVER_FACT_ARRAY[:depth, None, None] * np.concatenate(
+        terms = _B2J_OVER_FACT_ARRAY[:depth, None] * np.concatenate(
             (first[None], steps)).cumprod(axis=0)
         acc = terms.cumsum(axis=0)
-        mags = np.where(np.arange(depth)[:, None, None] < j, np.abs(terms), np.inf)
+        mags = np.where(np.arange(depth)[:, None] < j, np.abs(terms), np.inf)
         # the last smallest term; keep the sum there only when the final term
         # has clearly re-entered asymptotic growth (see _em_tail)
         at_min = depth - 1 - mags[::-1].argmin(axis=0)
         last = j - 1
-        cut = np.where(mags[last, rows, cols] > 10.0 * mags[at_min, rows, cols],
-                       at_min, last)
-        return head + integral + 0.5 * t_ms + acc[cut, rows, cols]
+        cut = np.where(mags[last, cols] > 10.0 * mags[at_min, cols], at_min, last)
+        return head + integral + 0.5 * t_ms + acc[cut, cols]
 
 
 def hurwitz_zeta(s: complex, alpha: float,
@@ -375,137 +350,163 @@ def riemann_zeta(s: complex, config: PrecisionConfig | None = None) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Contour (Cauchy) differentiation
+# Taylor-mode Euler-Maclaurin: every s-derivative from one sum
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _twiddle(points: int, n: int) -> np.ndarray:
-    """exp(-i n theta) at the ``points`` angles theta = 2 pi k / points, as a
-    read-only array; n = -1 gives the unit circle the samples sit on."""
-    w = np.exp(-1j * n * (_TWO_PI * np.arange(points) / points))
-    w.flags.writeable = False
-    return w
+def _em_jet(s: complex, alpha: float, order: int, cfg: PrecisionConfig,
+            minus_pole: bool = False) -> list[complex]:
+    """Taylor coefficients a_0..a_order of zeta(s+t, alpha) in t.
 
+    Each Euler-Maclaurin piece is a closed-form series in t, with
+    L = log(M+a) and e^(-tL) = sum_k (-L)^k t^k / k!:
 
-def _contour_coeff(f, rho, points: int, orders) -> list[list[complex]]:
-    """Taylor coefficients a_n about 0, for each n in ``orders``, of every
-    function sampled by ``f`` on |t| = rho: one list per function.
+      head        sum_n (n+a)^-s (-log(n+a))^k / k!
+      integral    (M+a)^(1-s) e^(-tL) / ((s-1) + t)
+      half term   (M+a)^-s e^(-tL) / 2
+      corrections sum_j B_{2j}/(2j)! (s+t)_{2j-1} (M+a)^(1-s-2j) e^(-tL),
+                  cut where the order-0 term is smallest, as in _em_tail
 
-    ``rho`` is one radius for every function, and ``f`` then maps the 1-D
-    array of the ``points`` sample points to their values, one row per
-    function (a 1-D result is one function).  Or ``rho`` is a list of one
-    radius per function, and ``f`` maps the 2-D array whose row i holds the
-    points on |t| = rho[i] to the same rows.  Each a_n is one dot product of
-    a row with exp(-i n theta), never a matrix product, so it depends neither
-    on the other rows nor on which other orders are asked for.
+    With ``minus_pole`` s must be 1, and the series is zeta(1+t, a) - 1/t:
+    the integral term minus the pole is expm1(-tL)/t.  For Re s < 1/2 the
+    k-th coefficient's head/integral cancellation is L^k/k! times the
+    value's, so M allows for the largest such factor up to _MAX_ORDER; M
+    does not depend on ``order``, so neither does any coefficient.  Overflow
+    yields non-finite coefficients, never an exception.
     """
-    circle = _twiddle(points, -1)
-    per_row = isinstance(rho, list)
-    with np.errstate(all="ignore"):  # overflow leaves non-finite samples
-        samples = np.atleast_2d(f(np.array(rho)[:, None] * circle if per_row
-                                  else rho * circle))
-        radii = rho if per_row else [rho] * len(samples)
-        twiddles = [(n, _twiddle(points, n)) for n in orders]
-        return [[complex(np.dot(row, twiddle)) / (points * radius ** n)
-                 for n, twiddle in twiddles]
-                for row, radius in zip(samples, radii)]
+    size = order + 1
+    try:
+        m = _em_head_length(s, alpha, cfg)
+        if s.real < 0.5:
+            log_t = math.log(m + alpha)
+            growth = max(log_t ** k / factorial(k) for k in range(_MAX_ORDER + 1))
+            # shrunk no further than M + a = 0.6 |Im s|: below that the
+            # corrections stop converging before they are small (measured)
+            m = max(_em_head_length(s, alpha, cfg, growth),
+                    int(min(m, 0.6 * abs(s.imag) - alpha + 1.0)))
+        # sum_n (n+a)^-s (-log(n+a))^k, one order at a time; the 1/k! comes
+        # at the end
+        xs = [n + alpha for n in range(m)]
+        logs = list(map(math.log, xs))
+        neg_re, neg_im = -s.real, -s.imag
+        terms = [cmath.rect(x ** neg_re, neg_im * log_x) for x, log_x in zip(xs, logs)]
+        head = [sum(terms)]
+        for _ in range(order):
+            terms = [term * -log_x for term, log_x in zip(terms, logs)]
+            head.append(sum(terms))
+        big_t = m + alpha
+        log_t = math.log(big_t)
+        # the series of e^(-tL), one term beyond ``order``
+        decay = [(-log_t) ** k / factorial(k) for k in range(size + 1)]
+        t_ms = cmath.exp(-s * log_t)  # (M+a)^-s
+        if minus_pole:
+            integral = decay[1:]  # expm1(-tL)/t
+        else:
+            integral, prev, inv_d, big_t_ms = [], 0j, 1.0 / (s - 1.0), t_ms * big_t
+            for k in range(size):  # ((s-1) + t) f = (M+a)^(1-s) e^(-tL)
+                prev = (big_t_ms * decay[k] - prev) * inv_d
+                integral.append(prev)
+        tail = _jet_tail(s, big_t, size)
+        tail[0] += 0.5  # the half term
+        return [head[k] / factorial(k) + integral[k]
+                + t_ms * sum(tail[i] * decay[k - i] for i in range(k + 1))
+                for k in range(size)]
+    except (OverflowError, ZeroDivisionError, ValueError):
+        # a power, exponential, modulus or head length beyond the float
+        # range, or an infinite phase
+        return [complex(math.nan, math.nan)] * size
 
 
-# At most this many Euler-Maclaurin rows (contours x contour points) go into
-# one numpy batch, which bounds its memory when many contours share a batch.
-_BATCH_ROWS = 256
+def _jet_tail(s: complex, big_t: float, size: int) -> list[complex]:
+    """The Taylor coefficients up to t^(size-1) of
+    sum_{j<=J} B_{2j}/(2j)! (s+t)_{2j-1} (M+a)^(1-2j), with M + a = ``big_t``
+    and J cut where the order-0 term is smallest, as :func:`_em_tail` cuts.
+
+    The cut comes from the order-0 magnitudes alone; then the sum is taken in
+    nested form, u (c_1 + (u+1)(u+2) (c_2 + (u+3)(u+4) (c_3 + ...))) at
+    u = s + t, one quadratic factor per correction.
+    """
+    weights = []
+    weight, inv_t2, poch, min_mag = 1.0 / big_t, 1.0 / (big_t * big_t), s, math.inf
+    for j in range(1, _em_tail_terms(s) + 1):
+        c = _B2J_OVER_FACT[j - 1] * weight
+        weights.append(c)
+        mag = abs(c * poch)
+        if mag <= min_mag:
+            min_mag, cut = mag, j
+        weight *= inv_t2
+        poch *= (s + (2 * j - 1)) * (s + 2 * j)
+    if not mag > 10.0 * min_mag:
+        cut = j
+    # two leading zeros stand for the coefficients of t^-2 and t^-1
+    g = [0j, 0j, weights[cut - 1]] + [0j] * (size - 1)
+    for j in range(cut - 1, 0, -1):
+        a = s + (2 * j - 1)
+        q0, q1 = a * (a + 1.0), 2.0 * a + 1.0  # (u + 2j - 1)(u + 2j) = q0 + q1 t + t^2
+        g = [0j, 0j, q0 * g[2] + weights[j - 1]] + [
+            q0 * g[k] + q1 * g[k - 1] + g[k - 2] for k in range(3, size + 2)]
+    return [s * g[k] + g[k - 1] for k in range(2, size + 2)]
 
 
-def _contour_radius(s: complex) -> float:
-    """_CONTOUR_RADIUS, shrunk to half the distance to the pole."""
-    return min(_CONTOUR_RADIUS, 0.5 * abs(s - 1.0))
-
-
-def _hurwitz_rows(orders, centres, alphas, cfg: PrecisionConfig) -> list:
+def _hurwitz_rows(orders, points, alphas, cfg: PrecisionConfig) -> list:
     """zeta^(n)(s, a) for each n in ``orders`` at each point (s, a) of the
-    sequences ``centres`` and ``alphas``: one entry per point, in order.
+    sequences ``points`` and ``alphas``: one entry per point, in order.
 
     An entry is the dict {n: value} of its orders, or the EvaluationError
     that refuses its point; nothing is raised.  Order 0 comes from the scalar
-    core; every order >= 1 from one contour per point, the contours of up to
-    _BATCH_ROWS sample rows running as one batch, each on its own circle.
-    Contour values are left unchecked: a non-finite one is the caller's to
-    refuse, in its own order.
+    core; every order >= 1 from one Taylor-mode sum per point.  Those values
+    are left unchecked: a non-finite one is the caller's to refuse, in its
+    own order.
     """
-    centres = [complex(s) for s in centres]
-    shared = len(set(centres)) == 1  # one centre: every row on the same circle
     higher = [n for n in orders if n > 0]
     rows: list = []
-    for centre, alpha in zip(centres, alphas):
-        alpha = float(alpha)
+    for s, alpha in zip(points, alphas):
+        s, alpha = complex(s), float(alpha)
         try:
-            row = {0: hurwitz_zeta(centre, alpha, cfg)} if 0 in orders else {}
+            row = {0: hurwitz_zeta(s, alpha, cfg)} if 0 in orders else {}
             if higher:
-                _check_contour(centre, alpha)
+                _check_pole_guard(s, alpha)
+                jet = _em_jet(s, alpha, max(higher), cfg)
+                for n in higher:
+                    row[n] = factorial(n) * jet[n]
         except EvaluationError as exc:
             row = exc
         rows.append(row)
-    live = [i for i, row in enumerate(rows) if higher and isinstance(row, dict)]
-    step = max(1, _BATCH_ROWS // cfg.contour_points)
-    for start in range(0, len(live), step):
-        chunk = live[start:start + step]
-        chunk_alphas = [alphas[i] for i in chunk]
-        if shared:
-            centre = centres[0]
-            coeffs = _contour_coeff(
-                lambda t: _em_hurwitz_batch(centre + t, chunk_alphas, cfg),
-                _contour_radius(centre), cfg.contour_points, higher)
-        else:
-            at = np.array([centres[i] for i in chunk])[:, None]
-            coeffs = _contour_coeff(
-                lambda t: _em_hurwitz_batch(at + t, chunk_alphas, cfg),
-                [_contour_radius(centres[i]) for i in chunk],
-                cfg.contour_points, higher)
-        for i, row_coeffs in zip(chunk, coeffs):
-            for n, coeff in zip(higher, row_coeffs):
-                rows[i][n] = factorial(n) * coeff
     return rows
 
 
-def _hurwitz_derivs(orders, s: complex, alphas,
-                    cfg: PrecisionConfig) -> list[list[complex]]:
-    """zeta^(n)(s, a) for each n in ``orders`` and each a in the sequence
-    ``alphas``: one list per alpha, in the order of ``orders``.
-
-    The values of :func:`_hurwitz_rows` about one centre; errors are those
-    of taking the alphas one after another: the first that fails raises.
-    """
-    out = []
-    for row in _hurwitz_rows(orders, [s] * len(alphas), alphas, cfg):
-        if isinstance(row, EvaluationError):
-            raise row
-        out.append([_require_finite(row[n], "hurwitz_zeta_deriv") for n in orders])
-    return out
+def _hurwitz_derivs(orders, s: complex, alpha: float,
+                    cfg: PrecisionConfig) -> list[complex]:
+    """zeta^(n)(s, alpha) for each n in ``orders``, in that order: the values
+    of :func:`_hurwitz_rows` at one point, its refusal raised."""
+    row, = _hurwitz_rows(orders, (s,), (alpha,), cfg)
+    if isinstance(row, EvaluationError):
+        raise row
+    return [_require_finite(row[n], "hurwitz_zeta_deriv") for n in orders]
 
 
-def _check_contour(s: complex, alpha: float) -> None:
-    """Refuse a NaN, an alpha <= 0 and a contour around s that meets the pole."""
+def _check_pole_guard(s: complex, alpha: float) -> None:
+    """Refuse a NaN, an alpha <= 0 and an s within _POLE_GUARD of the pole."""
     if cmath.isnan(s) or math.isnan(alpha):
         raise DomainError(
             f"hurwitz_zeta_deriv got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
     if alpha <= 0.0:
         raise DomainError("hurwitz_zeta_deriv requires alpha > 0")
-    if abs(s - 1.0) <= _CONTOUR_RADIUS + 1e-10:
+    if abs(s - 1.0) <= _POLE_GUARD + 1e-10:
         raise PoleProximityError(
-            f"contour of radius {_CONTOUR_RADIUS} around s={s!r} meets the pole at 1")
+            f"s={s!r} is within {_POLE_GUARD} of the pole at 1")
 
 
 def hurwitz_zeta_deriv(r: int, s: complex, alpha: float,
                        config: PrecisionConfig | None = None) -> complex:
     """r-th partial s-derivative of zeta(s, alpha), r <= 6.
 
-    Trapezoidal contour differentiation on a circle around s; the radius
-    shrinks to half the distance to the pole at s = 1 when necessary.
+    r! times the r-th Taylor coefficient of one Euler-Maclaurin sum taken
+    as a power series in s; refused within 1/2 of the pole at s = 1.
     """
-    if not 0 <= r <= 6:
-        raise ValueError("derivative order must be in 0..6")
-    return _hurwitz_derivs((r,), s, (alpha,), config or DEFAULT_CONFIG)[0][0]
+    if not 0 <= r <= _MAX_ORDER:
+        raise ValueError(f"derivative order must be in 0..{_MAX_ORDER}")
+    return _hurwitz_derivs((r,), s, alpha, config or DEFAULT_CONFIG)[0]
 
 
 def riemann_zeta_deriv(r: int, s: complex,
@@ -535,13 +536,10 @@ def stieltjes(n: int, alpha: float, config: PrecisionConfig | None = None) -> co
         raise DomainError("stieltjes requires alpha > 0")
     if n == -1:
         return complex(1.0)
-    (coeff,), = _contour_coeff(
-        lambda t: _em_hurwitz_batch(t, (alpha,), cfg, minus_pole=True),
-        _CONTOUR_RADIUS, cfg.contour_points, (n,))
-    return _require_finite(coeff, "stieltjes")
+    return _require_finite(_em_jet(1.0 + 0j, alpha, n, cfg, minus_pole=True)[n], "stieltjes")
 
 
-def digamma(alpha: float, config: PrecisionConfig | None = None) -> float:
+def digamma(alpha: float) -> float:
     """psi(alpha) = Gamma'/Gamma for real alpha > 0.
 
     Upward recurrence psi(a+1) = psi(a) + 1/a until the argument is large,
@@ -630,7 +628,7 @@ def hurwitz_taylor(s: complex, alpha: complex, k: int,
     small_run = 0
     for start in range(0, _TAYLOR_TERMS, chunk):
         u = s + np.arange(start, min(start + chunk, _TAYLOR_TERMS))
-        row = _em_hurwitz_batch(u, (k,), cfg)[0]
+        row = _em_hurwitz_batch(u, k, cfg)
         # entries the scalar core would refuse or retry in exp/log form are
         # taken from it when the series reaches them
         rescalar = (~np.isfinite(row) | (np.abs(u - 1.0) <= 1e-10)).tolist()

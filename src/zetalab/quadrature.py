@@ -11,9 +11,9 @@ integral is (b - a) times that of f(a + (b - a) x) over (0, 1), with the
 tolerance divided by b - a.
 
 The integrand is vectorised over a level: it receives the 1-D float array of
-the level's new nodes and returns one value per node, so a costly integrand
-(a contour derivative at every node's alpha) can evaluate a whole level as
-one batch.  A scalar g goes in as ``lambda xs: [g(x) for x in xs.tolist()]``.
+the level's new nodes and returns one value per node, so an integrand can
+evaluate a whole level in one call.  A scalar g goes in as
+``lambda xs: [g(x) for x in xs.tolist()]``.
 The values are accumulated one by one in node order, so the result depends
 only on the samples, not on how the integrand computed them.
 

@@ -358,10 +358,9 @@ def eval_combination(lc: LinearCombination, s: complex,
     """Numeric value of a reduction at the point s.
 
     Atoms of order 0 take the scalar zeta(s - k).  Every atom of order 1..6
-    takes its value from one contour about s - k per shift, the contours of
-    all shifts sampled together, 8 shifts per numpy batch at 32 points; each
-    order is one dot product of its shift's samples, so every value equals
-    its one-atom contour.  The sum runs in atom order.
+    takes its value from one Taylor-mode Euler-Maclaurin sum about s - k per
+    shift, which serves all orders of that shift; every value equals its
+    one-atom evaluation.  The sum runs in atom order.
 
     Refuses s within 1e-8 of an integer coefficient pole (the shifts, for a
     reduction), or on any other coefficient pole, and reports which shift is
@@ -378,18 +377,18 @@ def eval_combination(lc: LinearCombination, s: complex,
                 raise PoleProximityError(
                     f"coefficient of {atom} has a pole at s = {root}")
     terms = list(lc.items())
-    contour_orders = sorted({a.deriv_order for a, _ in terms if 1 <= a.deriv_order <= 6})
-    shifts = sorted({a.shift for a, _ in terms if a.deriv_order in contour_orders})
-    contours = dict(zip(shifts, kernels._hurwitz_rows(
-        contour_orders, [s - k for k in shifts], [1.0] * len(shifts), cfg)))
+    jet_orders = sorted({a.deriv_order for a, _ in terms if 1 <= a.deriv_order <= 6})
+    shifts = sorted({a.shift for a, _ in terms if a.deriv_order in jet_orders})
+    jets = dict(zip(shifts, kernels._hurwitz_rows(
+        jet_orders, [s - k for k in shifts], [1.0] * len(shifts), cfg)))
     total = 0j
     for atom, coeff in terms:
         n, k = atom.deriv_order, atom.shift
         try:
             if n == 0:
                 value = kernels.riemann_zeta(s - k, cfg)
-            elif n in contour_orders:
-                row = contours[k]
+            elif n in jet_orders:
+                row = jets[k]
                 if isinstance(row, EvaluationError):
                     raise row
                 value = kernels._require_finite(row[n], "hurwitz_zeta_deriv")
@@ -442,8 +441,8 @@ def pair_integral(s1: complex, s2: complex,
         raise PoleProximityError("zeta factor pole: 2 - s1 - s2 near 1")
     try:
         value = (2.0 * cmath.exp((s1 + s2 - 2.0) * _LOG_TWO_PI)
-                 * kernels.gamma_complex(1.0 - s1, config)
-                 * kernels.gamma_complex(1.0 - s2, config)
+                 * kernels.gamma_complex(1.0 - s1)
+                 * kernels.gamma_complex(1.0 - s2)
                  * cmath.cos(0.5 * math.pi * (s1 - s2))
                  * kernels.riemann_zeta(2.0 - s1 - s2, config))
     except OverflowError:
@@ -474,7 +473,7 @@ def triple_product_integral(s: complex,
     if s.real <= 1.0:
         raise DomainError("triple_product_integral requires Re s > 1")
     term = (2.0 * cmath.exp(-2.0 * s * _LOG_TWO_PI)
-            * kernels.gamma_complex(s, config) ** 2
+            * kernels.gamma_complex(s) ** 2
             * kernels.riemann_zeta(2.0 * s, config))
     zeta_sq = kernels.riemann_zeta(1.0 - s, config) ** 2
     return (term - zeta_sq) / (2.0 * (s - 1.0))

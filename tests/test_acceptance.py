@@ -19,16 +19,12 @@ from zetalab.cli import main
 from zetalab.exact import (RatPoly, bernoulli_number, bernoulli_polynomial,
                            bernoulli_product_integral, poly_eval,
                            poly_integral_01, poly_mul, zeta_neg_int_poly)
-from zetalab.kernels import (PrecisionConfig, digamma, hurwitz_taylor,
-                             hurwitz_zeta, hurwitz_zeta_deriv, riemann_zeta,
-                             stieltjes)
+from zetalab.kernels import (digamma, hurwitz_taylor, hurwitz_zeta,
+                             hurwitz_zeta_deriv, riemann_zeta, stieltjes)
 from zetalab.quadrature import tanh_sinh_01
 from zetalab.reduction import (eval_combination, integral_poly_zeta,
                                pair_integral, pair_limit_weighted,
                                triple_product_integral)
-
-FINE = PrecisionConfig(contour_points=64)
-
 
 def report(n: int, detail: str):
     print(f"criterion {n:2d}: PASS  ({detail})")
@@ -102,8 +98,8 @@ def test_criterion_04_alpha_derivative_rule():
               (2, -1.5, 1.2), (2, 3.0, 0.5)]
     worst = 0.0
     for r, s, a in points:
-        lhs = calculus.alpha_derivative(r, s, a, FINE)
-        rhs = diff5(lambda x: hurwitz_zeta_deriv(r, s, x, FINE),
+        lhs = calculus.alpha_derivative(r, s, a)
+        rhs = diff5(lambda x: hurwitz_zeta_deriv(r, s, x),
                     a, 0.002 * min(1.0, a))
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-6
@@ -114,8 +110,8 @@ def test_criterion_05_stieltjes_chain():
     worst_fd = 0.0
     for r in range(4):
         for a in (0.7, 1.0):
-            lhs = calculus.alpha_derivative_at_zero(r, a, FINE)
-            rhs = diff5(lambda x: hurwitz_zeta_deriv(r, 0.0, x, FINE),
+            lhs = calculus.alpha_derivative_at_zero(r, a)
+            rhs = diff5(lambda x: hurwitz_zeta_deriv(r, 0.0, x),
                         a, 0.002 * min(1.0, a))
             worst_fd = max(worst_fd, abs(lhs - rhs))
     assert worst_fd <= 1e-6

@@ -3,12 +3,12 @@
 Oracles used here: closed forms (pi^2/6, sqrt(pi), -log(2 pi)/2), the exact
 rational module for zeta at non-positive integers, the dyadic identity
 zeta(s, 1/2) = (2^s - 1) zeta(s), lgamma for zeta'(0, a), an accelerated
-alternating series for zeta'(2), finite differences for contour consistency,
-and the Laurent definition for Stieltjes constants.  The numpy batch core
-behind the contours is checked against the scalar core, its alpha x contour
-grid against the single-alpha batch it generalises, and the contour kernels
-against the pure-Python contour loop they replaced, and the Taylor-disc
-series against its form with one scalar zeta call per term.
+alternating series for zeta'(2), finite differences for derivative
+consistency, the Laurent definition for Stieltjes constants, and mpmath
+(optional) for the Taylor-mode derivatives and Stieltjes constants.  The
+numpy batch core behind the Taylor-disc series is checked against the scalar
+core and against the single-alpha batch it was cut down from, and the series
+against its form with one scalar zeta call per term.
 """
 
 import cmath
@@ -172,7 +172,7 @@ class TestDerivatives:
         assert abs(riemann_zeta_deriv(1, 2.0) - zeta_prime_2_oracle()) < 1e-9
 
     @pytest.mark.parametrize("s, a", [(2.5, 0.7), (-0.5, 1.3), (3.0 + 1.0j, 0.4)])
-    def test_contour_vs_central_difference(self, s, a):
+    def test_vs_central_difference(self, s, a):
         h = 1e-5
         fd = (hurwitz_zeta(s + h, a) - hurwitz_zeta(s - h, a)) / (2 * h)
         assert abs(hurwitz_zeta_deriv(1, s, a) - fd) < 1e-6
@@ -185,7 +185,7 @@ class TestDerivatives:
 
     def test_pole_margin_guard(self):
         with pytest.raises(PoleProximityError):
-            hurwitz_zeta_deriv(1, 1.2, 0.7)  # |s-1| < default radius 0.5
+            hurwitz_zeta_deriv(1, 1.2, 0.7)  # |s-1| within the pole guard 0.5
 
     def test_order_bounds(self):
         with pytest.raises(ValueError):
@@ -341,10 +341,12 @@ class TestNaNArguments:
         lambda: hurwitz_taylor(-1e300, 0.5, 2),
         lambda: pair_integral(1e300, 0.2),
         lambda: gamma_complex(-1e300),
+        # the derivative's head length for Re s < 1/2 meets alpha = inf
+        lambda: hurwitz_zeta_deriv(1, 0.3, math.inf),
     ], ids=["re+inf", "re-inf", "im+inf", "im-inf", "re-3_im+inf", "taylor_im+inf",
             "taylor_re-inf", "gamma_re-inf", "gamma_im+inf", "gamma_im800",
             "pair_im800", "pair_re-inf", "taylor_re-1e300", "pair_re1e300",
-            "gamma_re-1e300"])
+            "gamma_re-1e300", "deriv_alpha+inf"])
     def test_infinity_is_not_a_domain_error(self, call):
         with pytest.raises(NumericOverflowError) as info:
             call()
@@ -370,25 +372,22 @@ class TestPoleStructure:
 
 class TestConfig:
     def test_defaults(self):
-        assert DEFAULT_CONFIG.contour_points == 32
         assert DEFAULT_CONFIG.target_abs_error == 1e-11
         assert kernels._EM_CUTOFF == 25 and kernels._EM_TAIL_TERMS == 12
-        assert kernels._CONTOUR_RADIUS == 0.5
+        assert kernels._POLE_GUARD == 0.5
 
-    def test_two_fields(self):
+    def test_one_field(self):
         names = [field.name for field in dataclasses.fields(PrecisionConfig)]
-        assert names == ["contour_points", "target_abs_error"]
+        assert names == ["target_abs_error"]
 
-    @pytest.mark.parametrize("name", ["em_cutoff", "em_tail_terms", "contour_radius"])
-    def test_fixed_policy_is_not_a_field(self, name):
+    @pytest.mark.parametrize("name, value", [
+        ("em_cutoff", 25), ("em_tail_terms", 12), ("pole_guard", 0.5),
+        ("contour_points", 32)])
+    def test_fixed_policy_is_not_a_field(self, name, value):
         with pytest.raises(TypeError):
-            PrecisionConfig(**{name: getattr(kernels, f"_{name.upper()}")})
+            PrecisionConfig(**{name: value})
 
-    @pytest.mark.parametrize("kwargs", [
-        {"contour_points": 24},
-        {"contour_points": 8},
-        {"target_abs_error": 1e-16},
-    ])
+    @pytest.mark.parametrize("kwargs", [{"target_abs_error": 1e-16}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             PrecisionConfig(**kwargs)
@@ -396,8 +395,8 @@ class TestConfig:
     def test_custom_precision_still_accurate(self, monkeypatch):
         monkeypatch.setattr(kernels, "_EM_CUTOFF", 40)
         monkeypatch.setattr(kernels, "_EM_TAIL_TERMS", 14)
-        cfg = PrecisionConfig(contour_points=64)
-        assert abs(riemann_zeta(2.0, cfg) - math.pi ** 2 / 6.0) < 1e-12
+        assert abs(riemann_zeta(2.0) - math.pi ** 2 / 6.0) < 1e-12
+        assert abs(riemann_zeta_deriv(1, 2.0) - zeta_prime_2_oracle()) < 1e-9
 
 
 class TestSerialization:
@@ -412,7 +411,7 @@ class TestSerialization:
 
 
 # ---------------------------------------------------------------------------
-# The numpy Euler-Maclaurin batch behind every contour
+# The numpy Euler-Maclaurin batch behind the Taylor-disc series
 # ---------------------------------------------------------------------------
 
 EPS = 2.220446049250313e-16
@@ -428,7 +427,7 @@ def zeta_bound(value):
 def batch_vs_scalar(points, alpha, cfg, allowance=lambda z, alpha: 0.0):
     """Worst |batch - scalar| over the points, in units of a tenth of the
     README bound plus ``allowance(z, alpha)``."""
-    batch, = kernels._em_hurwitz_batch(np.array(points), (alpha,), cfg)
+    batch = kernels._em_hurwitz_batch(np.array(points), alpha, cfg)
     worst = 0.0
     for z, got in zip(points, batch.tolist()):
         ref = kernels._em_hurwitz(z, alpha, cfg)
@@ -534,13 +533,6 @@ class TestBatchCore:
         for alpha in ALPHAS:
             assert batch_vs_scalar(points, alpha, DEFAULT_CONFIG) <= 1.0
 
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_minus_pole_on_the_stieltjes_circle(self, alpha):
-        got, = kernels._em_hurwitz_batch(CIRCLE, (alpha,), DEFAULT_CONFIG, minus_pole=True)
-        for t, value in zip(CIRCLE.tolist(), got.tolist()):
-            zeta = hurwitz_zeta(1.0 + t, alpha)
-            assert abs(value - (zeta - 1.0 / t)) <= 0.1 * zeta_bound(zeta)
-
     @pytest.mark.parametrize("centre", [2.0 - 200.0j, 2.0 - 300.0j])
     def test_smallest_term_cut(self, centre):
         # The corrections stop shrinking once |s| passes about 2 pi (M + alpha).
@@ -556,7 +548,7 @@ class TestBatchCore:
     def test_overflow_is_non_finite_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, = kernels._em_hurwitz_batch(np.array([-300.0 + 0j, 2.0]), (1e6,),
+            got = kernels._em_hurwitz_batch(np.array([-300.0 + 0j, 2.0]), 1e6,
                                             DEFAULT_CONFIG)
         assert not np.isfinite(got[0]) and np.isfinite(got[1])
 
@@ -581,60 +573,19 @@ class TestBatchCore:
 
 
 # ---------------------------------------------------------------------------
-# Contour kernels against the pure-Python contour loop they replaced
+# Taylor-mode derivatives and Stieltjes constants against mpmath
 # ---------------------------------------------------------------------------
 
 
-def old_contour_coeff(f, rho, points, order):
-    """One pure-Python pass over the circle for one Taylor order."""
-    acc = 0j
-    for k in range(points):
-        theta = 2.0 * math.pi * k / points
-        acc += f(cmath.rect(rho, theta)) * cmath.exp(complex(0.0, -order * theta))
-    return acc / (points * rho ** order)
-
-
-def old_cexpm1(z):
-    x, y = z.real, z.imag
-    if y == 0.0:
-        return complex(math.expm1(x))
-    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
-                   math.exp(x) * math.sin(y))
-
-
-def old_minus_pole(t, alpha, cfg):
-    """The scalar zeta(1+t, alpha) - 1/t that the Stieltjes contour sampled."""
-    s = 1.0 + t
-    m = kernels._EM_CUTOFF
-    head = 0j
-    for n in range(m):
-        head += (n + alpha) ** (-s)
-    big_t = m + alpha
-    log_t = math.log(big_t)
-    t_ms = cmath.exp(-s * log_t)
-    value = head + old_cexpm1(-t * log_t) / t + 0.5 * t_ms
-    return value + kernels._em_tail(s, big_t, t_ms / big_t, kernels._em_tail_terms(s))
-
-
-def contour_bound(value):
-    """A tenth of the README bound for contour kernels, 100x the zeta bound."""
+def tenth_of_bound(value):
+    """A tenth of the README bound for derivatives, 100x the zeta bound."""
     return 0.1 * 100.0 * zeta_bound(value)
 
 
-class TestContourRegression:
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_minus_pole_near_zero(self, alpha):
-        # expm1 keeps zeta(1+t) - 1/t accurate where exp(.) - 1 would lose
-        # about eps/|t| to cancellation
-        ts = 2e-6 * CIRCLE
-        got, = kernels._em_hurwitz_batch(ts, (alpha,), DEFAULT_CONFIG, minus_pole=True)
-        for t, value in zip(ts.tolist(), got.tolist()):
-            expected = old_minus_pole(t, alpha, DEFAULT_CONFIG)
-            assert abs(value - expected) <= 0.1 * zeta_bound(expected)
-
-
+class TestTaylorModeRegression:
     def test_derivatives(self):
-        cfg = DEFAULT_CONFIG
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
         rng = random.Random(4)
         for _ in range(60):
             s = complex(rng.uniform(-2.0, 6.0), rng.uniform(-20.0, 20.0))
@@ -642,52 +593,49 @@ class TestContourRegression:
                 continue
             alpha = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
             for r in range(1, 5):
-                coeff = old_contour_coeff(
-                    lambda t: kernels._em_hurwitz(s + t, alpha, cfg),
-                    kernels._CONTOUR_RADIUS, cfg.contour_points, r)
-                expected = math.factorial(r) * coeff
+                expected = complex(mp.zeta(mp.mpc(s.real, s.imag), alpha, r))
                 got = hurwitz_zeta_deriv(r, s, alpha)
-                assert abs(got - expected) <= contour_bound(expected), (r, s, alpha)
+                assert abs(got - expected) <= tenth_of_bound(expected), (r, s, alpha)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 1.0, 1.7, 3.3, 10.0, 50.0])
     def test_stieltjes(self, alpha):
-        cfg = DEFAULT_CONFIG
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
         for n in range(6):
-            expected = old_contour_coeff(lambda t: old_minus_pole(t, alpha, cfg),
-                                         kernels._CONTOUR_RADIUS, cfg.contour_points, n)
+            # the package's Taylor convention: (-1)^n gamma_n / n! in mpmath's
+            expected = complex(mp.stieltjes(n, alpha) * (-1) ** n / mp.factorial(n))
             got = stieltjes(n, alpha)
-            assert abs(got - expected) <= contour_bound(expected), (n, alpha)
+            assert abs(got - expected) <= tenth_of_bound(expected), (n, alpha)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.8, 4.0])
     def test_stieltjes_alpha_derivative(self, alpha):
-        cfg = DEFAULT_CONFIG
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+
+        def coeff(k):  # the t^k coefficient of zeta(2 + t, alpha)
+            return mp.zeta(2, alpha, k) / mp.factorial(k) if k >= 0 else 0
+
         for r in range(1, 6):
-            expected = -old_contour_coeff(
-                lambda t: t * (t + 1.0) * kernels._em_hurwitz(t + 2.0, alpha, cfg),
-                kernels._CONTOUR_RADIUS, cfg.contour_points, r)
+            # -(1/r!) d^r/ds^r [s(s+1) zeta(s+2, a)] at s = 0
+            expected = -complex(coeff(r - 1) + coeff(r - 2))
             got = calculus.stieltjes_alpha_derivative(r, alpha)
-            assert abs(got - expected) <= contour_bound(expected), (r, alpha)
+            assert abs(got - expected) <= tenth_of_bound(expected), (r, alpha)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_stieltjes_order_zero_is_minus_digamma(self, alpha):
+        # gamma_0(a) = -psi(a) exactly; the Taylor-mode sum at s = 1 takes
+        # the pole off inside the integral term
+        assert abs(stieltjes(0, alpha) + digamma(alpha)) <= 0.1 * zeta_bound(digamma(alpha))
 
 
 # ---------------------------------------------------------------------------
-# Every order from one contour, against one contour per order
+# Every order from one Taylor-mode sum, against one sum per order
 # ---------------------------------------------------------------------------
-
-
-def one_order_contour_coeff(f, rho, points, order):
-    """One numpy contour for one Taylor order: one dot product with
-    exp(-i order theta), as every derivative order was taken before all
-    orders shared one sample set."""
-    theta = 2.0 * math.pi * np.arange(points) / points
-    with np.errstate(all="ignore"):
-        samples = f(rho * np.exp(1j * theta))
-        acc = complex(np.dot(samples, np.exp(-1j * order * theta)))
-    return acc / (points * rho ** order)
 
 
 def multi_order_points():
-    """(s, alpha) pairs: 12 with 0.5 < |s - 1| < 1, where the contour radius
-    shrinks to half the distance to the pole, and 12 farther out."""
+    """(s, alpha) pairs: 12 with 0.5 < |s - 1| < 1, near the pole guard, and
+    12 farther out."""
     rng = random.Random(20261019)
     for band in ((0.55, 0.95), (1.1, 8.0)):
         for _ in range(12):
@@ -696,48 +644,33 @@ def multi_order_points():
             yield s, alpha
 
 
-FINE = PrecisionConfig(contour_points=64)
-
-
-class TestMultiOrderContour:
-    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE])
-    def test_coefficients_equal_one_contour_per_order(self, cfg):
+class TestMultiOrderJet:
+    def test_derivatives_equal_one_jet_per_order(self):
+        # the head length does not depend on the highest order asked for, so
+        # neither does any coefficient
         shrunk = 0
         for s, alpha in multi_order_points():
-            rho = min(kernels._CONTOUR_RADIUS, 0.5 * abs(s - 1.0))
-            shrunk += rho < kernels._CONTOUR_RADIUS
-            f = lambda t: kernels._em_hurwitz_batch(s + t, (alpha,), cfg)[0]  # noqa: E731
-            got, = kernels._contour_coeff(f, rho, cfg.contour_points, range(1, 7))
-            for r, coeff in zip(range(1, 7), got):
-                assert coeff == one_order_contour_coeff(f, rho, cfg.contour_points, r)
-        assert shrunk == 12
-
-    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE])
-    def test_derivatives_equal_one_contour_per_order(self, cfg):
-        for s, alpha in multi_order_points():
-            rho = min(kernels._CONTOUR_RADIUS, 0.5 * abs(s - 1.0))
-            f = lambda t: kernels._em_hurwitz_batch(s + t, (alpha,), cfg)[0]  # noqa: E731
-            expected = [hurwitz_zeta(s, alpha, cfg)] + [
-                math.factorial(r) * one_order_contour_coeff(f, rho, cfg.contour_points, r)
+            expected = [hurwitz_zeta(s, alpha)] + [
+                math.factorial(r) * kernels._em_jet(s, alpha, r, DEFAULT_CONFIG)[r]
                 for r in range(1, 7)]
-            assert kernels._hurwitz_derivs(range(7), s, (alpha,), cfg) == [expected]
-            assert [hurwitz_zeta_deriv(r, s, alpha, cfg) for r in range(7)] == expected
+            assert kernels._hurwitz_derivs(range(7), s, alpha, DEFAULT_CONFIG) == expected
+            assert [hurwitz_zeta_deriv(r, s, alpha) for r in range(7)] == expected
+            shrunk += (kernels._em_head_length(s, alpha, DEFAULT_CONFIG)
+                       < kernels._EM_CUTOFF)
+        assert shrunk  # the grid reaches Re s where M shrinks
 
     def test_orders_in_any_order_and_subset(self):
         s, alpha = 0.3 + 0.6j, 0.7
-        every, = kernels._hurwitz_derivs(range(7), s, (alpha,), DEFAULT_CONFIG)
-        assert (kernels._hurwitz_derivs((4, 1), s, (alpha,), DEFAULT_CONFIG)
-                == [[every[4], every[1]]])
+        every = kernels._hurwitz_derivs(range(7), s, alpha, DEFAULT_CONFIG)
+        assert kernels._hurwitz_derivs((4, 1), s, alpha, DEFAULT_CONFIG) == [every[4], every[1]]
 
-    # The contour's refusals, worded as when each order had its own contour
+    # The refusals of every order
     @pytest.mark.parametrize("r", range(1, 7))
     @pytest.mark.parametrize("s, alpha, error, message", [
-        (1.2, 0.7, PoleProximityError,
-         "contour of radius 0.5 around s=(1.2+0j) meets the pole at 1"),
+        (1.2, 0.7, PoleProximityError, "s=(1.2+0j) is within 0.5 of the pole at 1"),
         (0.6 + 0.3j, 2.0, PoleProximityError,
-         "contour of radius 0.5 around s=(0.6+0.3j) meets the pole at 1"),
-        (1.0, 0.7, PoleProximityError,
-         "contour of radius 0.5 around s=(1+0j) meets the pole at 1"),
+         "s=(0.6+0.3j) is within 0.5 of the pole at 1"),
+        (1.0, 0.7, PoleProximityError, "s=(1+0j) is within 0.5 of the pole at 1"),
         (2.0, 0.0, DomainError, "hurwitz_zeta_deriv requires alpha > 0"),
         (-1.5 + 2.0j, -0.3, DomainError, "hurwitz_zeta_deriv requires alpha > 0"),
     ])
@@ -748,28 +681,26 @@ class TestMultiOrderContour:
 
     # order 0 is evaluated first, as in a loop over the orders
     @pytest.mark.parametrize("s, alpha, error, message", [
-        (1.2, 0.7, PoleProximityError,
-         "contour of radius 0.5 around s=(1.2+0j) meets the pole at 1"),
+        (1.2, 0.7, PoleProximityError, "s=(1.2+0j) is within 0.5 of the pole at 1"),
         (1.0, 0.7, PoleProximityError, "hurwitz_zeta pole at s = 1"),
         (2.0, 0.0, DomainError, "hurwitz_zeta requires alpha > 0"),
     ])
     def test_all_orders_raise_the_first_error_of_the_order_loop(self, s, alpha,
                                                                 error, message):
         with pytest.raises(error) as info:
-            kernels._hurwitz_derivs(range(7), s, (alpha,), DEFAULT_CONFIG)
+            kernels._hurwitz_derivs(range(7), s, alpha, DEFAULT_CONFIG)
         assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
-# The alpha x contour grid against one alpha at a time
+# The batch row against the single-alpha batch it was cut down from
 # ---------------------------------------------------------------------------
 
 
-def single_alpha_em_batch(s, alpha, cfg, minus_pole=False):
-    """The numpy batch for one alpha, as every contour ran before the
-    quadrature checks sampled a whole level's alphas at once."""
-    t = np.asarray(s, dtype=complex)
-    s = 1.0 + t if minus_pole else t
+def single_alpha_em_batch(s, alpha, cfg):
+    """The numpy batch for one alpha, as it ran before the batch core took
+    an alpha axis; the one-row batch of today must equal it bit for bit."""
+    s = np.asarray(s, dtype=complex)
     rows = np.arange(len(s))
     m, j = kernels._em_lengths(s, alpha, cfg)
     big_t = m + alpha
@@ -781,10 +712,7 @@ def single_alpha_em_batch(s, alpha, cfg, minus_pole=False):
         powers = modulus * np.cos(phase) + 1j * (modulus * np.sin(phase))
         head = np.cumsum(powers, axis=1)[rows, m - 1]
         t_ms = np.exp(-s * log_t)
-        if minus_pole:
-            integral = np.expm1(-t * log_t) / t
-        else:
-            integral = t_ms * big_t / (s - 1.0)
+        integral = t_ms * big_t / (s - 1.0)
         ks = 2.0 * np.arange(1, j.max())
         steps = (s[:, None] + ks - 1.0) * (s[:, None] + ks) / (big_t * big_t)[:, None]
         first = s * t_ms / big_t
@@ -804,54 +732,18 @@ GRID_ALPHAS = [1e-3, 0.0123, 0.05, 0.3, 1.0, 2.7, 12.0, 50.0, 199.0, 200.0]
 GRID_CENTRES = [3.0, 0.7 - 0.2j, -1.6, -1.9 + 4.0j, 0.2 + 7.0j, 2.0 - 45.0j, -30.0 + 2.0j]
 
 
-def circle(points, rho=0.5):
-    return rho * np.exp(2j * np.pi * np.arange(points) / points)
-
-
-class TestAlphaGrid:
-    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE])
-    def test_rows_equal_the_single_alpha_batch(self, cfg):
-        alpha_varies_m = 0
+class TestBatchRow:
+    def test_row_equals_the_single_alpha_batch(self):
+        points_vary_m = 0
         for centre in GRID_CENTRES:
-            points = centre + circle(cfg.contour_points)
-            grid = kernels._em_hurwitz_batch(points, GRID_ALPHAS, cfg)
-            assert grid.shape == (len(GRID_ALPHAS), cfg.contour_points)
-            heads = set()
-            for row, alpha in zip(grid, GRID_ALPHAS):
-                expected = single_alpha_em_batch(points, alpha, cfg)
+            points = centre + CIRCLE
+            for alpha in GRID_ALPHAS:
+                row = kernels._em_hurwitz_batch(points, alpha, DEFAULT_CONFIG)
+                expected = single_alpha_em_batch(points, alpha, DEFAULT_CONFIG)
                 assert row.tobytes() == expected.tobytes(), (centre, alpha)
-                heads.add(tuple(kernels._em_lengths(points, alpha, cfg)[0]))
-            alpha_varies_m += len(heads) > 1
-        assert alpha_varies_m == 2  # the circles about -1.6 and -1.9+4i
-
-    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE])
-    @pytest.mark.parametrize("scale", [1.0, 2e-6])
-    def test_minus_pole_rows_equal_the_single_alpha_batch(self, cfg, scale):
-        ts = scale * circle(cfg.contour_points)
-        grid = kernels._em_hurwitz_batch(ts, GRID_ALPHAS, cfg, minus_pole=True)
-        for row, alpha in zip(grid, GRID_ALPHAS):
-            expected = single_alpha_em_batch(ts, alpha, cfg, minus_pole=True)
-            assert row.tobytes() == expected.tobytes(), alpha
-
-    def test_a_row_ignores_the_other_alphas(self):
-        points = -1.6 + CIRCLE
-        alone = kernels._em_hurwitz_batch(points, (0.3,), DEFAULT_CONFIG)[0]
-        for others in ([1e-3, 0.3], [0.3, 200.0, 5.0], [0.3] * 3):
-            grid = kernels._em_hurwitz_batch(points, others, DEFAULT_CONFIG)
-            assert grid[others.index(0.3)].tobytes() == alone.tobytes()
-
-    def test_overflow_rows_stay_apart(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            grid = kernels._em_hurwitz_batch(np.array([-300.0 + 0j, 2.0]), (1.0, 1e6),
-                                             DEFAULT_CONFIG)
-        assert np.isfinite(grid[0]).all()
-        assert not np.isfinite(grid[1, 0]) and np.isfinite(grid[1, 1])
-
-
-def one_alpha_at_a_time(orders, s, alphas, cfg):
-    """The loop an alpha array replaces: one single-alpha call per alpha."""
-    return [kernels._hurwitz_derivs(orders, s, (alpha,), cfg)[0] for alpha in alphas]
+                points_vary_m += len(set(kernels._em_lengths(points, alpha,
+                                                             DEFAULT_CONFIG)[0])) > 1
+        assert points_vary_m
 
 
 def outcome(call):
@@ -863,36 +755,10 @@ def outcome(call):
 
 
 class TestDerivativesOverAlphas:
-    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE])
-    def test_every_order_equals_one_alpha_at_a_time(self, cfg):
-        # 21 alphas: several batches at either contour size
-        alphas = np.geomspace(1e-3, 200.0, 21)
-        for s in (3.0, 3.5 + 0.5j, 0.3 + 0.6j, -1.5, 1.6 - 0.2j):
-            got = kernels._hurwitz_derivs(range(7), s, alphas, cfg)
-            assert got == one_alpha_at_a_time(range(7), s, alphas, cfg)
-
-    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, FINE,
-                                     PrecisionConfig(contour_points=16),
-                                     PrecisionConfig(contour_points=512)])
-    def test_batches_stay_under_the_row_cap(self, monkeypatch, cfg):
-        sizes = []
-        batch = kernels._em_hurwitz_batch
-
-        def counted(s, alphas, *args, **kwargs):
-            sizes.append(len(alphas) * len(s))
-            return batch(s, alphas, *args, **kwargs)
-
-        monkeypatch.setattr(kernels, "_em_hurwitz_batch", counted)
-        kernels._hurwitz_derivs((1, 2), 3.0, np.linspace(1.0, 5.0, 37), cfg)
-        per_batch = max(1, kernels._BATCH_ROWS // cfg.contour_points)
-        assert len(sizes) == -(-37 // per_batch)
-        # a single contour larger than the cap still runs, as one batch
-        assert max(sizes) == max(kernels._BATCH_ROWS, cfg.contour_points)
-
-    # the array path raises what calling one alpha after another raises
+    # a quadrature level's nodes, one after another: the first refusal wins
     @pytest.mark.parametrize("orders, s, alphas, error, message", [
         ((1,), 1.2, [0.5, 0.7], PoleProximityError,
-         "contour of radius 0.5 around s=(1.2+0j) meets the pole at 1"),
+         "s=(1.2+0j) is within 0.5 of the pole at 1"),
         ((1,), 0.6 + 0.3j, [math.nan, 0.7], DomainError,
          "hurwitz_zeta_deriv got NaN for alpha"),
         ((2,), 3.0, [0.5, math.nan, 0.7], DomainError,
@@ -911,15 +777,15 @@ class TestDerivativesOverAlphas:
         ((0, 1), -300.0, [3.0, 0.5, 1e3, -1.0], NumericOverflowError,
          "Euler-Maclaurin overflow in hurwitz_zeta"),
     ])
-    def test_refusals_equal_one_alpha_at_a_time(self, orders, s, alphas, error, message):
-        got = outcome(lambda: kernels._hurwitz_derivs(orders, s, alphas, DEFAULT_CONFIG))
+    def test_refusals_node_by_node(self, orders, s, alphas, error, message):
+        got = outcome(lambda: [kernels._hurwitz_derivs(orders, s, alpha, DEFAULT_CONFIG)
+                               for alpha in alphas])
         assert got == (error, message)
-        assert got == outcome(lambda: one_alpha_at_a_time(orders, s, alphas, DEFAULT_CONFIG))
 
     def test_finite_at_very_negative_s(self):
-        alphas = [0.5, 1.0, 3.0]
-        got = kernels._hurwitz_derivs((1,), -300.0, alphas, DEFAULT_CONFIG)
-        assert got == one_alpha_at_a_time((1,), -300.0, alphas, DEFAULT_CONFIG)
+        for alpha in (0.5, 1.0, 3.0):
+            value, = kernels._hurwitz_derivs((1,), -300.0, alpha, DEFAULT_CONFIG)
+            assert cmath.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,9 +867,9 @@ class TestTaylorBatch:
         sizes = []
         batch = kernels._em_hurwitz_batch
 
-        def counted(s, alphas, *args, **kwargs):
+        def counted(s, alpha, cfg):
             sizes.append(len(s))
-            return batch(s, alphas, *args, **kwargs)
+            return batch(s, alpha, cfg)
 
         def refused(*args, **kwargs):
             raise AssertionError("scalar hurwitz_zeta called for a finite input")

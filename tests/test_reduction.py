@@ -14,8 +14,7 @@ from zetalab import kernels
 from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import (RatPoly, bernoulli_number, poly_integral_01,
                            poly_mul, zeta_neg_int_poly)
-from zetalab.kernels import (DEFAULT_CONFIG, PrecisionConfig, hurwitz_zeta,
-                             riemann_zeta)
+from zetalab.kernels import hurwitz_zeta, riemann_zeta
 from zetalab.quadrature import tanh_sinh_01
 from zetalab.reduction import (DerivAtom, LinearCombination,
                                RationalFunctionOfS, eval_combination,
@@ -405,31 +404,29 @@ def parity_multiset(n):
     return tuple(n // parts + (i < n % parts) - 1 for i in range(parts))
 
 
-# At 1.3 the contour of shift 1, and at 2.6+0.4i those of shifts 1 and 2,
-# shrink to half their distance to the pole at 1.
+# At 1.3 shift 1, and at 2.6+0.4i shifts 1 and 2, lie within 1 of the pole
+# guard around s = 1.
 PARITY_S = (0.0, -1.0, -3.0, 0.3, 0.55, -0.7 + 0.2j, -1.6 - 0.4j, 1.3, 2.6 + 0.4j)
-PARITY_CONFIGS = (DEFAULT_CONFIG, PrecisionConfig(contour_points=64))
 
 
 class TestShiftBatch:
-    """eval_combination samples the contours of every shift in one batch;
-    each value and each refusal must equal the atom-by-atom loop's."""
+    """eval_combination takes every order of a shift from one Taylor-mode
+    sum; each value and each refusal must equal the atom-by-atom loop's."""
 
     @pytest.mark.parametrize("r", [0, 1])
-    @pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=["default", "points64"])
-    def test_bitwise_equal_to_atom_by_atom(self, cfg, r):
+    def test_bitwise_equal_to_atom_by_atom(self, r):
         for n in range(2, MAX_DEGREE + 1):
             ms = parity_multiset(n)
             assert sum(m + 1 for m in ms) == n
             lc = integral_poly_zeta(ms, r)
             for s in PARITY_S:
-                got = outcome(lambda: eval_combination(lc, s, cfg))
-                assert got == outcome(lambda: atom_by_atom(lc, s, cfg)), (ms, s)
+                got = outcome(lambda: eval_combination(lc, s))
+                assert got == outcome(lambda: atom_by_atom(lc, s)), (ms, s)
 
     ONE = RationalFunctionOfS.one()
     # 1/(s - 33/10): a pole off the integers, at s = 3.3
     POLE_33 = rf((1,), (Fraction(-33, 10), 1))
-    POLE_4675 = rf((1,), (Fraction(935, 2), 1))
+    POLE_6395 = rf((1,), (Fraction(1279, 2), 1))
 
     @pytest.mark.parametrize("terms, s, error, message", [
         ({DerivAtom(0, 1): ONE, DerivAtom(1, 2): ONE}, complex("nan"), DomainError,
@@ -446,46 +443,24 @@ class TestShiftBatch:
          ValueError, "derivative order must be in 0..6"),
         ({DerivAtom(0, 1): ONE, DerivAtom(1, 3): ONE, DerivAtom(1, 1): ONE,
           DerivAtom(2, 2): ONE}, 2.3, PoleProximityError,
-         "shift 1: contour of radius 0.5 around s=(1.2999999999999998+0j) "
-         "meets the pole at 1"),
+         "shift 1: s=(1.2999999999999998+0j) is within 0.5 of the pole at 1"),
         ({DerivAtom(1, 1): POLE_33, DerivAtom(1, 2): ONE, DerivAtom(2, 4): ONE}, 3.3,
          PoleProximityError, "coefficient of zeta^(1)(s-1) has a pole at s = 3.3+0i"),
         ({DerivAtom(1, 2): ONE, DerivAtom(2, 1): POLE_33}, 3.3, PoleProximityError,
-         "shift 2: contour of radius 0.5 around s=(1.2999999999999998+0j) "
-         "meets the pole at 1"),
-        # zeta'(-468.5) is finite, zeta'(-469.5) overflows
-        ({DerivAtom(1, 1): ONE, DerivAtom(1, 2): ONE}, -467.5,
+         "shift 2: s=(1.2999999999999998+0j) is within 0.5 of the pole at 1"),
+        # zeta(-640.5) and zeta'(-640.5) are finite, zeta'(-643.5) overflows
+        ({DerivAtom(1, 1): ONE, DerivAtom(1, 4): ONE}, -639.5,
          NumericOverflowError, "non-finite value in hurwitz_zeta_deriv"),
-        ({DerivAtom(1, 1): POLE_4675, DerivAtom(1, 2): ONE}, -467.5, PoleProximityError,
-         "coefficient of zeta^(1)(s-1) has a pole at s = -467.5+0i"),
-        ({DerivAtom(0, 1): POLE_4675, DerivAtom(1, 2): ONE}, -467.5, PoleProximityError,
-         "coefficient of zeta^(0)(s-1) has a pole at s = -467.5+0i"),
+        ({DerivAtom(1, 1): POLE_6395, DerivAtom(1, 4): ONE}, -639.5, PoleProximityError,
+         "coefficient of zeta^(1)(s-1) has a pole at s = -639.5+0i"),
+        ({DerivAtom(0, 1): POLE_6395, DerivAtom(1, 4): ONE}, -639.5, PoleProximityError,
+         "coefficient of zeta^(0)(s-1) has a pole at s = -639.5+0i"),
     ])
     def test_refusals_equal_atom_by_atom(self, terms, s, error, message):
         lc = LinearCombination(terms)
         got = outcome(lambda: eval_combination(lc, s))
         assert got == (error, message)
         assert got == outcome(lambda: atom_by_atom(lc, s))
-
-    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, PrecisionConfig(contour_points=64)],
-                             ids=["default", "points64"])
-    @pytest.mark.parametrize("n", [2, 8, 9, 16, 33, MAX_DEGREE])
-    def test_batch_count(self, monkeypatch, cfg, n):
-        calls = []
-        batch = kernels._em_hurwitz_batch
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return batch(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "_em_hurwitz_batch", counted)
-        ms = parity_multiset(n)
-        eval_combination(integral_poly_zeta(ms, 1), -0.7 + 0.2j, cfg)
-        # one row per shift 1..n, _BATCH_ROWS // contour_points rows a batch
-        assert 0 < len(calls) <= -(-n * cfg.contour_points // kernels._BATCH_ROWS)
-        calls.clear()
-        eval_combination(integral_poly_zeta(ms, 0), -0.7 + 0.2j, cfg)
-        assert calls == []
 
 
 class TestPairIntegral:

@@ -9,11 +9,10 @@ from pathlib import Path
 import pytest
 
 import zetalab
-from zetalab import checks, kernels
+from zetalab import kernels
 from zetalab.checks import (REQUIRED_ID_PREFIXES, build_registry,
                             render_report, run_checks)
 from zetalab.cli import main, parse_complex
-from zetalab.quadrature import _level_nodes
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +94,7 @@ class TestReports:
 
     def test_json_config_block(self, full_results):
         doc = json.loads(render_report(full_results, "json"))
-        assert doc["config"] == {"contour_points": 32, "contour_radius": 0.5,
-                                 "em_cutoff": 25, "em_tail_terms": 12,
+        assert doc["config"] == {"em_cutoff": 25, "em_tail_terms": 12,
                                  "target_abs_error": 1e-11}
 
     def test_json_deterministic(self):
@@ -183,20 +181,22 @@ class TestCli:
         assert doc["summary"]["failed"] == 0
 
     def test_global_precision_flags(self, capsys):
-        flags = ["--precision-target", "1e-10", "--contour-points", "64"]
+        flags = ["--precision-target", "1e-10"]
         assert main([*flags, "eval", "--fn", "zeta", "--s", "2"]) == 0
         assert capsys.readouterr().out.strip() == "1.64493406684823+0i"
         assert main([*flags, "verify", "--filter", "cor6_value_11", "--format", "json"]) == 0
         config = json.loads(capsys.readouterr().out)["config"]
-        assert (config["contour_points"], config["target_abs_error"]) == (64, 1e-10)
+        assert config["target_abs_error"] == 1e-10
 
-    def test_em_cutoff_flag_is_gone(self, capsys):
+    @pytest.mark.parametrize("flag, value", [("--em-cutoff", "30"),
+                                             ("--contour-points", "64")])
+    def test_removed_flag_is_gone(self, capsys, flag, value):
         with pytest.raises(SystemExit) as info:
-            main(["--em-cutoff", "30", "eval", "--fn", "zeta", "--s", "2"])
+            main([flag, value, "eval", "--fn", "zeta", "--s", "2"])
         assert info.value.code == 2
 
     def test_bad_config_rejected(self, capsys):
-        assert main(["--contour-points", "21", "eval", "--fn", "zeta", "--s", "2"]) == 2
+        assert main(["--precision-target", "1e-16", "eval", "--fn", "zeta", "--s", "2"]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_missing_required_value(self, capsys):
@@ -210,7 +210,7 @@ class TestCli:
     @pytest.mark.parametrize("deriv", ["0", "1"])
     def test_overflow_is_an_error_not_a_traceback(self, deriv):
         # zeta(-300, 1e6) overflows a double, on the scalar path (deriv 0)
-        # and on the contour path (deriv 1)
+        # and on the Taylor-mode path (deriv 1)
         proc = run_module("zetalab.cli", "eval", "--fn", "hurwitz",
                           "--deriv", deriv, "--s=-300", "--alpha", "1e6")
         assert proc.returncode == 2
@@ -253,9 +253,9 @@ class TestCli:
         assert capsys.readouterr().out.strip().startswith("-0.02548520189")
 
     def test_skipped_on_config_violation(self, monkeypatch):
-        # a contour radius that reaches the pole at s=1 must downgrade the
-        # affected checks to skipped(reason), never to a silent pass
-        monkeypatch.setattr(kernels, "_CONTOUR_RADIUS", 0.9)
+        # a pole guard that reaches s must downgrade the affected checks to
+        # skipped(reason), never to a silent pass
+        monkeypatch.setattr(kernels, "_POLE_GUARD", 0.9)
         results = run_checks("note_fwd")
         skipped = [r for r in results if r.status.startswith("skipped(")]
         assert skipped and all("pole" in r.status for r in skipped)
@@ -272,7 +272,7 @@ class TestCli:
         assert proc.stdout.strip() == "False"
 
     def test_skipped_results_render(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_CONTOUR_RADIUS", 0.9)
+        monkeypatch.setattr(kernels, "_POLE_GUARD", 0.9)
         results = run_checks("note_fwd")
         report = render_report(results, "json")
         doc = json.loads(report)
@@ -311,51 +311,20 @@ class TestDemos:
         assert proc.stdout.strip()
 
 
-class TestQuadratureBatches:
-    def test_cor3_makes_one_batch_per_eight_nodes(self, monkeypatch):
-        sizes = []
-        batch = kernels._em_hurwitz_batch
-
-        def counted(s, alphas, *args, **kwargs):
-            sizes.append(len(alphas) * len(s))
-            return batch(s, alphas, *args, **kwargs)
-
-        evaluations = []
-        quad = checks.tanh_sinh_01
-
-        def recorded(*args, **kwargs):
-            result = quad(*args, **kwargs)
-            evaluations.append(result.evaluations)
-            return result
-
-        monkeypatch.setattr(kernels, "_em_hurwitz_batch", counted)
-        monkeypatch.setattr(checks, "tanh_sinh_01", recorded)
-        assert run_checks("cor3_quad_r1_s3")[0].status == "pass"
-        # the levels the quadrature ran, at ceil(nodes / 8) batches each, and
-        # one batch each for the closed form and the analytic tail
-        per_level, seen, level = [], 0, 0
-        while seen < evaluations[0]:
-            nodes = len(_level_nodes(level)[1])
-            per_level.append(-(-nodes // 8))
-            seen += nodes
-            level += 1
-        assert seen == evaluations[0] == 296
-        assert len(sizes) <= sum(per_level) + 2 == 43
-        assert max(sizes) <= kernels._BATCH_ROWS == 256
-
-    def test_contour_refusals_unchanged(self, monkeypatch):
-        # the alpha-batched quadrature integrands refuse a contour that meets
-        # the pole with the same reason as the one-alpha contour
-        monkeypatch.setattr(kernels, "_CONTOUR_RADIUS", 0.9)
+class TestQuadratureRefusals:
+    def test_pole_guard_refusals_unchanged(self, monkeypatch):
+        # the quadrature integrands refuse a node whose s is within the pole
+        # guard with the same reason as a single derivative
+        monkeypatch.setattr(kernels, "_POLE_GUARD", 0.9)
         results = [res for family in ("cor4_quad", "cor8", "note_fwd")
                    for res in run_checks(family)]
         skipped = {r.id: r.status for r in results if r.status != "pass"}
-        meets = "skipped(contour of radius 0.9 around s={} meets the pole at 1)"
+        near = "skipped(s={} is within 0.9 of the pole at 1)"
         assert skipped == {
-            "cor4_quad_r1": meets.format("(0.3+0j)"),
-            "cor4_quad_r2": meets.format("(0.3+0j)"),
-            "cor8_random_quad": meets.format("(0.20541391532713194-0.1372688132497536j)"),
-            "note_fwd_r1": meets.format("(0.5+0.5j)"),
-            "note_fwd_r2": meets.format("(0.5+0.5j)"),
-            "note_fwd_r3": meets.format("(0.5+0.5j)"),
+            "cor4_quad_r1": near.format("(0.3+0j)"),
+            "cor4_quad_r2": near.format("(0.3+0j)"),
+            "cor8_random_quad": near.format("(0.20541391532713194-0.1372688132497536j)"),
+            "note_fwd_r1": near.format("(0.5+0.5j)"),
+            "note_fwd_r2": near.format("(0.5+0.5j)"),
+            "note_fwd_r3": near.format("(0.5+0.5j)"),
         }
