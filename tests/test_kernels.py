@@ -387,7 +387,9 @@ class TestConfig:
         with pytest.raises(TypeError):
             PrecisionConfig(**{name: value})
 
-    @pytest.mark.parametrize("kwargs", [{"target_abs_error": 1e-16}])
+    @pytest.mark.parametrize("kwargs", [{"target_abs_error": 1e-16},
+                                        {"target_abs_error": 0.0},
+                                        {"target_abs_error": -1e-11}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             PrecisionConfig(**kwargs)
@@ -628,6 +630,42 @@ class TestTaylorModeRegression:
         assert abs(stieltjes(0, alpha) + digamma(alpha)) <= 0.1 * zeta_bound(digamma(alpha))
 
 
+def shift_identity_points():
+    """30 (s, alpha) pairs over Re s in [-2, 6], |Im s| <= 20, |s - 1| >= 0.55
+    and alpha in [0.05, 50]."""
+    rng = random.Random(5)
+    points = []
+    while len(points) < 30:
+        s = complex(rng.uniform(-2.0, 6.0), rng.uniform(-20.0, 20.0))
+        if abs(s - 1.0) >= 0.55:
+            points.append((s, math.exp(rng.uniform(math.log(0.05), math.log(50.0)))))
+    return points
+
+
+class TestShiftIdentity:
+    """zeta(s, a) - zeta(s, a + 1) = a^-s exactly, so its t-series at s + t
+    ties two independent Euler-Maclaurin sums to a closed form."""
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_derivatives(self, r):
+        for s, alpha in shift_identity_points():
+            here = hurwitz_zeta_deriv(r, s, alpha)
+            above = hurwitz_zeta_deriv(r, s, alpha + 1.0)
+            # d^r/ds^r a^-s = (-log a)^r a^-s
+            expected = (-math.log(alpha)) ** r * cmath.exp(-s * math.log(alpha))
+            assert (abs(here - above - expected)
+                    <= tenth_of_bound(here) + tenth_of_bound(above)), (r, s, alpha)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_stieltjes(self, n):
+        for alpha in ALPHAS:
+            here, above = stieltjes(n, alpha), stieltjes(n, alpha + 1.0)
+            # the t^n coefficient of a^(-1-t)
+            expected = (-math.log(alpha)) ** n / math.factorial(n) / alpha
+            assert (abs(here - above - expected)
+                    <= tenth_of_bound(here) + tenth_of_bound(above)), (n, alpha)
+
+
 # ---------------------------------------------------------------------------
 # Every order from one Taylor-mode sum, against one sum per order
 # ---------------------------------------------------------------------------
@@ -644,19 +682,37 @@ def multi_order_points():
             yield s, alpha
 
 
+# a tighter target shrinks the head length M at more points
+JET_CONFIGS = [DEFAULT_CONFIG, PrecisionConfig(target_abs_error=1e-13)]
+
+
 class TestMultiOrderJet:
-    def test_derivatives_equal_one_jet_per_order(self):
+    @pytest.mark.parametrize("cfg", JET_CONFIGS, ids=["default", "tight"])
+    def test_coefficients_equal_one_jet_per_order(self, cfg):
+        # every coefficient up to r of the order-6 sum, bit for bit, and so
+        # for the Stieltjes series
+        for s, alpha in multi_order_points():
+            every = kernels._em_jet(s, alpha, 6, cfg)
+            for r in range(7):
+                assert kernels._em_jet(s, alpha, r, cfg) == every[:r + 1], (s, alpha, r)
+        for alpha in ALPHAS:
+            every = kernels._em_jet(1.0 + 0j, alpha, 6, cfg, minus_pole=True)
+            for r in range(7):
+                assert (kernels._em_jet(1.0 + 0j, alpha, r, cfg, minus_pole=True)
+                        == every[:r + 1]), (alpha, r)
+
+    @pytest.mark.parametrize("cfg", JET_CONFIGS, ids=["default", "tight"])
+    def test_derivatives_equal_one_jet_per_order(self, cfg):
         # the head length does not depend on the highest order asked for, so
         # neither does any coefficient
         shrunk = 0
         for s, alpha in multi_order_points():
-            expected = [hurwitz_zeta(s, alpha)] + [
-                math.factorial(r) * kernels._em_jet(s, alpha, r, DEFAULT_CONFIG)[r]
+            expected = [hurwitz_zeta(s, alpha, cfg)] + [
+                math.factorial(r) * kernels._em_jet(s, alpha, r, cfg)[r]
                 for r in range(1, 7)]
-            assert kernels._hurwitz_derivs(range(7), s, alpha, DEFAULT_CONFIG) == expected
-            assert [hurwitz_zeta_deriv(r, s, alpha) for r in range(7)] == expected
-            shrunk += (kernels._em_head_length(s, alpha, DEFAULT_CONFIG)
-                       < kernels._EM_CUTOFF)
+            assert kernels._hurwitz_derivs(range(7), s, alpha, cfg) == expected
+            assert [hurwitz_zeta_deriv(r, s, alpha, cfg) for r in range(7)] == expected
+            shrunk += kernels._em_head_length(s, alpha, cfg) < kernels._EM_CUTOFF
         assert shrunk  # the grid reaches Re s where M shrinks
 
     def test_orders_in_any_order_and_subset(self):

@@ -14,7 +14,8 @@ from zetalab import kernels
 from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import (RatPoly, bernoulli_number, poly_integral_01,
                            poly_mul, zeta_neg_int_poly)
-from zetalab.kernels import hurwitz_zeta, riemann_zeta
+from zetalab.kernels import (DEFAULT_CONFIG, PrecisionConfig, hurwitz_zeta,
+                             riemann_zeta)
 from zetalab.quadrature import tanh_sinh_01
 from zetalab.reduction import (DerivAtom, LinearCombination,
                                RationalFunctionOfS, eval_combination,
@@ -407,6 +408,8 @@ def parity_multiset(n):
 # At 1.3 shift 1, and at 2.6+0.4i shifts 1 and 2, lie within 1 of the pole
 # guard around s = 1.
 PARITY_S = (0.0, -1.0, -3.0, 0.3, 0.55, -0.7 + 0.2j, -1.6 - 0.4j, 1.3, 2.6 + 0.4j)
+# a tighter target shrinks the head length M at more points
+PARITY_CONFIGS = (DEFAULT_CONFIG, PrecisionConfig(target_abs_error=1e-13))
 
 
 class TestShiftBatch:
@@ -414,14 +417,15 @@ class TestShiftBatch:
     sum; each value and each refusal must equal the atom-by-atom loop's."""
 
     @pytest.mark.parametrize("r", [0, 1])
-    def test_bitwise_equal_to_atom_by_atom(self, r):
+    @pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=["default", "tight"])
+    def test_bitwise_equal_to_atom_by_atom(self, cfg, r):
         for n in range(2, MAX_DEGREE + 1):
             ms = parity_multiset(n)
             assert sum(m + 1 for m in ms) == n
             lc = integral_poly_zeta(ms, r)
             for s in PARITY_S:
-                got = outcome(lambda: eval_combination(lc, s))
-                assert got == outcome(lambda: atom_by_atom(lc, s)), (ms, s)
+                got = outcome(lambda: eval_combination(lc, s, cfg))
+                assert got == outcome(lambda: atom_by_atom(lc, s, cfg)), (ms, s)
 
     ONE = RationalFunctionOfS.one()
     # 1/(s - 33/10): a pole off the integers, at s = 3.3
@@ -461,6 +465,28 @@ class TestShiftBatch:
         got = outcome(lambda: eval_combination(lc, s))
         assert got == (error, message)
         assert got == outcome(lambda: atom_by_atom(lc, s))
+
+    @pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=["default", "tight"])
+    @pytest.mark.parametrize("n", [2, 8, 9, 16, 33, MAX_DEGREE])
+    def test_one_jet_per_shift(self, monkeypatch, cfg, n):
+        calls = []
+        jet = kernels._em_jet
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return jet(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_em_jet", counted)
+        ms = parity_multiset(n)
+        s = -0.7 + 0.2j
+        lc = integral_poly_zeta(ms, 1)
+        eval_combination(lc, s, cfg)
+        # one sum about s - k for each shift k with an atom of order >= 1
+        shifts = sorted({atom.shift for atom in lc.atoms() if atom.deriv_order >= 1})
+        assert shifts and [call[0] for call in calls] == [s - k for k in shifts]
+        calls.clear()
+        eval_combination(integral_poly_zeta(ms, 0), s, cfg)
+        assert calls == []
 
 
 class TestPairIntegral:
