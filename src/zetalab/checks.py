@@ -110,11 +110,6 @@ def _trapezoid_coeff(f: Callable[[complex], complex], n: int) -> complex:
     return complex(np.dot(samples, np.exp(-1j * n * theta))) / (points * rho ** n)
 
 
-def _per_node(g: Callable[[float], complex]) -> Callable:
-    """A scalar integrand as a quadrature integrand over a level's nodes."""
-    return lambda xs: [g(x) for x in xs.tolist()]
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -362,8 +357,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             # [1, A] onto (0, 1): the integral is (A-1) times the mapped one
             width = big_a - 1.0
             quad = tanh_sinh_01(
-                _per_node(lambda a: kernels.hurwitz_zeta_deriv(r, s, 1.0 + width * a, cfg)),
-                5e-9 / width)
+                lambda xs: kernels._zeta_level(r, s, 1.0 + width * xs, cfg), 5e-9 / width)
             rhs = width * quad.value - calculus.antiderivative_eval(r, s, big_a, cfg)
             return lhs, rhs
         return run
@@ -398,8 +392,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             vals = []
             for s in (-1.5, 0.3):
-                q = tanh_sinh_01(
-                    _per_node(lambda a: kernels.hurwitz_zeta_deriv(r, s, a, cfg)), 1e-8)
+                q = tanh_sinh_01(lambda xs: kernels._zeta_level(r, s, xs, cfg), 1e-8)
                 vals.append(q.value)
             return max(vals, key=abs), 0j
         return run
@@ -416,14 +409,14 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             s1 = s2 = -1.0
             f0 = kernels.riemann_zeta(s1, cfg) * kernels.riemann_zeta(s2, cfg)
 
-            def integrand(a: float) -> complex:
-                f = kernels.hurwitz_zeta(s1, a, cfg) * kernels.hurwitz_zeta(s2, a, cfg)
-                return (s - 1.0) * kernels.hurwitz_zeta(s, a, cfg) * (f - f0)
+            def integrand(xs):
+                f = kernels._zeta_level(0, s1, xs, cfg) * kernels._zeta_level(0, s2, xs, cfg)
+                return (s - 1.0) * kernels._zeta_level(0, s, xs, cfg) * (f - f0)
 
             # int (s-1) zeta(s,a) f0 da = 0 for Re s < 1, so subtracting the
             # constant f0 changes nothing analytically but removes the
             # a^(1-s) boundary layer that no double-precision node can reach.
-            lhs = tanh_sinh_01(_per_node(integrand), 1e-9).value
+            lhs = tanh_sinh_01(integrand, 1e-9).value
             rhs = pair_limit_weighted(s1, s2, cfg)
             return lhs, rhs
         return run
@@ -504,10 +497,10 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
                 for m in ms:
                     prod = prod * zeta_neg_int_poly(m)
 
-                def integrand(a: float, _p=prod, _s=s) -> complex:
-                    return _p.evaluate_complex(a) * kernels.hurwitz_zeta_deriv(r, _s, a, cfg)
+                def integrand(xs, _p=prod, _s=s):
+                    return _p.evaluate_complex(xs) * kernels._zeta_level(r, _s, xs, cfg)
 
-                rhs = tanh_sinh_01(_per_node(integrand), 1e-9).value
+                rhs = tanh_sinh_01(integrand, 1e-9).value
                 pairs.append((lhs, rhs))
             return _worst_pair(pairs)
         return run
@@ -610,12 +603,12 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         s = 2.5
         lhs = triple_product_integral(s, cfg)
 
-        def integrand(a: float) -> complex:
-            return (kernels.hurwitz_zeta(0.0, a, cfg)
-                    * kernels.hurwitz_zeta(1.0 - s, a, cfg)
-                    * kernels.hurwitz_zeta(2.0 - s, a, cfg))
+        def integrand(xs):
+            return (kernels._zeta_level(0, 0.0, xs, cfg)
+                    * kernels._zeta_level(0, 1.0 - s, xs, cfg)
+                    * kernels._zeta_level(0, 2.0 - s, xs, cfg))
 
-        rhs = tanh_sinh_01(_per_node(integrand), 1e-9).value
+        rhs = tanh_sinh_01(integrand, 1e-9).value
         return lhs, rhs
 
     add("cor9_quad_s25", "closed form at s=2.5 matches tanh-sinh quadrature",
@@ -639,9 +632,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     def _pair_quad():
         lhs = pair_integral(-0.5, -1.5, cfg)
-        rhs = tanh_sinh_01(_per_node(
-            lambda a: (kernels.hurwitz_zeta(-0.5, a, cfg)
-                       * kernels.hurwitz_zeta(-1.5, a, cfg))), 1e-10).value
+        rhs = tanh_sinh_01(
+            lambda xs: (kernels._zeta_level(0, -0.5, xs, cfg)
+                        * kernels._zeta_level(0, -1.5, xs, cfg)), 1e-10).value
         return lhs, rhs
 
     add("pair_quad", "pair integral at (-0.5, -1.5) matches tanh-sinh quadrature",

@@ -183,8 +183,9 @@ class RatPoly:
         return Fraction(acc, d * q ** max(self.degree, 0))
 
     def evaluate_complex(self, z: complex) -> complex:
-        """Horner evaluation at a complex point (coefficients rounded once
-        per polynomial, on the first call)."""
+        """Horner evaluation at a complex point, or elementwise over a numpy
+        array of points (coefficients rounded once per polynomial, on the
+        first call)."""
         try:
             floats = self._floats
         except AttributeError:

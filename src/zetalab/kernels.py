@@ -20,12 +20,14 @@ g(t) = zeta(1+t, a) - 1/t, where the integral term minus the pole is the
 series of expm1(-t*log(M+a))/t.  Subtracting the pole from finished zeta
 values instead would lose all precision near t = 0.
 
-Order 0 is always the scalar pure-Python sum (``hurwitz_zeta``).
-``hurwitz_taylor`` needs zeta(s+n, k) for n = 0, 1, ... at once and takes
-them from a numpy batch of one row at alpha = k, an M x K array of head terms
-and a J x K array of corrections, each point keeping its own M and J; an
-entry the batch leaves non-finite is taken again from the scalar form, which
-retries it or refuses it.
+A single point is a pure-Python sum: ``hurwitz_zeta`` for order 0,
+``_em_jet`` for the rest.  Two callers need many points at once and take
+them from numpy batches, each point keeping its own M and J: ``hurwitz_taylor``
+needs zeta(s+n, k) for n = 0, 1, ... (``_em_hurwitz_batch``, one row at
+alpha = k), and a quadrature check needs zeta^(r)(s, a) at every node a of a
+tanh-sinh level (``_zeta_level``, from ``_em_jet_batch`` at one s).  An entry
+a batch leaves non-finite is taken again from the scalar form, which retries
+it or refuses it.
 
 The README lists where, measured against mpmath, values miss the accuracy
 target without warning.
@@ -69,6 +71,7 @@ _EM_TAIL_TERMS = 12
 _POLE_GUARD = 0.5
 # The highest s-derivative order of the kernels.
 _MAX_ORDER = 6
+_FACTORIALS = np.array([float(factorial(k)) for k in range(_MAX_ORDER + 1)])
 
 
 @dataclass(frozen=True)
@@ -248,8 +251,8 @@ def _em_hurwitz(s: complex, alpha: float, cfg: PrecisionConfig,
                 exp_log: bool = False) -> complex:
     """The Euler-Maclaurin sum.  ``exp_log`` forms every power as
     exp(-s log(n+a)) and the integral term as exp((1-s) log(M+a))."""
-    m = _em_head_length(s, alpha, cfg)
     try:
+        m = _em_head_length(s, alpha, cfg)
         head = 0j
         if exp_log:
             for n in range(m):
@@ -268,7 +271,8 @@ def _em_hurwitz(s: complex, alpha: float, cfg: PrecisionConfig,
         value += _em_tail(s, big_t, t_ms / big_t, _em_tail_terms(s))
     except (OverflowError, ZeroDivisionError):
         # an infinite Im s makes the power's phase infinite, which CPython's
-        # complex ** reports as ZeroDivisionError; like a real +-inf it is an overflow
+        # complex ** reports as ZeroDivisionError; like a real +-inf, or an
+        # infinite alpha in the head length for Re s < 1/2, it is an overflow
         raise NumericOverflowError("Euler-Maclaurin overflow in hurwitz_zeta") from None
     if not exp_log and not cmath.isfinite(value):
         # For an integral exponent CPython's complex ** multiplies the power
@@ -354,6 +358,51 @@ def riemann_zeta(s: complex, config: PrecisionConfig | None = None) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _jet_head_length(s: complex, alpha: float, cfg: PrecisionConfig) -> int:
+    """Head length M of a Taylor-mode sum.
+
+    For Re s < 1/2 the k-th coefficient's head/integral cancellation is
+    L^k/k! times the value's, L = log(M+a), so M allows for the largest such
+    factor up to _MAX_ORDER, but is shrunk no further than M + a = 0.6 |Im s|:
+    below that the corrections stop converging before they are small
+    (measured).  Raises OverflowError or ValueError for an infinite or NaN
+    alpha.
+    """
+    m = _em_head_length(s, alpha, cfg)
+    if s.real < 0.5:
+        log_t = math.log(m + alpha)
+        growth = max(log_t ** k / factorial(k) for k in range(_MAX_ORDER + 1))
+        m = max(_em_head_length(s, alpha, cfg, growth),
+                int(min(m, 0.6 * abs(s.imag) - alpha + 1.0)))
+    return m
+
+
+def _jet_head_lengths(s: complex, alphas: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
+    """:func:`_jet_head_length` at one s and every alpha of the 1-D float
+    array ``alphas`` (each finite and > 0), as an integer array.
+
+    Every step rounds as the scalar rule does: powers by ``np.float_power``
+    and logarithms by ``math.log`` (see :func:`_em_lengths`), ties of
+    round(cap - alpha) to even as Python's round, and min() keeping M when
+    the other side is not smaller.
+    """
+    if not s.real < 0.5:
+        return np.full(len(alphas), _EM_CUTOFF)
+    power = 1.0 / (1.0 - s.real)
+
+    def length(cap):  # _em_head_length's M, given its cap
+        return np.minimum(np.maximum(np.round(cap - alphas) + 1.0, 2.0), _EM_CUTOFF)
+
+    m = length((cfg.target_abs_error / (5.0 * _MACH_EPS)) ** power)
+    log_t = np.array(list(map(math.log, (m + alphas).tolist())))
+    orders = np.arange(_MAX_ORDER + 1)[:, None]
+    growth = (np.float_power(log_t, orders) / _FACTORIALS[:, None]).max(axis=0)
+    floor = 0.6 * abs(s.imag) - alphas + 1.0
+    return np.maximum(length(np.float_power(cfg.target_abs_error / (5.0 * _MACH_EPS * growth),
+                                            power)),
+                      np.trunc(np.where(floor < m, floor, m))).astype(int)
+
+
 def _em_jet(s: complex, alpha: float, order: int, cfg: PrecisionConfig,
             minus_pole: bool = False) -> list[complex]:
     """Taylor coefficients a_0..a_order of zeta(s+t, alpha) in t.
@@ -368,22 +417,14 @@ def _em_jet(s: complex, alpha: float, order: int, cfg: PrecisionConfig,
                   cut where the order-0 term is smallest, as in _em_tail
 
     With ``minus_pole`` s must be 1, and the series is zeta(1+t, a) - 1/t:
-    the integral term minus the pole is expm1(-tL)/t.  For Re s < 1/2 the
-    k-th coefficient's head/integral cancellation is L^k/k! times the
-    value's, so M allows for the largest such factor up to _MAX_ORDER; M
-    does not depend on ``order``, so neither does any coefficient.  Overflow
-    yields non-finite coefficients, never an exception.
+    the integral term minus the pole is expm1(-tL)/t.  M comes from
+    :func:`_jet_head_length` and does not depend on ``order``, so neither
+    does any coefficient.  Overflow yields non-finite coefficients, never an
+    exception.
     """
     size = order + 1
     try:
-        m = _em_head_length(s, alpha, cfg)
-        if s.real < 0.5:
-            log_t = math.log(m + alpha)
-            growth = max(log_t ** k / factorial(k) for k in range(_MAX_ORDER + 1))
-            # shrunk no further than M + a = 0.6 |Im s|: below that the
-            # corrections stop converging before they are small (measured)
-            m = max(_em_head_length(s, alpha, cfg, growth),
-                    int(min(m, 0.6 * abs(s.imag) - alpha + 1.0)))
+        m = _jet_head_length(s, alpha, cfg)
         # sum_n (n+a)^-s (-log(n+a))^k, one order at a time; the 1/k! comes
         # at the end
         xs = [n + alpha for n in range(m)]
@@ -446,6 +487,118 @@ def _jet_tail(s: complex, big_t: float, size: int) -> list[complex]:
         g = [0j, 0j, q0 * g[2] + weights[j - 1]] + [
             q0 * g[k] + q1 * g[k - 1] + g[k - 2] for k in range(3, size + 2)]
     return [s * g[k] + g[k - 1] for k in range(2, size + 2)]
+
+
+def _times(z: np.ndarray, w) -> np.ndarray:
+    """z * w rounded as Python's complex product.  numpy's may fuse its
+    multiply-adds, and where the head and integral terms cancel, one rounding
+    moved is magnified (at order 6 to about a tenth of the bound)."""
+    out = np.empty_like(z)
+    out.real = z.real * w.real - z.imag * w.imag
+    out.imag = z.real * w.imag + z.imag * w.real
+    return out
+
+
+def _em_jet_batch(s: complex, alphas: np.ndarray, order: int,
+                  cfg: PrecisionConfig) -> np.ndarray:
+    """:func:`_em_jet` at one s and every alpha of the 1-D float array
+    ``alphas`` (each finite and > 0): column i of the (order + 1) x
+    len(alphas) result holds a_0..a_order of zeta(s+t, alphas[i]).
+
+    Every node keeps its own head length (:func:`_jet_head_lengths`) and its
+    own Bernoulli cut, taken from the order-0 magnitudes as in
+    :func:`_jet_tail`, so its column does not depend on the other nodes.  The
+    head terms are laid out with the term index first, as in
+    :func:`_em_hurwitz_batch`; the corrections are sum_j w_j (s+t)_{2j-1},
+    the polynomials in t shared by every node and the weights w_j zero past a
+    node's cut.  Overflow yields non-finite entries, never a warning.
+    """
+    s = complex(s)
+    alphas = np.asarray(alphas, dtype=float)
+    size = order + 1
+    try:
+        depth = _em_tail_terms(s)
+        inv_d = 1.0 / (s - 1.0)
+    except (OverflowError, ZeroDivisionError):
+        # an infinite Re s, or s = 1
+        return np.full((size, len(alphas)), complex(math.nan, math.nan))
+    # (s+t)_{2j-1} up to t^order for j = 1..J, each the one before times
+    # (s+t+2j-1)(s+t+2j); two leading zeros stand for t^-2 and t^-1
+    poly, rising = [0j, 0j, s, 1.0 + 0j] + [0j] * (size - 2), []
+    for j in range(1, depth + 1):
+        rising.append(poly[2:size + 2])
+        a = s + (2 * j - 1)
+        q0, q1 = a * (a + 1.0), 2.0 * a + 1.0
+        poly = [0j, 0j] + [q0 * poly[k] + q1 * poly[k - 1] + poly[k - 2]
+                           for k in range(2, size + 2)]
+    rising = np.array(rising)
+    cols = np.arange(len(alphas))
+    with np.errstate(all="ignore"):
+        m = _jet_head_lengths(s, alphas, cfg)
+        width = m.max(initial=0)
+        xs = np.arange(width + 1)[:, None] + alphas
+        # numpy's log, though it differs from the scalar's math.log by an ulp
+        # on about 2 values in 10^4, which the order-6 cancellation can
+        # magnify to most of a tenth of the bound: math.log element by
+        # element would cost more than the rest of a 148-node level
+        logs = np.log(xs)
+        # sum_n (n+a)^-s (-log(n+a))^k in the scalar's order: running sums
+        # over n, read off at each node's M-1; (n+a)^-s as modulus and phase,
+        # as the scalar complex power forms it; the 1/k! comes at the end
+        modulus = np.float_power(xs[:width], -s.real)
+        phase = -s.imag * logs[:width]
+        terms = modulus * np.cos(phase) + 1j * (modulus * np.sin(phase))
+        head = [terms.cumsum(axis=0)[m - 1, cols]]
+        for _ in range(order):
+            terms *= -logs[:width]
+            head.append(terms.cumsum(axis=0)[m - 1, cols])
+        big_t = m + alphas
+        log_t = logs[m, cols]
+        decay = [np.float_power(-log_t, k) / factorial(k) for k in range(size + 1)]
+        t_ms = np.exp(-s * log_t)  # (M+a)^-s
+        integral, prev, big_t_ms = [], 0j, t_ms * big_t
+        for k in range(size):  # ((s-1) + t) f = (M+a)^(1-s) e^(-tL)
+            prev = _times(big_t_ms * decay[k] - prev, inv_d)
+            integral.append(prev)
+        # w_j = B_{2j}/(2j)! (M+a)^(1-2j), kept up to the last smallest
+        # order-0 term, or to J unless the final term has clearly re-entered
+        # asymptotic growth (see _em_tail)
+        weights = _B2J_OVER_FACT_ARRAY[:depth, None] * big_t ** (
+            1.0 - 2.0 * np.arange(1, depth + 1))[:, None]
+        mags = np.abs(weights * rising[:, :1])
+        at_min = depth - 1 - mags[::-1].argmin(axis=0)
+        cut = np.where(mags[-1] > 10.0 * mags[at_min, cols], at_min, depth - 1)
+        weights[np.arange(depth)[:, None] > cut] = 0.0
+        # cumsum adds in j order whatever the number of nodes; sum may pair terms
+        tail = [(rising[:, k, None] * weights).cumsum(axis=0)[-1] for k in range(size)]
+        tail[0] += 0.5  # the half term
+        # head / k! part by part, as Python divides a complex by an int
+        return np.array([(head[k].view(float) / factorial(k)).view(complex) + integral[k]
+                         + _times(sum(tail[i] * decay[k - i] for i in range(k + 1)), t_ms)
+                         for k in range(size)])
+
+
+def _zeta_level(r: int, s: complex, alphas: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
+    """zeta^(r)(s, a) at every a of the 1-D float array ``alphas``, a
+    quadrature level's nodes, from one :func:`_em_jet_batch` call: r! a_r.
+
+    Values and refusals are those of hurwitz_zeta_deriv(r, s, a) node by
+    node: an s the scalar refuses is refused at the first node, and a node
+    whose alpha is not finite and > 0, or whose value is not finite, is taken
+    again from the scalar, which refuses it or retries it (order 0 in
+    exp/log form).  Order 0 has no pole guard, only hurwitz_zeta's.
+    """
+    s = complex(s)
+    alphas = np.asarray(alphas, dtype=float)
+    pole = (_POLE_GUARD if r else 0.0) + 1e-10
+    if alphas.size and (cmath.isnan(s) or abs(s - 1.0) <= pole):
+        hurwitz_zeta_deriv(r, s, alphas[0], cfg)  # raises s's refusal, or the node's
+    good = (alphas > 0.0) & (alphas < math.inf)
+    values = np.full(len(alphas), complex(math.nan, math.nan))
+    values[good] = factorial(r) * _em_jet_batch(s, alphas[good], r, cfg)[r]
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        values[i] = hurwitz_zeta_deriv(r, s, alphas[i], cfg)
+    return values
 
 
 def _hurwitz_rows(orders, points, alphas, cfg: PrecisionConfig) -> list:

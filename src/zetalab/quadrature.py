@@ -11,11 +11,12 @@ integral is (b - a) times that of f(a + (b - a) x) over (0, 1), with the
 tolerance divided by b - a.
 
 The integrand is vectorised over a level: it receives the 1-D float array of
-the level's new nodes and returns one value per node, so an integrand can
-evaluate a whole level in one call.  A scalar g goes in as
-``lambda xs: [g(x) for x in xs.tolist()]``.
-The values are accumulated one by one in node order, so the result depends
-only on the samples, not on how the integrand computed them.
+the level's new nodes and returns one value per node.  The checks' zeta
+integrands evaluate a level in one numpy batch per zeta factor
+(``kernels._zeta_level``), because a level holds tens to hundreds of nodes;
+single points stay on the scalar kernels, where numpy's per-call overhead
+would dominate.  The values are accumulated one by one in node order, so the
+result depends only on the samples, not on how the integrand computed them.
 
 Integrands may be complex-valued; they are integrated component-wise and the
 error estimate is the max over components.

@@ -8,7 +8,8 @@ consistency, the Laurent definition for Stieltjes constants, and mpmath
 (optional) for the Taylor-mode derivatives and Stieltjes constants.  The
 numpy batch core behind the Taylor-disc series is checked against the scalar
 core and against the single-alpha batch it was cut down from, and the series
-against its form with one scalar zeta call per term.
+against its form with one scalar zeta call per term; the Taylor-mode batch
+behind the quadrature checks against the scalar Taylor-mode sum.
 """
 
 import cmath
@@ -25,6 +26,7 @@ from zetalab import calculus, kernels
 from zetalab.errors import (ConvergenceError, DomainError, EvaluationError,
                             NumericOverflowError, PoleProximityError)
 from zetalab.exact import poly_eval, zeta_neg_int_poly
+from zetalab.checks import run_checks
 from zetalab.reduction import pair_integral
 from zetalab.kernels import (DEFAULT_CONFIG, PrecisionConfig, digamma,
                              format_complex, gamma_complex, hurwitz_taylor,
@@ -142,10 +144,11 @@ class TestHurwitzZeta:
         with pytest.raises(PoleProximityError):
             hurwitz_zeta(1.0, 0.5)
 
-    @pytest.mark.parametrize("s, alpha", [(4.0, 1e78), (2.0, 1e160)])
+    @pytest.mark.parametrize("s, alpha", [(4.0, 1e78), (2.0, 1e160), (2.0, math.inf)])
     def test_huge_alpha_at_integral_s(self, s, alpha):
         # complex ** gives nan for these integral exponents although every
-        # power is representable; the value is the integral and half terms
+        # power is representable; the value is the integral and half terms,
+        # 0 at alpha = inf
         expected = alpha ** (1.0 - s) / (s - 1.0) + alpha ** -s / 2.0
         assert abs(hurwitz_zeta(s, alpha) - expected) <= 1e-13 * abs(expected)
 
@@ -341,12 +344,13 @@ class TestNaNArguments:
         lambda: hurwitz_taylor(-1e300, 0.5, 2),
         lambda: pair_integral(1e300, 0.2),
         lambda: gamma_complex(-1e300),
-        # the derivative's head length for Re s < 1/2 meets alpha = inf
+        # the head length for Re s < 1/2 meets alpha = inf
         lambda: hurwitz_zeta_deriv(1, 0.3, math.inf),
+        lambda: hurwitz_zeta(0.3, math.inf),
     ], ids=["re+inf", "re-inf", "im+inf", "im-inf", "re-3_im+inf", "taylor_im+inf",
             "taylor_re-inf", "gamma_re-inf", "gamma_im+inf", "gamma_im800",
             "pair_im800", "pair_re-inf", "taylor_re-1e300", "pair_re1e300",
-            "gamma_re-1e300", "deriv_alpha+inf"])
+            "gamma_re-1e300", "deriv_alpha+inf", "alpha+inf"])
     def test_infinity_is_not_a_domain_error(self, call):
         with pytest.raises(NumericOverflowError) as info:
             call()
@@ -837,11 +841,120 @@ class TestDerivativesOverAlphas:
         got = outcome(lambda: [kernels._hurwitz_derivs(orders, s, alpha, DEFAULT_CONFIG)
                                for alpha in alphas])
         assert got == (error, message)
+        # the level batch, one call per order, refuses at the same node
+        level = outcome(lambda: [kernels._zeta_level(r, s, np.array(alphas), DEFAULT_CONFIG)
+                                 for r in orders])
+        assert level == (error, message)
 
     def test_finite_at_very_negative_s(self):
         for alpha in (0.5, 1.0, 3.0):
             value, = kernels._hurwitz_derivs((1,), -300.0, alpha, DEFAULT_CONFIG)
             assert cmath.isfinite(value)
+
+
+# ---------------------------------------------------------------------------
+# The Taylor-mode batch behind the quadrature checks: one s, a level's alphas
+# ---------------------------------------------------------------------------
+
+
+def jet_lengths_match_scalar(s, alphas, cfg):
+    """The batch's head lengths equal the scalar rule at every alpha."""
+    got = kernels._jet_head_lengths(complex(s), np.array(alphas, dtype=float), cfg)
+    return got.tolist() == [kernels._jet_head_length(complex(s), a, cfg) for a in alphas]
+
+
+def ulps_around(x, count=20):
+    return [x + d * EPS * abs(x) for d in range(-count, count + 1)]
+
+
+def quadrature_s_values():
+    """(r, s) of every zeta factor the quadrature checks integrate, recorded
+    from a run of the registry."""
+    seen = []
+    level = kernels._zeta_level
+
+    def recorded(r, s, alphas, cfg):
+        if (r, complex(s)) not in seen:
+            seen.append((r, complex(s)))
+        return level(r, s, alphas, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_zeta_level", recorded)
+        run_checks()
+    return seen
+
+
+class TestJetBatch:
+    @pytest.mark.parametrize("cfg", JET_CONFIGS, ids=["default", "tight"])
+    def test_head_lengths_match_scalar_rule(self, cfg):
+        rng = random.Random(20261020)
+        alphas = GRID_ALPHAS + [math.exp(rng.uniform(math.log(1e-3), math.log(200.0)))
+                                for _ in range(10)]
+        # both sides of Re s = 1/2, the extremes, and random points where the
+        # 0.6 |Im s| floor may bind
+        points = [complex(x, y) for x in ulps_around(0.5) + [0.4999, -1e300, -40.5, 1e300]
+                  for y in (0.0, 7.0, -60.0)]
+        points += [complex(rng.uniform(-3.0, 0.5), rng.uniform(-80.0, 80.0))
+                   for _ in range(500)]
+        assert all(jet_lengths_match_scalar(s, alphas, cfg) for s in points)
+        base = cfg.target_abs_error / (5.0 * EPS)
+        for alpha in ALPHAS:
+            # round(cap - alpha) at k + 1/2, first with the plain cap as in
+            # TestBatchCore::test_lengths_at_rounding_ties, then with the cap
+            # shrunk by the growth of the head length the plain cap gives
+            ties = []
+            for k in range(1, kernels._EM_CUTOFF):
+                ties += ulps_around(1.0 - math.log(base) / math.log(k + 0.5 + alpha))
+                for m in range(2, kernels._EM_CUTOFF + 1):
+                    log_t = math.log(m + alpha)
+                    growth = max(log_t ** n / math.factorial(n) for n in range(7))
+                    tie = 1.0 - math.log(base / growth) / math.log(k + 0.5 + alpha)
+                    if kernels._em_head_length(complex(tie), alpha, cfg) == m:
+                        ties += ulps_around(tie)
+            # and 0.6 |Im s| - alpha + 1 at an integer
+            floors = [complex(x, y) for n in range(-2, kernels._EM_CUTOFF + 1)
+                      for y in ulps_around((n + alpha - 1.0) / 0.6, 3) for x in (-1.0, 0.2)]
+            assert all(jet_lengths_match_scalar(s, [alpha], cfg)
+                       for s in floors + [complex(x) for x in ties])
+
+    def test_coefficients_match_scalar(self):
+        # every coefficient r <= 6, within a tenth of the README bound
+        rng = random.Random(20261021)
+        points = [s for _, s in quadrature_s_values()]
+        while len(points) < 80:
+            s = complex(rng.uniform(-2.0, 10.0), rng.uniform(-20.0, 20.0))
+            if abs(s - 1.0) >= 0.05:
+                points.append(s)
+        worst = 0.0
+        for s in points:
+            alphas = np.array([1e-3, 200.0] + [math.exp(rng.uniform(math.log(1e-3),
+                                                                     math.log(200.0)))
+                                               for _ in range(14)])
+            batch = kernels._em_jet_batch(s, alphas, 6, DEFAULT_CONFIG)
+            for alpha, column in zip(alphas.tolist(), batch.T.tolist()):
+                for r, (got, ref) in enumerate(zip(column, kernels._em_jet(s, alpha, 6,
+                                                                           DEFAULT_CONFIG))):
+                    value = math.factorial(r) * ref
+                    bound = 0.1 * zeta_bound(value) if r == 0 else tenth_of_bound(value)
+                    worst = max(worst, math.factorial(r) * abs(got - ref) / bound)
+        assert worst <= 1.0
+
+    def test_columns_do_not_depend_on_the_other_nodes(self):
+        alphas = np.array(GRID_ALPHAS)
+        for s in GRID_CENTRES:
+            level = kernels._em_jet_batch(s, alphas, 6, DEFAULT_CONFIG)
+            for i in range(len(alphas)):
+                alone = kernels._em_jet_batch(s, alphas[i:i + 1], 6, DEFAULT_CONFIG)
+                assert level[:, i].tobytes() == alone[:, 0].tobytes(), (s, alphas[i])
+
+    def test_overflow_is_non_finite_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels._em_jet_batch(-300.0, np.array([0.5, 1e6, 1.0]), 3, DEFAULT_CONFIG)
+            edges = [kernels._em_jet_batch(s, np.array([0.5, 2.0]), 2, DEFAULT_CONFIG)
+                     for s in (-math.inf, 1.0, complex(2.0, math.inf))]
+        assert np.isfinite(got[:, [0, 2]]).all() and not np.isfinite(got[:, 1]).any()
+        assert not any(np.isfinite(edge).any() for edge in edges)
 
 
 # ---------------------------------------------------------------------------

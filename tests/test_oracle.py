@@ -1,7 +1,8 @@
 """Taylor-mode s-derivatives and Stieltjes constants against mpmath.
 
 Every point of a fixed seeded grid must lie within the README's bound for
-these kernels, 100 times the zeta bound: max(1e-9, 1e-11 |value|).  The grid
+these kernels, 100 times the zeta bound: max(1e-9, 1e-11 |value|), both
+node by node and from the level batch the quadrature checks use.  The grid
 covers Re s in [-2, 6], |Im s| <= 20 and |s - 1| >= 0.55, so the band
 0 < Re s < 1 next to the pole guard is included, and alpha in [0.05, 50]:
 random points, a ring just outside the pole guard, and the corners.
@@ -11,9 +12,11 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from zetalab import hurwitz_zeta_deriv, stieltjes
+from zetalab.kernels import DEFAULT_CONFIG, _zeta_level
 
 mp = pytest.importorskip("mpmath")
 
@@ -51,14 +54,28 @@ def mp_digits():
         yield
 
 
+def by_level(r: int, points: list[tuple[complex, float]]) -> list[complex]:
+    """zeta^(r) at the points from the quadrature level batch, one call per
+    s over all of its alphas."""
+    alphas: dict[complex, list[float]] = {}
+    for s, alpha in points:
+        alphas.setdefault(s, []).append(alpha)
+    levels = {s: iter(_zeta_level(r, s, np.array(group), DEFAULT_CONFIG).tolist())
+              for s, group in alphas.items()}
+    return [next(levels[s]) for s, _ in points]
+
+
 @pytest.mark.parametrize("r", range(1, 7))
 def test_derivatives_within_bound(r):
+    # node by node, and by level
     misses = []
-    for s, alpha in deriv_grid(r):
+    points = deriv_grid(r)
+    for (s, alpha), level in zip(points, by_level(r, points)):
         expected = complex(mp.zeta(mp.mpc(s.real, s.imag), alpha, r))
-        error = abs(hurwitz_zeta_deriv(r, s, alpha) - expected)
-        if error > bound(expected):
-            misses.append((s, alpha, error / bound(expected)))
+        for route, got in (("node", hurwitz_zeta_deriv(r, s, alpha)), ("level", level)):
+            error = abs(got - expected)
+            if error > bound(expected):
+                misses.append((route, s, alpha, error / bound(expected)))
     assert not misses, misses
 
 

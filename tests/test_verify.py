@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import zetalab
-from zetalab import kernels
+from zetalab import checks, kernels
 from zetalab.checks import (REQUIRED_ID_PREFIXES, build_registry,
                             render_report, run_checks)
 from zetalab.cli import main, parse_complex
@@ -223,7 +223,8 @@ class TestCli:
         ("pair", "--s1", "0.3+800i", "--s2", "0.2"),
         ("pair", "--s1=-1e400", "--s2=0.3"),
         ("pair", "--s1=1e300", "--s2=0.2"),
-    ], ids=["gamma_im800", "pair_im800", "pair_re-inf", "pair_re1e300"])
+        ("eval", "--fn", "hurwitz", "--s", "0.3", "--alpha", "inf"),
+    ], ids=["gamma_im800", "pair_im800", "pair_re-inf", "pair_re1e300", "hurwitz_alpha+inf"])
     def test_large_or_infinite_argument_is_an_error(self, argv):
         proc = run_module("zetalab", *argv)
         assert proc.returncode == 2
@@ -328,3 +329,44 @@ class TestQuadratureRefusals:
             "note_fwd_r2": near.format("(0.5+0.5j)"),
             "note_fwd_r3": near.format("(0.5+0.5j)"),
         }
+
+
+# id prefix of each quadrature check family: its zeta factors per level
+QUADRATURE_CHECKS = {"cor3_quad": 1, "cor4_quad": 1, "cor5_limit": 3, "cor7_random_quad": 1,
+                     "cor8_random_quad": 1, "cor9_quad": 3, "pair_quad": 2}
+
+
+class TestQuadratureBatches:
+    @pytest.mark.parametrize("family, factors", QUADRATURE_CHECKS.items())
+    def test_one_jet_batch_per_level_per_zeta_factor(self, monkeypatch, family, factors):
+        # inside tanh_sinh_01 only: the closed-form sides use the scalar jet
+        count = {"levels": 0, "batches": 0, "inside": False}
+        batch, quad = kernels._em_jet_batch, checks.tanh_sinh_01
+
+        def counted(*args):
+            count["batches"] += count["inside"]
+            return batch(*args)
+
+        def refused_inside(scalar):
+            def call(*args, **kwargs):
+                assert not count["inside"], f"{scalar.__name__} called for a node"
+                return scalar(*args, **kwargs)
+            return call
+
+        def levels_counted(f, tol):
+            def level(xs):
+                count["levels"] += 1
+                count["inside"] = True
+                try:
+                    return f(xs)
+                finally:
+                    count["inside"] = False
+            return quad(level, tol)
+
+        monkeypatch.setattr(kernels, "_em_jet_batch", counted)
+        for name in ("_em_jet", "hurwitz_zeta"):
+            monkeypatch.setattr(kernels, name, refused_inside(getattr(kernels, name)))
+        monkeypatch.setattr(checks, "tanh_sinh_01", levels_counted)
+        results = run_checks(family)
+        assert results and all(r.status == "pass" for r in results)
+        assert count["levels"] and count["batches"] == factors * count["levels"]
