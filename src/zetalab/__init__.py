@@ -19,10 +19,9 @@ from .errors import (ConvergenceError, DomainError, EvaluationError,
 from .exact import (RatPoly, Rational, bernoulli_number, bernoulli_polynomial,
                     bernoulli_product_integral, poly_eval, poly_integral_01,
                     poly_mul, poly_reflect, rational_str, zeta_neg_int_poly)
-from .kernels import (DEFAULT_CONFIG, PrecisionConfig, digamma, format_complex,
-                      gamma_complex, hurwitz_taylor, hurwitz_zeta,
-                      hurwitz_zeta_deriv, riemann_zeta, riemann_zeta_deriv,
-                      stieltjes)
+from .kernels import (digamma, format_complex, gamma_complex, hurwitz_taylor,
+                      hurwitz_zeta, hurwitz_zeta_deriv, riemann_zeta,
+                      riemann_zeta_deriv, stieltjes)
 from .quadrature import QuadResult, tanh_sinh_01
 from .reduction import (DerivAtom, LinearCombination, RationalFunctionOfS,
                         eval_combination, integral_poly_zeta, pair_integral,

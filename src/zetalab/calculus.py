@@ -23,7 +23,6 @@ from math import factorial
 from . import kernels
 from .errors import DomainError, PoleProximityError
 from .exact import RatPoly
-from .kernels import PrecisionConfig
 from .reduction import RationalFunctionOfS
 
 __all__ = [
@@ -39,7 +38,11 @@ __all__ = [
     "integral_1_inf",
 ]
 
-_MAX_R = 6
+
+def _check_order(r: int) -> None:
+    """The calculus takes the kernels' derivative orders, 0.._MAX_ORDER."""
+    if not 0 <= r <= kernels._MAX_ORDER:
+        raise ValueError(f"derivative order must be in 0..{kernels._MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,7 @@ class AntiderivativeTerm:
 
 def antiderivative_terms(r: int) -> tuple[AntiderivativeTerm, ...]:
     """Terms of the antiderivative of zeta^(r)(s, .) in alpha: c_l = r!/l!."""
-    if not 0 <= r <= _MAX_R:
-        raise ValueError(f"derivative order must be in 0..{_MAX_R}")
+    _check_order(r)
     return tuple(
         AntiderivativeTerm(deriv_order=l,
                            coefficient=Fraction(factorial(r), factorial(l)),
@@ -63,12 +65,11 @@ def antiderivative_terms(r: int) -> tuple[AntiderivativeTerm, ...]:
     )
 
 
-def _antiderivative(r: int, s: complex, alpha: float,
-                    cfg: PrecisionConfig) -> complex:
+def _antiderivative(r: int, s: complex, alpha: float) -> complex:
     """sum_l c_l zeta^(l)(s-1, a)/(1-s)^(r+1-l), every order from one
     Taylor-mode sum."""
     terms = antiderivative_terms(r)
-    zetas = kernels._hurwitz_derivs([t.deriv_order for t in terms], s - 1.0, alpha, cfg)
+    zetas = kernels._hurwitz_derivs([t.deriv_order for t in terms], s - 1.0, alpha)
     one_minus_s = 1.0 - s
     total = 0j
     for term, z in zip(terms, zetas):
@@ -76,16 +77,13 @@ def _antiderivative(r: int, s: complex, alpha: float,
     return total
 
 
-def antiderivative_eval(r: int, s: complex, alpha: float,
-                        config: PrecisionConfig | None = None) -> complex:
+def antiderivative_eval(r: int, s: complex, alpha: float) -> complex:
     """Numeric antiderivative value sum_l c_l zeta^(l)(s-1, a)/(1-s)^(r+1-l)."""
-    cfg = config or kernels.DEFAULT_CONFIG
-    if not 0 <= r <= 4:
-        raise ValueError("derivative order must be in 0..4")
+    _check_order(r)
     s = complex(s)
     if abs(s - 1.0) <= kernels._POLE_GUARD:
         raise PoleProximityError("antiderivative family is singular at s = 1")
-    return _antiderivative(r, s, alpha, cfg)
+    return _antiderivative(r, s, alpha)
 
 
 def antiderivative_alpha_derivative_symbolic(r: int) -> dict[int, RationalFunctionOfS]:
@@ -115,39 +113,32 @@ def antiderivative_alpha_derivative_symbolic(r: int) -> dict[int, RationalFuncti
     return {j: rf for j, rf in collected.items() if not rf.is_zero()}
 
 
-def alpha_derivative(r: int, s: complex, alpha: float,
-                     config: PrecisionConfig | None = None) -> complex:
+def alpha_derivative(r: int, s: complex, alpha: float) -> complex:
     """Forward rule: d/da zeta^(r)(s, a) = -r zeta^(r-1)(s+1, a) - s zeta^(r)(s+1, a).
 
     Valid for s != 0 (the shifted kernel sits on its pole at s = 0, matching
     the stated exclusion of the rule there).
     """
-    if not 0 <= r <= _MAX_R:
-        raise ValueError(f"derivative order must be in 0..{_MAX_R}")
+    _check_order(r)
     s = complex(s)
     if r == 0:
-        return -s * kernels.hurwitz_zeta(s + 1.0, alpha, config)
-    lower, upper = kernels._hurwitz_derivs((r - 1, r), s + 1.0, alpha,
-                                           config or kernels.DEFAULT_CONFIG)
+        return -s * kernels.hurwitz_zeta(s + 1.0, alpha)
+    lower, upper = kernels._hurwitz_derivs((r - 1, r), s + 1.0, alpha)
     return -s * upper - r * lower
 
 
-def alpha_derivative_at_zero(r: int, alpha: float,
-                             config: PrecisionConfig | None = None) -> complex:
+def alpha_derivative_at_zero(r: int, alpha: float) -> complex:
     """d/da zeta^(r)(0, a) = -r! gamma_{r-1}(a)."""
-    if not 0 <= r <= 4:
-        raise ValueError("derivative order must be in 0..4")
-    return -factorial(r) * kernels.stieltjes(r - 1, alpha, config)
+    _check_order(r)
+    return -factorial(r) * kernels.stieltjes(r - 1, alpha)
 
 
-def stieltjes_alpha_derivative(r: int, alpha: float,
-                               config: PrecisionConfig | None = None) -> complex:
+def stieltjes_alpha_derivative(r: int, alpha: float) -> complex:
     """d/da gamma_{r-1}(a) = -(1/r!) d^r/ds^r [s(s+1) zeta(s+2, a)] at s=0.
 
     With a_k the Taylor coefficients of zeta(2+t, a) in t, that is
     -(a_{r-1} + a_{r-2}); for r = 1 it equals -zeta(2, a).
     """
-    cfg = config or kernels.DEFAULT_CONFIG
     if r < 1:
         raise ValueError("order must be >= 1")
     if r > 5:
@@ -157,21 +148,19 @@ def stieltjes_alpha_derivative(r: int, alpha: float,
         raise DomainError("stieltjes_alpha_derivative got NaN for alpha")
     if alpha <= 0.0:
         raise DomainError("stieltjes_alpha_derivative requires alpha > 0")
-    coeffs = kernels._em_jet(2.0 + 0j, alpha, r - 1, cfg)
+    coeffs = kernels._em_jet(2.0 + 0j, alpha, r - 1)
     coeff = coeffs[r - 1] + coeffs[r - 2] if r >= 2 else coeffs[0]
     return kernels._require_finite(-coeff, "stieltjes_alpha_derivative")
 
 
-def psi_chain(r: int, alpha: float,
-              config: PrecisionConfig | None = None) -> complex:
+def psi_chain(r: int, alpha: float) -> complex:
     """d^r/da^r psi(a) = (-1)^(r-1) r! zeta(r+1, a) for r >= 1."""
     if r < 1:
         raise ValueError("order must be >= 1")
-    return (-1.0) ** (r - 1) * factorial(r) * kernels.hurwitz_zeta(r + 1.0, alpha, config)
+    return (-1.0) ** (r - 1) * factorial(r) * kernels.hurwitz_zeta(r + 1.0, alpha)
 
 
-def integral_01(r: int, s: complex,
-                config: PrecisionConfig | None = None) -> complex:
+def integral_01(r: int, s: complex) -> complex:
     """int_0^1 zeta^(r)(s, a) da for Re s < 1, via antiderivative endpoints.
 
     For Re s < 1 the antiderivative F is continuous up to a = 0, and term by
@@ -180,24 +169,19 @@ def integral_01(r: int, s: complex,
     refuses the points where the kernels do.  The independent check of the
     statement is tanh-sinh quadrature (the ``cor4_quad`` checks).
     """
-    cfg = config or kernels.DEFAULT_CONFIG
-    if not 0 <= r <= 4:
-        raise ValueError("derivative order must be in 0..4")
+    _check_order(r)
     s = complex(s)
     if s.real >= 1.0:
         raise DomainError("integral_01 requires Re s < 1")
-    at_one = _antiderivative(r, s, 1.0, cfg)
+    at_one = _antiderivative(r, s, 1.0)
     return at_one - at_one
 
 
-def integral_1_inf(r: int, s: complex,
-                   config: PrecisionConfig | None = None) -> complex:
+def integral_1_inf(r: int, s: complex) -> complex:
     """int_1^inf zeta^(r)(s, a) da = -sum_l c_l zeta^(l)(s-1)/(1-s)^(r+1-l),
     for Re s > 2 (the antiderivative vanishes at infinity there)."""
-    cfg = config or kernels.DEFAULT_CONFIG
-    if not 0 <= r <= 3:
-        raise ValueError("derivative order must be in 0..3")
+    _check_order(r)
     s = complex(s)
     if s.real <= 2.0:
         raise DomainError("integral_1_inf requires Re s > 2")
-    return -_antiderivative(r, s, 1.0, cfg)
+    return -_antiderivative(r, s, 1.0)

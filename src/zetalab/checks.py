@@ -8,8 +8,9 @@ per-check absolute tolerance derived from the kernel accuracy analysis:
 ~1e-9 for direct kernel identities, 1e-6 for finite-difference checks,
 1e-3 for the s -> 1 limit extrapolation.
 
-Checks are pure; two runs with the same :class:`PrecisionConfig` produce
-identical reports byte-for-byte (random cases use a fixed seed).  Kernel
+The kernels run at one fixed accuracy policy, which the JSON report
+records under "config".  Checks are pure; two runs produce identical
+reports byte-for-byte (random cases use a fixed seed).  Kernel
 evaluation failures downgrade a check to skipped(reason), never to a silent
 pass.
 """
@@ -20,7 +21,7 @@ import cmath
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -30,7 +31,7 @@ from . import calculus, kernels
 from .errors import EvaluationError
 from .exact import (RatPoly, bernoulli_polynomial, bernoulli_product_integral,
                     poly_eval, poly_integral_01, rational_str, zeta_neg_int_poly)
-from .kernels import DEFAULT_CONFIG, PrecisionConfig, format_complex
+from .kernels import format_complex
 from .quadrature import tanh_sinh_01
 from .reduction import (DerivAtom, LinearCombination, RationalFunctionOfS,
                         eval_combination, integral_poly_zeta, pair_integral,
@@ -115,9 +116,8 @@ def _trapezoid_coeff(f: Callable[[complex], complex], n: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
-    """All registered checks, sorted by id, for the given configuration."""
-    cfg = config or DEFAULT_CONFIG
+def build_registry() -> list[CheckSpec]:
+    """All registered checks, sorted by id."""
     specs: list[CheckSpec] = []
     seen: set[str] = set()
 
@@ -134,15 +134,14 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     add("prop1_taylor_alpha_zero", "alpha->0 limit of the disc expansion is zeta(s)",
         "Proposition 1", 1e-9,
-        lambda: (kernels.hurwitz_taylor(-1.5, 1e-10, 2, cfg),
-                 kernels.riemann_zeta(-1.5, cfg)), s=-1.5)
+        lambda: (kernels.hurwitz_taylor(-1.5, 1e-10, 2),
+                 kernels.riemann_zeta(-1.5)), s=-1.5)
     add("prop1_taylor_alpha_one", "disc expansion at alpha=1 equals zeta(s)",
         "Proposition 1", 1e-10,
-        lambda: (kernels.hurwitz_taylor(-2.5, 1.0, 3, cfg),
-                 kernels.riemann_zeta(-2.5, cfg)), s=-2.5)
+        lambda: (kernels.hurwitz_taylor(-2.5, 1.0, 3), kernels.riemann_zeta(-2.5)), s=-2.5)
     add("prop1_s_zero_left_limit", "zeta(s) -> zeta(0) = -1/2 as s -> 0-",
         "Proposition 1", 1e-6,
-        lambda: (kernels.riemann_zeta(-1e-7, cfg), complex(-0.5)))
+        lambda: (kernels.riemann_zeta(-1e-7), complex(-0.5)))
 
     # -- Proposition 2: forward alpha-derivative rule ------------------------
 
@@ -156,9 +155,8 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             pairs = []
             for s, a in _prop2_points[r]:
-                lhs = calculus.alpha_derivative(r, s, a, cfg)
-                rhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(r, s, x, cfg),
-                             a, _fd_step(a))
+                lhs = calculus.alpha_derivative(r, s, a)
+                rhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(r, s, x), a, _fd_step(a))
                 pairs.append((lhs, rhs))
             return _worst_pair(pairs)
         return run
@@ -174,8 +172,8 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             pairs = []
             for a in (0.7, 1.0):
-                lhs = calculus.alpha_derivative_at_zero(r, a, cfg)
-                rhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(r, 0.0, x, cfg),
+                lhs = calculus.alpha_derivative_at_zero(r, a)
+                rhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(r, 0.0, x),
                              a, _fd_step(a))
                 pairs.append((lhs, rhs))
             return _worst_pair(pairs)
@@ -189,11 +187,11 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
     def _prop3_contour(r: int):
         def run():
             a = 0.8
-            lhs = calculus.alpha_derivative_at_zero(r, a, cfg)
+            lhs = calculus.alpha_derivative_at_zero(r, a)
             # independent route: r-th Taylor coefficient of s*zeta(s+1,a)
             # from raw samples on a circle, without the pole-subtracted kernel
             rhs = -math.factorial(r) * _trapezoid_coeff(
-                lambda t: t * kernels.hurwitz_zeta(t + 1.0, a, cfg), r)
+                lambda t: t * kernels.hurwitz_zeta(t + 1.0, a), r)
             return lhs, rhs
         return run
 
@@ -208,10 +206,10 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             pairs = []
             for a in (0.8, 1.0):
-                lhs = calculus.stieltjes_alpha_derivative(r, a, cfg)
+                lhs = calculus.stieltjes_alpha_derivative(r, a)
                 h = 1e-4
-                rhs = (kernels.stieltjes(r - 1, a + h, cfg)
-                       - kernels.stieltjes(r - 1, a - h, cfg)) / (2 * h)
+                rhs = (kernels.stieltjes(r - 1, a + h)
+                       - kernels.stieltjes(r - 1, a - h)) / (2 * h)
                 pairs.append((lhs, rhs))
             return _worst_pair(pairs)
         return run
@@ -223,8 +221,8 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     add("prop4_closed_r1", "d/da gamma_0(a) = -zeta(2, a)",
         "Proposition 4 / Corollary 2", 1e-9,
-        lambda: (calculus.stieltjes_alpha_derivative(1, 1.0, cfg),
-                 -kernels.hurwitz_zeta(2.0, 1.0, cfg)))
+        lambda: (calculus.stieltjes_alpha_derivative(1, 1.0),
+                 -kernels.hurwitz_zeta(2.0, 1.0)))
 
     # -- Note: forward difference with log factor ----------------------------
 
@@ -233,8 +231,8 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             pairs = []
             for s in (-2.5, -0.5, 0.5 + 0.5j):
                 for a in (0.2, 0.7):
-                    lhs = (kernels.hurwitz_zeta_deriv(r, s, a, cfg)
-                           - kernels.hurwitz_zeta_deriv(r, s, a + 1.0, cfg))
+                    lhs = (kernels.hurwitz_zeta_deriv(r, s, a)
+                           - kernels.hurwitz_zeta_deriv(r, s, a + 1.0))
                     rhs = cmath.exp(-complex(s) * math.log(a)) * (-math.log(a)) ** r
                     pairs.append((lhs, rhs))
             return _worst_pair(pairs)
@@ -271,9 +269,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             pairs = []
             for s, a in ((-0.5, 0.6), (-1.5, 1.1)):
-                lhs = _diff5(lambda x: calculus.antiderivative_eval(r, s, x, cfg),
+                lhs = _diff5(lambda x: calculus.antiderivative_eval(r, s, x),
                              a, _fd_step(a))
-                rhs = kernels.hurwitz_zeta_deriv(r, s, a, cfg)
+                rhs = kernels.hurwitz_zeta_deriv(r, s, a)
                 pairs.append((lhs, rhs))
             return _worst_pair(pairs)
         return run
@@ -285,14 +283,14 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     add("cor1_value_r0", "antiderivative at s=-1 equals zeta(-2,a)/2 = -B_3(a)/6",
         "Corollary 1a", 1e-11,
-        lambda: (calculus.antiderivative_eval(0, -1.0, 0.3, cfg),
+        lambda: (calculus.antiderivative_eval(0, -1.0, 0.3),
                  complex(float(poly_eval(zeta_neg_int_poly(2), Fraction(3, 10))) / 2.0)))
 
     def _cor1_instance():
-        lhs = calculus.antiderivative_eval(2, 3.0, 1.0, cfg)
-        rhs = (2 * kernels.riemann_zeta(2.0, cfg) / (-2.0) ** 3
-               + 2 * kernels.riemann_zeta_deriv(1, 2.0, cfg) / (-2.0) ** 2
-               + kernels.riemann_zeta_deriv(2, 2.0, cfg) / (-2.0))
+        lhs = calculus.antiderivative_eval(2, 3.0, 1.0)
+        rhs = (2 * kernels.riemann_zeta(2.0) / (-2.0) ** 3
+               + 2 * kernels.riemann_zeta_deriv(1, 2.0) / (-2.0) ** 2
+               + kernels.riemann_zeta_deriv(2, 2.0) / (-2.0))
         return lhs, rhs
 
     add("cor1_instance_r2_s3",
@@ -304,8 +302,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
     def _cor2_psi():
         pairs = []
         for a in (0.5, 1.0, 1.5):
-            lhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(1, 0.0, x, cfg),
-                         a, _fd_step(a))
+            lhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(1, 0.0, x), a, _fd_step(a))
             pairs.append((lhs, complex(kernels.digamma(a))))
         return _worst_pair(pairs)
 
@@ -314,9 +311,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
     def _cor2_second():
         pairs = []
         for a in (0.5, 1.0, 1.5):
-            lhs = _diff2_5(lambda x: kernels.hurwitz_zeta_deriv(1, 0.0, x, cfg),
+            lhs = _diff2_5(lambda x: kernels.hurwitz_zeta_deriv(1, 0.0, x),
                            a, 0.01 * min(1.0, a))
-            pairs.append((lhs, kernels.hurwitz_zeta(2.0, a, cfg)))
+            pairs.append((lhs, kernels.hurwitz_zeta(2.0, a)))
         return _worst_pair(pairs)
 
     add("cor2_second_link", "d^2/da^2 zeta'(0,a) = zeta(2,a)",
@@ -325,9 +322,8 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
     def _cor2_gamma1():
         pairs = []
         for a in (0.5, 1.0):
-            lhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(2, 0.0, x, cfg),
-                         a, _fd_step(a))
-            pairs.append((lhs, -2.0 * kernels.stieltjes(1, a, cfg)))
+            lhs = _diff5(lambda x: kernels.hurwitz_zeta_deriv(2, 0.0, x), a, _fd_step(a))
+            pairs.append((lhs, -2.0 * kernels.stieltjes(1, a)))
         return _worst_pair(pairs)
 
     add("cor2_gamma1_link", "d/da zeta''(0,a) = -2 gamma_1(a)",
@@ -335,10 +331,9 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     def _cor2_gamma1_chain():
         a, h = 1.0, 1e-4
-        lhs = (-2.0 * kernels.stieltjes(1, a + h, cfg)
-               + 2.0 * kernels.stieltjes(1, a - h, cfg)) / (2 * h)
-        rhs = 2.0 * (kernels.hurwitz_zeta(2.0, a, cfg)
-                     + kernels.hurwitz_zeta_deriv(1, 2.0, a, cfg))
+        lhs = (-2.0 * kernels.stieltjes(1, a + h)
+               + 2.0 * kernels.stieltjes(1, a - h)) / (2 * h)
+        rhs = 2.0 * (kernels.hurwitz_zeta(2.0, a) + kernels.hurwitz_zeta_deriv(1, 2.0, a))
         return lhs, rhs
 
     add("cor2_gamma1_chain", "d/da (-2 gamma_1(a)) = 2 (zeta(2,a) + zeta'(2,a))",
@@ -346,19 +341,19 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     add("cor2_euler", "psi(1) = -gamma_0(1), Euler's constant",
         "Corollary 2", 1e-9,
-        lambda: (complex(kernels.digamma(1.0)), -kernels.stieltjes(0, 1.0, cfg)))
+        lambda: (complex(kernels.digamma(1.0)), -kernels.stieltjes(0, 1.0)))
 
     # -- Corollary 3: the improper integral on [1, inf) ----------------------
 
     def _cor3(r: int, s: complex):
         def run():
-            lhs = calculus.integral_1_inf(r, s, cfg)
+            lhs = calculus.integral_1_inf(r, s)
             big_a = 200.0
             # [1, A] onto (0, 1): the integral is (A-1) times the mapped one
             width = big_a - 1.0
             quad = tanh_sinh_01(
-                lambda xs: kernels._zeta_level(r, s, 1.0 + width * xs, cfg), 5e-9 / width)
-            rhs = width * quad.value - calculus.antiderivative_eval(r, s, big_a, cfg)
+                lambda xs: kernels._zeta_level(r, s, 1.0 + width * xs), 5e-9 / width)
+            rhs = width * quad.value - calculus.antiderivative_eval(r, s, big_a)
             return lhs, rhs
         return run
 
@@ -370,15 +365,13 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     add("cor3_exact_r0_s3", "r=0, s=3 value is zeta(2)/2",
         "Corollary 3", 1e-10,
-        lambda: (calculus.integral_1_inf(0, 3.0, cfg),
-                 kernels.riemann_zeta(2.0, cfg) / 2.0))
+        lambda: (calculus.integral_1_inf(0, 3.0), kernels.riemann_zeta(2.0) / 2.0))
 
     # -- Corollary 4: zero mean on [0, 1] ------------------------------------
 
     def _cor4_endpoint(r: int):
         def run():
-            vals = [calculus.integral_01(r, s, cfg)
-                    for s in (-1.0, -0.5, -2.5, 0.3, 0.5 + 0.5j)]
+            vals = [calculus.integral_01(r, s) for s in (-1.0, -0.5, -2.5, 0.3, 0.5 + 0.5j)]
             worst = max(vals, key=abs)
             return worst, 0j
         return run
@@ -392,7 +385,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         def run():
             vals = []
             for s in (-1.5, 0.3):
-                q = tanh_sinh_01(lambda xs: kernels._zeta_level(r, s, xs, cfg), 1e-8)
+                q = tanh_sinh_01(lambda xs: kernels._zeta_level(r, s, xs), 1e-8)
                 vals.append(q.value)
             return max(vals, key=abs), 0j
         return run
@@ -407,17 +400,17 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
     def _cor5(s: float):
         def run():
             s1 = s2 = -1.0
-            f0 = kernels.riemann_zeta(s1, cfg) * kernels.riemann_zeta(s2, cfg)
+            f0 = kernels.riemann_zeta(s1) * kernels.riemann_zeta(s2)
 
             def integrand(xs):
-                f = kernels._zeta_level(0, s1, xs, cfg) * kernels._zeta_level(0, s2, xs, cfg)
-                return (s - 1.0) * kernels._zeta_level(0, s, xs, cfg) * (f - f0)
+                f = kernels._zeta_level(0, s1, xs) * kernels._zeta_level(0, s2, xs)
+                return (s - 1.0) * kernels._zeta_level(0, s, xs) * (f - f0)
 
             # int (s-1) zeta(s,a) f0 da = 0 for Re s < 1, so subtracting the
             # constant f0 changes nothing analytically but removes the
             # a^(1-s) boundary layer that no double-precision node can reach.
             lhs = tanh_sinh_01(integrand, 1e-9).value
-            rhs = pair_limit_weighted(s1, s2, cfg)
+            rhs = pair_limit_weighted(s1, s2)
             return lhs, rhs
         return run
 
@@ -428,7 +421,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     add("cor5_zero_cross", "s1=-1, s2=-2 limit vanishes (cos factor and zeta(-2))",
         "Corollary 5", 1e-12,
-        lambda: (pair_limit_weighted(-1.0, -2.0, cfg), 0j))
+        lambda: (pair_limit_weighted(-1.0, -2.0), 0j))
 
     # -- Corollary 6: exact Bernoulli product integrals ----------------------
 
@@ -492,13 +485,13 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             pairs = []
             for ms, s in _random_cases(r, count, seed):
                 lc = integral_poly_zeta(ms, r)
-                lhs = eval_combination(lc, s, cfg)
+                lhs = eval_combination(lc, s)
                 prod = RatPoly.one()
                 for m in ms:
                     prod = prod * zeta_neg_int_poly(m)
 
                 def integrand(xs, _p=prod, _s=s):
-                    return _p.evaluate_complex(xs) * kernels._zeta_level(r, _s, xs, cfg)
+                    return _p.evaluate_complex(xs) * kernels._zeta_level(r, _s, xs)
 
                 rhs = tanh_sinh_01(integrand, 1e-9).value
                 pairs.append((lhs, rhs))
@@ -516,7 +509,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         pairs = []
         for ms, m in (((1,), 2), ((0, 2), 3), ((2, 2), 1)):
             lc = integral_poly_zeta(ms, 0)
-            lhs = eval_combination(lc, complex(-m), cfg)
+            lhs = eval_combination(lc, complex(-m))
             prod = zeta_neg_int_poly(m)
             for mi in ms:
                 prod = prod * zeta_neg_int_poly(mi)
@@ -588,10 +581,10 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     add("cor9_value_s2", "closed form at s=2 equals -1/360",
         "Corollary 9", 1e-10,
-        lambda: (triple_product_integral(2.0, cfg), complex(-1.0 / 360.0)))
+        lambda: (triple_product_integral(2.0), complex(-1.0 / 360.0)))
 
     def _cor9_exact_s3():
-        lhs = triple_product_integral(3.0, cfg)
+        lhs = triple_product_integral(3.0)
         integrand = (zeta_neg_int_poly(0) * zeta_neg_int_poly(2)
                      * zeta_neg_int_poly(1))
         return lhs, complex(float(poly_integral_01(integrand)))
@@ -601,12 +594,12 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     def _cor9_quad_s25():
         s = 2.5
-        lhs = triple_product_integral(s, cfg)
+        lhs = triple_product_integral(s)
 
         def integrand(xs):
-            return (kernels._zeta_level(0, 0.0, xs, cfg)
-                    * kernels._zeta_level(0, 1.0 - s, xs, cfg)
-                    * kernels._zeta_level(0, 2.0 - s, xs, cfg))
+            return (kernels._zeta_level(0, 0.0, xs)
+                    * kernels._zeta_level(0, 1.0 - s, xs)
+                    * kernels._zeta_level(0, 2.0 - s, xs))
 
         rhs = tanh_sinh_01(integrand, 1e-9).value
         return lhs, rhs
@@ -618,23 +611,22 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     add("pair_value_00", "pair integral at s1=s2=0 equals 1/12",
         "pair-integral closed form", 1e-10,
-        lambda: (pair_integral(0.0, 0.0, cfg), complex(1.0 / 12.0)))
+        lambda: (pair_integral(0.0, 0.0), complex(1.0 / 12.0)))
     add("pair_value_m1m1", "pair integral at s1=s2=-1 equals 1/720",
         "pair-integral closed form", 1e-10,
-        lambda: (pair_integral(-1.0, -1.0, cfg), complex(1.0 / 720.0)))
+        lambda: (pair_integral(-1.0, -1.0), complex(1.0 / 720.0)))
     add("pair_value_0m1", "pair integral at s1=0, s2=-1 vanishes (odd cosine)",
         "pair-integral closed form", 1e-12,
-        lambda: (pair_integral(0.0, -1.0, cfg), 0j))
+        lambda: (pair_integral(0.0, -1.0), 0j))
     add("pair_symmetry", "the closed form is symmetric in s1 <-> s2",
         "pair-integral closed form", 1e-12,
-        lambda: (pair_integral(-0.8 + 0.3j, -2.2, cfg),
-                 pair_integral(-2.2, -0.8 + 0.3j, cfg)))
+        lambda: (pair_integral(-0.8 + 0.3j, -2.2), pair_integral(-2.2, -0.8 + 0.3j)))
 
     def _pair_quad():
-        lhs = pair_integral(-0.5, -1.5, cfg)
+        lhs = pair_integral(-0.5, -1.5)
         rhs = tanh_sinh_01(
-            lambda xs: (kernels._zeta_level(0, -0.5, xs, cfg)
-                        * kernels._zeta_level(0, -1.5, xs, cfg)), 1e-10).value
+            lambda xs: (kernels._zeta_level(0, -0.5, xs)
+                        * kernels._zeta_level(0, -1.5, xs)), 1e-10).value
         return lhs, rhs
 
     add("pair_quad", "pair integral at (-0.5, -1.5) matches tanh-sinh quadrature",
@@ -644,10 +636,10 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
 
     add("pole_zeta_order2", "eps^2 zeta(2, eps) -> 1",
         "pole structure in alpha", 1e-6,
-        lambda: (1e-8 * kernels.hurwitz_zeta(2.0, 1e-4, cfg), complex(1.0)))
+        lambda: (1e-8 * kernels.hurwitz_zeta(2.0, 1e-4), complex(1.0)))
 
     def _pole_zeta_trend():
-        devs = [abs(e * e * kernels.hurwitz_zeta(2.0, e, cfg) - 1.0)
+        devs = [abs(e * e * kernels.hurwitz_zeta(2.0, e) - 1.0)
                 for e in (1e-2, 1e-3, 1e-4)]
         return _indicator(devs[0] > 5 * devs[1] > 25 * devs[2])
 
@@ -672,15 +664,14 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
     def _pole_psi_chain():
         a, h = 0.5, 1e-4
         lhs = (kernels.digamma(a + h) - kernels.digamma(a - h)) / (2 * h)
-        rhs = calculus.psi_chain(1, a, cfg)
+        rhs = calculus.psi_chain(1, a)
         return complex(lhs), rhs
 
     add("pole_psi_chain_r1", "d/da psi(a) = zeta(2, a)",
         "psi derivative chain", 1e-6, _pole_psi_chain)
     add("pole_psi_chain_r2", "d^2/da^2 psi(a) = -2 zeta(3, a) at a=1",
         "psi derivative chain", 1e-9,
-        lambda: (calculus.psi_chain(2, 1.0, cfg),
-                 -2.0 * kernels.riemann_zeta(3.0, cfg)))
+        lambda: (calculus.psi_chain(2, 1.0), -2.0 * kernels.riemann_zeta(3.0)))
 
     # -- Kernel cross-validation (supporting checks) ---------------------------
 
@@ -688,8 +679,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
         pairs = []
         for s in (-2.5, -1.5, -0.5, 0.75, 2.5):
             for a in (0.3, 0.7, 1.2, 1.6):
-                pairs.append((kernels.hurwitz_taylor(s, a, 3, cfg),
-                              kernels.hurwitz_zeta(s, a, cfg)))
+                pairs.append((kernels.hurwitz_taylor(s, a, 3), kernels.hurwitz_zeta(s, a)))
         return _worst_pair(pairs)
 
     add("kernel_taylor_cross",
@@ -702,7 +692,7 @@ def build_registry(config: PrecisionConfig | None = None) -> list[CheckSpec]:
             poly = zeta_neg_int_poly(m)
             for tenths in range(1, 20, 3):
                 a = Fraction(tenths, 10)
-                pairs.append((kernels.hurwitz_zeta(-m, float(a), cfg),
+                pairs.append((kernels.hurwitz_zeta(-m, float(a)),
                               complex(float(poly_eval(poly, a)))))
         return _worst_pair(pairs)
 
@@ -741,8 +731,7 @@ def _execute(spec: CheckSpec) -> CheckResult:
                        status="pass" if passed else "fail")
 
 
-def run_checks(filter: str | None = None,
-               config: PrecisionConfig | None = None) -> list[CheckResult]:
+def run_checks(filter: str | None = None) -> list[CheckResult]:
     """Execute every registered check whose id starts with ``filter``.
 
     Individual check failures are results, not errors; kernel evaluation
@@ -750,7 +739,7 @@ def run_checks(filter: str | None = None,
     """
     results = [
         _execute(spec)
-        for spec in build_registry(config)
+        for spec in build_registry()
         if filter is None or spec.id.startswith(filter)
     ]
     return sorted(results, key=lambda res: res.id)
@@ -782,15 +771,13 @@ def _tally(results: Sequence[CheckResult]) -> tuple[int, int, int]:
     return passed, failed, skipped
 
 
-def render_report(results: Sequence[CheckResult], format: str = "text",
-                  config: PrecisionConfig | None = None) -> str:
+def render_report(results: Sequence[CheckResult], format: str = "text") -> str:
     """Render results as an aligned text table or byte-stable JSON."""
-    cfg = config or DEFAULT_CONFIG
     results = sorted(results, key=lambda res: res.id)
     if format == "text":
         return _render_text(results)
     if format == "json":
-        return _render_json(results, cfg)
+        return _render_json(results)
     raise ValueError(f"unknown report format {format!r}")
 
 
@@ -814,11 +801,12 @@ def _render_text(results: Sequence[CheckResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(results: Sequence[CheckResult], cfg: PrecisionConfig) -> str:
+def _render_json(results: Sequence[CheckResult]) -> str:
     passed, failed, skipped = _tally(results)
     doc = {
-        # the fixed policy too, so the report records what its numbers rest on
-        "config": {**asdict(cfg), "em_cutoff": kernels._EM_CUTOFF,
+        # the fixed policy, so the report records what its numbers rest on
+        "config": {"target_abs_error": kernels._TARGET_ABS_ERROR,
+                   "em_cutoff": kernels._EM_CUTOFF,
                    "em_tail_terms": kernels._EM_TAIL_TERMS},
         "summary": {"passed": passed, "failed": failed, "skipped": skipped},
         "checks": [

@@ -20,7 +20,7 @@ from . import kernels
 from .checks import render_report, run_checks
 from .errors import EvaluationError
 from .exact import bernoulli_number, bernoulli_polynomial, rational_str
-from .kernels import PrecisionConfig, format_complex
+from .kernels import format_complex
 from .reduction import eval_combination, integral_poly_zeta, pair_integral
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="zetalab",
         description="Hurwitz zeta toolkit: exact Bernoulli arithmetic, "
                     "zeta kernels, and a verified identity suite.")
-    parser.add_argument("--precision-target", type=float, default=None,
-                        metavar="REAL", help="absolute accuracy target")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", help="Bernoulli number or polynomial, exact")
@@ -89,41 +87,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> PrecisionConfig:
-    if args.precision_target is None:
-        return PrecisionConfig()
-    return PrecisionConfig(target_abs_error=args.precision_target)
-
-
 def _require(value, flag: str):
     if value is None:
         raise EvaluationError(f"missing required option {flag}")
     return value
 
 
-def _run_eval(args, cfg: PrecisionConfig) -> str:
+def _run_eval(args) -> str:
     fn = args.fn
     if fn == "gamma":
         return format_complex(kernels.gamma_complex(_require(args.s, "--s")))
     if fn == "digamma":
         return format_complex(complex(kernels.digamma(_require(args.alpha, "--alpha"))))
     if fn == "stieltjes":
-        return format_complex(kernels.stieltjes(args.deriv, _require(args.alpha, "--alpha"), cfg))
+        return format_complex(kernels.stieltjes(args.deriv, _require(args.alpha, "--alpha")))
     if fn == "zeta":
-        return format_complex(kernels.riemann_zeta_deriv(args.deriv, _require(args.s, "--s"), cfg))
+        return format_complex(kernels.riemann_zeta_deriv(args.deriv, _require(args.s, "--s")))
     # hurwitz
     return format_complex(kernels.hurwitz_zeta_deriv(
-        args.deriv, _require(args.s, "--s"), _require(args.alpha, "--alpha"), cfg))
+        args.deriv, _require(args.s, "--s"), _require(args.alpha, "--alpha")))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     try:
         if args.command == "bernoulli":
             if args.n < 0:
@@ -135,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "eval":
-            print(_run_eval(args, cfg))
+            print(_run_eval(args))
             return 0
 
         if args.command == "integrate":
@@ -144,16 +130,16 @@ def main(argv: list[str] | None = None) -> int:
                 print(lc.serialize())
             else:
                 s = _require(args.s, "--s")
-                print(format_complex(eval_combination(lc, s, cfg)))
+                print(format_complex(eval_combination(lc, s)))
             return 0
 
         if args.command == "pair":
-            print(format_complex(pair_integral(args.s1, args.s2, cfg)))
+            print(format_complex(pair_integral(args.s1, args.s2)))
             return 0
 
         if args.command == "verify":
-            results = run_checks(args.filter, cfg)
-            report = render_report(results, args.format, cfg)
+            results = run_checks(args.filter)
+            report = render_report(results, args.format)
             if args.out:
                 try:
                     with open(args.out, "w") as fh:

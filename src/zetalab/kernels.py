@@ -8,8 +8,8 @@ Hurwitz zeta is computed by Euler-Maclaurin summation,
 
 with the head length M and the Bernoulli-correction count J fixed by module
 constants.  For Re s < 1/2 the head length is shrunk so the head/integral
-cancellation cannot eat the absolute accuracy target; the correction sum
-always stops at its smallest term (optimal truncation).
+cancellation cannot eat the fixed absolute accuracy target; the correction
+sum always stops at its smallest term (optimal truncation).
 
 s-derivatives of any order come from the same sum taken as a power series in
 t at s + t (Taylor mode, Johansson, arXiv:1309.2877 sections 2-3): every
@@ -38,18 +38,15 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 from . import exact
-from .errors import (ConvergenceError, DomainError, EvaluationError,
-                     NumericOverflowError, PoleProximityError)
+from .errors import (ConvergenceError, DomainError, NumericOverflowError,
+                     PoleProximityError)
 
 __all__ = [
-    "PrecisionConfig",
-    "DEFAULT_CONFIG",
     "gamma_complex",
     "riemann_zeta",
     "hurwitz_zeta",
@@ -63,32 +60,17 @@ __all__ = [
 
 _MACH_EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
-# The fixed numerical policy: Euler-Maclaurin head length M and correction
-# count J; s-derivatives are refused within _POLE_GUARD of the pole at s = 1.
-# Read at call time, so a test may monkeypatch them.
+# The fixed numerical policy: the absolute accuracy target for moderate-size
+# values, Euler-Maclaurin head length M and correction count J; s-derivatives
+# are refused within _POLE_GUARD of the pole at s = 1.  Read at call time, so
+# a test may monkeypatch them.
+_TARGET_ABS_ERROR = 1e-11
 _EM_CUTOFF = 25
 _EM_TAIL_TERMS = 12
 _POLE_GUARD = 0.5
 # The highest s-derivative order of the kernels.
 _MAX_ORDER = 6
 _FACTORIALS = np.array([float(factorial(k)) for k in range(_MAX_ORDER + 1)])
-
-
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """The accuracy setting a caller may vary; the rest is fixed above.
-
-    target_abs_error absolute accuracy target for moderate-size values
-    """
-
-    target_abs_error: float = 1e-11
-
-    def __post_init__(self):
-        if self.target_abs_error < 1e-13:
-            raise ValueError("target_abs_error must be >= 1e-13 at double precision")
-
-
-DEFAULT_CONFIG = PrecisionConfig()
 
 
 # B_{2j}/(2j)! and B_{2j}/(2j) for j = 1..20, from the exact module.
@@ -176,14 +158,13 @@ def gamma_complex(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _em_head_length(s: complex, alpha: float, cfg: PrecisionConfig,
-                    growth: float = 1.0) -> int:
+def _em_head_length(s: complex, alpha: float, growth: float = 1.0) -> int:
     """Head length M: _EM_CUTOFF, shrunk when Re s < 1/2 to keep the
     head/integral cancellation, taken ``growth`` times, below the absolute
     accuracy target."""
     m = _EM_CUTOFF
     if s.real < 0.5:
-        cap = (cfg.target_abs_error / (5.0 * _MACH_EPS * growth)) ** (1.0 / (1.0 - s.real))
+        cap = (_TARGET_ABS_ERROR / (5.0 * _MACH_EPS * growth)) ** (1.0 / (1.0 - s.real))
         m = min(m, max(2, int(round(cap - alpha)) + 1))
     return m
 
@@ -197,8 +178,7 @@ def _em_tail_terms(s: complex) -> int:
     return min(j, len(_B2J_OVER_FACT))
 
 
-def _em_lengths(s: np.ndarray, alpha: float,
-                cfg: PrecisionConfig) -> tuple[np.ndarray, np.ndarray]:
+def _em_lengths(s: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_em_head_length` and :func:`_em_tail_terms` at every point of
     the complex array ``s``, as two integer arrays (M, J).
 
@@ -210,7 +190,7 @@ def _em_lengths(s: np.ndarray, alpha: float,
     re = s.real
     low = re < 0.5
     # the other points keep M = _EM_CUTOFF; Re s -> 0 there keeps 1/(1 - Re s) finite
-    cap = np.float_power(cfg.target_abs_error / (5.0 * _MACH_EPS),
+    cap = np.float_power(_TARGET_ABS_ERROR / (5.0 * _MACH_EPS),
                          1.0 / (1.0 - np.where(low, re, 0.0)))
     m = np.where(low, np.maximum(np.round(cap - alpha) + 1.0, 2.0), np.inf)
     j = np.where(re < 0.0, np.floor(-re / 2.0) + 3.0, 0.0)
@@ -247,12 +227,11 @@ def _em_tail(s: complex, big_t: float, t_pow: complex, terms: int) -> complex:
     return acc
 
 
-def _em_hurwitz(s: complex, alpha: float, cfg: PrecisionConfig,
-                exp_log: bool = False) -> complex:
+def _em_hurwitz(s: complex, alpha: float, exp_log: bool = False) -> complex:
     """The Euler-Maclaurin sum.  ``exp_log`` forms every power as
     exp(-s log(n+a)) and the integral term as exp((1-s) log(M+a))."""
     try:
-        m = _em_head_length(s, alpha, cfg)
+        m = _em_head_length(s, alpha)
         head = 0j
         if exp_log:
             for n in range(m):
@@ -279,13 +258,13 @@ def _em_hurwitz(s: complex, alpha: float, cfg: PrecisionConfig,
         # out before inverting it, so (1e78) ** -(4+0j) is nan although the
         # power is representable; exp and log keep every term in range.
         try:
-            return _em_hurwitz(s, alpha, cfg, exp_log=True)
+            return _em_hurwitz(s, alpha, exp_log=True)
         except NumericOverflowError:
             pass  # still out of range: the caller refuses the non-finite value
     return value
 
 
-def _em_hurwitz_batch(s: np.ndarray, alpha: float, cfg: PrecisionConfig) -> np.ndarray:
+def _em_hurwitz_batch(s: np.ndarray, alpha: float) -> np.ndarray:
     """:func:`_em_hurwitz` at every point of the 1-D complex array ``s``.
 
     Every point keeps its own head length M and correction count J, and its
@@ -296,7 +275,7 @@ def _em_hurwitz_batch(s: np.ndarray, alpha: float, cfg: PrecisionConfig) -> np.n
     """
     s = np.asarray(s, dtype=complex)
     alpha = float(alpha)
-    m, j = _em_lengths(s, alpha, cfg)  # M and J per point
+    m, j = _em_lengths(s, alpha)  # M and J per point
     width = m.max()
     # logarithms from math.log, as in the scalar core: numpy's vectorised log
     # may differ by an ulp, which s*log(M+a) amplifies.  Up to n = width, so
@@ -333,10 +312,8 @@ def _em_hurwitz_batch(s: np.ndarray, alpha: float, cfg: PrecisionConfig) -> np.n
         return head + integral + 0.5 * t_ms + acc[cut, cols]
 
 
-def hurwitz_zeta(s: complex, alpha: float,
-                 config: PrecisionConfig | None = None) -> complex:
+def hurwitz_zeta(s: complex, alpha: float) -> complex:
     """Hurwitz zeta(s, alpha) for real alpha > 0, s != 1."""
-    cfg = config or DEFAULT_CONFIG
     s = complex(s)
     alpha = float(alpha)
     if cmath.isnan(s) or math.isnan(alpha):
@@ -345,12 +322,12 @@ def hurwitz_zeta(s: complex, alpha: float,
         raise DomainError("hurwitz_zeta requires alpha > 0")
     if abs(s - 1.0) <= 1e-10:
         raise PoleProximityError("hurwitz_zeta pole at s = 1")
-    return _require_finite(_em_hurwitz(s, alpha, cfg), "hurwitz_zeta")
+    return _require_finite(_em_hurwitz(s, alpha), "hurwitz_zeta")
 
 
-def riemann_zeta(s: complex, config: PrecisionConfig | None = None) -> complex:
+def riemann_zeta(s: complex) -> complex:
     """Riemann zeta(s) = zeta(s, 1)."""
-    return hurwitz_zeta(s, 1.0, config)
+    return hurwitz_zeta(s, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +335,7 @@ def riemann_zeta(s: complex, config: PrecisionConfig | None = None) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _jet_head_length(s: complex, alpha: float, cfg: PrecisionConfig) -> int:
+def _jet_head_length(s: complex, alpha: float) -> int:
     """Head length M of a Taylor-mode sum.
 
     For Re s < 1/2 the k-th coefficient's head/integral cancellation is
@@ -368,16 +345,16 @@ def _jet_head_length(s: complex, alpha: float, cfg: PrecisionConfig) -> int:
     (measured).  Raises OverflowError or ValueError for an infinite or NaN
     alpha.
     """
-    m = _em_head_length(s, alpha, cfg)
+    m = _em_head_length(s, alpha)
     if s.real < 0.5:
         log_t = math.log(m + alpha)
         growth = max(log_t ** k / factorial(k) for k in range(_MAX_ORDER + 1))
-        m = max(_em_head_length(s, alpha, cfg, growth),
+        m = max(_em_head_length(s, alpha, growth),
                 int(min(m, 0.6 * abs(s.imag) - alpha + 1.0)))
     return m
 
 
-def _jet_head_lengths(s: complex, alphas: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
+def _jet_head_lengths(s: complex, alphas: np.ndarray) -> np.ndarray:
     """:func:`_jet_head_length` at one s and every alpha of the 1-D float
     array ``alphas`` (each finite and > 0), as an integer array.
 
@@ -393,18 +370,17 @@ def _jet_head_lengths(s: complex, alphas: np.ndarray, cfg: PrecisionConfig) -> n
     def length(cap):  # _em_head_length's M, given its cap
         return np.minimum(np.maximum(np.round(cap - alphas) + 1.0, 2.0), _EM_CUTOFF)
 
-    m = length((cfg.target_abs_error / (5.0 * _MACH_EPS)) ** power)
+    m = length((_TARGET_ABS_ERROR / (5.0 * _MACH_EPS)) ** power)
     log_t = np.array(list(map(math.log, (m + alphas).tolist())))
     orders = np.arange(_MAX_ORDER + 1)[:, None]
     growth = (np.float_power(log_t, orders) / _FACTORIALS[:, None]).max(axis=0)
     floor = 0.6 * abs(s.imag) - alphas + 1.0
-    return np.maximum(length(np.float_power(cfg.target_abs_error / (5.0 * _MACH_EPS * growth),
+    return np.maximum(length(np.float_power(_TARGET_ABS_ERROR / (5.0 * _MACH_EPS * growth),
                                             power)),
                       np.trunc(np.where(floor < m, floor, m))).astype(int)
 
 
-def _em_jet(s: complex, alpha: float, order: int, cfg: PrecisionConfig,
-            minus_pole: bool = False) -> list[complex]:
+def _em_jet(s: complex, alpha: float, order: int, minus_pole: bool = False) -> list[complex]:
     """Taylor coefficients a_0..a_order of zeta(s+t, alpha) in t.
 
     Each Euler-Maclaurin piece is a closed-form series in t, with
@@ -424,7 +400,7 @@ def _em_jet(s: complex, alpha: float, order: int, cfg: PrecisionConfig,
     """
     size = order + 1
     try:
-        m = _jet_head_length(s, alpha, cfg)
+        m = _jet_head_length(s, alpha)
         # sum_n (n+a)^-s (-log(n+a))^k, one order at a time; the 1/k! comes
         # at the end
         xs = [n + alpha for n in range(m)]
@@ -499,8 +475,7 @@ def _times(z: np.ndarray, w) -> np.ndarray:
     return out
 
 
-def _em_jet_batch(s: complex, alphas: np.ndarray, order: int,
-                  cfg: PrecisionConfig) -> np.ndarray:
+def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
     """:func:`_em_jet` at one s and every alpha of the 1-D float array
     ``alphas`` (each finite and > 0): column i of the (order + 1) x
     len(alphas) result holds a_0..a_order of zeta(s+t, alphas[i]).
@@ -534,7 +509,7 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int,
     rising = np.array(rising)
     cols = np.arange(len(alphas))
     with np.errstate(all="ignore"):
-        m = _jet_head_lengths(s, alphas, cfg)
+        m = _jet_head_lengths(s, alphas)
         width = m.max(initial=0)
         xs = np.arange(width + 1)[:, None] + alphas
         # numpy's log, though it differs from the scalar's math.log by an ulp
@@ -578,7 +553,7 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int,
                          for k in range(size)])
 
 
-def _zeta_level(r: int, s: complex, alphas: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
+def _zeta_level(r: int, s: complex, alphas: np.ndarray) -> np.ndarray:
     """zeta^(r)(s, a) at every a of the 1-D float array ``alphas``, a
     quadrature level's nodes, from one :func:`_em_jet_batch` call: r! a_r.
 
@@ -592,50 +567,35 @@ def _zeta_level(r: int, s: complex, alphas: np.ndarray, cfg: PrecisionConfig) ->
     alphas = np.asarray(alphas, dtype=float)
     pole = (_POLE_GUARD if r else 0.0) + 1e-10
     if alphas.size and (cmath.isnan(s) or abs(s - 1.0) <= pole):
-        hurwitz_zeta_deriv(r, s, alphas[0], cfg)  # raises s's refusal, or the node's
+        hurwitz_zeta_deriv(r, s, alphas[0])  # raises s's refusal, or the node's
     good = (alphas > 0.0) & (alphas < math.inf)
     values = np.full(len(alphas), complex(math.nan, math.nan))
-    values[good] = factorial(r) * _em_jet_batch(s, alphas[good], r, cfg)[r]
+    values[good] = factorial(r) * _em_jet_batch(s, alphas[good], r)[r]
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        values[i] = hurwitz_zeta_deriv(r, s, alphas[i], cfg)
+        values[i] = hurwitz_zeta_deriv(r, s, alphas[i])
     return values
 
 
-def _hurwitz_rows(orders, points, alphas, cfg: PrecisionConfig) -> list:
-    """zeta^(n)(s, a) for each n in ``orders`` at each point (s, a) of the
-    sequences ``points`` and ``alphas``: one entry per point, in order.
-
-    An entry is the dict {n: value} of its orders, or the EvaluationError
-    that refuses its point; nothing is raised.  Order 0 comes from the scalar
-    core; every order >= 1 from one Taylor-mode sum per point.  Those values
-    are left unchecked: a non-finite one is the caller's to refuse, in its
-    own order.
-    """
-    higher = [n for n in orders if n > 0]
-    rows: list = []
-    for s, alpha in zip(points, alphas):
-        s, alpha = complex(s), float(alpha)
-        try:
-            row = {0: hurwitz_zeta(s, alpha, cfg)} if 0 in orders else {}
-            if higher:
-                _check_pole_guard(s, alpha)
-                jet = _em_jet(s, alpha, max(higher), cfg)
-                for n in higher:
-                    row[n] = factorial(n) * jet[n]
-        except EvaluationError as exc:
-            row = exc
-        rows.append(row)
-    return rows
-
-
 def _hurwitz_derivs(orders, s: complex, alpha: float,
-                    cfg: PrecisionConfig) -> list[complex]:
-    """zeta^(n)(s, alpha) for each n in ``orders``, in that order: the values
-    of :func:`_hurwitz_rows` at one point, its refusal raised."""
-    row, = _hurwitz_rows(orders, (s,), (alpha,), cfg)
-    if isinstance(row, EvaluationError):
-        raise row
-    return [_require_finite(row[n], "hurwitz_zeta_deriv") for n in orders]
+                    checked: bool = True) -> list[complex]:
+    """zeta^(n)(s, alpha) for each n in ``orders``, in that order.
+
+    Order 0 comes from the scalar core; every order >= 1 from one
+    Taylor-mode sum.  A refused point raises.  With ``checked`` false a
+    non-finite value of order >= 1 is returned as it is, for a caller that
+    refuses it in its own order.
+    """
+    s, alpha = complex(s), float(alpha)
+    values = {0: hurwitz_zeta(s, alpha)} if 0 in orders else {}
+    higher = [n for n in orders if n > 0]
+    if higher:
+        _check_pole_guard(s, alpha)
+        jet = _em_jet(s, alpha, max(higher))
+        for n in higher:
+            values[n] = factorial(n) * jet[n]
+    if checked:
+        return [_require_finite(values[n], "hurwitz_zeta_deriv") for n in orders]
+    return [values[n] for n in orders]
 
 
 def _check_pole_guard(s: complex, alpha: float) -> None:
@@ -650,8 +610,7 @@ def _check_pole_guard(s: complex, alpha: float) -> None:
             f"s={s!r} is within {_POLE_GUARD} of the pole at 1")
 
 
-def hurwitz_zeta_deriv(r: int, s: complex, alpha: float,
-                       config: PrecisionConfig | None = None) -> complex:
+def hurwitz_zeta_deriv(r: int, s: complex, alpha: float) -> complex:
     """r-th partial s-derivative of zeta(s, alpha), r <= 6.
 
     r! times the r-th Taylor coefficient of one Euler-Maclaurin sum taken
@@ -659,13 +618,12 @@ def hurwitz_zeta_deriv(r: int, s: complex, alpha: float,
     """
     if not 0 <= r <= _MAX_ORDER:
         raise ValueError(f"derivative order must be in 0..{_MAX_ORDER}")
-    return _hurwitz_derivs((r,), s, alpha, config or DEFAULT_CONFIG)[0]
+    return _hurwitz_derivs((r,), s, alpha)[0]
 
 
-def riemann_zeta_deriv(r: int, s: complex,
-                       config: PrecisionConfig | None = None) -> complex:
+def riemann_zeta_deriv(r: int, s: complex) -> complex:
     """r-th derivative of Riemann zeta, = hurwitz_zeta_deriv(r, s, 1)."""
-    return hurwitz_zeta_deriv(r, s, 1.0, config)
+    return hurwitz_zeta_deriv(r, s, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +631,12 @@ def riemann_zeta_deriv(r: int, s: complex,
 # ---------------------------------------------------------------------------
 
 
-def stieltjes(n: int, alpha: float, config: PrecisionConfig | None = None) -> complex:
+def stieltjes(n: int, alpha: float) -> complex:
     """Generalized Stieltjes constant gamma_n(alpha), for -1 <= n <= 5.
 
     gamma_n(alpha) is the n-th Taylor coefficient at 0 of
     g(t) = zeta(1+t, alpha) - 1/t; gamma_{-1} = 1 identically.
     """
-    cfg = config or DEFAULT_CONFIG
     if not -1 <= n <= 5:
         raise ValueError("stieltjes order must be in -1..5")
     alpha = float(alpha)
@@ -689,7 +646,7 @@ def stieltjes(n: int, alpha: float, config: PrecisionConfig | None = None) -> co
         raise DomainError("stieltjes requires alpha > 0")
     if n == -1:
         return complex(1.0)
-    return _require_finite(_em_jet(1.0 + 0j, alpha, n, cfg, minus_pole=True)[n], "stieltjes")
+    return _require_finite(_em_jet(1.0 + 0j, alpha, n, minus_pole=True)[n], "stieltjes")
 
 
 def digamma(alpha: float) -> float:
@@ -728,8 +685,7 @@ def digamma(alpha: float) -> float:
 _TAYLOR_TERMS = 400
 
 
-def hurwitz_taylor(s: complex, alpha: complex, k: int,
-                   config: PrecisionConfig | None = None) -> complex:
+def hurwitz_taylor(s: complex, alpha: complex, k: int) -> complex:
     """zeta(s, alpha) for complex alpha inside the disc |alpha| < k - 1/4.
 
     Uses the shifted-zeta Taylor expansion
@@ -740,7 +696,6 @@ def hurwitz_taylor(s: complex, alpha: complex, k: int,
     where zeta_k(u) = zeta(u) - sum_{1<=m<k} m^-u and (s)_n is the rising
     factorial.  Requires every zeta_k(s+n) to be off the pole, i.e. s+n != 1.
     """
-    cfg = config or DEFAULT_CONFIG
     s = complex(s)
     alpha = complex(alpha)
     if cmath.isnan(s) or cmath.isnan(alpha):
@@ -772,7 +727,7 @@ def hurwitz_taylor(s: complex, alpha: complex, k: int,
     # come a chunk of n at a time from one batch row at alpha = k, the chunk
     # sized so that terms falling at the rate |alpha|/k < 1 reach the
     # threshold in one (alpha != 0 here: the head refuses it).
-    threshold = cfg.target_abs_error / 10.0
+    threshold = _TARGET_ABS_ERROR / 10.0
     log_rate = math.log(abs(alpha)) - math.log(k)
     chunk = min(64, max(8, int(math.log(threshold) / log_rate) + 8))
     total = head
@@ -781,13 +736,13 @@ def hurwitz_taylor(s: complex, alpha: complex, k: int,
     small_run = 0
     for start in range(0, _TAYLOR_TERMS, chunk):
         u = s + np.arange(start, min(start + chunk, _TAYLOR_TERMS))
-        row = _em_hurwitz_batch(u, k, cfg)
+        row = _em_hurwitz_batch(u, k)
         # entries the scalar core would refuse or retry in exp/log form are
         # taken from it when the series reaches them
         rescalar = (~np.isfinite(row) | (np.abs(u - 1.0) <= 1e-10)).tolist()
         for n, zeta_k, redo in zip(range(start, _TAYLOR_TERMS), row.tolist(), rescalar):
             if redo:
-                zeta_k = hurwitz_zeta(s + n, k, cfg)
+                zeta_k = hurwitz_zeta(s + n, k)
             term = poch * zeta_k * coef
             total += term
             try:

@@ -36,8 +36,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import kernels
-from .errors import (DomainError, EvaluationError, NumericOverflowError,
-                     PoleProximityError)
+from .errors import DomainError, NumericOverflowError, PoleProximityError
 from .exact import (RatPoly, _endpoint_jumps, _int_poly_mul, _integer_form,
                     bernoulli_polynomial)
 
@@ -55,9 +54,6 @@ __all__ = [
 ]
 
 MAX_DEGREE = 64
-# The integers searched for denominator roots: every pole a reduction of
-# degree <= MAX_DEGREE can have (1..MAX_DEGREE), with a margin either side.
-_ROOT_SCAN = range(-8, MAX_DEGREE + 6)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +171,6 @@ class RationalFunctionOfS:
 
     def evaluate(self, s: complex) -> complex:
         return self.num.evaluate_complex(s) / self.den.evaluate_complex(s)
-
-    def denominator_integer_roots(self) -> list[int]:
-        """Integer roots of the denominator (exact evaluation test)."""
-        return [k for k in _ROOT_SCAN
-                if self.den.degree >= 1 and self.den.evaluate(k) == 0]
 
     def __str__(self) -> str:
         return f"({self.num.ascending_str('s')})/({self.den.ascending_str('s')})"
@@ -353,21 +344,20 @@ def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
     return _reduce_integer_form(c, d, r)
 
 
-def eval_combination(lc: LinearCombination, s: complex,
-                     config: kernels.PrecisionConfig | None = None) -> complex:
+def eval_combination(lc: LinearCombination, s: complex) -> complex:
     """Numeric value of a reduction at the point s.
 
     Atoms of order 0 take the scalar zeta(s - k).  Every atom of order 1..6
     takes its value from one Taylor-mode Euler-Maclaurin sum about s - k per
-    shift, which serves all orders of that shift; every value equals its
-    one-atom evaluation.  The sum runs in atom order.
+    shift, which serves all orders of that shift and is taken at the shift's
+    first such atom; every value equals its one-atom evaluation.  The sum
+    runs in atom order.
 
     Refuses s within 1e-8 of an integer coefficient pole (the shifts, for a
     reduction), or on any other coefficient pole, and reports which shift is
     at fault when a zeta evaluation sits on the pole.  Errors are raised at
     the first atom, in atom order, whose value or coefficient fails.
     """
-    cfg = config or kernels.DEFAULT_CONFIG
     s = complex(s)
     # Integers are 1 apart, so only the nearest one can lie within 1e-8 of s.
     root = round(s.real) if math.isfinite(s.real) else None
@@ -378,22 +368,20 @@ def eval_combination(lc: LinearCombination, s: complex,
                     f"coefficient of {atom} has a pole at s = {root}")
     terms = list(lc.items())
     jet_orders = sorted({a.deriv_order for a, _ in terms if 1 <= a.deriv_order <= 6})
-    shifts = sorted({a.shift for a, _ in terms if a.deriv_order in jet_orders})
-    jets = dict(zip(shifts, kernels._hurwitz_rows(
-        jet_orders, [s - k for k in shifts], [1.0] * len(shifts), cfg)))
+    jets: dict[int, dict[int, complex]] = {}  # shift -> {order: value}
     total = 0j
     for atom, coeff in terms:
         n, k = atom.deriv_order, atom.shift
         try:
             if n == 0:
-                value = kernels.riemann_zeta(s - k, cfg)
+                value = kernels.riemann_zeta(s - k)
             elif n in jet_orders:
-                row = jets[k]
-                if isinstance(row, EvaluationError):
-                    raise row
-                value = kernels._require_finite(row[n], "hurwitz_zeta_deriv")
+                if k not in jets:
+                    jets[k] = dict(zip(jet_orders, kernels._hurwitz_derivs(
+                        jet_orders, s - k, 1.0, checked=False)))
+                value = kernels._require_finite(jets[k][n], "hurwitz_zeta_deriv")
             else:  # an order the kernels refuse
-                value = kernels.riemann_zeta_deriv(n, s - k, cfg)
+                value = kernels.riemann_zeta_deriv(n, s - k)
         except PoleProximityError as exc:
             raise PoleProximityError(f"shift {k}: {exc}") from None
         try:
@@ -421,8 +409,7 @@ def _near_nonpositive_integer(z: complex, margin: float) -> int | None:
     return None
 
 
-def pair_integral(s1: complex, s2: complex,
-                  config: kernels.PrecisionConfig | None = None) -> complex:
+def pair_integral(s1: complex, s2: complex) -> complex:
     """Closed form of int_0^1 zeta(s1, a) zeta(s2, a) da:
 
         2 (2 pi)^(s1+s2-2) Gamma(1-s1) Gamma(1-s2) cos(pi (s1-s2)/2)
@@ -444,7 +431,7 @@ def pair_integral(s1: complex, s2: complex,
                  * kernels.gamma_complex(1.0 - s1)
                  * kernels.gamma_complex(1.0 - s2)
                  * cmath.cos(0.5 * math.pi * (s1 - s2))
-                 * kernels.riemann_zeta(2.0 - s1 - s2, config))
+                 * kernels.riemann_zeta(2.0 - s1 - s2))
     except OverflowError:
         raise NumericOverflowError("pair integral overflow") from None
     if not cmath.isfinite(value):
@@ -452,19 +439,16 @@ def pair_integral(s1: complex, s2: complex,
     return value
 
 
-def pair_limit_weighted(s1: complex, s2: complex,
-                        config: kernels.PrecisionConfig | None = None) -> complex:
+def pair_limit_weighted(s1: complex, s2: complex) -> complex:
     """Limit as s -> 1- of int_0^1 zeta(s1,a) zeta(s2,a) (s-1) zeta(s,a) da,
     for Re s1 < 0 and Re s2 < 0: the pair integral minus zeta(s1) zeta(s2)."""
     s1, s2 = complex(s1), complex(s2)
     if s1.real >= 0 or s2.real >= 0:
         raise DomainError("pair_limit_weighted requires Re s1 < 0 and Re s2 < 0")
-    return (pair_integral(s1, s2, config)
-            - kernels.riemann_zeta(s1, config) * kernels.riemann_zeta(s2, config))
+    return pair_integral(s1, s2) - kernels.riemann_zeta(s1) * kernels.riemann_zeta(s2)
 
 
-def triple_product_integral(s: complex,
-                            config: kernels.PrecisionConfig | None = None) -> complex:
+def triple_product_integral(s: complex) -> complex:
     """Closed form of int_0^1 zeta(0,a) zeta(1-s,a) zeta(2-s,a) da for Re s > 1:
 
         (1/(2(s-1))) * (2 (2 pi)^(-2s) Gamma(s)^2 zeta(2s) - zeta(1-s)^2).
@@ -474,6 +458,6 @@ def triple_product_integral(s: complex,
         raise DomainError("triple_product_integral requires Re s > 1")
     term = (2.0 * cmath.exp(-2.0 * s * _LOG_TWO_PI)
             * kernels.gamma_complex(s) ** 2
-            * kernels.riemann_zeta(2.0 * s, config))
-    zeta_sq = kernels.riemann_zeta(1.0 - s, config) ** 2
+            * kernels.riemann_zeta(2.0 * s))
+    zeta_sq = kernels.riemann_zeta(1.0 - s) ** 2
     return (term - zeta_sq) / (2.0 * (s - 1.0))

@@ -1,4 +1,25 @@
-"""Shared finite-difference stencils used as oracles across test modules."""
+"""Shared finite-difference stencils used as oracles across test modules, and
+the ``target`` fixture that runs a test at another accuracy target."""
+
+import pytest
+
+from zetalab import kernels
+
+# The values a ``target`` axis takes: the fixed policy, and a tighter target,
+# which shrinks the head length M at more points.  Use them as
+# ``@pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)``.
+TARGETS = (None, 1e-13)
+TARGET_IDS = ("default", "tight")
+
+
+@pytest.fixture
+def target(request, monkeypatch):
+    """The kernels' accuracy target for this test, patched into
+    ``kernels._TARGET_ABS_ERROR`` when a parameter gives one."""
+    value = getattr(request, "param", None)
+    if value is not None:
+        monkeypatch.setattr(kernels, "_TARGET_ABS_ERROR", value)
+    return kernels._TARGET_ABS_ERROR
 
 
 def diff5(f, x, h):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import central, diff5
+from conftest import TARGET_IDS, TARGETS, central, diff5
 from zetalab import kernels
 from zetalab.calculus import (AntiderivativeTerm, alpha_derivative,
                               alpha_derivative_at_zero,
@@ -16,9 +16,8 @@ from zetalab.calculus import (AntiderivativeTerm, alpha_derivative,
                               stieltjes_alpha_derivative)
 from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import poly_eval, zeta_neg_int_poly
-from zetalab.kernels import (PrecisionConfig, digamma, hurwitz_zeta,
-                             hurwitz_zeta_deriv, riemann_zeta,
-                             riemann_zeta_deriv, stieltjes)
+from zetalab.kernels import (digamma, hurwitz_zeta, hurwitz_zeta_deriv,
+                             riemann_zeta, riemann_zeta_deriv, stieltjes)
 from zetalab.reduction import RationalFunctionOfS
 
 from test_kernels import zeta_prime_2_oracle
@@ -213,7 +212,38 @@ class TestIntegral1Inf:
         with pytest.raises(DomainError):
             integral_1_inf(0, 2.0)
         with pytest.raises(ValueError):
-            integral_1_inf(4, 3.0)
+            integral_1_inf(7, 3.0)
+
+
+class TestOrdersFiveAndSix:
+    """The calculus takes every kernel order, 0..6; orders 5 and 6 against
+    mpmath (optional), at 20 digits."""
+
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_antiderivative_fd_vs_mpmath(self, r):
+        mp = pytest.importorskip("mpmath")
+        for s in (-0.5, -1.5, 0.3):
+            for a in (0.6, 1.1):
+                fd = diff5(lambda x: antiderivative_eval(r, s, x), a, 0.002 * min(1.0, a))
+                with mp.workdps(20):
+                    ref = complex(mp.zeta(s, a, r))
+                assert abs(fd - ref) <= 1e-7 * abs(ref), (s, a)
+
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_integral_1_inf_vs_mpmath_quad(self, r):
+        mp = pytest.importorskip("mpmath")
+        for s in (3.5 + 0.5j, 4.0 - 1.0j):
+            with mp.workdps(20):
+                ref = complex(mp.quad(lambda x: mp.zeta(s, x, r), [1, mp.inf]))
+            assert abs(integral_1_inf(r, s) - ref) <= 1e-13 * abs(ref), s
+
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_alpha_derivative_at_zero_vs_mpmath(self, r):
+        mp = pytest.importorskip("mpmath")
+        for a in (0.3, 0.8, 2.5):
+            with mp.workdps(20):
+                ref = complex(mp.diff(lambda x: mp.zeta(0, x, r), a))
+            assert abs(alpha_derivative_at_zero(r, a) - ref) <= 1e-11, a
 
 
 # ---------------------------------------------------------------------------
@@ -221,90 +251,88 @@ class TestIntegral1Inf:
 # ---------------------------------------------------------------------------
 
 
-def per_order_antiderivative(r, s, alpha, cfg):
+def per_order_antiderivative(r, s, alpha):
     """antiderivative_eval as one hurwitz_zeta_deriv call per order."""
     s = complex(s)
     one_minus_s = 1.0 - s
     total = 0j
     for term in antiderivative_terms(r):
-        z = hurwitz_zeta_deriv(term.deriv_order, s - 1.0, alpha, cfg)
+        z = hurwitz_zeta_deriv(term.deriv_order, s - 1.0, alpha)
         total += float(term.coefficient) * z / one_minus_s ** term.pole_power
     return total
 
 
-def per_order_integral_01(r, s, cfg):
+def per_order_integral_01(r, s):
     """integral_01 as F(1) - F(0+), both endpoints evaluated order by order."""
     s = complex(s)
     one_minus_s = 1.0 - s
     total = 0j
     for term in antiderivative_terms(r):
-        at_one = hurwitz_zeta_deriv(term.deriv_order, s - 1.0, 1.0, cfg)
-        at_zero = riemann_zeta_deriv(term.deriv_order, s - 1.0, cfg)
+        at_one = hurwitz_zeta_deriv(term.deriv_order, s - 1.0, 1.0)
+        at_zero = riemann_zeta_deriv(term.deriv_order, s - 1.0)
         total += (float(term.coefficient)
                   * (at_one - at_zero) / one_minus_s ** term.pole_power)
     return total
 
 
-def per_order_integral_1_inf(r, s, cfg):
+def per_order_integral_1_inf(r, s):
     """integral_1_inf as minus the Riemann-zeta sum, order by order."""
     s = complex(s)
     one_minus_s = 1.0 - s
     total = 0j
     for term in antiderivative_terms(r):
-        z = riemann_zeta_deriv(term.deriv_order, s - 1.0, cfg)
+        z = riemann_zeta_deriv(term.deriv_order, s - 1.0)
         total += float(term.coefficient) * z / one_minus_s ** term.pole_power
     return -total
 
 
-def per_order_alpha_derivative(r, s, alpha, cfg):
+def per_order_alpha_derivative(r, s, alpha):
     """The forward rule with one hurwitz_zeta_deriv call per order."""
     s = complex(s)
-    value = -s * hurwitz_zeta_deriv(r, s + 1.0, alpha, cfg)
+    value = -s * hurwitz_zeta_deriv(r, s + 1.0, alpha)
     if r >= 1:
-        value -= r * hurwitz_zeta_deriv(r - 1, s + 1.0, alpha, cfg)
+        value -= r * hurwitz_zeta_deriv(r - 1, s + 1.0, alpha)
     return value
 
 
-# a tighter target shrinks the head length M at more points
-CONFIGS = [PrecisionConfig(), PrecisionConfig(target_abs_error=1e-13)]
 ALPHAS = (0.3, 1.0, 2.5)
 # -0.7, 0.3+0.6j and 2.7 put s - 1 or s + 1 within 1 of the pole guard
 GRID_S = (-2.5, -0.7, -1.5 + 2.0j, 0.3 + 0.6j, 2.7, 3.0 - 1.5j)
 
 
 class TestOneJetPerPoint:
-    @pytest.mark.parametrize("cfg", CONFIGS)
-    def test_antiderivative_eval(self, cfg):
-        for r in range(5):
-            for s in GRID_S:
-                for a in ALPHAS:
-                    assert (antiderivative_eval(r, s, a, cfg)
-                            == per_order_antiderivative(r, s, a, cfg)), (r, s, a)
-
-    @pytest.mark.parametrize("cfg", CONFIGS)
-    def test_alpha_derivative(self, cfg):
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
+    def test_antiderivative_eval(self, target):
         for r in range(7):
             for s in GRID_S:
                 for a in ALPHAS:
-                    assert (alpha_derivative(r, s, a, cfg)
-                            == per_order_alpha_derivative(r, s, a, cfg)), (r, s, a)
+                    assert (antiderivative_eval(r, s, a)
+                            == per_order_antiderivative(r, s, a)), (r, s, a)
 
-    @pytest.mark.parametrize("cfg", CONFIGS)
-    def test_integral_01(self, cfg):
-        for r in range(5):
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
+    def test_alpha_derivative(self, target):
+        for r in range(7):
+            for s in GRID_S:
+                for a in ALPHAS:
+                    assert (alpha_derivative(r, s, a)
+                            == per_order_alpha_derivative(r, s, a)), (r, s, a)
+
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
+    def test_integral_01(self, target):
+        for r in range(7):
             for s in (-2.5, -0.5, 0.3, 0.5 + 0.5j, -1.5 + 2.0j):
-                assert integral_01(r, s, cfg) == per_order_integral_01(r, s, cfg)
+                assert integral_01(r, s) == per_order_integral_01(r, s)
 
-    @pytest.mark.parametrize("cfg", CONFIGS)
-    def test_integral_1_inf(self, cfg):
-        for r in range(4):
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
+    def test_integral_1_inf(self, target):
+        for r in range(7):
             for s in (2.6, 3.0, 4.0 + 1.0j, 2.2 - 0.5j):
-                assert integral_1_inf(r, s, cfg) == per_order_integral_1_inf(r, s, cfg)
+                assert integral_1_inf(r, s) == per_order_integral_1_inf(r, s)
 
     @pytest.mark.parametrize("call, r_max", [
-        (lambda r: antiderivative_eval(r, -0.5 + 1.0j, 0.7), 4),
-        (lambda r: integral_01(r, 0.3), 4),
-        (lambda r: integral_1_inf(r, 3.0), 3),
+        (lambda r: antiderivative_eval(r, -0.5 + 1.0j, 0.7), 6),
+        (lambda r: integral_01(r, 0.3), 6),
+        (lambda r: integral_1_inf(r, 3.0), 6),
         (lambda r: alpha_derivative(r, 2.0, 0.3), 6),
     ], ids=["antiderivative_eval", "integral_01", "integral_1_inf", "alpha_derivative"])
     def test_one_jet_per_call(self, monkeypatch, call, r_max):

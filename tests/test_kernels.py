@@ -13,7 +13,7 @@ behind the quadrature checks against the scalar Taylor-mode sum.
 """
 
 import cmath
-import dataclasses
+import inspect
 import math
 import random
 import warnings
@@ -22,16 +22,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import TARGET_IDS, TARGETS
+import zetalab
 from zetalab import calculus, kernels
 from zetalab.errors import (ConvergenceError, DomainError, EvaluationError,
                             NumericOverflowError, PoleProximityError)
 from zetalab.exact import poly_eval, zeta_neg_int_poly
 from zetalab.checks import run_checks
 from zetalab.reduction import pair_integral
-from zetalab.kernels import (DEFAULT_CONFIG, PrecisionConfig, digamma,
-                             format_complex, gamma_complex, hurwitz_taylor,
-                             hurwitz_zeta, hurwitz_zeta_deriv, riemann_zeta,
-                             riemann_zeta_deriv, stieltjes)
+from zetalab.kernels import (digamma, format_complex, gamma_complex,
+                             hurwitz_taylor, hurwitz_zeta, hurwitz_zeta_deriv,
+                             riemann_zeta, riemann_zeta_deriv, stieltjes)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -376,27 +377,33 @@ class TestPoleStructure:
 
 class TestConfig:
     def test_defaults(self):
-        assert DEFAULT_CONFIG.target_abs_error == 1e-11
+        assert kernels._TARGET_ABS_ERROR == 1e-11
         assert kernels._EM_CUTOFF == 25 and kernels._EM_TAIL_TERMS == 12
-        assert kernels._POLE_GUARD == 0.5
+        assert kernels._POLE_GUARD == 0.5 and kernels._MAX_ORDER == 6
 
-    def test_one_field(self):
-        names = [field.name for field in dataclasses.fields(PrecisionConfig)]
-        assert names == ["target_abs_error"]
-
-    @pytest.mark.parametrize("name, value", [
-        ("em_cutoff", 25), ("em_tail_terms", 12), ("pole_guard", 0.5),
-        ("contour_points", 32)])
-    def test_fixed_policy_is_not_a_field(self, name, value):
-        with pytest.raises(TypeError):
-            PrecisionConfig(**{name: value})
-
-    @pytest.mark.parametrize("kwargs", [{"target_abs_error": 1e-16},
-                                        {"target_abs_error": 0.0},
-                                        {"target_abs_error": -1e-11}])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            PrecisionConfig(**kwargs)
+    def test_no_public_callable_takes_a_config(self):
+        # the accuracy policy is fixed: no public function, class or method
+        # of the package accepts a configuration
+        assert not hasattr(zetalab, "PrecisionConfig")
+        assert not hasattr(zetalab, "DEFAULT_CONFIG")
+        checked = 0
+        for module in [zetalab, *(m for m in vars(zetalab).values()
+                                  if inspect.ismodule(m))]:
+            for name, obj in vars(module).items():
+                if (name.startswith("_") or not callable(obj)
+                        or inspect.isclass(obj) and issubclass(obj, Exception)):
+                    continue
+                if not getattr(obj, "__module__", "").startswith("zetalab"):
+                    continue
+                members = [obj]
+                if inspect.isclass(obj):
+                    members += [m for n, m in vars(obj).items()
+                                if not n.startswith("_") and callable(m)]
+                for member in members:
+                    params = inspect.signature(member).parameters
+                    assert not {"config", "cfg"} & set(params), (module.__name__, name)
+                    checked += 1
+        assert checked > 50
 
     def test_custom_precision_still_accurate(self, monkeypatch):
         monkeypatch.setattr(kernels, "_EM_CUTOFF", 40)
@@ -430,13 +437,13 @@ def zeta_bound(value):
     return max(1e-11, 1e-13 * abs(value))
 
 
-def batch_vs_scalar(points, alpha, cfg, allowance=lambda z, alpha: 0.0):
+def batch_vs_scalar(points, alpha, allowance=lambda z, alpha: 0.0):
     """Worst |batch - scalar| over the points, in units of a tenth of the
     README bound plus ``allowance(z, alpha)``."""
-    batch = kernels._em_hurwitz_batch(np.array(points), alpha, cfg)
+    batch = kernels._em_hurwitz_batch(np.array(points), alpha)
     worst = 0.0
     for z, got in zip(points, batch.tolist()):
-        ref = kernels._em_hurwitz(z, alpha, cfg)
+        ref = kernels._em_hurwitz(z, alpha)
         worst = max(worst, abs(got - ref) / (0.1 * zeta_bound(ref) + allowance(z, alpha)))
     return worst
 
@@ -455,17 +462,17 @@ def seeded_grid():
         yield points, alpha
 
 
-def lengths_match_scalar(points, alpha, cfg):
+def lengths_match_scalar(points, alpha):
     """The batch's (M, J) arrays equal the scalar policy at every point."""
-    m, j = kernels._em_lengths(np.array(points, dtype=complex), alpha, cfg)
-    return (m.tolist() == [kernels._em_head_length(z, alpha, cfg) for z in points]
+    m, j = kernels._em_lengths(np.array(points, dtype=complex), alpha)
+    return (m.tolist() == [kernels._em_head_length(z, alpha) for z in points]
             and j.tolist() == [kernels._em_tail_terms(z) for z in points])
 
 
 def final_over_smallest(z, alpha):
     """|final Bernoulli correction| / |smallest| at z: above 10 the tail is
     cut back to its smallest term."""
-    big_t = kernels._em_head_length(z, alpha, DEFAULT_CONFIG) + alpha
+    big_t = kernels._em_head_length(z, alpha) + alpha
     poch, t_pow, mags = z, big_t ** (-z - 1.0), []
     for j in range(1, kernels._em_tail_terms(z) + 1):
         mags.append(abs(kernels._B2J_OVER_FACT[j - 1] * poch * t_pow))
@@ -476,37 +483,36 @@ def final_over_smallest(z, alpha):
 
 class TestBatchCore:
     def test_grid_matches_scalar(self):
-        worst = max(batch_vs_scalar(points, alpha, DEFAULT_CONFIG)
+        worst = max(batch_vs_scalar(points, alpha)
                     for points, alpha in seeded_grid())
         assert worst <= 1.0
 
     def test_lengths_match_scalar_policy(self, monkeypatch):
         for points, alpha in seeded_grid():
-            assert lengths_match_scalar(points, alpha, DEFAULT_CONFIG)
+            assert lengths_match_scalar(points, alpha)
         circles = [(12, (-1.6, -1.9 + 4.0j, -2.2 - 10.0j, 2.0 - 200.0j, 2.0 - 300.0j)),
                    (2, (-0.3, 0.2 + 7.0j, -0.1 - 25.0j))]
         for tail_terms, centres in circles:
             monkeypatch.setattr(kernels, "_EM_TAIL_TERMS", tail_terms)
             for centre in centres:
                 for alpha in ALPHAS:
-                    assert lengths_match_scalar((centre + CIRCLE).tolist(), alpha,
-                                                DEFAULT_CONFIG)
+                    assert lengths_match_scalar((centre + CIRCLE).tolist(), alpha)
 
     def test_lengths_at_rounding_ties(self, monkeypatch):
         # Re s where cap - alpha sits within a few ulps of k + 1/2, so that
         # one ulp in the cap would move M; and extreme or non-finite Re s
-        base = DEFAULT_CONFIG.target_abs_error / (5.0 * EPS)
+        base = kernels._TARGET_ABS_ERROR / (5.0 * EPS)
         for alpha in ALPHAS:
             points = [complex(x, 0.0) for x in (-1e300, -40.5, -41.0, 0.5, 1e300,
                                                  math.nan)]
             for k in range(1, kernels._EM_CUTOFF):
                 tie = 1.0 - math.log(base) / math.log(k + 0.5 + alpha)
                 points += [complex(tie + d * EPS * abs(tie), 0.0) for d in range(-20, 21)]
-            assert lengths_match_scalar(points, alpha, DEFAULT_CONFIG)
+            assert lengths_match_scalar(points, alpha)
         # J steps at Re s = 0 and at every even Re s below it
         edges = [complex(x, 0.0) for x in (0.0, -1e-300, -2.0, -2.0 + 1e-15, -4.0)]
         monkeypatch.setattr(kernels, "_EM_TAIL_TERMS", 2)
-        assert lengths_match_scalar(edges, 1.0, DEFAULT_CONFIG)
+        assert lengths_match_scalar(edges, 1.0)
 
     @pytest.mark.parametrize("centre", [-1.6, -1.9 + 4.0j, -2.2 - 10.0j])
     def test_head_length_varies_per_point(self, centre):
@@ -517,15 +523,15 @@ class TestBatchCore:
         # by a few roundings of the integral term (numpy divides complex
         # numbers through a reciprocal).
         def integral_ulps(z, alpha):
-            big_t = kernels._em_head_length(z, alpha, DEFAULT_CONFIG) + alpha
+            big_t = kernels._em_head_length(z, alpha) + alpha
             return 4.0 * EPS * abs(big_t ** (1.0 - z) / (z - 1.0))
 
         points = (centre + CIRCLE).tolist()
         varied = 0
         for alpha in ALPHAS:
-            heads = {kernels._em_head_length(z, alpha, DEFAULT_CONFIG) for z in points}
+            heads = {kernels._em_head_length(z, alpha) for z in points}
             varied += len(heads) > 1
-            assert batch_vs_scalar(points, alpha, DEFAULT_CONFIG, integral_ulps) <= 1.0
+            assert batch_vs_scalar(points, alpha, integral_ulps) <= 1.0
         assert varied >= 4
 
     @pytest.mark.parametrize("centre", [-0.3, 0.2 + 7.0j, -0.1 - 25.0j])
@@ -537,7 +543,7 @@ class TestBatchCore:
         points = (centre + CIRCLE).tolist()
         assert len({kernels._em_tail_terms(z) for z in points}) > 1
         for alpha in ALPHAS:
-            assert batch_vs_scalar(points, alpha, DEFAULT_CONFIG) <= 1.0
+            assert batch_vs_scalar(points, alpha) <= 1.0
 
     @pytest.mark.parametrize("centre", [2.0 - 200.0j, 2.0 - 300.0j])
     def test_smallest_term_cut(self, centre):
@@ -549,13 +555,12 @@ class TestBatchCore:
         for alpha in ALPHAS:
             if alpha <= 2.7:
                 assert all(final_over_smallest(z, alpha) > 10.0 for z in points)
-            assert batch_vs_scalar(points, alpha, DEFAULT_CONFIG) <= 1.0
+            assert batch_vs_scalar(points, alpha) <= 1.0
 
     def test_overflow_is_non_finite_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kernels._em_hurwitz_batch(np.array([-300.0 + 0j, 2.0]), 1e6,
-                                            DEFAULT_CONFIG)
+            got = kernels._em_hurwitz_batch(np.array([-300.0 + 0j, 2.0]), 1e6)
         assert not np.isfinite(got[0]) and np.isfinite(got[1])
 
     @pytest.mark.parametrize("r", [1, 3])
@@ -686,43 +691,39 @@ def multi_order_points():
             yield s, alpha
 
 
-# a tighter target shrinks the head length M at more points
-JET_CONFIGS = [DEFAULT_CONFIG, PrecisionConfig(target_abs_error=1e-13)]
-
-
 class TestMultiOrderJet:
-    @pytest.mark.parametrize("cfg", JET_CONFIGS, ids=["default", "tight"])
-    def test_coefficients_equal_one_jet_per_order(self, cfg):
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
+    def test_coefficients_equal_one_jet_per_order(self, target):
         # every coefficient up to r of the order-6 sum, bit for bit, and so
         # for the Stieltjes series
         for s, alpha in multi_order_points():
-            every = kernels._em_jet(s, alpha, 6, cfg)
+            every = kernels._em_jet(s, alpha, 6)
             for r in range(7):
-                assert kernels._em_jet(s, alpha, r, cfg) == every[:r + 1], (s, alpha, r)
+                assert kernels._em_jet(s, alpha, r) == every[:r + 1], (s, alpha, r)
         for alpha in ALPHAS:
-            every = kernels._em_jet(1.0 + 0j, alpha, 6, cfg, minus_pole=True)
+            every = kernels._em_jet(1.0 + 0j, alpha, 6, minus_pole=True)
             for r in range(7):
-                assert (kernels._em_jet(1.0 + 0j, alpha, r, cfg, minus_pole=True)
+                assert (kernels._em_jet(1.0 + 0j, alpha, r, minus_pole=True)
                         == every[:r + 1]), (alpha, r)
 
-    @pytest.mark.parametrize("cfg", JET_CONFIGS, ids=["default", "tight"])
-    def test_derivatives_equal_one_jet_per_order(self, cfg):
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
+    def test_derivatives_equal_one_jet_per_order(self, target):
         # the head length does not depend on the highest order asked for, so
         # neither does any coefficient
         shrunk = 0
         for s, alpha in multi_order_points():
-            expected = [hurwitz_zeta(s, alpha, cfg)] + [
-                math.factorial(r) * kernels._em_jet(s, alpha, r, cfg)[r]
+            expected = [hurwitz_zeta(s, alpha)] + [
+                math.factorial(r) * kernels._em_jet(s, alpha, r)[r]
                 for r in range(1, 7)]
-            assert kernels._hurwitz_derivs(range(7), s, alpha, cfg) == expected
-            assert [hurwitz_zeta_deriv(r, s, alpha, cfg) for r in range(7)] == expected
-            shrunk += kernels._em_head_length(s, alpha, cfg) < kernels._EM_CUTOFF
+            assert kernels._hurwitz_derivs(range(7), s, alpha) == expected
+            assert [hurwitz_zeta_deriv(r, s, alpha) for r in range(7)] == expected
+            shrunk += kernels._em_head_length(s, alpha) < kernels._EM_CUTOFF
         assert shrunk  # the grid reaches Re s where M shrinks
 
     def test_orders_in_any_order_and_subset(self):
         s, alpha = 0.3 + 0.6j, 0.7
-        every = kernels._hurwitz_derivs(range(7), s, alpha, DEFAULT_CONFIG)
-        assert kernels._hurwitz_derivs((4, 1), s, alpha, DEFAULT_CONFIG) == [every[4], every[1]]
+        every = kernels._hurwitz_derivs(range(7), s, alpha)
+        assert kernels._hurwitz_derivs((4, 1), s, alpha) == [every[4], every[1]]
 
     # The refusals of every order
     @pytest.mark.parametrize("r", range(1, 7))
@@ -748,7 +749,7 @@ class TestMultiOrderJet:
     def test_all_orders_raise_the_first_error_of_the_order_loop(self, s, alpha,
                                                                 error, message):
         with pytest.raises(error) as info:
-            kernels._hurwitz_derivs(range(7), s, alpha, DEFAULT_CONFIG)
+            kernels._hurwitz_derivs(range(7), s, alpha)
         assert str(info.value) == message
 
 
@@ -757,12 +758,12 @@ class TestMultiOrderJet:
 # ---------------------------------------------------------------------------
 
 
-def single_alpha_em_batch(s, alpha, cfg):
+def single_alpha_em_batch(s, alpha):
     """The numpy batch for one alpha, as it ran before the batch core took
     an alpha axis; the one-row batch of today must equal it bit for bit."""
     s = np.asarray(s, dtype=complex)
     rows = np.arange(len(s))
-    m, j = kernels._em_lengths(s, alpha, cfg)
+    m, j = kernels._em_lengths(s, alpha)
     big_t = m + alpha
     log_n = np.array([math.log(n + alpha) for n in range(m.max())])
     log_t = np.array([math.log(x) for x in big_t.tolist()])
@@ -798,11 +799,10 @@ class TestBatchRow:
         for centre in GRID_CENTRES:
             points = centre + CIRCLE
             for alpha in GRID_ALPHAS:
-                row = kernels._em_hurwitz_batch(points, alpha, DEFAULT_CONFIG)
-                expected = single_alpha_em_batch(points, alpha, DEFAULT_CONFIG)
+                row = kernels._em_hurwitz_batch(points, alpha)
+                expected = single_alpha_em_batch(points, alpha)
                 assert row.tobytes() == expected.tobytes(), (centre, alpha)
-                points_vary_m += len(set(kernels._em_lengths(points, alpha,
-                                                             DEFAULT_CONFIG)[0])) > 1
+                points_vary_m += len(set(kernels._em_lengths(points, alpha)[0])) > 1
         assert points_vary_m
 
 
@@ -838,17 +838,17 @@ class TestDerivativesOverAlphas:
          "Euler-Maclaurin overflow in hurwitz_zeta"),
     ])
     def test_refusals_node_by_node(self, orders, s, alphas, error, message):
-        got = outcome(lambda: [kernels._hurwitz_derivs(orders, s, alpha, DEFAULT_CONFIG)
+        got = outcome(lambda: [kernels._hurwitz_derivs(orders, s, alpha)
                                for alpha in alphas])
         assert got == (error, message)
         # the level batch, one call per order, refuses at the same node
-        level = outcome(lambda: [kernels._zeta_level(r, s, np.array(alphas), DEFAULT_CONFIG)
+        level = outcome(lambda: [kernels._zeta_level(r, s, np.array(alphas))
                                  for r in orders])
         assert level == (error, message)
 
     def test_finite_at_very_negative_s(self):
         for alpha in (0.5, 1.0, 3.0):
-            value, = kernels._hurwitz_derivs((1,), -300.0, alpha, DEFAULT_CONFIG)
+            value, = kernels._hurwitz_derivs((1,), -300.0, alpha)
             assert cmath.isfinite(value)
 
 
@@ -857,10 +857,10 @@ class TestDerivativesOverAlphas:
 # ---------------------------------------------------------------------------
 
 
-def jet_lengths_match_scalar(s, alphas, cfg):
+def jet_lengths_match_scalar(s, alphas):
     """The batch's head lengths equal the scalar rule at every alpha."""
-    got = kernels._jet_head_lengths(complex(s), np.array(alphas, dtype=float), cfg)
-    return got.tolist() == [kernels._jet_head_length(complex(s), a, cfg) for a in alphas]
+    got = kernels._jet_head_lengths(complex(s), np.array(alphas, dtype=float))
+    return got.tolist() == [kernels._jet_head_length(complex(s), a) for a in alphas]
 
 
 def ulps_around(x, count=20):
@@ -873,10 +873,10 @@ def quadrature_s_values():
     seen = []
     level = kernels._zeta_level
 
-    def recorded(r, s, alphas, cfg):
+    def recorded(r, s, alphas):
         if (r, complex(s)) not in seen:
             seen.append((r, complex(s)))
-        return level(r, s, alphas, cfg)
+        return level(r, s, alphas)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_zeta_level", recorded)
@@ -885,8 +885,8 @@ def quadrature_s_values():
 
 
 class TestJetBatch:
-    @pytest.mark.parametrize("cfg", JET_CONFIGS, ids=["default", "tight"])
-    def test_head_lengths_match_scalar_rule(self, cfg):
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
+    def test_head_lengths_match_scalar_rule(self, target):
         rng = random.Random(20261020)
         alphas = GRID_ALPHAS + [math.exp(rng.uniform(math.log(1e-3), math.log(200.0)))
                                 for _ in range(10)]
@@ -896,8 +896,8 @@ class TestJetBatch:
                   for y in (0.0, 7.0, -60.0)]
         points += [complex(rng.uniform(-3.0, 0.5), rng.uniform(-80.0, 80.0))
                    for _ in range(500)]
-        assert all(jet_lengths_match_scalar(s, alphas, cfg) for s in points)
-        base = cfg.target_abs_error / (5.0 * EPS)
+        assert all(jet_lengths_match_scalar(s, alphas) for s in points)
+        base = target / (5.0 * EPS)
         for alpha in ALPHAS:
             # round(cap - alpha) at k + 1/2, first with the plain cap as in
             # TestBatchCore::test_lengths_at_rounding_ties, then with the cap
@@ -909,12 +909,12 @@ class TestJetBatch:
                     log_t = math.log(m + alpha)
                     growth = max(log_t ** n / math.factorial(n) for n in range(7))
                     tie = 1.0 - math.log(base / growth) / math.log(k + 0.5 + alpha)
-                    if kernels._em_head_length(complex(tie), alpha, cfg) == m:
+                    if kernels._em_head_length(complex(tie), alpha) == m:
                         ties += ulps_around(tie)
             # and 0.6 |Im s| - alpha + 1 at an integer
             floors = [complex(x, y) for n in range(-2, kernels._EM_CUTOFF + 1)
                       for y in ulps_around((n + alpha - 1.0) / 0.6, 3) for x in (-1.0, 0.2)]
-            assert all(jet_lengths_match_scalar(s, [alpha], cfg)
+            assert all(jet_lengths_match_scalar(s, [alpha])
                        for s in floors + [complex(x) for x in ties])
 
     def test_coefficients_match_scalar(self):
@@ -930,10 +930,9 @@ class TestJetBatch:
             alphas = np.array([1e-3, 200.0] + [math.exp(rng.uniform(math.log(1e-3),
                                                                      math.log(200.0)))
                                                for _ in range(14)])
-            batch = kernels._em_jet_batch(s, alphas, 6, DEFAULT_CONFIG)
+            batch = kernels._em_jet_batch(s, alphas, 6)
             for alpha, column in zip(alphas.tolist(), batch.T.tolist()):
-                for r, (got, ref) in enumerate(zip(column, kernels._em_jet(s, alpha, 6,
-                                                                           DEFAULT_CONFIG))):
+                for r, (got, ref) in enumerate(zip(column, kernels._em_jet(s, alpha, 6))):
                     value = math.factorial(r) * ref
                     bound = 0.1 * zeta_bound(value) if r == 0 else tenth_of_bound(value)
                     worst = max(worst, math.factorial(r) * abs(got - ref) / bound)
@@ -942,16 +941,16 @@ class TestJetBatch:
     def test_columns_do_not_depend_on_the_other_nodes(self):
         alphas = np.array(GRID_ALPHAS)
         for s in GRID_CENTRES:
-            level = kernels._em_jet_batch(s, alphas, 6, DEFAULT_CONFIG)
+            level = kernels._em_jet_batch(s, alphas, 6)
             for i in range(len(alphas)):
-                alone = kernels._em_jet_batch(s, alphas[i:i + 1], 6, DEFAULT_CONFIG)
+                alone = kernels._em_jet_batch(s, alphas[i:i + 1], 6)
                 assert level[:, i].tobytes() == alone[:, 0].tobytes(), (s, alphas[i])
 
     def test_overflow_is_non_finite_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kernels._em_jet_batch(-300.0, np.array([0.5, 1e6, 1.0]), 3, DEFAULT_CONFIG)
-            edges = [kernels._em_jet_batch(s, np.array([0.5, 2.0]), 2, DEFAULT_CONFIG)
+            got = kernels._em_jet_batch(-300.0, np.array([0.5, 1e6, 1.0]), 3)
+            edges = [kernels._em_jet_batch(s, np.array([0.5, 2.0]), 2)
                      for s in (-math.inf, 1.0, complex(2.0, math.inf))]
         assert np.isfinite(got[:, [0, 2]]).all() and not np.isfinite(got[:, 1]).any()
         assert not any(np.isfinite(edge).any() for edge in edges)
@@ -962,7 +961,7 @@ class TestJetBatch:
 # ---------------------------------------------------------------------------
 
 
-def scalar_taylor(s, alpha, k, cfg=DEFAULT_CONFIG):
+def scalar_taylor(s, alpha, k):
     """hurwitz_taylor term by term, one scalar hurwitz_zeta(s+n, k) per term,
     with the kernel's refusals.  Returns the value, the number of terms and
     the sum of the terms' moduli, the scale of the sum's rounding."""
@@ -978,10 +977,10 @@ def scalar_taylor(s, alpha, k, cfg=DEFAULT_CONFIG):
     total = sum(cmath.exp(-s * cmath.log(n + alpha)) for n in range(k))
     poch, coef, small_run, scale = 1.0 + 0j, 1.0 + 0j, 0, 0.0
     for n in range(400):
-        term = poch * hurwitz_zeta(s + n, k, cfg) * coef
+        term = poch * hurwitz_zeta(s + n, k) * coef
         total += term
         scale += abs(term)
-        small_run = small_run + 1 if abs(term) < cfg.target_abs_error / 10.0 else 0
+        small_run = small_run + 1 if abs(term) < kernels._TARGET_ABS_ERROR / 10.0 else 0
         if small_run >= 2 and n >= 4:
             return total, n + 1, scale
         poch *= s + n
@@ -1036,9 +1035,9 @@ class TestTaylorBatch:
         sizes = []
         batch = kernels._em_hurwitz_batch
 
-        def counted(s, alpha, cfg):
+        def counted(s, alpha):
             sizes.append(len(s))
-            return batch(s, alpha, cfg)
+            return batch(s, alpha)
 
         def refused(*args, **kwargs):
             raise AssertionError("scalar hurwitz_zeta called for a finite input")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from zetalab import hurwitz_zeta_deriv, stieltjes
-from zetalab.kernels import DEFAULT_CONFIG, _zeta_level
+from zetalab.kernels import _zeta_level
 
 mp = pytest.importorskip("mpmath")
 
@@ -60,7 +60,7 @@ def by_level(r: int, points: list[tuple[complex, float]]) -> list[complex]:
     alphas: dict[complex, list[float]] = {}
     for s, alpha in points:
         alphas.setdefault(s, []).append(alpha)
-    levels = {s: iter(_zeta_level(r, s, np.array(group), DEFAULT_CONFIG).tolist())
+    levels = {s: iter(_zeta_level(r, s, np.array(group)).tolist())
               for s, group in alphas.items()}
     return [next(levels[s]) for s, _ in points]
 

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import TARGET_IDS, TARGETS
 from zetalab import kernels
 from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import (RatPoly, bernoulli_number, poly_integral_01,
                            poly_mul, zeta_neg_int_poly)
-from zetalab.kernels import (DEFAULT_CONFIG, PrecisionConfig, hurwitz_zeta,
-                             riemann_zeta)
+from zetalab.kernels import hurwitz_zeta, riemann_zeta
 from zetalab.quadrature import tanh_sinh_01
 from zetalab.reduction import (DerivAtom, LinearCombination,
                                RationalFunctionOfS, eval_combination,
@@ -69,7 +69,7 @@ class TestRationalFunction:
 
     def test_integer_roots(self):
         f = rf((1,), S_MINUS_1 * S_MINUS_2)
-        assert f.denominator_integer_roots() == [1, 2]
+        assert [k for k in range(-8, 9) if f.den.evaluate(k) == 0] == [1, 2]
 
     def test_equality_decidable(self):
         assert rf((2,), (0, 2)) == rf((1,), (0, 1))   # 2/(2s) == 1/s
@@ -107,8 +107,8 @@ class TestReduceMonomial:
     def test_denominator_roots_in_range(self):
         lc = reduce_monomial(6, 1)
         for atom, coeff in lc.items():
-            roots = coeff.denominator_integer_roots()
-            assert all(1 <= root <= 6 for root in roots), (atom, roots)
+            roots = [k for k in range(-8, MAX_DEGREE + 6) if coeff.den.evaluate(k) == 0]
+            assert roots and all(1 <= root <= 6 for root in roots), (atom, roots)
 
     def test_argument_guards(self):
         with pytest.raises(ValueError):
@@ -270,10 +270,11 @@ class TestHighDegreeClosedForm:
 
 def _scanned_pole_error(lc, s):
     """The message the refusal must give: the first atom, in order, whose
-    denominator has an integer root within 1e-8 of s."""
+    denominator has an integer root within 1e-8 of s (every pole a reduction
+    can have, 1..MAX_DEGREE, is in the scan)."""
     for atom, coeff in lc.items():
-        for root in coeff.denominator_integer_roots():
-            if abs(s - root) <= 1e-8:
+        for root in range(-8, MAX_DEGREE + 6):
+            if coeff.den.evaluate(root) == 0 and abs(s - root) <= 1e-8:
                 return f"coefficient of {atom} has a pole at s = {root}"
     return None
 
@@ -361,13 +362,13 @@ class TestEvalCombination:
 
 
 @lru_cache(maxsize=None)
-def riemann_zeta_deriv_cached(n, z, config):
-    """riemann_zeta_deriv, remembered: the parity grid meets each zeta^(n)(s-k)
-    at every degree >= k."""
-    return kernels.riemann_zeta_deriv(n, z, config)
+def riemann_zeta_deriv_cached(n, z, target):
+    """riemann_zeta_deriv at the accuracy target ``target``, remembered: the
+    parity grid meets each zeta^(n)(s-k) at every degree >= k."""
+    return kernels.riemann_zeta_deriv(n, z)
 
 
-def atom_by_atom(lc, s, config=None):
+def atom_by_atom(lc, s):
     """eval_combination as one riemann_zeta_deriv call per atom: the loop
     that the batch over shifts replaced, kept as its reference."""
     s = complex(s)
@@ -380,7 +381,8 @@ def atom_by_atom(lc, s, config=None):
     total = 0j
     for atom, coeff in lc.items():
         try:
-            value = riemann_zeta_deriv_cached(atom.deriv_order, s - atom.shift, config)
+            value = riemann_zeta_deriv_cached(atom.deriv_order, s - atom.shift,
+                                              kernels._TARGET_ABS_ERROR)
         except PoleProximityError as exc:
             raise PoleProximityError(f"shift {atom.shift}: {exc}") from None
         try:
@@ -408,8 +410,6 @@ def parity_multiset(n):
 # At 1.3 shift 1, and at 2.6+0.4i shifts 1 and 2, lie within 1 of the pole
 # guard around s = 1.
 PARITY_S = (0.0, -1.0, -3.0, 0.3, 0.55, -0.7 + 0.2j, -1.6 - 0.4j, 1.3, 2.6 + 0.4j)
-# a tighter target shrinks the head length M at more points
-PARITY_CONFIGS = (DEFAULT_CONFIG, PrecisionConfig(target_abs_error=1e-13))
 
 
 class TestShiftBatch:
@@ -417,20 +417,21 @@ class TestShiftBatch:
     sum; each value and each refusal must equal the atom-by-atom loop's."""
 
     @pytest.mark.parametrize("r", [0, 1])
-    @pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=["default", "tight"])
-    def test_bitwise_equal_to_atom_by_atom(self, cfg, r):
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
+    def test_bitwise_equal_to_atom_by_atom(self, target, r):
         for n in range(2, MAX_DEGREE + 1):
             ms = parity_multiset(n)
             assert sum(m + 1 for m in ms) == n
             lc = integral_poly_zeta(ms, r)
             for s in PARITY_S:
-                got = outcome(lambda: eval_combination(lc, s, cfg))
-                assert got == outcome(lambda: atom_by_atom(lc, s, cfg)), (ms, s)
+                got = outcome(lambda: eval_combination(lc, s))
+                assert got == outcome(lambda: atom_by_atom(lc, s)), (ms, s)
 
     ONE = RationalFunctionOfS.one()
     # 1/(s - 33/10): a pole off the integers, at s = 3.3
     POLE_33 = rf((1,), (Fraction(-33, 10), 1))
     POLE_6395 = rf((1,), (Fraction(1279, 2), 1))
+    POLE_6411 = rf((1,), (Fraction(6411, 10), 1))
 
     @pytest.mark.parametrize("terms, s, error, message", [
         ({DerivAtom(0, 1): ONE, DerivAtom(1, 2): ONE}, complex("nan"), DomainError,
@@ -459,6 +460,11 @@ class TestShiftBatch:
          "coefficient of zeta^(1)(s-1) has a pole at s = -639.5+0i"),
         ({DerivAtom(0, 1): POLE_6395, DerivAtom(1, 4): ONE}, -639.5, PoleProximityError,
          "coefficient of zeta^(0)(s-1) has a pole at s = -639.5+0i"),
+        # zeta'(-643.1) is finite and zeta^(6)(-643.1) overflows, both from
+        # the jet of shift 2: the coefficient pole of the atom between them
+        # is the refusal
+        ({DerivAtom(1, 2): ONE, DerivAtom(2, 1): POLE_6411, DerivAtom(6, 2): ONE}, -641.1,
+         PoleProximityError, "coefficient of zeta^(2)(s-1) has a pole at s = -641.1+0i"),
     ])
     def test_refusals_equal_atom_by_atom(self, terms, s, error, message):
         lc = LinearCombination(terms)
@@ -466,9 +472,9 @@ class TestShiftBatch:
         assert got == (error, message)
         assert got == outcome(lambda: atom_by_atom(lc, s))
 
-    @pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=["default", "tight"])
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
     @pytest.mark.parametrize("n", [2, 8, 9, 16, 33, MAX_DEGREE])
-    def test_one_jet_per_shift(self, monkeypatch, cfg, n):
+    def test_one_jet_per_shift(self, monkeypatch, target, n):
         calls = []
         jet = kernels._em_jet
 
@@ -480,12 +486,12 @@ class TestShiftBatch:
         ms = parity_multiset(n)
         s = -0.7 + 0.2j
         lc = integral_poly_zeta(ms, 1)
-        eval_combination(lc, s, cfg)
+        eval_combination(lc, s)
         # one sum about s - k for each shift k with an atom of order >= 1
         shifts = sorted({atom.shift for atom in lc.atoms() if atom.deriv_order >= 1})
         assert shifts and [call[0] for call in calls] == [s - k for k in shifts]
         calls.clear()
-        eval_combination(integral_poly_zeta(ms, 0), s, cfg)
+        eval_combination(integral_poly_zeta(ms, 0), s)
         assert calls == []
 
 

@@ -1,5 +1,6 @@
 """Check registry, report rendering, and the command-line surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,11 @@ from zetalab import checks, kernels
 from zetalab.checks import (REQUIRED_ID_PREFIXES, build_registry,
                             render_report, run_checks)
 from zetalab.cli import main, parse_complex
+
+
+# sha256 of the default ``zetalab verify --format json`` output.  A change
+# that moves a digit of the report updates this file and says why.
+PINNED_REPORT = Path(__file__).parent / "data" / "verify_json_sha256.txt"
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +103,11 @@ class TestReports:
         assert doc["config"] == {"em_cutoff": 25, "em_tail_terms": 12,
                                  "target_abs_error": 1e-11}
 
+    def test_json_report_matches_pinned_digest(self, capsys):
+        assert main(["verify", "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == PINNED_REPORT.read_text().split()[0]
+
     def test_json_deterministic(self):
         one = render_report(run_checks("pair"), "json")
         two = render_report(run_checks("pair"), "json")
@@ -180,14 +191,6 @@ class TestCli:
         doc = json.loads(out_path.read_text())
         assert doc["summary"]["failed"] == 0
 
-    def test_global_precision_flags(self, capsys):
-        flags = ["--precision-target", "1e-10"]
-        assert main([*flags, "eval", "--fn", "zeta", "--s", "2"]) == 0
-        assert capsys.readouterr().out.strip() == "1.64493406684823+0i"
-        assert main([*flags, "verify", "--filter", "cor6_value_11", "--format", "json"]) == 0
-        config = json.loads(capsys.readouterr().out)["config"]
-        assert config["target_abs_error"] == 1e-10
-
     @pytest.mark.parametrize("flag, value", [("--em-cutoff", "30"),
                                              ("--contour-points", "64")])
     def test_removed_flag_is_gone(self, capsys, flag, value):
@@ -195,9 +198,14 @@ class TestCli:
             main([flag, value, "eval", "--fn", "zeta", "--s", "2"])
         assert info.value.code == 2
 
-    def test_bad_config_rejected(self, capsys):
-        assert main(["--precision-target", "1e-16", "eval", "--fn", "zeta", "--s", "2"]) == 2
-        assert "error" in capsys.readouterr().err
+    def test_precision_target_flag_is_gone(self, capsys):
+        # the accuracy target is fixed: a tighter one returned wrong digits
+        # here (-12.02745...-15.46792...i for -12.0275005344-15.4679303684i)
+        with pytest.raises(SystemExit) as info:
+            main(["--precision-target", "1e-13", "eval", "--fn", "hurwitz",
+                  "--s=-0.9996+39.2526i", "--alpha", "1.2936"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_missing_required_value(self, capsys):
         assert main(["eval", "--fn", "zeta"]) == 2
