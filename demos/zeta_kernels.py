@@ -1,5 +1,5 @@
-"""Numeric kernels: zeta values, s-derivatives, Stieltjes constants, and the
-two independent evaluation methods for zeta(s, alpha).
+"""Numeric kernels: zeta values, s-derivatives, Stieltjes constants, and
+zeta(s, alpha) at real and at complex alpha.
 """
 
 import math
@@ -21,14 +21,14 @@ for s in (2.0, -1.5, 3.0):
     rhs = (2.0 ** s - 1.0) * riemann_zeta(s)
     print(f"  s = {s}: {lhs.real:.15g} vs {rhs.real:.15g}")
 
-print("\nTwo routes to zeta(s, alpha): Euler-Maclaurin and the Taylor disc")
-print("expansion around the integer shift k (here k = 3):")
+print("\nTwo routes to zeta(s, alpha): the real-alpha sum, and the complex-alpha")
+print("sum at alpha + k plus the head sum_{n<k} (n + alpha)^-s (here k = 3):")
 for s, a in ((-2.5, 0.7), (0.75, 1.3), (2.5, 0.4)):
-    em = hurwitz_zeta(s, a)
-    ty = hurwitz_taylor(s, a, 3)
-    print(f"  (s, a) = ({s}, {a}): |EM - Taylor| = {abs(em - ty):.2e}")
+    real = hurwitz_zeta(s, a)
+    shifted = hurwitz_taylor(s, a, 3)
+    print(f"  (s, a) = ({s}, {a}): |real - shifted| = {abs(real - shifted):.2e}")
 
-print("\nThe Taylor route also reaches complex alpha inside the disc:")
+print("\nThe complex-alpha route reaches alpha inside the disc |alpha| < k - 1/4:")
 value = hurwitz_taylor(-1.5, 0.4 + 0.8j, 3)
 print(f"  zeta(-1.5, 0.4+0.8i) = {format_complex(value)}")
 

@@ -683,7 +683,7 @@ def build_registry() -> list[CheckSpec]:
         return _worst_pair(pairs)
 
     add("kernel_taylor_cross",
-        "disc expansion vs Euler-Maclaurin on a 20-point grid",
+        "complex-alpha path plus the shift vs the real-alpha path on a 20-point grid",
         "Taylor continuation in the disc |alpha| < k", 1e-9, _kernel_taylor_cross)
 
     def _kernel_neg_int_poly():

@@ -5,11 +5,11 @@ rational module for zeta at non-positive integers, the dyadic identity
 zeta(s, 1/2) = (2^s - 1) zeta(s), lgamma for zeta'(0, a), an accelerated
 alternating series for zeta'(2), finite differences for derivative
 consistency, the Laurent definition for Stieltjes constants, and mpmath
-(optional) for the Taylor-mode derivatives and Stieltjes constants.  The
-numpy batch core behind the Taylor-disc series is checked against the scalar
-core and against the single-alpha batch it was cut down from, and the series
-against its form with one scalar zeta call per term; the Taylor-mode batch
-behind the quadrature checks against the scalar Taylor-mode sum.
+(optional) for the Taylor-mode derivatives and Stieltjes constants.  zeta
+itself is the Taylor-mode sum at order 0, checked bit for bit against the
+order-6 sum; the Taylor-mode batch behind the quadrature checks is checked
+against the scalar sum.  The complex-alpha values of hurwitz_taylor are
+checked against mpmath in test_oracle.py.
 """
 
 import cmath
@@ -25,8 +25,8 @@ import pytest
 from conftest import TARGET_IDS, TARGETS
 import zetalab
 from zetalab import calculus, kernels
-from zetalab.errors import (ConvergenceError, DomainError, EvaluationError,
-                            NumericOverflowError, PoleProximityError)
+from zetalab.errors import (DomainError, EvaluationError, NumericOverflowError,
+                            PoleProximityError)
 from zetalab.exact import poly_eval, zeta_neg_int_poly
 from zetalab.checks import run_checks
 from zetalab.reduction import pair_integral
@@ -154,8 +154,9 @@ class TestHurwitzZeta:
         assert abs(hurwitz_zeta(s, alpha) - expected) <= 1e-13 * abs(expected)
 
     def test_huge_alpha_overflow_still_raises(self):
-        # about alpha^5 / 5 = 2e349: out of range in either form
-        with pytest.raises(NumericOverflowError, match="^non-finite value in hurwitz_zeta$"):
+        # about alpha^5 / 5 = 2e349: every overflow of the sum is one refusal
+        with pytest.raises(NumericOverflowError,
+                           match="^Euler-Maclaurin overflow in hurwitz_zeta$"):
             hurwitz_zeta(-4.0, 1e70)
 
 
@@ -228,9 +229,10 @@ class TestTaylorDisc:
         with pytest.raises(DomainError):
             hurwitz_taylor(2.0, 1.8, 2)
 
-    def test_pole_collision(self):
-        with pytest.raises(PoleProximityError):
-            hurwitz_taylor(-2.0, 0.5, 2)  # s + 3 = 1
+    @pytest.mark.parametrize("s", [0.0, -1.0, -2.0])
+    def test_s_plus_n_equal_to_one_is_a_value(self, s):
+        # s + n = 1 for an integer n >= 0 is no pole of zeta(s, alpha)
+        assert abs(hurwitz_taylor(s, 0.5, 2) - hurwitz_zeta(s, 0.5)) < 1e-12
 
     @pytest.mark.parametrize("k", [3.0, 2.5, "3"])
     def test_non_integer_k_is_refused(self, k):
@@ -423,10 +425,6 @@ class TestSerialization:
         assert format_complex(complex(-0.0, -0.0)) == "0+0i"
 
 
-# ---------------------------------------------------------------------------
-# The numpy Euler-Maclaurin batch behind the Taylor-disc series
-# ---------------------------------------------------------------------------
-
 EPS = 2.220446049250313e-16
 CIRCLE = 0.5 * np.exp(2j * np.pi * np.arange(32) / 32)
 ALPHAS = (0.05, 0.3, 1.0, 2.7, 12.0, 50.0)
@@ -437,132 +435,7 @@ def zeta_bound(value):
     return max(1e-11, 1e-13 * abs(value))
 
 
-def batch_vs_scalar(points, alpha, allowance=lambda z, alpha: 0.0):
-    """Worst |batch - scalar| over the points, in units of a tenth of the
-    README bound plus ``allowance(z, alpha)``."""
-    batch = kernels._em_hurwitz_batch(np.array(points), alpha)
-    worst = 0.0
-    for z, got in zip(points, batch.tolist()):
-        ref = kernels._em_hurwitz(z, alpha)
-        worst = max(worst, abs(got - ref) / (0.1 * zeta_bound(ref) + allowance(z, alpha)))
-    return worst
-
-
-def seeded_grid():
-    """40 (points, alpha) pairs: 32 points with Re s in [-1, 10], |Im s| <= 40,
-    away from s = 1, and alpha in [0.05, 50]."""
-    rng = random.Random(20261018)
-    for _ in range(40):
-        alpha = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
-        points = []
-        while len(points) < 32:
-            s = complex(rng.uniform(-1.0, 10.0), rng.uniform(-40.0, 40.0))
-            if abs(s - 1.0) >= 0.05:
-                points.append(s)
-        yield points, alpha
-
-
-def lengths_match_scalar(points, alpha):
-    """The batch's (M, J) arrays equal the scalar policy at every point."""
-    m, j = kernels._em_lengths(np.array(points, dtype=complex), alpha)
-    return (m.tolist() == [kernels._em_head_length(z, alpha) for z in points]
-            and j.tolist() == [kernels._em_tail_terms(z) for z in points])
-
-
-def final_over_smallest(z, alpha):
-    """|final Bernoulli correction| / |smallest| at z: above 10 the tail is
-    cut back to its smallest term."""
-    big_t = kernels._em_head_length(z, alpha) + alpha
-    poch, t_pow, mags = z, big_t ** (-z - 1.0), []
-    for j in range(1, kernels._em_tail_terms(z) + 1):
-        mags.append(abs(kernels._B2J_OVER_FACT[j - 1] * poch * t_pow))
-        poch *= (z + 2 * j - 1) * (z + 2 * j)
-        t_pow /= big_t * big_t
-    return mags[-1] / min(mags)
-
-
-class TestBatchCore:
-    def test_grid_matches_scalar(self):
-        worst = max(batch_vs_scalar(points, alpha)
-                    for points, alpha in seeded_grid())
-        assert worst <= 1.0
-
-    def test_lengths_match_scalar_policy(self, monkeypatch):
-        for points, alpha in seeded_grid():
-            assert lengths_match_scalar(points, alpha)
-        circles = [(12, (-1.6, -1.9 + 4.0j, -2.2 - 10.0j, 2.0 - 200.0j, 2.0 - 300.0j)),
-                   (2, (-0.3, 0.2 + 7.0j, -0.1 - 25.0j))]
-        for tail_terms, centres in circles:
-            monkeypatch.setattr(kernels, "_EM_TAIL_TERMS", tail_terms)
-            for centre in centres:
-                for alpha in ALPHAS:
-                    assert lengths_match_scalar((centre + CIRCLE).tolist(), alpha)
-
-    def test_lengths_at_rounding_ties(self, monkeypatch):
-        # Re s where cap - alpha sits within a few ulps of k + 1/2, so that
-        # one ulp in the cap would move M; and extreme or non-finite Re s
-        base = kernels._TARGET_ABS_ERROR / (5.0 * EPS)
-        for alpha in ALPHAS:
-            points = [complex(x, 0.0) for x in (-1e300, -40.5, -41.0, 0.5, 1e300,
-                                                 math.nan)]
-            for k in range(1, kernels._EM_CUTOFF):
-                tie = 1.0 - math.log(base) / math.log(k + 0.5 + alpha)
-                points += [complex(tie + d * EPS * abs(tie), 0.0) for d in range(-20, 21)]
-            assert lengths_match_scalar(points, alpha)
-        # J steps at Re s = 0 and at every even Re s below it
-        edges = [complex(x, 0.0) for x in (0.0, -1e-300, -2.0, -2.0 + 1e-15, -4.0)]
-        monkeypatch.setattr(kernels, "_EM_TAIL_TERMS", 2)
-        assert lengths_match_scalar(edges, 1.0)
-
-    @pytest.mark.parametrize("centre", [-1.6, -1.9 + 4.0j, -2.2 - 10.0j])
-    def test_head_length_varies_per_point(self, centre):
-        # The circles cross Re s = -1.8, where M shrinks with Re s, and stay
-        # at |Im s| <= 10.5, where the scalar core meets its bound.  The
-        # shrink makes one rounding of the cancelling head and integral terms
-        # worth about a fifth of the bound, so the two cores may also differ
-        # by a few roundings of the integral term (numpy divides complex
-        # numbers through a reciprocal).
-        def integral_ulps(z, alpha):
-            big_t = kernels._em_head_length(z, alpha) + alpha
-            return 4.0 * EPS * abs(big_t ** (1.0 - z) / (z - 1.0))
-
-        points = (centre + CIRCLE).tolist()
-        varied = 0
-        for alpha in ALPHAS:
-            heads = {kernels._em_head_length(z, alpha) for z in points}
-            varied += len(heads) > 1
-            assert batch_vs_scalar(points, alpha, integral_ulps) <= 1.0
-        assert varied >= 4
-
-    @pytest.mark.parametrize("centre", [-0.3, 0.2 + 7.0j, -0.1 - 25.0j])
-    def test_tail_count_varies_per_point(self, monkeypatch, centre):
-        # with 2 corrections by default, J is 2 where Re s >= 0 and 3 below;
-        # at the real default of 12, J first varies near Re s = -20, where
-        # neither core meets its bound
-        monkeypatch.setattr(kernels, "_EM_TAIL_TERMS", 2)
-        points = (centre + CIRCLE).tolist()
-        assert len({kernels._em_tail_terms(z) for z in points}) > 1
-        for alpha in ALPHAS:
-            assert batch_vs_scalar(points, alpha) <= 1.0
-
-    @pytest.mark.parametrize("centre", [2.0 - 200.0j, 2.0 - 300.0j])
-    def test_smallest_term_cut(self, centre):
-        # The corrections stop shrinking once |s| passes about 2 pi (M + alpha).
-        # The sum is then cut back to its smallest term, at every point of
-        # both circles for alpha <= 2.7, where the final term is 15 to 1e6
-        # times the smallest.
-        points = (centre + CIRCLE).tolist()
-        for alpha in ALPHAS:
-            if alpha <= 2.7:
-                assert all(final_over_smallest(z, alpha) > 10.0 for z in points)
-            assert batch_vs_scalar(points, alpha) <= 1.0
-
-    def test_overflow_is_non_finite_without_warnings(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = kernels._em_hurwitz_batch(np.array([-300.0 + 0j, 2.0]), 1e6)
-        assert not np.isfinite(got[0]) and np.isfinite(got[1])
-
+class TestOverflow:
     @pytest.mark.parametrize("r", [1, 3])
     def test_derivative_overflow_raises_without_warnings(self, r):
         with warnings.catch_warnings():
@@ -753,59 +626,6 @@ class TestMultiOrderJet:
         assert str(info.value) == message
 
 
-# ---------------------------------------------------------------------------
-# The batch row against the single-alpha batch it was cut down from
-# ---------------------------------------------------------------------------
-
-
-def single_alpha_em_batch(s, alpha):
-    """The numpy batch for one alpha, as it ran before the batch core took
-    an alpha axis; the one-row batch of today must equal it bit for bit."""
-    s = np.asarray(s, dtype=complex)
-    rows = np.arange(len(s))
-    m, j = kernels._em_lengths(s, alpha)
-    big_t = m + alpha
-    log_n = np.array([math.log(n + alpha) for n in range(m.max())])
-    log_t = np.array([math.log(x) for x in big_t.tolist()])
-    with np.errstate(all="ignore"):
-        modulus = np.power(np.arange(m.max()) + alpha, -s.real[:, None])
-        phase = -s.imag[:, None] * log_n
-        powers = modulus * np.cos(phase) + 1j * (modulus * np.sin(phase))
-        head = np.cumsum(powers, axis=1)[rows, m - 1]
-        t_ms = np.exp(-s * log_t)
-        integral = t_ms * big_t / (s - 1.0)
-        ks = 2.0 * np.arange(1, j.max())
-        steps = (s[:, None] + ks - 1.0) * (s[:, None] + ks) / (big_t * big_t)[:, None]
-        first = s * t_ms / big_t
-        terms = kernels._B2J_OVER_FACT_ARRAY[:j.max()] * np.cumprod(
-            np.column_stack((first, steps)), axis=1)
-        acc = np.cumsum(terms, axis=1)
-        mags = np.where(np.arange(j.max()) < j[:, None], np.abs(terms), np.inf)
-        at_min = mags.shape[1] - 1 - np.argmin(mags[:, ::-1], axis=1)
-        last = j - 1
-        cut = np.where(mags[rows, last] > 10.0 * mags[rows, at_min], at_min, last)
-        return head + integral + 0.5 * t_ms + acc[rows, cut]
-
-
-GRID_ALPHAS = [1e-3, 0.0123, 0.05, 0.3, 1.0, 2.7, 12.0, 50.0, 199.0, 200.0]
-# circle centres: Re s >= 1/2; Re s < 1/2, where M shrinks with alpha; large
-# |Im s|; and very negative Re s, where J grows
-GRID_CENTRES = [3.0, 0.7 - 0.2j, -1.6, -1.9 + 4.0j, 0.2 + 7.0j, 2.0 - 45.0j, -30.0 + 2.0j]
-
-
-class TestBatchRow:
-    def test_row_equals_the_single_alpha_batch(self):
-        points_vary_m = 0
-        for centre in GRID_CENTRES:
-            points = centre + CIRCLE
-            for alpha in GRID_ALPHAS:
-                row = kernels._em_hurwitz_batch(points, alpha)
-                expected = single_alpha_em_batch(points, alpha)
-                assert row.tobytes() == expected.tobytes(), (centre, alpha)
-                points_vary_m += len(set(kernels._em_lengths(points, alpha)[0])) > 1
-        assert points_vary_m
-
-
 def outcome(call):
     """The value of call(), or the type and message of the error it raised."""
     try:
@@ -852,9 +672,50 @@ class TestDerivativesOverAlphas:
             assert cmath.isfinite(value)
 
 
+class TestOneCore:
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
+    def test_zeta_is_the_first_coefficient_of_the_order_six_sum(self, target):
+        # one Euler-Maclaurin sum for every order: zeta is its t^0 coefficient,
+        # bit for bit whatever the highest order taken with it
+        for s, alpha in multi_order_points():
+            assert hurwitz_zeta(s, alpha) == kernels._em_jet(s, alpha, 6)[0], (s, alpha)
+
+    def test_complex_alpha_on_the_real_axis_matches_the_real_path(self):
+        # a real alpha given as a complex takes complex powers and logs but
+        # the same head length; every coefficient agrees within a tenth of
+        # the README bound
+        for s, alpha in multi_order_points():
+            real = kernels._em_jet(s, alpha, 6)
+            as_complex = kernels._em_jet(s, complex(alpha), 6)
+            for r, (got, ref) in enumerate(zip(as_complex, real)):
+                value = math.factorial(r) * ref
+                bound = 0.1 * zeta_bound(value) if r == 0 else tenth_of_bound(value)
+                assert math.factorial(r) * abs(got - ref) <= bound, (s, alpha, r)
+
+
 # ---------------------------------------------------------------------------
 # The Taylor-mode batch behind the quadrature checks: one s, a level's alphas
 # ---------------------------------------------------------------------------
+
+
+GRID_ALPHAS = [1e-3, 0.0123, 0.05, 0.3, 1.0, 2.7, 12.0, 50.0, 199.0, 200.0]
+# circle centres: Re s >= 1/2; Re s < 1/2, where M shrinks with alpha; large
+# |Im s|; and very negative Re s, where J grows
+GRID_CENTRES = [3.0, 0.7 - 0.2j, -1.6, -1.9 + 4.0j, 0.2 + 7.0j, 2.0 - 45.0j, -30.0 + 2.0j]
+# The corrections stop shrinking once |s| passes about 2 pi (M + alpha); the
+# sum is then cut back to its smallest term
+CUT_CIRCLES = [c + z for c in (2.0 - 200.0j, 2.0 - 300.0j) for z in CIRCLE.tolist()]
+
+
+def final_over_smallest(s, alpha):
+    """|final Bernoulli correction| / |smallest| at s: above 10 the sum is
+    cut back to its smallest term."""
+    big_t = kernels._jet_head_length(s, alpha) + alpha
+    poch, mags = s, []
+    for j in range(1, kernels._em_tail_terms(s) + 1):
+        mags.append(abs(kernels._B2J_OVER_FACT[j - 1] * poch * big_t ** (1.0 - 2 * j)))
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+    return mags[-1] / min(mags)
 
 
 def jet_lengths_match_scalar(s, alphas):
@@ -899,9 +760,9 @@ class TestJetBatch:
         assert all(jet_lengths_match_scalar(s, alphas) for s in points)
         base = target / (5.0 * EPS)
         for alpha in ALPHAS:
-            # round(cap - alpha) at k + 1/2, first with the plain cap as in
-            # TestBatchCore::test_lengths_at_rounding_ties, then with the cap
-            # shrunk by the growth of the head length the plain cap gives
+            # round(cap - alpha) at k + 1/2, first with the plain cap, then
+            # with the cap shrunk by the growth of the head length the plain
+            # cap gives
             ties = []
             for k in range(1, kernels._EM_CUTOFF):
                 ties += ulps_around(1.0 - math.log(base) / math.log(k + 0.5 + alpha))
@@ -918,13 +779,17 @@ class TestJetBatch:
                        for s in floors + [complex(x) for x in ties])
 
     def test_coefficients_match_scalar(self):
-        # every coefficient r <= 6, within a tenth of the README bound
+        # every coefficient r <= 6, within a tenth of the README bound, and on
+        # circles where every point's corrections are cut back to their
+        # smallest term at alpha = 1e-3, which every point takes
         rng = random.Random(20261021)
         points = [s for _, s in quadrature_s_values()]
         while len(points) < 80:
             s = complex(rng.uniform(-2.0, 10.0), rng.uniform(-20.0, 20.0))
             if abs(s - 1.0) >= 0.05:
                 points.append(s)
+        assert all(final_over_smallest(s, 1e-3) > 10.0 for s in CUT_CIRCLES)
+        points += CUT_CIRCLES
         worst = 0.0
         for s in points:
             alphas = np.array([1e-3, 200.0] + [math.exp(rng.uniform(math.log(1e-3),
@@ -957,103 +822,29 @@ class TestJetBatch:
 
 
 # ---------------------------------------------------------------------------
-# The Taylor-disc series, its zeta_k values taken from one batch row
+# Complex alpha: what hurwitz_taylor refuses (its values: test_oracle.py)
 # ---------------------------------------------------------------------------
 
 
-def scalar_taylor(s, alpha, k):
-    """hurwitz_taylor term by term, one scalar hurwitz_zeta(s+n, k) per term,
-    with the kernel's refusals.  Returns the value, the number of terms and
-    the sum of the terms' moduli, the scale of the sum's rounding."""
-    s, alpha = complex(s), complex(alpha)
-    if cmath.isnan(s) or cmath.isnan(alpha):
-        raise DomainError(f"hurwitz_taylor got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
-    d = 1.0 - s
-    if (abs(d.imag) < 1e-10 and -1e-10 < d.real < math.inf
-            and abs(d.real - round(d.real)) < 1e-10):
-        raise PoleProximityError(f"pole collision: s + {round(d.real)} = 1")
-    if any(n + alpha == 0 for n in range(k)):
-        raise DomainError("alpha makes a head term (n + alpha) vanish")
-    total = sum(cmath.exp(-s * cmath.log(n + alpha)) for n in range(k))
-    poch, coef, small_run, scale = 1.0 + 0j, 1.0 + 0j, 0, 0.0
-    for n in range(400):
-        term = poch * hurwitz_zeta(s + n, k) * coef
-        total += term
-        scale += abs(term)
-        small_run = small_run + 1 if abs(term) < kernels._TARGET_ABS_ERROR / 10.0 else 0
-        if small_run >= 2 and n >= 4:
-            return total, n + 1, scale
-        poch *= s + n
-        coef *= -alpha / (n + 1)
-    raise ConvergenceError("hurwitz_taylor did not reach the term threshold in 400 terms")
-
-
-def taylor_grid():
-    """(s, alpha, k) with complex alpha inside the disc of each k."""
-    for k in (2, 3, 4):
-        for s in (-6.5 + 0.2j, -2.5, -1.3 + 0.7j, 0.4 - 1.2j, 1.7 + 0.3j, 3.1, 8.5):
-            for alpha in (0.05j, 0.3 + 0.4j, -0.6 + 0.9j, 1.2 - 0.5j, -1.6 - 0.1j,
-                          2.5 + 1.5j, -0.2 - 3.1j):
-                if abs(alpha) < k - 0.25:
-                    yield s, alpha, k
-
-
-class TestTaylorBatch:
-    def test_values_match_the_scalar_series(self):
-        converged = 0
-        for s, alpha, k in taylor_grid():
-            try:
-                ref, _, scale = scalar_taylor(s, alpha, k)
-            except ConvergenceError:
-                with pytest.raises(ConvergenceError):
-                    hurwitz_taylor(s, alpha, k)
-                continue
-            converged += 1
-            # batch and scalar zeta values differ by up to ~5e-13 relative
-            assert abs(hurwitz_taylor(s, alpha, k) - ref) <= 1e-12 * max(1.0, scale), \
-                (s, alpha, k)
-        assert converged >= 80
-
-    @pytest.mark.parametrize("s, alpha, k", [
-        (-2.0, 0.5, 2),  # pole collision: s + 3 = 1
-        (complex(1.0, 1e-10), 0.5, 2),  # on the scalar core's pole disc, off the collision box
-        (1.5, -1.0, 3),  # zero head base
-        (math.nan, 0.5, 2),
-        (-1.5, complex(0.3, math.nan), 3),
-        (math.inf, 0.5, 3),
-        (-math.inf, 0.5, 3),
-        (complex(2.0, math.inf), 0.5, 2),
-        (complex(2.0, -math.inf), 0.5, 2),
-        (-400.5, 0.5, 3),  # no convergence in 400 terms
+class TestTaylorRefusals:
+    @pytest.mark.parametrize("s, alpha, k, error, message", [
+        (complex(1.0, 1e-10), 0.5, 2, PoleProximityError, "hurwitz_zeta pole at s = 1"),
+        (1.0, 0.3 + 0.4j, 3, PoleProximityError, "hurwitz_zeta pole at s = 1"),
+        (1.5, -1.0, 3, DomainError, "alpha makes a head term (n + alpha) vanish"),
+        (math.nan, 0.5, 2, DomainError, "hurwitz_taylor got NaN for s"),
+        (-1.5, complex(0.3, math.nan), 3, DomainError, "hurwitz_taylor got NaN for alpha"),
+        (math.inf, 0.5, 3, NumericOverflowError, "non-finite value in hurwitz_taylor"),
+        (-math.inf, 0.5, 3, NumericOverflowError, "non-finite value in hurwitz_taylor"),
+        (complex(2.0, math.inf), 0.5, 2, NumericOverflowError,
+         "non-finite value in hurwitz_taylor"),
+        (complex(2.0, -math.inf), 0.5, 2, NumericOverflowError,
+         "non-finite value in hurwitz_taylor"),
     ])
-    def test_refusals_match_the_scalar_series(self, s, alpha, k):
-        got = outcome(lambda: hurwitz_taylor(s, alpha, k))
-        assert isinstance(got, tuple)
-        assert got == outcome(lambda: scalar_taylor(s, alpha, k))
+    def test_refusals_keep_type_and_message(self, s, alpha, k, error, message):
+        assert outcome(lambda: hurwitz_taylor(s, alpha, k)) == (error, message)
 
-    def test_one_batch_call_per_chunk_and_no_scalar_call(self, monkeypatch):
-        sizes = []
-        batch = kernels._em_hurwitz_batch
-
-        def counted(s, alpha):
-            sizes.append(len(s))
-            return batch(s, alpha)
-
-        def refused(*args, **kwargs):
-            raise AssertionError("scalar hurwitz_zeta called for a finite input")
-
-        cases = [(s, alpha, k, outcome(lambda: scalar_taylor(s, alpha, k)))
-                 for s, alpha, k in taylor_grid()]
-        # the series that converge: (value, terms, scale), not (error, message)
-        cases = [(s, alpha, k, ref[1]) for s, alpha, k, ref in cases if len(ref) == 3]
-        monkeypatch.setattr(kernels, "_em_hurwitz_batch", counted)
-        monkeypatch.setattr(kernels, "hurwitz_zeta", refused)
-        several = 0
-        for s, alpha, k, terms in cases:
-            sizes.clear()
-            hurwitz_taylor(s, alpha, k)
-            chunk = sizes[0]
-            assert 8 <= chunk <= 64
-            assert len(sizes) <= -(-terms // chunk) + 1, (s, alpha, k)
-            several += len(sizes) > 1
-        assert several  # the grid reaches past the first chunk
+    def test_value_at_large_re_s(self):
+        # inside the disc at Re s = 8.5; mpmath 1.3 at 30 digits:
+        # -845.227695669552708... + 1637.377804517998303...i
+        expected = -845.2276956695527 + 1637.3778045179983j
+        assert abs(hurwitz_taylor(8.5, -1.6 - 0.1j, 2) - expected) <= 1e-9

@@ -6,6 +6,11 @@ node by node and from the level batch the quadrature checks use.  The grid
 covers Re s in [-2, 6], |Im s| <= 20 and |s - 1| >= 0.55, so the band
 0 < Re s < 1 next to the pole guard is included, and alpha in [0.05, 50]:
 random points, a ring just outside the pole guard, and the corners.
+
+Two more groups: points at huge alpha, where every value lies far below the
+absolute floor of the bound and is held to the relative part alone; and
+zeta(s, alpha) at complex alpha from hurwitz_taylor, every point within
+1e-9, or 1e-13 relative for large values, or refused.
 """
 
 import cmath
@@ -15,7 +20,8 @@ import random
 import numpy as np
 import pytest
 
-from zetalab import hurwitz_zeta_deriv, stieltjes
+from zetalab import hurwitz_taylor, hurwitz_zeta, hurwitz_zeta_deriv, stieltjes
+from zetalab.errors import EvaluationError
 from zetalab.kernels import _zeta_level
 
 mp = pytest.importorskip("mpmath")
@@ -93,3 +99,56 @@ def test_stieltjes_within_bound(n):
         if error > bound(expected):
             misses.append((alpha, error / bound(expected)))
     assert not misses, misses
+
+
+# (r, s, alpha) where Re s log(M + alpha) passes about 708, so that
+# (M + alpha)^-s is subnormal
+HUGE_ALPHA = [(1, 2.0, 1e160), (2, 2.0, 1e160), (1, 4.0, 1e78), (0, 4.0, 1e78),
+              (0, 2.0, 1e160)]
+
+
+@pytest.mark.parametrize("r, s, alpha", HUGE_ALPHA)
+def test_huge_alpha_relative(r, s, alpha):
+    expected = complex(mp.zeta(s, alpha, r))
+    relative = 1e-13 if r == 0 else 1e-11
+    values = [hurwitz_zeta_deriv(r, s, alpha), _zeta_level(r, s, np.array([alpha]))[0]]
+    if r == 0:
+        values.append(hurwitz_zeta(s, alpha))
+    for got in values:
+        assert abs(got - expected) <= relative * abs(expected), (got, expected)
+
+
+def taylor_bound(value: complex) -> float:
+    """1e-9, the bound of the cross-check of hurwitz_taylor against the
+    real-alpha kernel, or the README's 1e-13 relative for large values."""
+    return max(1e-9, 1e-13 * abs(value))
+
+
+def taylor_grid(k: int) -> list[tuple[complex, complex]]:
+    """(s, alpha) with complex alpha inside the disc of k, on both sides of
+    the real axis and near -1 and -2; s to Re s = 8.5, and the integers
+    s = 0, -1, -2, where s + n = 1 for some n >= 0."""
+    points = []
+    for s in (-6.5 + 0.2j, -2.5, -1.3 + 0.7j, 0.4 - 1.2j, 1.7 + 0.3j, 3.1, 8.5,
+              0.0, -1.0, -2.0):
+        for alpha in (0.05j, 0.3 + 0.4j, -0.6 + 0.9j, 1.2 - 0.5j, -1.6 - 0.1j,
+                      2.5 + 1.5j, -0.2 - 3.1j, -0.95 + 0.05j, -2.1 - 0.2j):
+            if abs(alpha) < k - 0.25:
+                points.append((complex(s), alpha))
+    return points
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_complex_alpha_within_bound(k):
+    misses, values = [], 0
+    for s, alpha in taylor_grid(k):
+        expected = complex(mp.zeta(mp.mpc(s.real, s.imag), mp.mpc(alpha.real, alpha.imag)))
+        try:
+            got = hurwitz_taylor(s, alpha, k)
+        except EvaluationError:
+            continue
+        values += 1
+        if abs(got - expected) > taylor_bound(expected):
+            misses.append((s, alpha, k, abs(got - expected) / taylor_bound(expected)))
+    assert not misses, misses
+    assert values == len(taylor_grid(k))  # nothing on this grid is refused
