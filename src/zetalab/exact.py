@@ -4,11 +4,11 @@ Rationals are ``fractions.Fraction`` (always reduced, positive denominator,
 zero stored as 0/1).  Polynomials are dense sequences of rational
 coefficients in ascending degree order, wrapped in :class:`RatPoly`.
 
-The hot paths (Bernoulli product integrals here, the IBP reduction in
-``zetalab.reduction``) run on a private integer core instead: a polynomial
-as integer numerators over one common denominator, multiplied by integer
-convolution, with the endpoint jumps p^(k-1)(1) - p^(k-1)(0) taken along the
-integer derivative chain.  Only the final values become Fractions.
+The hot paths (``RatPoly`` products and Bernoulli product integrals here, the
+IBP reduction in ``zetalab.reduction``) run on a private integer core: a
+polynomial as integer numerators over one common denominator, multiplied by
+integer convolution, with the endpoint jumps p^(k-1)(1) - p^(k-1)(0) taken
+along the integer derivative chain.  Only the final values become Fractions.
 
 Convention: B1 = -1/2 (the "first" Bernoulli numbers).  This is forced by
 zeta(0, a) = 1/2 - a together with zeta(-n, a) = -B_{n+1}(a)/(n+1); the
@@ -142,13 +142,11 @@ class RatPoly:
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(Fraction(other))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        # integer numerators over one denominator, as in the integer core below
+        a, da = _integer_form(self)
+        b, db = _integer_form(other)
+        d = da * db
+        return RatPoly(Fraction(c, d) for c in _int_poly_mul(a, b))
 
     __rmul__ = __mul__
 

@@ -59,3 +59,45 @@ def test_integer_product_matches_ratpoly_product(p, q):
     (a, da), (b, db) = _integer_form(p), _integer_form(q)
     product = _int_poly_mul(a, b)
     assert tuple(Fraction(x, da * db) for x in product) == (p * q).coeffs
+
+
+def fraction_product(p, q):
+    """The Fraction double loop that RatPoly products used before the
+    integer core, kept as the reference."""
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1) if p.coeffs and q.coeffs else []
+    for i, a in enumerate(p.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return RatPoly(out)
+
+
+# small and large denominators, both signs, zeros among the coefficients
+wide_coefficients = st.one_of(coefficients, st.just(Fraction(0)),
+                              st.fractions(min_value=-10**40, max_value=10**40,
+                                           max_denominator=10**40))
+wide_polys = st.lists(wide_coefficients, max_size=12).map(RatPoly)
+
+
+@PROPERTY
+@given(wide_polys, wide_polys)
+@example(RatPoly(), RatPoly((1, 2)))
+@example(RatPoly((3,)), RatPoly())
+@example(RatPoly((Fraction(-2, 3),)), RatPoly((Fraction(5, 7),)))
+@example(RatPoly((Fraction(-1, 10**30), 0, Fraction(7, 3))),
+         RatPoly((Fraction(10**30, 3), Fraction(-1, 6))))
+def test_product_matches_the_fraction_double_loop(p, q):
+    product = p * q
+    assert product == fraction_product(p, q)
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
+@PROPERTY
+@given(wide_polys, st.one_of(st.integers(-10**20, 10**20), wide_coefficients))
+@example(RatPoly((1, -2)), 0)
+@example(RatPoly(), Fraction(-3, 4))
+def test_product_with_a_scalar_scales(p, c):
+    scaled = RatPoly(c * a for a in p.coeffs)
+    assert p * c == scaled and c * p == scaled
+    assert p * c == fraction_product(p, RatPoly((c,)))

@@ -24,7 +24,7 @@ import pytest
 
 from conftest import TARGET_IDS, TARGETS
 import zetalab
-from zetalab import calculus, kernels
+from zetalab import calculus, kernels, quadrature
 from zetalab.errors import (DomainError, EvaluationError, NumericOverflowError,
                             PoleProximityError)
 from zetalab.exact import poly_eval, zeta_neg_int_poly
@@ -810,6 +810,33 @@ class TestJetBatch:
             for i in range(len(alphas)):
                 alone = kernels._em_jet_batch(s, alphas[i:i + 1], 6)
                 assert level[:, i].tobytes() == alone[:, 0].tobytes(), (s, alphas[i])
+
+    @pytest.mark.parametrize("r", range(kernels._MAX_ORDER + 1))
+    @pytest.mark.parametrize("s", [-0.7 - 0.2j, -1.6 + 0.4j, 2.0 - 45.0j, 0.4999999,
+                                   1.0 + 0.5000002j])
+    def test_a_node_does_not_depend_on_its_tanh_sinh_call(self, r, s):
+        # tanh_sinh_01 samples levels 0..3 in one call: a node's value must be
+        # the same bits in that block, in its own level alone and alone.  The
+        # nodes are mapped to [1, 200] as cor3 takes them, where for Re s < 0
+        # their head lengths differ within the block, and taken on (0, 1)
+        # unless a^-s overflows at the smallest node there; the last two s lie
+        # just outside the pole guard
+        opening = quadrature._opening_nodes()
+        maps = [lambda xs: 1.0 + 199.0 * xs] + ([lambda xs: xs] if s.real < 1.2 else [])
+        if s.real < 0.0:
+            assert len(set(kernels._jet_head_lengths(s, maps[0](opening)).tolist())) > 2
+        for to_alpha in maps:
+            block = kernels._zeta_level(r, s, to_alpha(opening))
+            start = 0
+            for level in range(quadrature._OPENING_LEVELS):
+                alphas = to_alpha(quadrature._level_nodes(level)[0])
+                own = block[start:start + len(alphas)]
+                assert own.tobytes() == kernels._zeta_level(r, s, alphas).tobytes(), level
+                for value, alpha in zip(own, alphas.tolist()):
+                    alone = kernels._zeta_level(r, s, np.array([alpha]))
+                    assert value.tobytes() == alone.tobytes(), (level, alpha)
+                start += len(alphas)
+            assert start == len(opening)
 
     def test_overflow_is_non_finite_without_warnings(self):
         with warnings.catch_warnings():

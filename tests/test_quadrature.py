@@ -149,23 +149,60 @@ class TestTanhSinh:
             tanh_sinh_01(lambda xs: calls.append(xs) or np.ones_like(xs), tol)
         assert calls == []
 
-    def test_one_call_per_level_on_its_new_nodes(self):
-        levels = []
+    def test_opening_levels_in_one_call_then_one_per_level(self):
+        # levels 0..3 in one call, concatenated in level order; then one call
+        # per level on its new nodes, up to the level that converges (6 here)
+        calls = []
 
         def f(xs):
-            levels.append(xs)
-            return np.ones_like(xs)
+            calls.append(xs)
+            return (xs * (1 - xs)) ** -0.5
 
-        res = tanh_sinh_01(f, 1e-13)
-        for level, xs in enumerate(levels):
-            assert xs.dtype == np.float64 and xs.ndim == 1
-            assert xs.tolist() == _level_nodes(level)[0].tolist()
-        assert sum(len(xs) for xs in levels) == res.evaluations
+        res = tanh_sinh_01(f, 1e-9)
+        opening = [x for level in range(4) for x in _level_nodes(level)[0].tolist()]
+        assert [xs.tolist() for xs in calls] == [opening] + [
+            _level_nodes(level)[0].tolist() for level in (4, 5, 6)]
+        assert all(xs.dtype == np.float64 and xs.ndim == 1 for xs in calls)
+        assert sum(len(xs) for xs in calls) == res.evaluations == 592
+
+    def test_early_convergence_counts_only_the_levels_it_used(self):
+        # converged at level 2: one call on 74 nodes, 37 samples in the value
+        calls = []
+        res = tanh_sinh_01(lambda xs: calls.append(len(xs)) or 1.0 / (1.0 + xs), 1e-3)
+        assert calls == [74] and res.evaluations == 37
+
+    def test_wrong_sample_count_raises(self):
+        with pytest.raises(ValueError, match="integrand returned 73 values for 74 nodes"):
+            tanh_sinh_01(lambda xs: xs[1:], 1e-8)
+        # a later level's short return (this integrand needs level 4)
+        with pytest.raises(ValueError):
+            tanh_sinh_01(lambda xs: (xs * (1 - xs)) ** -0.5 if len(xs) == 74 else xs[1:], 1e-9)
 
 
 class TestScalarReference:
     @pytest.mark.parametrize("g, tol", SCALAR_CASES)
     def test_equals_the_scalar_loop(self, g, tol):
+        res = tanh_sinh_01(per_node(g), tol)
+        assert (res.value, res.error_estimate, res.evaluations) == scalar_tanh_sinh(g, tol)
+
+    @pytest.mark.parametrize("tol, level", [(1e-1, 1), (1e-3, 2)])
+    def test_converged_before_level_3_equals_the_scalar_loop(self, tol, level):
+        def g(x):
+            return 1.0 / (1.0 + x)
+
+        res = tanh_sinh_01(per_node(g), tol)
+        assert (res.value, res.error_estimate, res.evaluations) == scalar_tanh_sinh(g, tol)
+        assert res.evaluations == sum(len(_level_nodes(k)[1]) for k in range(level + 1))
+
+    @pytest.mark.parametrize("tol", [1e-1, 1e-3])
+    def test_non_finite_past_the_converged_level_is_never_checked(self, tol):
+        # inf at every level-3 node, which the opening call samples; the loop
+        # converges at level 1 or 2, so returns as the scalar loop does
+        level_3 = set(_level_nodes(3)[0].tolist())
+
+        def g(x):
+            return math.inf if x in level_3 else 1.0 / (1.0 + x)
+
         res = tanh_sinh_01(per_node(g), tol)
         assert (res.value, res.error_estimate, res.evaluations) == scalar_tanh_sinh(g, tol)
 

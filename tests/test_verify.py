@@ -381,3 +381,18 @@ class TestQuadratureBatches:
         results = run_checks(family)
         assert results and all(r.status == "pass" for r in results)
         assert count["levels"] and count["batches"] == factors * count["levels"]
+
+    def test_batches_per_registry_pass(self, monkeypatch):
+        # one batch per zeta factor for levels 0..3 together, then one per
+        # factor per further level: 49 for the 27 integrals of a pass (157
+        # when each opening level was a call of its own)
+        count = [0]
+        batch = kernels._em_jet_batch
+
+        def counted(*args):
+            count[0] += 1
+            return batch(*args)
+
+        monkeypatch.setattr(kernels, "_em_jet_batch", counted)
+        assert all(r.status == "pass" for r in run_checks())
+        assert count[0] == 49
