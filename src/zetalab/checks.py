@@ -132,11 +132,11 @@ def build_registry() -> list[CheckSpec]:
 
     # -- Proposition 1: continuity in alpha at 0 / 1 ------------------------
 
-    add("prop1_taylor_alpha_zero", "alpha->0 limit of the disc expansion is zeta(s)",
+    add("prop1_taylor_alpha_zero", "alpha->0 limit of the complex-alpha path is zeta(s)",
         "Proposition 1", 1e-9,
         lambda: (kernels.hurwitz_taylor(-1.5, 1e-10, 2),
                  kernels.riemann_zeta(-1.5)), s=-1.5)
-    add("prop1_taylor_alpha_one", "disc expansion at alpha=1 equals zeta(s)",
+    add("prop1_taylor_alpha_one", "complex-alpha path at alpha=1 equals zeta(s)",
         "Proposition 1", 1e-10,
         lambda: (kernels.hurwitz_taylor(-2.5, 1.0, 3), kernels.riemann_zeta(-2.5)), s=-2.5)
     add("prop1_s_zero_left_limit", "zeta(s) -> zeta(0) = -1/2 as s -> 0-",
