@@ -384,8 +384,7 @@ class TestQuadratureBatches:
 
     def test_batches_per_registry_pass(self, monkeypatch):
         # one batch per zeta factor for levels 0..3 together, then one per
-        # factor per further level: 49 for the 27 integrals of a pass (157
-        # when each opening level was a call of its own)
+        # factor per further level: 49 for the 27 integrals of a pass
         count = [0]
         batch = kernels._em_jet_batch
 
