@@ -324,11 +324,31 @@ class TestNaNArguments:
         (lambda: gamma_complex(complex(-2.5, NAN)), "gamma_complex", "z"),
         (lambda: hurwitz_taylor(NAN, 0.5, 2), "hurwitz_taylor", "s"),
         (lambda: hurwitz_taylor(-1.5, complex(0.3, NAN), 3), "hurwitz_taylor", "alpha"),
+        (lambda: calculus.stieltjes_alpha_derivative(1, NAN),
+         "stieltjes_alpha_derivative", "alpha"),
     ])
     def test_nan_is_a_domain_error_naming_the_argument(self, call, fn, name):
         with pytest.raises(DomainError) as info:
             call()
         assert str(info.value) == f"{fn} got NaN for {name}"
+
+    @pytest.mark.parametrize("call, fn", [
+        (lambda: hurwitz_zeta(2.0, 0.0), "hurwitz_zeta"),
+        (lambda: hurwitz_zeta(-1.5 + 2.0j, -0.3), "hurwitz_zeta"),
+        (lambda: hurwitz_zeta_deriv(0, 2.0, -1.0), "hurwitz_zeta"),
+        (lambda: hurwitz_zeta_deriv(3, 2.0, 0.0), "hurwitz_zeta_deriv"),
+        (lambda: stieltjes(2, -0.5), "stieltjes"),
+        (lambda: stieltjes(-1, 0.0), "stieltjes"),
+        (lambda: digamma(0.0), "digamma"),
+        (lambda: digamma(-2.5), "digamma"),
+        (lambda: calculus.stieltjes_alpha_derivative(1, -0.5), "stieltjes_alpha_derivative"),
+        (lambda: calculus.stieltjes_alpha_derivative(4, 0.0), "stieltjes_alpha_derivative"),
+    ])
+    def test_alpha_at_most_zero_is_a_domain_error_naming_the_function(self, call, fn):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"{fn} requires alpha > 0"
 
     @pytest.mark.parametrize("call", [
         lambda: hurwitz_zeta(math.inf, 1.0),
