@@ -15,7 +15,6 @@ for every r used anywhere else.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -144,10 +143,7 @@ def stieltjes_alpha_derivative(r: int, alpha: float) -> complex:
     if r > 5:
         raise ValueError("order must be <= 5")
     alpha = float(alpha)
-    if math.isnan(alpha):
-        raise DomainError("stieltjes_alpha_derivative got NaN for alpha")
-    if alpha <= 0.0:
-        raise DomainError("stieltjes_alpha_derivative requires alpha > 0")
+    kernels._refuse_args("stieltjes_alpha_derivative", alpha)
     coeffs = kernels._em_jet(2.0 + 0j, alpha, r - 1)
     coeff = coeffs[r - 1] + coeffs[r - 2] if r >= 2 else coeffs[0]
     return kernels._require_finite(-coeff, "stieltjes_alpha_derivative")

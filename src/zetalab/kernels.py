@@ -328,37 +328,56 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
         cut = j
     tail = [acc_at_min if cut < j else acc]
     if size > 1:
-        # (s+t)_{2j-1}, each the one before times (s+t+2j-1)(s+t+2j); two
-        # leading zeros stand for the coefficients of t^-2 and t^-1
-        poly = [0j, 0j, s, 1.0 + 0j] + [0j] * (size - 2)
         tail += [0j] * (size - 1)
         weight = 1.0 / big_t
-        for j, b2j in enumerate(_B2J_OVER_FACT[:cut], 1):
+        for b2j, poly in zip(_B2J_OVER_FACT[:cut], _rising(s, size, cut)):
             w = b2j * weight
             for k in range(1, size):
-                tail[k] += w * poly[k + 2]
-            a = s + (2 * j - 1)
-            q0, q1 = a * (a + 1.0), 2.0 * a + 1.0  # (u + 2j - 1)(u + 2j) = q0 + q1 t + t^2
-            for k in range(size + 1, 1, -1):  # in place, highest power first
-                poly[k] = q0 * poly[k] + q1 * poly[k - 1] + poly[k - 2]
+                tail[k] += w * poly[k]
             weight *= inv_t2
     return tail
 
 
-def _check_zeta_args(s: complex, alpha: float) -> None:
-    """hurwitz_zeta's refusals before the sum: a NaN, an alpha <= 0 and s
-    within 1e-10 of the pole."""
-    if cmath.isnan(s) or math.isnan(alpha):
-        raise DomainError(f"hurwitz_zeta got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
-    if alpha <= 0.0:
-        raise DomainError("hurwitz_zeta requires alpha > 0")
-    if abs(s - 1.0) <= 1e-10:
-        raise PoleProximityError("hurwitz_zeta pole at s = 1")
+def _rising(s: complex, size: int, count: int):
+    """The coefficients of t^0..t^(size-1) of (s+t)_{2j-1} for j = 1..count,
+    each polynomial the one before times (s+t+2j-1)(s+t+2j)."""
+    # two leading zeros stand for the coefficients of t^-2 and t^-1
+    poly = [0j, 0j, s, 1.0 + 0j] + [0j] * (size - 2)
+    for j in range(1, count + 1):
+        yield poly[2:size + 2]
+        a = s + (2 * j - 1)
+        q0, q1 = a * (a + 1.0), 2.0 * a + 1.0  # (u + 2j - 1)(u + 2j) = q0 + q1 t + t^2
+        poly = [0j, 0j] + [q0 * poly[k] + q1 * poly[k - 1] + poly[k - 2]
+                           for k in range(2, size + 2)]
 
 
-def _finite_zeta(value: complex) -> complex:
+def _refuse_args(fn: str, alpha, s: complex = 0j) -> None:
+    """Refuse a NaN s or alpha, and a float alpha <= 0, in ``fn``'s name."""
+    if cmath.isnan(s) or cmath.isnan(alpha):
+        raise DomainError(f"{fn} got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
+    if isinstance(alpha, float) and alpha <= 0.0:
+        raise DomainError(f"{fn} requires alpha > 0")
+
+
+def _refuse_pole(n: int, s: complex) -> None:
+    """Refuse s within 1e-10 of the pole at s = 1 at order 0, and within
+    _POLE_GUARD of it at order n >= 1."""
+    if abs(s - 1.0) <= (_POLE_GUARD + 1e-10 if n else 1e-10):
+        raise PoleProximityError(f"s={s!r} is within {_POLE_GUARD} of the pole at 1" if n
+                                 else "hurwitz_zeta pole at s = 1")
+
+
+def _refuse(n: int, s: complex, alpha: float, coefficient: complex) -> complex:
+    """zeta^(n)(s, alpha) = n! a_n from the sum's ``coefficient`` a_n, or the
+    refusal of hurwitz_zeta_deriv(n, s, alpha), in this order: a NaN, an
+    alpha <= 0, s on the pole (within 1e-10 of it at order 0, within
+    _POLE_GUARD above) and a non-finite value."""
+    _refuse_args("hurwitz_zeta_deriv" if n else "hurwitz_zeta", alpha, s)
+    _refuse_pole(n, s)
+    value = factorial(n) * coefficient if n else coefficient
     if not cmath.isfinite(value):
-        raise NumericOverflowError("Euler-Maclaurin overflow in hurwitz_zeta")
+        raise NumericOverflowError("non-finite value in hurwitz_zeta_deriv" if n
+                                   else "Euler-Maclaurin overflow in hurwitz_zeta")
     return value
 
 
@@ -366,8 +385,7 @@ def hurwitz_zeta(s: complex, alpha: float) -> complex:
     """Hurwitz zeta(s, alpha) for real alpha > 0, s != 1: the t^0
     coefficient of the Taylor-mode sum."""
     s, alpha = complex(s), float(alpha)
-    _check_zeta_args(s, alpha)
-    return _finite_zeta(_em_jet(s, alpha, 0)[0])
+    return _refuse(0, s, alpha, _em_jet(s, alpha, 0)[0])
 
 
 def riemann_zeta(s: complex) -> complex:
@@ -408,16 +426,7 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
     except (OverflowError, ZeroDivisionError):
         # an infinite Re s, or s = 1
         return np.full((size, len(alphas)), complex(math.nan, math.nan))
-    # (s+t)_{2j-1} up to t^order for j = 1..J, each the one before times
-    # (s+t+2j-1)(s+t+2j); two leading zeros stand for t^-2 and t^-1
-    poly, rising = [0j, 0j, s, 1.0 + 0j] + [0j] * (size - 2), []
-    for j in range(1, depth + 1):
-        rising.append(poly[2:size + 2])
-        a = s + (2 * j - 1)
-        q0, q1 = a * (a + 1.0), 2.0 * a + 1.0
-        poly = [0j, 0j] + [q0 * poly[k] + q1 * poly[k - 1] + poly[k - 2]
-                           for k in range(2, size + 2)]
-    rising = np.array(rising)
+    rising = np.array(list(_rising(s, size, depth)))  # (s+t)_{2j-1}, j = 1..J
     cols = np.arange(len(alphas))
     with np.errstate(all="ignore"):
         m = _jet_head_lengths(s, alphas)
@@ -473,61 +482,35 @@ def _zeta_level(r: int, s: complex, alphas: np.ndarray) -> np.ndarray:
     quadrature level's nodes, from one :func:`_em_jet_batch` call: r! a_r.
 
     Values and refusals are those of hurwitz_zeta_deriv(r, s, a) node by
-    node: an s the scalar refuses is refused at the first node, and a node
-    whose alpha is not finite and > 0, or whose value is not finite, is taken
-    again from the scalar, which refuses it as it does node by node.  Order 0
-    has no pole guard, only hurwitz_zeta's.
+    node: s and the first node pass :func:`_refuse` before the batch, and a
+    node whose alpha is not finite and > 0, or whose value is not finite, is
+    taken again from the scalar, which refuses it as it does node by node.
     """
     s = complex(s)
     alphas = np.asarray(alphas, dtype=float)
-    pole = (_POLE_GUARD if r else 0.0) + 1e-10
-    if alphas.size and (cmath.isnan(s) or abs(s - 1.0) <= pole):
-        hurwitz_zeta_deriv(r, s, alphas[0])  # raises s's refusal, or the node's
+    if alphas.size:  # s's refusals, or the first node's, before the batch
+        _refuse(r, s, alphas[0], 0j)
     good = (alphas > 0.0) & (alphas < math.inf)
     values = np.full(len(alphas), complex(math.nan, math.nan))
-    values[good] = factorial(r) * _em_jet_batch(s, alphas[good], r)[r]
+    with np.errstate(invalid="ignore"):  # an inf+nan column is taken again below
+        values[good] = factorial(r) * _em_jet_batch(s, alphas[good], r)[r]
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         values[i] = hurwitz_zeta_deriv(r, s, alphas[i])
     return values
 
 
-def _hurwitz_derivs(orders, s: complex, alpha: float,
-                    checked: bool = True) -> list[complex]:
+def _hurwitz_derivs(orders, s: complex, alpha: float) -> list[complex]:
     """zeta^(n)(s, alpha) for each n in ``orders``, in that order.
 
     Every order comes from one Taylor-mode sum.  The refusals are those of
-    a loop over the orders that starts with hurwitz_zeta: its argument and
-    overflow refusals first, then the pole guard of the orders >= 1.  A
-    refused point raises.  With ``checked`` false a non-finite value of order
-    >= 1 is returned as it is, for a caller that refuses it in its own order.
+    a loop over the orders that starts with hurwitz_zeta: a refused point
+    raises the first refusal of order 0, then of each order in turn.
     """
     s, alpha = complex(s), float(alpha)
-    top = max(orders)
+    jet = _em_jet(s, alpha, max(orders))
     if 0 in orders:
-        _check_zeta_args(s, alpha)
-    else:
-        _check_pole_guard(s, alpha)
-    jet = _em_jet(s, alpha, top)
-    if 0 in orders:
-        _finite_zeta(jet[0])
-        if top:
-            _check_pole_guard(s, alpha)
-    values = [factorial(n) * jet[n] if n else jet[0] for n in orders]
-    if checked:
-        return [_require_finite(value, "hurwitz_zeta_deriv") for value in values]
-    return values
-
-
-def _check_pole_guard(s: complex, alpha: float) -> None:
-    """Refuse a NaN, an alpha <= 0 and an s within _POLE_GUARD of the pole."""
-    if cmath.isnan(s) or math.isnan(alpha):
-        raise DomainError(
-            f"hurwitz_zeta_deriv got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
-    if alpha <= 0.0:
-        raise DomainError("hurwitz_zeta_deriv requires alpha > 0")
-    if abs(s - 1.0) <= _POLE_GUARD + 1e-10:
-        raise PoleProximityError(
-            f"s={s!r} is within {_POLE_GUARD} of the pole at 1")
+        _refuse(0, s, alpha, jet[0])
+    return [_refuse(n, s, alpha, jet[n]) for n in orders]
 
 
 def hurwitz_zeta_deriv(r: int, s: complex, alpha: float) -> complex:
@@ -538,7 +521,8 @@ def hurwitz_zeta_deriv(r: int, s: complex, alpha: float) -> complex:
     """
     if not 0 <= r <= _MAX_ORDER:
         raise ValueError(f"derivative order must be in 0..{_MAX_ORDER}")
-    return _hurwitz_derivs((r,), s, alpha)[0]
+    s, alpha = complex(s), float(alpha)
+    return _refuse(r, s, alpha, _em_jet(s, alpha, r)[r])
 
 
 def riemann_zeta_deriv(r: int, s: complex) -> complex:
@@ -560,10 +544,7 @@ def stieltjes(n: int, alpha: float) -> complex:
     if not -1 <= n <= 5:
         raise ValueError("stieltjes order must be in -1..5")
     alpha = float(alpha)
-    if math.isnan(alpha):
-        raise DomainError("stieltjes got NaN for alpha")
-    if alpha <= 0.0:
-        raise DomainError("stieltjes requires alpha > 0")
+    _refuse_args("stieltjes", alpha)
     if n == -1:
         return complex(1.0)
     return _require_finite(_em_jet(1.0 + 0j, alpha, n, minus_pole=True)[n], "stieltjes")
@@ -576,10 +557,7 @@ def digamma(alpha: float) -> float:
     then the Bernoulli asymptotic series.
     """
     alpha = float(alpha)
-    if math.isnan(alpha):
-        raise DomainError("digamma got NaN for alpha")
-    if alpha <= 0.0:
-        raise DomainError("digamma requires alpha > 0")
+    _refuse_args("digamma", alpha)
     acc = 0.0
     x = alpha
     while x < 16.0:
@@ -611,14 +589,12 @@ def hurwitz_taylor(s: complex, alpha: complex, k: int) -> complex:
     """
     s = complex(s)
     alpha = complex(alpha)
-    if cmath.isnan(s) or cmath.isnan(alpha):
-        raise DomainError(f"hurwitz_taylor got NaN for {'s' if cmath.isnan(s) else 'alpha'}")
+    _refuse_args("hurwitz_taylor", alpha, s)
     if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError("k must be a positive integer")
     if abs(alpha) >= k - 0.25:
         raise DomainError(f"alpha={alpha!r} outside the safe disc |alpha| < {k - 0.25}")
-    if abs(s - 1.0) <= 1e-10:
-        raise PoleProximityError("hurwitz_zeta pole at s = 1")
+    _refuse_pole(0, s)
     head = 0j
     try:
         for n in range(k):

@@ -347,11 +347,10 @@ def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
 def eval_combination(lc: LinearCombination, s: complex) -> complex:
     """Numeric value of a reduction at the point s.
 
-    Atoms of order 0 take the scalar zeta(s - k).  Every atom of order 1..6
-    takes its value from one Taylor-mode Euler-Maclaurin sum about s - k per
-    shift, which serves all orders of that shift and is taken at the shift's
-    first such atom; every value equals its one-atom evaluation.  The sum
-    runs in atom order.
+    Every atom of shift k takes its value from one Taylor-mode
+    Euler-Maclaurin sum about s - k, made at the shift's first atom up to
+    the highest order in the combination; every value and refusal equals
+    its one-atom evaluation.  The sum runs in atom order.
 
     Refuses s within 1e-8 of an integer coefficient pole (the shifts, for a
     reduction), or on any other coefficient pole, and reports which shift is
@@ -367,21 +366,18 @@ def eval_combination(lc: LinearCombination, s: complex) -> complex:
                 raise PoleProximityError(
                     f"coefficient of {atom} has a pole at s = {root}")
     terms = list(lc.items())
-    jet_orders = sorted({a.deriv_order for a, _ in terms if 1 <= a.deriv_order <= 6})
-    jets: dict[int, dict[int, complex]] = {}  # shift -> {order: value}
+    top = max((a.deriv_order for a, _ in terms
+               if 0 <= a.deriv_order <= kernels._MAX_ORDER), default=0)
+    jets: dict[int, list[complex]] = {}  # shift -> a_0..a_top about s - k
     total = 0j
     for atom, coeff in terms:
         n, k = atom.deriv_order, atom.shift
         try:
-            if n == 0:
-                value = kernels.riemann_zeta(s - k)
-            elif n in jet_orders:
-                if k not in jets:
-                    jets[k] = dict(zip(jet_orders, kernels._hurwitz_derivs(
-                        jet_orders, s - k, 1.0, checked=False)))
-                value = kernels._require_finite(jets[k][n], "hurwitz_zeta_deriv")
-            else:  # an order the kernels refuse
-                value = kernels.riemann_zeta_deriv(n, s - k)
+            if not 0 <= n <= top:  # an order the kernels refuse
+                kernels.riemann_zeta_deriv(n, s - k)
+            if k not in jets:
+                jets[k] = kernels._em_jet(s - k, 1.0, top)
+            value = kernels._refuse(n, s - k, 1.0, jets[k][n])
         except PoleProximityError as exc:
             raise PoleProximityError(f"shift {k}: {exc}") from None
         try:

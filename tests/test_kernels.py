@@ -867,6 +867,16 @@ class TestJetBatch:
         assert np.isfinite(got[:, [0, 2]]).all() and not np.isfinite(got[:, 1]).any()
         assert not any(np.isfinite(edge).any() for edge in edges)
 
+    def test_level_overflow_is_the_scalar_refusal_without_warnings(self):
+        # a^-s overflows at the smallest level-0 node on (0, 1): its inf+nan
+        # column, times r!, must not warn before the scalar refuses the node
+        alphas = quadrature._level_nodes(0)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError) as info:
+                kernels._zeta_level(0, 2.0 - 45.0j, alphas)
+        assert str(info.value) == "Euler-Maclaurin overflow in hurwitz_zeta"
+
 
 # ---------------------------------------------------------------------------
 # Complex alpha: what hurwitz_taylor refuses (its values: test_oracle.py)

@@ -479,21 +479,20 @@ class TestShiftBatch:
         jet = kernels._em_jet
 
         def counted(*args, **kwargs):
-            if args[2] >= 1:  # order 0 is hurwitz_zeta's own sum, one per atom
-                calls.append(args)
+            calls.append(args)
             return jet(*args, **kwargs)
 
         monkeypatch.setattr(kernels, "_em_jet", counted)
         ms = parity_multiset(n)
         s = -0.7 + 0.2j
-        lc = integral_poly_zeta(ms, 1)
-        eval_combination(lc, s)
-        # one sum about s - k for each shift k with an atom of order >= 1
-        shifts = sorted({atom.shift for atom in lc.atoms() if atom.deriv_order >= 1})
-        assert shifts and [call[0] for call in calls] == [s - k for k in shifts]
-        calls.clear()
-        eval_combination(integral_poly_zeta(ms, 0), s)
-        assert calls == []
+        for r in (0, 1):
+            calls.clear()
+            lc = integral_poly_zeta(ms, r)
+            eval_combination(lc, s)
+            # one sum about s - k up to order r for each shift k, order 0
+            # included, in shift order
+            shifts = sorted({atom.shift for atom in lc.atoms()})
+            assert shifts and calls == [(s - k, 1.0, r) for k in shifts], r
 
 
 class TestPairIntegral:
