@@ -125,6 +125,8 @@ class RatPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
+        if not isinstance(other, RatPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -142,6 +144,8 @@ class RatPoly:
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(Fraction(other))
+        if not isinstance(other, RatPoly):
+            return NotImplemented
         # integer numerators over one denominator, as in the integer core below
         a, da = _integer_form(self)
         b, db = _integer_form(other)

@@ -141,6 +141,8 @@ class RationalFunctionOfS:
         return self.num.is_zero()
 
     def __add__(self, other: "RationalFunctionOfS") -> "RationalFunctionOfS":
+        if not isinstance(other, RationalFunctionOfS):
+            return NotImplemented
         return RationalFunctionOfS(self.num * other.den + other.num * self.den,
                                    self.den * other.den)
 
@@ -153,6 +155,8 @@ class RationalFunctionOfS:
     def __mul__(self, other) -> "RationalFunctionOfS":
         if isinstance(other, (int, Fraction)):
             return RationalFunctionOfS(self.num.scale(other), self.den)
+        if not isinstance(other, RationalFunctionOfS):
+            return NotImplemented
         return RationalFunctionOfS(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

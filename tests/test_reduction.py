@@ -59,6 +59,19 @@ class TestRationalFunction:
         assert a - a == RationalFunctionOfS.zero()
         assert (a * b) == rf((1,), RatPoly((0, 1)) * RatPoly((1, 1)))
 
+    def test_scaling_by_int_and_fraction(self):
+        f = rf((1,), S_MINUS_1)        # 1/(s-1)
+        assert f * 2 == 2 * f == rf((2,), S_MINUS_1)
+        assert f * Fraction(1, 3) == Fraction(1, 3) * f == rf((Fraction(1, 3),), S_MINUS_1)
+
+    @pytest.mark.parametrize("other", [0.5, 1j, "x", RatPoly((1, 2))])
+    def test_other_operand_types_are_a_type_error(self, other):
+        f = rf((1,), S_MINUS_1)
+        for op in (lambda: f * other, lambda: other * f, lambda: f + other,
+                   lambda: other + f, lambda: f - other):
+            with pytest.raises(TypeError):
+                op()
+
     def test_shift_argument(self):
         f = rf((1,), S_MINUS_1)        # 1/(s-1)
         assert f.shifted_argument(-1) == rf((1,), S_MINUS_2)
