@@ -38,12 +38,6 @@ __all__ = [
 ]
 
 
-def _check_order(r: int) -> None:
-    """The calculus takes the kernels' derivative orders, 0.._MAX_ORDER."""
-    if not 0 <= r <= kernels._MAX_ORDER:
-        raise ValueError(f"derivative order must be in 0..{kernels._MAX_ORDER}")
-
-
 @dataclass(frozen=True)
 class AntiderivativeTerm:
     """One term c * zeta^(deriv_order)(s-1, a) / (1-s)^pole_power."""
@@ -55,7 +49,7 @@ class AntiderivativeTerm:
 
 def antiderivative_terms(r: int) -> tuple[AntiderivativeTerm, ...]:
     """Terms of the antiderivative of zeta^(r)(s, .) in alpha: c_l = r!/l!."""
-    _check_order(r)
+    kernels._check_order(r)
     return tuple(
         AntiderivativeTerm(deriv_order=l,
                            coefficient=Fraction(factorial(r), factorial(l)),
@@ -78,7 +72,7 @@ def _antiderivative(r: int, s: complex, alpha: float) -> complex:
 
 def antiderivative_eval(r: int, s: complex, alpha: float) -> complex:
     """Numeric antiderivative value sum_l c_l zeta^(l)(s-1, a)/(1-s)^(r+1-l)."""
-    _check_order(r)
+    kernels._check_order(r)
     s = complex(s)
     if abs(s - 1.0) <= kernels._POLE_GUARD:
         raise PoleProximityError("antiderivative family is singular at s = 1")
@@ -118,7 +112,7 @@ def alpha_derivative(r: int, s: complex, alpha: float) -> complex:
     Valid for s != 0 (the shifted kernel sits on its pole at s = 0, matching
     the stated exclusion of the rule there).
     """
-    _check_order(r)
+    kernels._check_order(r)
     s = complex(s)
     if r == 0:
         return -s * kernels.hurwitz_zeta(s + 1.0, alpha)
@@ -128,7 +122,7 @@ def alpha_derivative(r: int, s: complex, alpha: float) -> complex:
 
 def alpha_derivative_at_zero(r: int, alpha: float) -> complex:
     """d/da zeta^(r)(0, a) = -r! gamma_{r-1}(a)."""
-    _check_order(r)
+    kernels._check_order(r)
     return -factorial(r) * kernels.stieltjes(r - 1, alpha)
 
 
@@ -165,7 +159,7 @@ def integral_01(r: int, s: complex) -> complex:
     refuses the points where the kernels do.  The independent check of the
     statement is tanh-sinh quadrature (the ``cor4_quad`` checks).
     """
-    _check_order(r)
+    kernels._check_order(r)
     s = complex(s)
     if s.real >= 1.0:
         raise DomainError("integral_01 requires Re s < 1")
@@ -176,7 +170,7 @@ def integral_01(r: int, s: complex) -> complex:
 def integral_1_inf(r: int, s: complex) -> complex:
     """int_1^inf zeta^(r)(s, a) da = -sum_l c_l zeta^(l)(s-1)/(1-s)^(r+1-l),
     for Re s > 2 (the antiderivative vanishes at infinity there)."""
-    _check_order(r)
+    kernels._check_order(r)
     s = complex(s)
     if s.real <= 2.0:
         raise DomainError("integral_1_inf requires Re s > 2")

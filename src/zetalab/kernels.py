@@ -24,8 +24,10 @@ alpha + k gives zeta(s, alpha) for complex alpha (``hurwitz_taylor``).
 A single point is a pure-Python sum (``_em_jet``).  A quadrature check needs
 zeta^(r)(s, a) at every node a of a tanh-sinh level and takes it from the
 numpy twin at one s (``_zeta_level``, from ``_em_jet_batch``), each node
-keeping its own M and J.  A node the batch leaves non-finite is taken again
-from the scalar sum, which refuses it.
+keeping its own M and J.  Every value zeta^(r)(s, a) is refused, or
+returned, by one rule after its sum (``_refuse``): a NaN, an alpha <= 0, s
+on the pole, then a non-finite value.  A node the batch leaves non-finite
+is taken again from the scalar sum, which refuses it.
 
 The README lists where, measured against mpmath, values miss the accuracy
 target without warning.
@@ -252,10 +254,7 @@ def _em_jet(s: complex, alpha, order: int, minus_pole: bool = False) -> list[com
     neg_re = -s.real
     complex_alpha = isinstance(alpha, complex)
     try:
-        if complex_alpha:
-            m, log = _jet_head_length(s, alpha.real), cmath.log
-        else:
-            m, log = _jet_head_length(s, alpha), math.log
+        m, log = _jet_head_length(s, alpha.real), cmath.log if complex_alpha else math.log
         # (n+a)^-s for n = 0..M, the last one (M+a)^-s, and (M+a)^(1-s).
         # For a > 0 Python's complex power forms x^-s as modulus x^(-Re s)
         # and phase -Im s log x, except at a real integral exponent, which
@@ -351,6 +350,12 @@ def _rising(s: complex, size: int, count: int):
                            for k in range(2, size + 2)]
 
 
+def _check_order(r: int) -> None:
+    """Refuse an s-derivative order outside 0.._MAX_ORDER."""
+    if not 0 <= r <= _MAX_ORDER:
+        raise ValueError(f"derivative order must be in 0..{_MAX_ORDER}")
+
+
 def _refuse_args(fn: str, alpha, s: complex = 0j) -> None:
     """Refuse a NaN s or alpha, and a float alpha <= 0, in ``fn``'s name."""
     if cmath.isnan(s) or cmath.isnan(alpha):
@@ -359,21 +364,15 @@ def _refuse_args(fn: str, alpha, s: complex = 0j) -> None:
         raise DomainError(f"{fn} requires alpha > 0")
 
 
-def _refuse_pole(n: int, s: complex) -> None:
-    """Refuse s within 1e-10 of the pole at s = 1 at order 0, and within
-    _POLE_GUARD of it at order n >= 1."""
-    if abs(s - 1.0) <= (_POLE_GUARD + 1e-10 if n else 1e-10):
-        raise PoleProximityError(f"s={s!r} is within {_POLE_GUARD} of the pole at 1" if n
-                                 else "hurwitz_zeta pole at s = 1")
-
-
 def _refuse(n: int, s: complex, alpha: float, coefficient: complex) -> complex:
     """zeta^(n)(s, alpha) = n! a_n from the sum's ``coefficient`` a_n, or the
     refusal of hurwitz_zeta_deriv(n, s, alpha), in this order: a NaN, an
     alpha <= 0, s on the pole (within 1e-10 of it at order 0, within
     _POLE_GUARD above) and a non-finite value."""
     _refuse_args("hurwitz_zeta_deriv" if n else "hurwitz_zeta", alpha, s)
-    _refuse_pole(n, s)
+    if abs(s - 1.0) <= (_POLE_GUARD + 1e-10 if n else 1e-10):
+        raise PoleProximityError(f"s={s!r} is within {_POLE_GUARD} of the pole at 1" if n
+                                 else "hurwitz_zeta pole at s = 1")
     value = factorial(n) * coefficient if n else coefficient
     if not cmath.isfinite(value):
         raise NumericOverflowError("non-finite value in hurwitz_zeta_deriv" if n
@@ -486,8 +485,7 @@ def _zeta_level(r: int, s: complex, alphas: np.ndarray) -> np.ndarray:
     node whose alpha is not finite and > 0, or whose value is not finite, is
     taken again from the scalar, which refuses it as it does node by node.
     """
-    s = complex(s)
-    alphas = np.asarray(alphas, dtype=float)
+    s, alphas = complex(s), np.asarray(alphas, dtype=float)
     if alphas.size:  # s's refusals, or the first node's, before the batch
         _refuse(r, s, alphas[0], 0j)
     good = (alphas > 0.0) & (alphas < math.inf)
@@ -519,8 +517,7 @@ def hurwitz_zeta_deriv(r: int, s: complex, alpha: float) -> complex:
     r! times the r-th Taylor coefficient of one Euler-Maclaurin sum taken
     as a power series in s; refused within 1/2 of the pole at s = 1.
     """
-    if not 0 <= r <= _MAX_ORDER:
-        raise ValueError(f"derivative order must be in 0..{_MAX_ORDER}")
+    _check_order(r)
     s, alpha = complex(s), float(alpha)
     return _refuse(r, s, alpha, _em_jet(s, alpha, r)[r])
 
@@ -569,10 +566,7 @@ def digamma(alpha: float) -> float:
     for j in range(1, 9):
         series += _B2J_OVER_2J[j - 1] * pw
         pw *= inv2
-    value = acc + math.log(x) - 0.5 / x - series
-    if not math.isfinite(value):
-        raise NumericOverflowError("non-finite value in digamma")
-    return value
+    return _require_finite(acc + math.log(x) - 0.5 / x - series, "digamma")
 
 
 # ---------------------------------------------------------------------------
@@ -587,14 +581,13 @@ def hurwitz_taylor(s: complex, alpha: complex, k: int) -> complex:
     carries the singularities at alpha = 0, -1, ..., -(k-1), and the rest is
     the Euler-Maclaurin sum at the complex alpha + k, Re(alpha + k) > 1/4.
     """
-    s = complex(s)
-    alpha = complex(alpha)
+    s, alpha = complex(s), complex(alpha)
     _refuse_args("hurwitz_taylor", alpha, s)
     if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError("k must be a positive integer")
     if abs(alpha) >= k - 0.25:
         raise DomainError(f"alpha={alpha!r} outside the safe disc |alpha| < {k - 0.25}")
-    _refuse_pole(0, s)
+    _refuse(0, s, 1.0, 0j)  # zeta's pole test; s and alpha = 1 pass the rest
     head = 0j
     try:
         for n in range(k):

@@ -370,15 +370,13 @@ def eval_combination(lc: LinearCombination, s: complex) -> complex:
                 raise PoleProximityError(
                     f"coefficient of {atom} has a pole at s = {root}")
     terms = list(lc.items())
-    top = max((a.deriv_order for a, _ in terms
-               if 0 <= a.deriv_order <= kernels._MAX_ORDER), default=0)
+    top = min(max((a.deriv_order for a, _ in terms), default=0), kernels._MAX_ORDER)
     jets: dict[int, list[complex]] = {}  # shift -> a_0..a_top about s - k
     total = 0j
     for atom, coeff in terms:
         n, k = atom.deriv_order, atom.shift
         try:
-            if not 0 <= n <= top:  # an order the kernels refuse
-                kernels.riemann_zeta_deriv(n, s - k)
+            kernels._check_order(n)
             if k not in jets:
                 jets[k] = kernels._em_jet(s - k, 1.0, top)
             value = kernels._refuse(n, s - k, 1.0, jets[k][n])
@@ -434,9 +432,7 @@ def pair_integral(s1: complex, s2: complex) -> complex:
                  * kernels.riemann_zeta(2.0 - s1 - s2))
     except OverflowError:
         raise NumericOverflowError("pair integral overflow") from None
-    if not cmath.isfinite(value):
-        raise NumericOverflowError("non-finite value in pair integral")
-    return value
+    return kernels._require_finite(value, "pair integral")
 
 
 def pair_limit_weighted(s1: complex, s2: complex) -> complex:
