@@ -332,22 +332,23 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
         for b2j, poly in zip(_B2J_OVER_FACT[:cut], _rising(s, size, cut)):
             w = b2j * weight
             for k in range(1, size):
-                tail[k] += w * poly[k]
+                tail[k] += w * poly[k + 2]
             weight *= inv_t2
     return tail
 
 
 def _rising(s: complex, size: int, count: int):
-    """The coefficients of t^0..t^(size-1) of (s+t)_{2j-1} for j = 1..count,
-    each polynomial the one before times (s+t+2j-1)(s+t+2j)."""
-    # two leading zeros stand for the coefficients of t^-2 and t^-1
+    """(s+t)_{2j-1} for j = 1..count, each the one before times
+    (s+t+2j-1)(s+t+2j), as one list updated in place: read each before
+    taking the next.  Entries 2..size+1 hold the coefficients of
+    t^0..t^(size-1); two leading zeros stand for those of t^-2 and t^-1."""
     poly = [0j, 0j, s, 1.0 + 0j] + [0j] * (size - 2)
     for j in range(1, count + 1):
-        yield poly[2:size + 2]
+        yield poly
         a = s + (2 * j - 1)
         q0, q1 = a * (a + 1.0), 2.0 * a + 1.0  # (u + 2j - 1)(u + 2j) = q0 + q1 t + t^2
-        poly = [0j, 0j] + [q0 * poly[k] + q1 * poly[k - 1] + poly[k - 2]
-                           for k in range(2, size + 2)]
+        for k in range(size + 1, 1, -1):  # highest power first
+            poly[k] = q0 * poly[k] + q1 * poly[k - 1] + poly[k - 2]
 
 
 def _check_order(r: int) -> None:
@@ -369,15 +370,18 @@ def _refuse(n: int, s: complex, alpha: float, coefficient: complex) -> complex:
     refusal of hurwitz_zeta_deriv(n, s, alpha), in this order: a NaN, an
     alpha <= 0, s on the pole (within 1e-10 of it at order 0, within
     _POLE_GUARD above) and a non-finite value."""
+    pole = _POLE_GUARD + 1e-10 if n else 1e-10
+    value = factorial(n) * coefficient if n else coefficient
+    # every comparison with a NaN is false, so a value returned here is one
+    # that none of the refusals below would refuse
+    if alpha > 0.0 and abs(s - 1.0) > pole and cmath.isfinite(value):
+        return value
     _refuse_args("hurwitz_zeta_deriv" if n else "hurwitz_zeta", alpha, s)
-    if abs(s - 1.0) <= (_POLE_GUARD + 1e-10 if n else 1e-10):
+    if abs(s - 1.0) <= pole:
         raise PoleProximityError(f"s={s!r} is within {_POLE_GUARD} of the pole at 1" if n
                                  else "hurwitz_zeta pole at s = 1")
-    value = factorial(n) * coefficient if n else coefficient
-    if not cmath.isfinite(value):
-        raise NumericOverflowError("non-finite value in hurwitz_zeta_deriv" if n
-                                   else "Euler-Maclaurin overflow in hurwitz_zeta")
-    return value
+    raise NumericOverflowError("non-finite value in hurwitz_zeta_deriv" if n
+                               else "Euler-Maclaurin overflow in hurwitz_zeta")
 
 
 def hurwitz_zeta(s: complex, alpha: float) -> complex:
@@ -425,7 +429,7 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
     except (OverflowError, ZeroDivisionError):
         # an infinite Re s, or s = 1
         return np.full((size, len(alphas)), complex(math.nan, math.nan))
-    rising = np.array(list(_rising(s, size, depth)))  # (s+t)_{2j-1}, j = 1..J
+    rising = np.array([poly[2:size + 2] for poly in _rising(s, size, depth)])
     cols = np.arange(len(alphas))
     with np.errstate(all="ignore"):
         m = _jet_head_lengths(s, alphas)
@@ -485,7 +489,8 @@ def _zeta_level(r: int, s: complex, alphas: np.ndarray) -> np.ndarray:
     node whose alpha is not finite and > 0, or whose value is not finite, is
     taken again from the scalar, which refuses it as it does node by node.
     """
-    s, alphas = complex(s), np.asarray(alphas, dtype=float)
+    s = complex(s)
+    alphas = np.asarray(alphas, dtype=float)
     if alphas.size:  # s's refusals, or the first node's, before the batch
         _refuse(r, s, alphas[0], 0j)
     good = (alphas > 0.0) & (alphas < math.inf)
