@@ -374,7 +374,7 @@ def _refuse(n: int, s: complex, alpha: float, coefficient: complex) -> complex:
     value = factorial(n) * coefficient if n else coefficient
     # every comparison with a NaN is false, so a value returned here is one
     # that none of the refusals below would refuse
-    if alpha > 0.0 and abs(s - 1.0) > pole and cmath.isfinite(value):
+    if s == s and alpha > 0.0 and abs(s - 1.0) > pole and cmath.isfinite(value):
         return value
     _refuse_args("hurwitz_zeta_deriv" if n else "hurwitz_zeta", alpha, s)
     if abs(s - 1.0) <= pole:
