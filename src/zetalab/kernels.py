@@ -506,13 +506,11 @@ def _hurwitz_derivs(orders, s: complex, alpha: float) -> list[complex]:
     """zeta^(n)(s, alpha) for each n in ``orders``, in that order.
 
     Every order comes from one Taylor-mode sum.  The refusals are those of
-    a loop over the orders that starts with hurwitz_zeta: a refused point
-    raises the first refusal of order 0, then of each order in turn.
+    a loop over the orders, in their order: a caller that lists order 0
+    first gets hurwitz_zeta's refusals before those of the derivatives.
     """
     s, alpha = complex(s), float(alpha)
     jet = _em_jet(s, alpha, max(orders))
-    if 0 in orders:
-        _refuse(0, s, alpha, jet[0])
     return [_refuse(n, s, alpha, jet[n]) for n in orders]
 
 
