@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import kernels
-from .errors import DomainError, PoleProximityError
+from .errors import DomainError, NumericOverflowError, PoleProximityError
 from .exact import RatPoly
 from .reduction import RationalFunctionOfS
 
@@ -147,7 +147,11 @@ def psi_chain(r: int, alpha: float) -> complex:
     """d^r/da^r psi(a) = (-1)^(r-1) r! zeta(r+1, a) for r >= 1."""
     if r < 1:
         raise ValueError("order must be >= 1")
-    return (-1.0) ** (r - 1) * factorial(r) * kernels.hurwitz_zeta(r + 1.0, alpha)
+    try:
+        value = (-1.0) ** (r - 1) * factorial(r) * kernels.hurwitz_zeta(r + 1.0, alpha)
+    except OverflowError:  # r! is past the largest double for r >= 171
+        raise NumericOverflowError("psi_chain overflow") from None
+    return kernels._require_finite(value, "psi_chain")
 
 
 def integral_01(r: int, s: complex) -> complex:

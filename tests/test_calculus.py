@@ -179,6 +179,20 @@ class TestPsiChain:
         with pytest.raises(ValueError):
             psi_chain(0, 1.0)
 
+    def test_largest_order_below_overflow(self):
+        # 170! is the last factorial below the largest double; the product
+        # order (-1)^(r-1) * r! * zeta(r+1, a) is kept bit for bit
+        assert psi_chain(170, 1.0) == -7.257415615307999e306
+
+    def test_factorial_overflow_is_an_evaluation_error(self):
+        with pytest.raises(NumericOverflowError):
+            psi_chain(171, 1.0)
+
+    def test_non_finite_value_is_not_returned(self):
+        # 170! * zeta(171, 0.5) ~ 2^171 * 170! is past the largest double
+        with pytest.raises(NumericOverflowError):
+            psi_chain(170, 0.5)
+
 
 class TestIntegral01:
     def test_r0_s_minus_one_exact(self):

@@ -1,5 +1,6 @@
 """Check registry, report rendering, and the command-line surface."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -395,3 +396,50 @@ class TestQuadratureBatches:
         monkeypatch.setattr(kernels, "_em_jet_batch", counted)
         assert all(r.status == "pass" for r in run_checks())
         assert count[0] == 49
+
+
+def off_by_one_at(fn, *bad):
+    """fn, with 1 added to its value at the arguments ``bad`` only."""
+    def patched(*args, **kwargs):
+        return fn(*args, **kwargs) + (1 if args == bad else 0)
+    return patched
+
+
+class TestCaseListsReachTheirEnds:
+    # The pinned digest records only each check's worst pair, so a check that
+    # stopped short of its last cases would still match it.  Each case below
+    # is wrong at one late point only, and the check must see it.
+    @pytest.mark.parametrize("check, module, name, bad", [
+        ("cor6_two_paths", checks, "bernoulli_product_integral", ((4, 4, 4),)),
+        ("cor6_odd_zero", checks, "bernoulli_product_integral", ((5, 5, 5),)),
+        ("kernel_neg_int_poly", kernels, "hurwitz_zeta", (-8, 1.9)),
+        ("note_fwd_r3", kernels, "hurwitz_zeta_deriv", (3, 0.5 + 0.5j, 0.7)),
+    ])
+    def test_wrong_last_case_fails(self, monkeypatch, check, module, name, bad):
+        monkeypatch.setattr(module, name, off_by_one_at(getattr(module, name), *bad))
+        [result] = run_checks(check)
+        assert result.id == check and result.status == "fail"
+
+
+class TestWrappedRegistry:
+    # perfbench/spans.py times each check by replacing its run with
+    # dataclasses.replace(spec, run=wrapper); that must change nothing else
+    @pytest.mark.parametrize("prefix", ["pair", "cor6"])
+    def test_wrapped_runs_give_the_same_report(self, monkeypatch, capsys, prefix):
+        argv = ["verify", "--filter", prefix, "--format", "json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        registry, calls = build_registry, {}
+
+        def counted(spec):
+            def run():
+                calls[spec.id] = calls.get(spec.id, 0) + 1
+                return spec.run()
+            return dataclasses.replace(spec, run=run)
+
+        monkeypatch.setattr(checks, "build_registry",
+                            lambda: [counted(spec) for spec in registry()])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+        ran = [spec.id for spec in registry() if spec.id.startswith(prefix)]
+        assert ran and calls == dict.fromkeys(ran, 1)
