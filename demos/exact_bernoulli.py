@@ -6,8 +6,8 @@ Everything printed here is a fraction, not a float.
 from fractions import Fraction
 
 from zetalab import (bernoulli_number, bernoulli_polynomial,
-                     bernoulli_product_integral, poly_eval, poly_integral_01,
-                     poly_mul, poly_reflect, zeta_neg_int_poly)
+                     bernoulli_product_integral, poly_integral_01,
+                     poly_reflect, zeta_neg_int_poly)
 
 print("Bernoulli numbers (B1 = -1/2 convention):")
 for n in (0, 1, 2, 4, 12, 30):
@@ -25,7 +25,7 @@ print(f"  B_3(1-alpha) = {poly_reflect(b3).pretty_str()}")
 print("\nzeta at non-positive integers is a polynomial, zeta(-m, .) = -B_{m+1}/(m+1):")
 for m in range(3):
     print(f"  zeta(-{m}, alpha) = {zeta_neg_int_poly(m).pretty_str()}")
-print(f"  zeta(-2, 1/2) = {poly_eval(zeta_neg_int_poly(2), Fraction(1, 2))}")
+print(f"  zeta(-2, 1/2) = {zeta_neg_int_poly(2).evaluate(Fraction(1, 2))}")
 
 print("\nProduct integrals over [0,1] are exact rationals,")
 print("zero whenever the index sum is odd:")
@@ -38,6 +38,6 @@ print("\nThe same integral two ways (Bernoulli basis vs antiderivative):")
 ms = (2, 2, 2)
 prod = bernoulli_polynomial(ms[0])
 for m in ms[1:]:
-    prod = poly_mul(prod, bernoulli_polynomial(m))
+    prod = prod * bernoulli_polynomial(m)
 print(f"  basis route:          {bernoulli_product_integral(ms)}")
 print(f"  antiderivative route: {poly_integral_01(prod)}")

@@ -16,9 +16,9 @@ from .checks import (CheckResult, CheckSpec, build_registry, render_report,
                      run_checks)
 from .errors import (ConvergenceError, DomainError, EvaluationError,
                      NumericOverflowError, PoleProximityError)
-from .exact import (RatPoly, Rational, bernoulli_number, bernoulli_polynomial,
-                    bernoulli_product_integral, poly_eval, poly_integral_01,
-                    poly_mul, poly_reflect, rational_str, zeta_neg_int_poly)
+from .exact import (RatPoly, bernoulli_number, bernoulli_polynomial,
+                    bernoulli_product_integral, poly_integral_01,
+                    poly_reflect, rational_str, zeta_neg_int_poly)
 from .kernels import (digamma, format_complex, gamma_complex, hurwitz_taylor,
                       hurwitz_zeta, hurwitz_zeta_deriv, riemann_zeta,
                       riemann_zeta_deriv, stieltjes)

@@ -15,6 +15,7 @@ for every r used anywhere else.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -49,7 +50,7 @@ class AntiderivativeTerm:
 
 def antiderivative_terms(r: int) -> tuple[AntiderivativeTerm, ...]:
     """Terms of the antiderivative of zeta^(r)(s, .) in alpha: c_l = r!/l!."""
-    kernels._check_order(r)
+    r = kernels._check_order(r)
     return tuple(
         AntiderivativeTerm(deriv_order=l,
                            coefficient=Fraction(factorial(r), factorial(l)),
@@ -72,7 +73,7 @@ def _antiderivative(r: int, s: complex, alpha: float) -> complex:
 
 def antiderivative_eval(r: int, s: complex, alpha: float) -> complex:
     """Numeric antiderivative value sum_l c_l zeta^(l)(s-1, a)/(1-s)^(r+1-l)."""
-    kernels._check_order(r)
+    r = kernels._check_order(r)
     s = complex(s)
     if abs(s - 1.0) <= kernels._POLE_GUARD:
         raise PoleProximityError("antiderivative family is singular at s = 1")
@@ -112,7 +113,7 @@ def alpha_derivative(r: int, s: complex, alpha: float) -> complex:
     Valid for s != 0 (the shifted kernel sits on its pole at s = 0, matching
     the stated exclusion of the rule there).
     """
-    kernels._check_order(r)
+    r = kernels._check_order(r)
     s = complex(s)
     if r == 0:
         return -s * kernels.hurwitz_zeta(s + 1.0, alpha)
@@ -122,7 +123,7 @@ def alpha_derivative(r: int, s: complex, alpha: float) -> complex:
 
 def alpha_derivative_at_zero(r: int, alpha: float) -> complex:
     """d/da zeta^(r)(0, a) = -r! gamma_{r-1}(a)."""
-    kernels._check_order(r)
+    r = kernels._check_order(r)
     return -factorial(r) * kernels.stieltjes(r - 1, alpha)
 
 
@@ -132,6 +133,7 @@ def stieltjes_alpha_derivative(r: int, alpha: float) -> complex:
     With a_k the Taylor coefficients of zeta(2+t, a) in t, that is
     -(a_{r-1} + a_{r-2}); for r = 1 it equals -zeta(2, a).
     """
+    r = operator.index(r)
     if r < 1:
         raise ValueError("order must be >= 1")
     if r > 5:
@@ -145,12 +147,12 @@ def stieltjes_alpha_derivative(r: int, alpha: float) -> complex:
 
 def psi_chain(r: int, alpha: float) -> complex:
     """d^r/da^r psi(a) = (-1)^(r-1) r! zeta(r+1, a) for r >= 1."""
+    r = operator.index(r)
     if r < 1:
         raise ValueError("order must be >= 1")
-    try:
-        value = (-1.0) ** (r - 1) * factorial(r) * kernels.hurwitz_zeta(r + 1.0, alpha)
-    except OverflowError:  # r! is past the largest double for r >= 171
-        raise NumericOverflowError("psi_chain overflow") from None
+    if r > 170:  # r! is past the largest double
+        raise NumericOverflowError("psi_chain overflow")
+    value = (-1.0) ** (r - 1) * factorial(r) * kernels.hurwitz_zeta(r + 1.0, alpha)
     return kernels._require_finite(value, "psi_chain")
 
 
@@ -163,7 +165,7 @@ def integral_01(r: int, s: complex) -> complex:
     refuses the points where the kernels do.  The independent check of the
     statement is tanh-sinh quadrature (the ``cor4_quad`` checks).
     """
-    kernels._check_order(r)
+    r = kernels._check_order(r)
     s = complex(s)
     if s.real >= 1.0:
         raise DomainError("integral_01 requires Re s < 1")
@@ -174,7 +176,7 @@ def integral_01(r: int, s: complex) -> complex:
 def integral_1_inf(r: int, s: complex) -> complex:
     """int_1^inf zeta^(r)(s, a) da = -sum_l c_l zeta^(l)(s-1)/(1-s)^(r+1-l),
     for Re s > 2 (the antiderivative vanishes at infinity there)."""
-    kernels._check_order(r)
+    r = kernels._check_order(r)
     s = complex(s)
     if s.real <= 2.0:
         raise DomainError("integral_1_inf requires Re s > 2")

@@ -32,7 +32,7 @@ import numpy as np
 from . import calculus, kernels
 from .errors import EvaluationError
 from .exact import (RatPoly, bernoulli_polynomial, bernoulli_product_integral,
-                    poly_eval, poly_integral_01, rational_str, zeta_neg_int_poly)
+                    poly_integral_01, rational_str, zeta_neg_int_poly)
 from .kernels import format_complex
 from .quadrature import tanh_sinh_01
 from .reduction import (DerivAtom, LinearCombination, RationalFunctionOfS,
@@ -278,7 +278,7 @@ def _kernel_neg_int_poly() -> tuple:
     polys = [zeta_neg_int_poly(m) for m in range(9)]
     return _worst(product(range(9), [Fraction(tenths, 10) for tenths in range(1, 20, 3)]),
                   lambda m, a: kernels.hurwitz_zeta(-m, float(a)),
-                  lambda m, a: complex(float(poly_eval(polys[m], a))))
+                  lambda m, a: complex(float(polys[m].evaluate(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,7 @@ def build_registry() -> list[CheckSpec]:
     add("cor1_value_r0", "antiderivative at s=-1 equals zeta(-2,a)/2 = -B_3(a)/6",
         "Corollary 1a", 1e-11,
         lambda: (calculus.antiderivative_eval(0, -1.0, 0.3),
-                 complex(float(poly_eval(zeta_neg_int_poly(2), Fraction(3, 10))) / 2.0)))
+                 complex(float(zeta_neg_int_poly(2).evaluate(Fraction(3, 10))) / 2.0)))
     add("cor1_instance_r2_s3",
         "r=2 antiderivative at s=3, a=1 matches its displayed expansion",
         "Corollary 1c", 1e-12,

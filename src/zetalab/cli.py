@@ -152,10 +152,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.write(report)
             return 0 if all(r.status != "fail" for r in results) else 1
 
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (EvaluationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

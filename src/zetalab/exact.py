@@ -19,19 +19,14 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Iterable, Sequence, Union
-
-Rational = Fraction
-RationalLike = Union[Fraction, int]
+from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "RatPoly",
     "bernoulli_number",
     "bernoulli_polynomial",
-    "poly_mul",
-    "poly_eval",
     "poly_reflect",
     "poly_integral_01",
     "bernoulli_product_integral",
@@ -93,7 +88,7 @@ class RatPoly:
     # by the first evaluate_complex
     __slots__ = ("coeffs", "_floats")
 
-    def __init__(self, coeffs: Iterable[RationalLike] = ()):
+    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -154,10 +149,8 @@ class RatPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, c: RationalLike) -> "RatPoly":
+    def scale(self, c: Fraction | int) -> "RatPoly":
         c = Fraction(c)
-        if c == 0:
-            return RatPoly()
         return RatPoly(tuple(c * a for a in self.coeffs))
 
     def __eq__(self, other) -> bool:
@@ -171,16 +164,16 @@ class RatPoly:
 
     # -- evaluation and transforms ----------------------------------------
 
-    def evaluate(self, x: RationalLike) -> Fraction:
+    def evaluate(self, x: Fraction | int) -> Fraction:
         """Exact evaluation at a rational point x = p/q, by Horner in
         integers: with d the common denominator of the coefficients,
         d q^n P(p/q) = sum_i (d c_i) p^i q^(n-i) is an integer."""
         x = Fraction(x)
         p, q = x.numerator, x.denominator
-        d = lcm(*(c.denominator for c in self.coeffs))
+        cs, d = _integer_form(self)
         acc, q_pow = 0, 1
-        for c in reversed(self.coeffs):
-            acc = acc * p + c.numerator * (d // c.denominator) * q_pow
+        for c in reversed(cs):
+            acc = acc * p + c * q_pow
             q_pow *= q
         return Fraction(acc, d * q ** max(self.degree, 0))
 
@@ -201,7 +194,7 @@ class RatPoly:
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
-    def shift_argument(self, delta: RationalLike) -> "RatPoly":
+    def shift_argument(self, delta: Fraction | int) -> "RatPoly":
         """Return q with q(x) = p(x + delta), by exact binomial expansion."""
         delta = Fraction(delta)
         if delta == 0 or self.is_zero():
@@ -294,46 +287,18 @@ def _endpoint_jumps(c: Sequence[int]) -> list[int]:
 # Operations
 # ---------------------------------------------------------------------------
 
-_bpoly_cache: dict[int, RatPoly] = {}
-_bpoly_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def bernoulli_polynomial(n: int) -> RatPoly:
     """Bernoulli polynomial B_n(x) = sum_i C(n,i) B_{n-i} x^i."""
     if n < 0:
         raise ValueError("Bernoulli polynomial index must be non-negative")
-    poly = _bpoly_cache.get(n)
-    if poly is None:
-        coeffs = [comb(n, i) * bernoulli_number(n - i) for i in range(n + 1)]
-        poly = RatPoly(coeffs)
-        with _bpoly_lock:
-            _bpoly_cache[n] = poly
-    return poly
-
-
-def poly_mul(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Exact polynomial product."""
-    return a * b
-
-
-def poly_eval(p: RatPoly, x: RationalLike) -> Fraction:
-    """Exact Horner evaluation of p at the rational point x."""
-    return p.evaluate(x)
+    return RatPoly(comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
 
 
 def poly_reflect(p: RatPoly) -> RatPoly:
-    """Return q with q(x) = p(1 - x)."""
-    if p.is_zero():
-        return p
-    n = p.degree
-    out = [Fraction(0)] * (n + 1)
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        # c * (1 - x)^k
-        for j in range(k + 1):
-            out[j] += c * comb(k, j) * (-1) ** j
-    return RatPoly(out)
+    """Return q with q(x) = p(1 - x): that is r(-x) for r(y) = p(y + 1)."""
+    r = p.shift_argument(1)
+    return RatPoly(-c if k % 2 else c for k, c in enumerate(r.coeffs))
 
 
 def poly_integral_01(p: RatPoly) -> Fraction:

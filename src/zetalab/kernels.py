@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import operator
 from math import factorial
 
 import numpy as np
@@ -351,10 +352,12 @@ def _rising(s: complex, size: int, count: int):
             poly[k] = q0 * poly[k] + q1 * poly[k - 1] + poly[k - 2]
 
 
-def _check_order(r: int) -> None:
-    """Refuse an s-derivative order outside 0.._MAX_ORDER."""
+def _check_order(r: int) -> int:
+    """Refuse an s-derivative order outside 0.._MAX_ORDER; return it as an int."""
+    r = operator.index(r)
     if not 0 <= r <= _MAX_ORDER:
         raise ValueError(f"derivative order must be in 0..{_MAX_ORDER}")
+    return r
 
 
 def _refuse_args(fn: str, alpha, s: complex = 0j) -> None:
@@ -520,7 +523,7 @@ def hurwitz_zeta_deriv(r: int, s: complex, alpha: float) -> complex:
     r! times the r-th Taylor coefficient of one Euler-Maclaurin sum taken
     as a power series in s; refused within 1/2 of the pole at s = 1.
     """
-    _check_order(r)
+    r = _check_order(r)
     s, alpha = complex(s), float(alpha)
     return _refuse(r, s, alpha, _em_jet(s, alpha, r)[r])
 
@@ -541,6 +544,7 @@ def stieltjes(n: int, alpha: float) -> complex:
     gamma_n(alpha) is the n-th Taylor coefficient at 0 of
     g(t) = zeta(1+t, alpha) - 1/t; gamma_{-1} = 1 identically.
     """
+    n = operator.index(n)
     if not -1 <= n <= 5:
         raise ValueError("stieltjes order must be in -1..5")
     alpha = float(alpha)

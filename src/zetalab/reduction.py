@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -88,7 +89,7 @@ def _poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
 
 
 # ---------------------------------------------------------------------------
-# Rational functions of s
+# The coefficients: rational functions of s
 # ---------------------------------------------------------------------------
 
 
@@ -124,10 +125,6 @@ class RationalFunctionOfS:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         return self
-
-    @staticmethod
-    def constant(c) -> "RationalFunctionOfS":
-        return RationalFunctionOfS(RatPoly((Fraction(c),)))
 
     @staticmethod
     def zero() -> "RationalFunctionOfS":
@@ -209,10 +206,6 @@ class LinearCombination:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LinearCombination is immutable")
 
-    @staticmethod
-    def zero() -> "LinearCombination":
-        return LinearCombination()
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -231,15 +224,10 @@ class LinearCombination:
     def __add__(self, other: "LinearCombination") -> "LinearCombination":
         merged = dict(self._terms)
         for atom, coeff in other._terms.items():
-            if atom in merged:
-                merged[atom] = merged[atom] + coeff
-            else:
-                merged[atom] = coeff
+            merged[atom] = merged[atom] + coeff if atom in merged else coeff
         return LinearCombination(merged)
 
     def scale(self, factor) -> "LinearCombination":
-        if isinstance(factor, (int, Fraction)):
-            factor = RationalFunctionOfS.constant(factor)
         return LinearCombination({a: c * factor for a, c in self._terms.items()})
 
     def shifted(self) -> "LinearCombination":
@@ -270,9 +258,12 @@ class LinearCombination:
 # ---------------------------------------------------------------------------
 
 
-def _check_r(r: int) -> None:
+def _check_r(r: int) -> int:
+    """Refuse a reduction order other than 0 and 1; return it as an int."""
+    r = operator.index(r)
     if r not in (0, 1):
         raise ValueError("derivative order for the reduction must be 0 or 1")
+    return r
 
 
 @lru_cache(maxsize=MAX_DEGREE)
@@ -288,8 +279,8 @@ def _pochhammer(k: int) -> tuple[RatPoly, RatPoly, RatPoly]:
 def reduce_monomial(i: int, r: int) -> LinearCombination:
     """Exact reduction of int_0^1 a^i zeta^(r)(s, a) da, r in {0, 1}:
     :func:`reduce_poly` applied to a^i; the i = 0 case vanishes."""
-    _check_r(r)
-    if not 0 <= i <= MAX_DEGREE:
+    r = _check_r(r)
+    if not 0 <= operator.index(i) <= MAX_DEGREE:
         raise ValueError(f"monomial degree must be in 0..{MAX_DEGREE}")
     return reduce_poly(RatPoly((0,) * i + (1,)), r)
 
@@ -308,7 +299,7 @@ def reduce_poly(p: RatPoly, r: int) -> LinearCombination:
     roots, so both coefficients are already gcd-reduced with monic
     denominators; atoms with A_k = 0 are omitted.
     """
-    _check_r(r)
+    r = _check_r(r)
     if p.degree > MAX_DEGREE:
         raise ValueError(f"polynomial degree must be <= {MAX_DEGREE}")
     return _reduce_integer_form(*_integer_form(p), r)
@@ -335,7 +326,7 @@ def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
     degree N = sum (m_i + 1), in integers over one denominator; the
     resulting atoms have shifts 1..N.
     """
-    _check_r(r)
+    r = _check_r(r)
     if any(m < 0 for m in ms):
         raise ValueError("polynomial factors need non-negative indices")
     degree = sum(m + 1 for m in ms)
@@ -370,13 +361,14 @@ def eval_combination(lc: LinearCombination, s: complex) -> complex:
                 raise PoleProximityError(
                     f"coefficient of {atom} has a pole at s = {root}")
     terms = list(lc.items())
-    top = min(max((a.deriv_order for a, _ in terms), default=0), kernels._MAX_ORDER)
+    orders = [operator.index(a.deriv_order) for a, _ in terms]  # refuse float orders up front
+    top = min(max(orders, default=0), kernels._MAX_ORDER)
     jets: dict[int, list[complex]] = {}  # shift -> a_0..a_top about s - k
     total = 0j
     for atom, coeff in terms:
         n, k = atom.deriv_order, atom.shift
         try:
-            kernels._check_order(n)
+            n = kernels._check_order(n)
             if k not in jets:
                 jets[k] = kernels._em_jet(s - k, 1.0, top)
             value = kernels._refuse(n, s - k, 1.0, jets[k][n])

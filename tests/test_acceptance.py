@@ -17,8 +17,8 @@ from zetalab import calculus
 from zetalab.checks import run_checks
 from zetalab.cli import main
 from zetalab.exact import (RatPoly, bernoulli_number, bernoulli_polynomial,
-                           bernoulli_product_integral, poly_eval,
-                           poly_integral_01, poly_mul, zeta_neg_int_poly)
+                           bernoulli_product_integral, poly_integral_01,
+                           zeta_neg_int_poly)
 from zetalab.kernels import (digamma, hurwitz_taylor, hurwitz_zeta,
                              hurwitz_zeta_deriv, riemann_zeta, stieltjes)
 from zetalab.quadrature import tanh_sinh_01
@@ -50,7 +50,7 @@ def test_criterion_01_exact_bernoulli_suite():
     for ms in multisets(12):
         prod = RatPoly((1,))
         for m in ms:
-            prod = poly_mul(prod, bernoulli_polynomial(m))
+            prod = prod * bernoulli_polynomial(m)
         assert bernoulli_product_integral(ms) == poly_integral_01(prod), ms
         if sum(ms) % 2 == 1:
             assert bernoulli_product_integral(ms) == 0, ms
@@ -72,7 +72,7 @@ def test_criterion_02_kernel_cross_validation():
         poly = zeta_neg_int_poly(m)
         for tenths in range(1, 20):
             a = Fraction(tenths, 10)
-            d = abs(hurwitz_zeta(-float(m), float(a)) - float(poly_eval(poly, a)))
+            d = abs(hurwitz_zeta(-float(m), float(a)) - float(poly.evaluate(a)))
             worst_poly = max(worst_poly, d)
     assert worst_poly <= 1e-10
     report(2, f"taylor-vs-EM worst {worst:.2e} <= 1e-9; "
@@ -193,7 +193,7 @@ def test_criterion_09_reduction_vs_quadrature():
                    for atom in lc.atoms()), (ms, r)
         prod = RatPoly((1,))
         for m in ms:
-            prod = poly_mul(prod, zeta_neg_int_poly(m))
+            prod = prod * zeta_neg_int_poly(m)
         quad = tanh_sinh_01(
             lambda xs: [prod.evaluate_complex(a) * hurwitz_zeta_deriv(r, s, a)
                         for a in xs.tolist()], 1e-9)
@@ -205,7 +205,7 @@ def test_criterion_09_reduction_vs_quadrature():
         lc = integral_poly_zeta(ms, 0)
         prod = zeta_neg_int_poly(m)
         for mi in ms:
-            prod = poly_mul(prod, zeta_neg_int_poly(mi))
+            prod = prod * zeta_neg_int_poly(mi)
         d = abs(eval_combination(lc, complex(-m)) - float(poly_integral_01(prod)))
         worst_exact = max(worst_exact, d)
     assert worst_exact <= 1e-12

@@ -15,7 +15,7 @@ from zetalab.calculus import (AntiderivativeTerm, alpha_derivative,
                               integral_01, integral_1_inf, psi_chain,
                               stieltjes_alpha_derivative)
 from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
-from zetalab.exact import poly_eval, zeta_neg_int_poly
+from zetalab.exact import zeta_neg_int_poly
 from zetalab.kernels import (digamma, hurwitz_zeta, hurwitz_zeta_deriv,
                              riemann_zeta, riemann_zeta_deriv, stieltjes)
 from zetalab.reduction import RationalFunctionOfS
@@ -57,7 +57,7 @@ class TestAntiderivativeEval:
         # r=0, s=-1: F(a) = zeta(-2, a)/2 = -B_3(a)/6
         for tenths in (3, 7, 11):
             a = Fraction(tenths, 10)
-            expected = float(poly_eval(zeta_neg_int_poly(2), a)) / 2.0
+            expected = float(zeta_neg_int_poly(2).evaluate(a)) / 2.0
             got = antiderivative_eval(0, -1.0, float(a))
             assert abs(got - expected) < 1e-11
 

@@ -7,9 +7,8 @@ from math import comb
 import pytest
 
 from zetalab.exact import (RatPoly, bernoulli_number, bernoulli_polynomial,
-                           bernoulli_product_integral, poly_eval,
-                           poly_integral_01, poly_mul, poly_reflect,
-                           rational_str, zeta_neg_int_poly)
+                           bernoulli_product_integral, poly_integral_01,
+                           poly_reflect, rational_str, zeta_neg_int_poly)
 
 
 def multisets(max_total, max_len=3):
@@ -70,20 +69,20 @@ class TestBernoulliPolynomials:
         assert bernoulli_polynomial(2) == RatPoly((Fraction(1, 6), -1, 1))
 
     def test_product_example(self):
-        prod = poly_mul(bernoulli_polynomial(1), bernoulli_polynomial(2))
+        prod = bernoulli_polynomial(1) * bernoulli_polynomial(2)
         assert prod == RatPoly((Fraction(-1, 12), Fraction(2, 3), Fraction(-3, 2), 1))
 
     def test_mul_zero_absorbs(self):
-        assert poly_mul(bernoulli_polynomial(4), RatPoly()) == RatPoly()
+        assert bernoulli_polynomial(4) * RatPoly() == RatPoly()
 
     def test_square(self):
         b1 = bernoulli_polynomial(1)
-        assert poly_mul(b1, b1) == RatPoly((Fraction(1, 4), -1, 1))
+        assert b1 * b1 == RatPoly((Fraction(1, 4), -1, 1))
 
     def test_eval(self):
-        assert poly_eval(bernoulli_polynomial(1), Fraction(1, 2)) == 0
-        assert poly_eval(bernoulli_polynomial(2), 0) == Fraction(1, 6)
-        assert poly_eval(RatPoly(), Fraction(7, 3)) == 0
+        assert bernoulli_polynomial(1).evaluate(Fraction(1, 2)) == 0
+        assert bernoulli_polynomial(2).evaluate(0) == Fraction(1, 6)
+        assert RatPoly().evaluate(Fraction(7, 3)) == 0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 16])
     def test_eval_equals_fraction_horner(self, n):
@@ -110,6 +109,14 @@ class TestBernoulliPolynomials:
         for n in range(12):
             assert bernoulli_polynomial(n).degree == n
 
+    def test_memoized(self):
+        assert bernoulli_polynomial(9) is bernoulli_polynomial(9)
+
+    def test_negative_index_refused_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="non-negative"):
+                bernoulli_polynomial(-1)
+
 
 class TestIntegrals:
     def test_constant(self):
@@ -121,7 +128,7 @@ class TestIntegrals:
 
     def test_b1_squared(self):
         b1 = bernoulli_polynomial(1)
-        assert poly_integral_01(poly_mul(b1, b1)) == Fraction(1, 12)
+        assert poly_integral_01(b1 * b1) == Fraction(1, 12)
 
     @pytest.mark.parametrize("ms, expected", [
         ((1, 2), Fraction(0)),
@@ -140,7 +147,7 @@ class TestIntegrals:
         for ms in multisets(12):
             prod = RatPoly((1,))
             for m in ms:
-                prod = poly_mul(prod, bernoulli_polynomial(m))
+                prod = prod * bernoulli_polynomial(m)
             assert bernoulli_product_integral(ms) == poly_integral_01(prod), ms
 
     def test_odd_sum_vanishes_exactly(self):
@@ -208,14 +215,14 @@ class TestZetaNegIntPoly:
     @pytest.mark.parametrize("m", range(11))
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)])
     def test_rational_everywhere(self, m, x):
-        value = poly_eval(zeta_neg_int_poly(m), x)
+        value = zeta_neg_int_poly(m).evaluate(x)
         assert isinstance(value, Fraction)
 
     @pytest.mark.parametrize("m", range(11))
     def test_value_at_one(self, m):
         poly = bernoulli_polynomial(m + 1)
-        expected = -poly_eval(poly, 1) / (m + 1)
-        assert poly_eval(zeta_neg_int_poly(m), 1) == expected
+        expected = -poly.evaluate(1) / (m + 1)
+        assert zeta_neg_int_poly(m).evaluate(1) == expected
 
 
 class TestRatPolyBasics:

@@ -1,6 +1,7 @@
-"""Property tests of the private integer core of ``zetalab.exact``: integer
+"""Property tests of ``zetalab.exact``: the private integer core (integer
 numerators over the least common denominator, and the endpoint jumps
-p^(k-1)(1) - p^(k-1)(0) against the Fraction derivative chain."""
+p^(k-1)(1) - p^(k-1)(0) against the Fraction derivative chain), and the
+reflection p(1 - x)."""
 
 import math
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from zetalab.exact import (RatPoly, _endpoint_jumps, _int_poly_mul,  # noqa: E402
-                           _integer_form)
+                           _integer_form, poly_reflect)
 
 coefficients = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
 polys = st.lists(coefficients, max_size=65).map(RatPoly)  # degree -1..64
@@ -101,3 +102,15 @@ def test_product_with_a_scalar_scales(p, c):
     scaled = RatPoly(c * a for a in p.coeffs)
     assert p * c == scaled and c * p == scaled
     assert p * c == fraction_product(p, RatPoly((c,)))
+
+
+@PROPERTY
+@given(polys, st.lists(coefficients, min_size=1, max_size=4))
+@example(RatPoly(), [Fraction(1, 3)])
+@example(RatPoly((Fraction(5, 7),)), [Fraction(0), Fraction(1)])
+@example(RatPoly((Fraction(-1, 2), 1)), [Fraction(1, 2), Fraction(-7, 3)])
+def test_reflection_evaluates_to_p_at_one_minus_x(p, xs):
+    q = poly_reflect(p)
+    assert q.degree == p.degree
+    for x in xs:
+        assert q.evaluate(x) == sum(c * (1 - x) ** k for k, c in enumerate(p.coeffs))

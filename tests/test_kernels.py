@@ -27,7 +27,7 @@ import zetalab
 from zetalab import calculus, kernels, quadrature
 from zetalab.errors import (DomainError, EvaluationError, NumericOverflowError,
                             PoleProximityError)
-from zetalab.exact import poly_eval, zeta_neg_int_poly
+from zetalab.exact import zeta_neg_int_poly
 from zetalab.checks import run_checks
 from zetalab.reduction import pair_integral
 from zetalab.kernels import (digamma, format_complex, gamma_complex,
@@ -94,7 +94,7 @@ class TestRiemannZeta:
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_nonpositive_integers_vs_exact(self, n):
-        expected = float(poly_eval(zeta_neg_int_poly(n), 1))
+        expected = float(zeta_neg_int_poly(n).evaluate(1))
         assert abs(riemann_zeta(-float(n)) - expected) < 1e-10
 
     def test_pole_guard(self):
@@ -132,7 +132,7 @@ class TestHurwitzZeta:
         poly = zeta_neg_int_poly(m)
         for tenths in range(1, 20):
             a = Fraction(tenths, 10)
-            expected = float(poly_eval(poly, a))
+            expected = float(poly.evaluate(a))
             assert abs(hurwitz_zeta(-float(m), float(a)) - expected) < 1e-10
 
     def test_domain_guard(self):

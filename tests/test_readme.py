@@ -1,0 +1,39 @@
+"""The README's examples run as written: the "Library quick start" Python
+block, and every ``zetalab ...`` line of the "Command line" block through
+``cli.main`` (each must exit 0)."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from zetalab import cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def fenced_block(heading: str) -> str:
+    """The first fenced code block under the ``## heading`` section."""
+    section = README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```[a-z]*\n(.*?)```", section, re.S).group(1)
+
+
+COMMANDS = [line for line in fenced_block("Command line").splitlines()
+            if line.startswith("zetalab ")]
+
+
+def test_library_quick_start_runs(capsys):
+    exec(compile(fenced_block("Library quick start"), "README.md", "exec"), {})
+    assert "zeta^(0)(s-" in capsys.readouterr().out
+
+
+def test_command_block_is_not_empty():
+    assert len(COMMANDS) >= 5
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_command_line_exits_zero(line, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # ``--out`` writes here
+    argv = shlex.split(line, comments=True)[1:]
+    assert cli.main(argv) == 0, line

@@ -14,7 +14,7 @@ from conftest import TARGET_IDS, TARGETS
 from zetalab import kernels
 from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import (RatPoly, bernoulli_number, poly_integral_01,
-                           poly_mul, zeta_neg_int_poly)
+                           zeta_neg_int_poly)
 from zetalab.kernels import hurwitz_zeta, riemann_zeta
 from zetalab.quadrature import tanh_sinh_01
 from zetalab.reduction import (DerivAtom, LinearCombination,
@@ -88,6 +88,17 @@ class TestRationalFunction:
         assert rf((2,), (0, 2)) == rf((1,), (0, 1))   # 2/(2s) == 1/s
 
 
+class TestLinearCombinationScale:
+    @pytest.mark.parametrize("factor", [3, -1, 0, Fraction(-2, 7)])
+    def test_scalar_scales_each_coefficient(self, factor):
+        lc = integral_poly_zeta((1, 2), 1)
+        scaled = lc.scale(factor)
+        assert scaled.atoms() == (lc.atoms() if factor else [])
+        for atom, coeff in lc.items():
+            assert scaled.coefficient(atom) == rf(coeff.num.scale(factor), coeff.den)
+        assert scaled == lc.scale(rf((factor,)))
+
+
 class TestReduceMonomial:
     def test_i0_is_zero(self):
         assert reduce_monomial(0, 0).is_zero()
@@ -158,7 +169,7 @@ class TestReducePoly:
         # by the exact route and by the reduction
         from zetalab.exact import bernoulli_polynomial
         b2 = bernoulli_polynomial(2)
-        exact = poly_integral_01(poly_mul(b2, zeta_neg_int_poly(1)))
+        exact = poly_integral_01(b2 * zeta_neg_int_poly(1))
         assert exact == Fraction(-1, 360)
         got = eval_combination(reduce_poly(b2, 0), -1.0)
         assert abs(got - float(exact)) < 1e-12
@@ -195,7 +206,7 @@ def _recursive_monomial(i, r):
     at a = 1 plus i times the (i-1, s-1) integral.  This was the engine
     before the closed form; it stays here as the exact reference."""
     if i == 0:
-        return LinearCombination.zero()
+        return LinearCombination()
     inv_1ms = rf((-1,), S_MINUS_1)                  # 1/(1-s)
     inv_1ms2 = rf((1,), S_MINUS_1 * S_MINUS_1)      # 1/(1-s)^2
     if r == 0:
@@ -350,7 +361,7 @@ class TestEvalCombination:
             lc = integral_poly_zeta(ms, 0)
             prod = zeta_neg_int_poly(m)
             for mi in ms:
-                prod = poly_mul(prod, zeta_neg_int_poly(mi))
+                prod = prod * zeta_neg_int_poly(mi)
             expected = float(poly_integral_01(prod))
             got = eval_combination(lc, complex(-m))
             assert abs(got - expected) < 1e-12, (ms, m)
@@ -582,8 +593,7 @@ class TestTripleProductIntegral:
         assert abs(triple_product_integral(2.0) + 1.0 / 360.0) < 1e-12
 
     def test_at_three_exact_oracle(self):
-        integrand = poly_mul(poly_mul(zeta_neg_int_poly(0), zeta_neg_int_poly(2)),
-                             zeta_neg_int_poly(1))
+        integrand = zeta_neg_int_poly(0) * zeta_neg_int_poly(2) * zeta_neg_int_poly(1)
         expected = float(poly_integral_01(integrand))
         assert expected == 1.0 / 30240.0
         assert abs(triple_product_integral(3.0) - expected) < 1e-12
