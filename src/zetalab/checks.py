@@ -27,8 +27,6 @@ from functools import partial
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from . import calculus, kernels
 from .errors import EvaluationError
 from .exact import (RatPoly, bernoulli_polynomial, bernoulli_product_integral,
@@ -123,6 +121,8 @@ def _product(polys: Iterable[RatPoly]) -> RatPoly:
 def _trapezoid_coeff(f: Callable[[complex], complex], n: int) -> complex:
     """The n-th Taylor coefficient at 0 of f, by the trapezoidal rule on 32
     samples of the circle |t| = 1/2 (Cauchy's integral formula)."""
+    import numpy as np
+
     points, rho = 32, 0.5
     theta = 2.0 * math.pi * np.arange(points) / points
     samples = np.array([f(t) for t in (rho * np.exp(1j * theta)).tolist()])

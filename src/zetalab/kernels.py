@@ -21,10 +21,11 @@ expm1(-t*log(M+a))/t.  Subtracting the pole from finished zeta values
 instead would lose all precision near t = 0.  The same sum at a complex
 alpha + k gives zeta(s, alpha) for complex alpha (``hurwitz_taylor``).
 
-A single point is a pure-Python sum (``_em_jet``).  A quadrature check needs
-zeta^(r)(s, a) at every node a of a tanh-sinh level and takes it from the
-numpy twin at one s (``_zeta_level``, from ``_em_jet_batch``), each node
-keeping its own M and J.  Every value zeta^(r)(s, a) is refused, or
+A single point is a pure-Python sum (``_em_jet``), and never loads numpy.
+A quadrature check needs zeta^(r)(s, a) at every node a of a tanh-sinh
+level and takes it from the numpy twin at one s (``_zeta_level``, from
+``_em_jet_batch``), each node keeping its own M and J; the twin imports
+numpy on its first call.  Every value zeta^(r)(s, a) is refused, or
 returned, by one rule after its sum (``_refuse``): a NaN, an alpha <= 0, s
 on the pole, then a non-finite value.  A node the batch leaves non-finite
 is taken again from the scalar sum, which refuses it.
@@ -40,11 +41,13 @@ import math
 import numbers
 import operator
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import exact
 from .errors import DomainError, NumericOverflowError, PoleProximityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "gamma_complex",
@@ -76,7 +79,6 @@ _MAX_ORDER = 6
 _B2J_OVER_FACT = tuple(
     float(exact.bernoulli_number(2 * j)) / factorial(2 * j) for j in range(1, 21)
 )
-_B2J_OVER_FACT_ARRAY = np.array(_B2J_OVER_FACT)
 _B2J_OVER_2J = tuple(
     float(exact.bernoulli_number(2 * j) / (2 * j)) for j in range(1, 21)
 )
@@ -209,6 +211,8 @@ def _jet_head_lengths(s: complex, alphas: np.ndarray) -> np.ndarray:
     even as Python's round; and min() keeping M when the other side is not
     smaller.
     """
+    import numpy as np
+
     if not s.real < 0.5:
         return np.full(len(alphas), _EM_CUTOFF)
     power = 1.0 / (1.0 - s.real)
@@ -403,6 +407,8 @@ def _times(z: np.ndarray, w) -> np.ndarray:
     """z * w rounded as Python's complex product.  numpy's may fuse its
     multiply-adds, and where the head and integral terms cancel, one rounding
     moved is magnified (at order 6 to about a tenth of the bound)."""
+    import numpy as np
+
     out = np.empty_like(z)
     out.real = z.real * w.real - z.imag * w.imag
     out.imag = z.real * w.imag + z.imag * w.real
@@ -423,6 +429,8 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
     the weights w_j zero past a node's cut.  Overflow yields non-finite
     entries, never a warning.
     """
+    import numpy as np
+
     s = complex(s)
     alphas = np.asarray(alphas, dtype=float)
     size = order + 1
@@ -468,7 +476,7 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
         # w_j = B_{2j}/(2j)! (M+a)^(1-2j), kept up to the last smallest
         # order-0 term, or to J unless the final term has clearly re-entered
         # asymptotic growth (see _jet_tail)
-        weights = _B2J_OVER_FACT_ARRAY[:depth, None] * big_t ** (
+        weights = np.array(_B2J_OVER_FACT[:depth])[:, None] * big_t ** (
             1.0 - 2.0 * np.arange(1, depth + 1))[:, None]
         mags = np.abs(weights * rising[:, :1])
         at_min = depth - 1 - mags[::-1].argmin(axis=0)
@@ -492,6 +500,8 @@ def _zeta_level(r: int, s: complex, alphas: np.ndarray) -> np.ndarray:
     node whose alpha is not finite and > 0, or whose value is not finite, is
     taken again from the scalar, which refuses it as it does node by node.
     """
+    import numpy as np
+
     s = complex(s)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size:  # s's refusals, or the first node's, before the batch

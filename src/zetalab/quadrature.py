@@ -16,10 +16,11 @@ opening levels 0..3 together (74 nodes, concatenated in level order); each
 later call covers one level's new nodes.  The checks' zeta integrands
 evaluate a call in one numpy batch per zeta factor (``kernels._zeta_level``),
 whose cost is mostly fixed per call; single points stay on the scalar
-kernels, where numpy's per-call overhead would dominate.  The values are
-accumulated one by one in node order, level by level, and only up to the
-level that converges, so the result depends only on the samples that enter
-it, not on how or in which call the integrand computed them.
+kernels, where numpy's per-call overhead would dominate, and never load
+numpy: it is imported with the first nodes, not with this module.  The
+values are accumulated one by one in node order, level by level, and only
+up to the level that converges, so the result depends only on the samples
+that enter it, not on how or in which call the integrand computed them.
 
 Integrands may be complex-valued; they are integrated component-wise and the
 error estimate is the max over components.
@@ -31,11 +32,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ConvergenceError, NumericOverflowError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["QuadResult", "tanh_sinh_01"]
 
@@ -86,6 +88,8 @@ def _tanh_sinh_node(t: float) -> tuple[float, float]:
 def _level_nodes(level: int) -> tuple[np.ndarray, tuple[float, ...]]:
     """Abscissae (a read-only array) and weights of the nodes introduced at
     the given refinement level (h = 2**-level)."""
+    import numpy as np
+
     nodes = []
     h = 2.0 ** (-level)
     if level == 0:
@@ -115,6 +119,8 @@ def _level_nodes(level: int) -> tuple[np.ndarray, tuple[float, ...]]:
 def _opening_nodes() -> np.ndarray:
     """The new nodes of levels 0.._OPENING_LEVELS-1, concatenated in level
     order, as one read-only array."""
+    import numpy as np
+
     xs = np.concatenate([_level_nodes(level)[0] for level in range(_OPENING_LEVELS)])
     xs.flags.writeable = False
     return xs

@@ -147,11 +147,14 @@ class RationalFunctionOfS:
         return self + (-other)
 
     def __neg__(self) -> "RationalFunctionOfS":
-        return RationalFunctionOfS(-self.num, self.den)
+        return self._reduced(-self.num, self.den)
 
     def __mul__(self, other) -> "RationalFunctionOfS":
         if isinstance(other, (int, Fraction)):
-            return RationalFunctionOfS(self.num.scale(other), self.den)
+            # a nonzero scalar changes neither the gcd nor the monic den
+            if other == 0:
+                return self.zero()
+            return self._reduced(self.num.scale(other), self.den)
         if not isinstance(other, RationalFunctionOfS):
             return NotImplemented
         return RationalFunctionOfS(self.num * other.num, self.den * other.den)

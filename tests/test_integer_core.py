@@ -1,7 +1,8 @@
 """Property tests of ``zetalab.exact``: the private integer core (integer
 numerators over the least common denominator, and the endpoint jumps
 p^(k-1)(1) - p^(k-1)(0) against the Fraction derivative chain), and the
-reflection p(1 - x)."""
+reflection p(1 - x); and of the scalar fast paths of
+``zetalab.reduction.RationalFunctionOfS``."""
 
 import math
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from zetalab.exact import (RatPoly, _endpoint_jumps, _int_poly_mul,  # noqa: E402
                            _integer_form, poly_reflect)
+from zetalab.reduction import RationalFunctionOfS  # noqa: E402
 
 coefficients = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
 polys = st.lists(coefficients, max_size=65).map(RatPoly)  # degree -1..64
@@ -114,3 +116,19 @@ def test_reflection_evaluates_to_p_at_one_minus_x(p, xs):
     assert q.degree == p.degree
     for x in xs:
         assert q.evaluate(x) == sum(c * (1 - x) ** k for k, c in enumerate(p.coeffs))
+
+
+@PROPERTY
+@given(st.lists(coefficients, max_size=6).map(RatPoly),
+       st.lists(coefficients, min_size=1, max_size=6).map(RatPoly)
+       .filter(lambda den: not den.is_zero()),
+       st.one_of(st.integers(-10**20, 10**20), wide_coefficients))
+@example(RatPoly(), RatPoly((1,)), 5)
+@example(RatPoly((1, 1)), RatPoly((-1, 0, 1)), 0)
+@example(RatPoly((Fraction(1, 3),)), RatPoly((2, -1)), -3)
+@example(RatPoly((0, 1)), RatPoly((Fraction(-1, 2), 1)), Fraction(-2, 7))
+def test_scaling_a_rational_function_skips_the_reduction(num, den, c):
+    f = RationalFunctionOfS(num, den)
+    reference = RationalFunctionOfS(f.num.scale(c), f.den)
+    assert f * c == reference and c * f == reference
+    assert -f == RationalFunctionOfS(f.num.scale(-1), f.den)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TARGET_IDS, TARGETS
-from zetalab import kernels
+from zetalab import kernels, reduction
 from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import (RatPoly, bernoulli_number, poly_integral_01,
                            zeta_neg_int_poly)
@@ -63,6 +63,20 @@ class TestRationalFunction:
         f = rf((1,), S_MINUS_1)        # 1/(s-1)
         assert f * 2 == 2 * f == rf((2,), S_MINUS_1)
         assert f * Fraction(1, 3) == Fraction(1, 3) * f == rf((Fraction(1, 3),), S_MINUS_1)
+
+    def test_scaling_runs_no_gcd(self, monkeypatch):
+        coeff = integral_poly_zeta((19,), 1).coefficient(DerivAtom(0, 20))
+        assert coeff.den.degree == 40
+
+        def no_gcd(a, b):
+            raise AssertionError("a scalar product re-ran the gcd")
+
+        monkeypatch.setattr(reduction, "_poly_gcd", no_gcd)
+        assert (coeff * 3).num == coeff.num.scale(3)
+        assert (Fraction(-2, 7) * coeff).num == coeff.num.scale(Fraction(-2, 7))
+        assert (-coeff).num == -coeff.num
+        assert (coeff * 3).den == (-coeff).den == coeff.den
+        assert (coeff * 0).is_zero()
 
     @pytest.mark.parametrize("other", [0.5, 1j, "x", RatPoly((1, 2))])
     def test_other_operand_types_are_a_type_error(self, other):
