@@ -110,44 +110,47 @@ def format_complex(z: complex) -> str:
 # Gamma
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 terms.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+# Gamma and digamma step up by the recurrence to Re z >= _STIRLING_SHIFT,
+# where eight terms of Stirling's series are below double rounding.
+_STIRLING_SHIFT = 16.0
+# The coefficients B_{2j}/(2j (2j-1)) of log Gamma's series in z^(1-2j),
+# j = 8 down to 1, for Horner's rule.
+_LOG_GAMMA_SERIES = tuple(_B2J_OVER_2J[j - 1] / (2 * j - 1) for j in range(8, 0, -1))
 
 
 def gamma_complex(z: complex) -> complex:
-    """Gamma(z) by the Lanczos approximation, reflection for Re z < 1/2."""
+    """Gamma(z) by the upward recurrence and Stirling's series (DLMF 5.11.1),
+    reflection for Re z < 1/2.
+
+    sqrt(2 pi) z^(z-1/2) e^-z is formed as the square of z^((z-1/2)/2)
+    e^(-z/2), so that no intermediate overflows before Gamma itself does.
+    """
     z = complex(z)
     if cmath.isnan(z):
         raise DomainError("gamma_complex got NaN for z")
     _refuse_huge_real(z, "z")
     try:
         if z.real < 0.5:
-            nearest = round(z.real)
-            if nearest <= 0 and abs(z - nearest) < 1e-12:
+            n = round(z.real)
+            if n <= 0 and abs(z - n) < 1e-12:
                 raise PoleProximityError(f"gamma pole at non-positive integer near {z!r}")
-            # Gamma(z) Gamma(1-z) = pi / sin(pi z)
+            # Gamma(z) Gamma(1-z) = pi / sin(pi z), with sin(pi z) =
+            # (-1)^n sin(pi (z - n)) and z - n exact near the pole n
             return _require_finite(
-                math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z)),
+                math.pi / ((-1) ** n * cmath.sin(math.pi * (z - n)) * gamma_complex(1.0 - z)),
                 "gamma reflection")
-        w = z - 1.0
-        acc = complex(_LANCZOS_C[0])
-        for i in range(1, len(_LANCZOS_C)):
-            acc += _LANCZOS_C[i] / (w + i)
-        t = w + _LANCZOS_G + 0.5
-        value = math.sqrt(_TWO_PI) * t ** (w + 0.5) * cmath.exp(-t) * acc
+        shift = 1.0
+        while z.real < _STIRLING_SHIFT:
+            shift *= z
+            z += 1.0
+        inv2 = 1.0 / (z * z)
+        series = 0j
+        for c in _LOG_GAMMA_SERIES:
+            series = series * inv2 + c
+        half = z ** (0.5 * (z - 0.5)) * cmath.exp(-0.5 * z)
+        value = half * half * (math.sqrt(_TWO_PI) * cmath.exp(series / z)) / shift
     except (OverflowError, ZeroDivisionError):
-        # round(-inf), sin of a large imaginary part and exp overflow; an
+        # round(-inf), sin of a large imaginary part and power overflow; an
         # infinite Im z makes the power's phase infinite, which CPython's
         # complex ** reports as ZeroDivisionError
         raise NumericOverflowError("gamma overflow") from None
@@ -574,7 +577,7 @@ def digamma(alpha: float) -> float:
     _refuse_args("digamma", alpha)
     acc = 0.0
     x = alpha
-    while x < 16.0:
+    while x < _STIRLING_SHIFT:
         acc -= 1.0 / x
         x += 1.0
     inv2 = 1.0 / (x * x)

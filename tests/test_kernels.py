@@ -83,9 +83,21 @@ class TestGamma:
         with pytest.raises(PoleProximityError):
             gamma_complex(0.0 + 1e-14j)
 
+    @pytest.mark.parametrize("n", [1, 3, 7, 19])
+    @pytest.mark.parametrize("delta", [1e-4, -1e-4, 1e-9, -1e-9])
+    def test_reflection_keeps_digits_next_to_a_pole(self, n, delta):
+        # Gamma(z) = Gamma(z + n + 1) / prod_{k=0..n} (z + k), whose right
+        # side takes Gamma at 1 + delta, off the reflection path
+        z = -n + delta
+        expected = gamma_complex(z + n + 1)
+        for k in range(n + 1):
+            expected /= z + k
+        assert abs(gamma_complex(z) - expected) <= 1e-13 * abs(expected)
+
     def test_overflow_is_an_error(self):
-        with pytest.raises(NumericOverflowError):
-            gamma_complex(400.0)
+        for z in (400.0, 171.7):
+            with pytest.raises(NumericOverflowError):
+                gamma_complex(z)
 
 
 class TestRiemannZeta:

@@ -11,6 +11,10 @@ Two more groups: points at huge alpha, where every value lies far below the
 absolute floor of the bound and is held to the relative part alone; and
 zeta(s, alpha) at complex alpha from hurwitz_taylor, every point within
 1e-9, or 1e-13 relative for large values, or refused.
+
+Last, Gamma(z) on Re z in [-60, 171.6], |Im z| <= 60, next to its poles and
+next to the largest double, within the README's max(1e-11, 1e-13 |Gamma|);
+and the pair integral with Gamma(1 - s1) next to a pole.
 """
 
 import cmath
@@ -20,7 +24,8 @@ import random
 import numpy as np
 import pytest
 
-from zetalab import hurwitz_taylor, hurwitz_zeta, hurwitz_zeta_deriv, stieltjes
+from zetalab import (gamma_complex, hurwitz_taylor, hurwitz_zeta, hurwitz_zeta_deriv,
+                     pair_integral, stieltjes)
 from zetalab.errors import EvaluationError
 from zetalab.kernels import _zeta_level
 
@@ -152,3 +157,44 @@ def test_complex_alpha_within_bound(k):
             misses.append((s, alpha, k, abs(got - expected) / taylor_bound(expected)))
     assert not misses, misses
     assert values == len(taylor_grid(k))  # nothing on this grid is refused
+
+
+def gamma_grid() -> list[complex]:
+    """2000 seeded points with Re z in [-60, 171.6] and |Im z| <= 60; the
+    offsets +-1e-11, 1e-6 and -1e-3 from the poles 0, -3, ..., -60; and 171.5
+    and 171.62, where Gamma nears the largest double."""
+    rng = random.Random("oracle:Gamma")
+    points = [complex(rng.uniform(-60.0, 171.6), rng.uniform(-60.0, 60.0))
+              for _ in range(2000)]
+    for n in range(0, 61, 3):
+        for delta in (1e-11, -1e-11, 1e-6, -1e-3):
+            points.append(complex(-n + delta))
+    return points + [171.5 + 0j, 171.62 + 0j]
+
+
+def test_gamma_within_bound():
+    misses, refused = [], []
+    with mp.workdps(30):
+        for z in gamma_grid():
+            expected = complex(mp.gamma(mp.mpc(z.real, z.imag)))
+            try:
+                got = gamma_complex(z)
+            except EvaluationError:
+                refused.append(z)
+                continue
+            bound = max(1e-11, 1e-13 * abs(expected))
+            if abs(got - expected) > bound:
+                misses.append((z, abs(got - expected) / bound))
+    assert not misses, misses
+    assert not refused, refused  # every Gamma on this grid is a finite double
+
+
+def test_pair_integral_next_to_a_gamma_pole():
+    # Gamma(1 - s1) at -5e-11, just outside gamma_complex's pole guard of 1e-12
+    s1, s2 = 1.00000000005, -0.5
+    with mp.workdps(30):
+        a, b = mp.mpf(s1), mp.mpf(s2)
+        expected = float(2 * (2 * mp.pi) ** (a + b - 2) * mp.gamma(1 - a) * mp.gamma(1 - b)
+                         * mp.cos(mp.pi * (a - b) / 2) * mp.zeta(2 - a - b))
+    got = pair_integral(s1, s2)
+    assert abs(got - expected) <= 1e-13 * abs(expected), (got, expected)

@@ -622,3 +622,8 @@ class TestTripleProductIntegral:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             triple_product_integral(0.5)
+
+    def test_overflow_is_an_error(self):
+        # Gamma(100)^2 overflows
+        with pytest.raises(NumericOverflowError):
+            triple_product_integral(100.0)
