@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from . import kernels
 from .errors import DomainError, NumericOverflowError, PoleProximityError
@@ -88,23 +88,41 @@ def antiderivative_alpha_derivative_symbolic(r: int) -> dict[int, RationalFuncti
     result maps derivative order j to the exact rational-function coefficient
     of zeta^(j)(s, a); the family is a true antiderivative iff this collapses
     to {r: 1}.
-    """
-    one_minus_s = RatPoly((1, -1))
-    s_minus_1 = RatPoly((-1, 1))
-    collected: dict[int, RationalFunctionOfS] = {}
 
-    def add(j: int, rf: RationalFunctionOfS) -> None:
-        collected[j] = collected.get(j, RationalFunctionOfS.zero()) + rf
+    Every coefficient is a Laurent polynomial in 1-s, held as {p: c_p} for
+    sum_p c_p (1-s)^(-p): c/(1-s)^p on zeta^(l)(s-1, a) sends -l c/(1-s)^p
+    to zeta^(l-1)(s, a) and c/(1-s)^(p-1) to zeta^(l)(s, a).
+    """
+    rows: dict[int, dict[int, Fraction]] = {}
+
+    def add(j: int, p: int, c: Fraction) -> None:
+        row = rows.setdefault(j, {})
+        row[p] = row.get(p, 0) + c
 
     for term in antiderivative_terms(r):
-        denom = RatPoly.one()
-        for _ in range(term.pole_power):
-            denom = denom * one_minus_s
-        base = RationalFunctionOfS(RatPoly((term.coefficient,)), denom)
-        if term.deriv_order >= 1:
-            add(term.deriv_order - 1, base * Fraction(-term.deriv_order))
-        add(term.deriv_order, base * RationalFunctionOfS(-s_minus_1))
-    return {j: rf for j, rf in collected.items() if not rf.is_zero()}
+        l, c, p = term.deriv_order, term.coefficient, term.pole_power
+        if l >= 1:
+            add(l - 1, p, -l * c)
+        add(l, p - 1, c)
+    out = {}
+    for j, row in rows.items():
+        powers = [p for p, c in row.items() if c]
+        if powers:
+            out[j] = _laurent_in_one_minus_s(row, max(powers))
+    return out
+
+
+def _laurent_in_one_minus_s(row: dict[int, Fraction], top: int) -> RationalFunctionOfS:
+    """sum_p c_p (1-s)^(-p), with c_top != 0 the highest power, over the
+    monic (s-1)^top: the numerator (-1)^top sum_p c_p (1-s)^(top-p) is c_top
+    at s = 1, so the quotient is already reduced."""
+    num = [Fraction(0)] * (top + 1)
+    for p, c in row.items():
+        k = top - p  # c (1-s)^k, by the binomial expansion
+        for i in range(k + 1):
+            num[i] += (-1) ** (top + i) * comb(k, i) * c
+    den = RatPoly((-1) ** (top - i) * comb(top, i) for i in range(top + 1))
+    return RationalFunctionOfS._reduced(RatPoly(num), den)
 
 
 def alpha_derivative(r: int, s: complex, alpha: float) -> complex:

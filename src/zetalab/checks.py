@@ -29,8 +29,9 @@ from typing import Callable, Iterable, Sequence
 
 from . import calculus, kernels
 from .errors import EvaluationError
-from .exact import (RatPoly, bernoulli_polynomial, bernoulli_product_integral,
-                    poly_integral_01, rational_str, zeta_neg_int_poly)
+from .exact import (RatPoly, _bernoulli_product_form, _termwise_integral,
+                    bernoulli_product_integral, poly_integral_01, rational_str,
+                    zeta_neg_int_poly)
 from .kernels import format_complex
 from .quadrature import tanh_sinh_01
 from .reduction import (DerivAtom, LinearCombination, RationalFunctionOfS,
@@ -208,8 +209,10 @@ def _multisets(max_total: int) -> list[tuple[int, ...]]:
 
 
 def _cor6_two_paths() -> tuple:
+    # the Bernoulli-basis route against the term-wise integral of the same
+    # integer product
     return _indicator(all(
-        bernoulli_product_integral(ms) == poly_integral_01(_product(map(bernoulli_polynomial, ms)))
+        bernoulli_product_integral(ms) == _termwise_integral(*_bernoulli_product_form(ms))
         for ms in _multisets(12)))
 
 

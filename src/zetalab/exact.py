@@ -4,11 +4,13 @@ Rationals are ``fractions.Fraction`` (always reduced, positive denominator,
 zero stored as 0/1).  Polynomials are dense sequences of rational
 coefficients in ascending degree order, wrapped in :class:`RatPoly`.
 
-The hot paths (``RatPoly`` products and Bernoulli product integrals here, the
-IBP reduction in ``zetalab.reduction``) run on a private integer core: a
-polynomial as integer numerators over one common denominator, multiplied by
-integer convolution, with the endpoint jumps p^(k-1)(1) - p^(k-1)(0) taken
-along the integer derivative chain.  Only the final values become Fractions.
+The hot paths run on a private integer core: a polynomial as integer
+numerators over one common denominator, multiplied by integer convolution,
+with the endpoint jumps p^(k-1)(1) - p^(k-1)(0) taken along the integer
+derivative chain.  They are ``RatPoly`` products, both [0, 1] integration
+routes here (the term-wise sum over lcm(1..n+1), and the Bernoulli-basis sum
+against one table of B_n/n! over a common denominator), and the IBP
+reduction in ``zetalab.reduction``.  Only the final values become Fractions.
 
 Convention: B1 = -1/2 (the "first" Bernoulli numbers).  This is forced by
 zeta(0, a) = 1/2 - a together with zeta(-n, a) = -B_{n+1}(a)/(n+1); the
@@ -21,6 +23,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -283,6 +286,57 @@ def _endpoint_jumps(c: Sequence[int]) -> list[int]:
     return jumps
 
 
+def _termwise_integral(c: Sequence[int], d: int) -> Fraction:
+    """int_0^1 of sum_i (c_i / d) x^i as sum_i c_i (L / (i+1)) / (d L), with
+    L = lcm(1..n+1): one integer sum and one Fraction."""
+    L = lcm(*range(1, len(c) + 1))
+    return Fraction(sum(x * (L // (i + 1)) for i, x in enumerate(c)), d * L)
+
+
+# B_n/n! as integer numerators t_n over one denominator D, for n = 0..len-1:
+# built on first use to degree 64 (the reduction's MAX_DEGREE) and rebuilt
+# only for a higher degree, so every Bernoulli-basis integral shares one table.
+_BERNOULLI_TABLE_DEGREE = 64
+_bernoulli_table: tuple[tuple[int, ...], int] = ((), 1)
+
+
+def _bernoulli_over_factorial(n: int) -> tuple[tuple[int, ...], int]:
+    """(t, D) with B_k / k! = t_k / D for every k <= n."""
+    global _bernoulli_table
+    table = _bernoulli_table
+    if len(table[0]) <= n:
+        top = max(n, _BERNOULLI_TABLE_DEGREE)
+        ratios = [bernoulli_number(k) / factorial(k) for k in range(top + 1)]
+        D = lcm(*(q.denominator for q in ratios))
+        table = _bernoulli_table = (
+            tuple(q.numerator * (D // q.denominator) for q in ratios), D)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_integer_form(m: int) -> tuple[tuple[int, ...], int]:
+    """The integer form of B_m(x), as a tuple."""
+    c, d = _integer_form(bernoulli_polynomial(m))
+    return tuple(c), d
+
+
+def _bernoulli_product_form(indices: Sequence[int]) -> tuple[list[int], int]:
+    """(c, d): the product of B_{m_i}(x) as integer numerators over d."""
+    c, d = [1], 1
+    for m in indices:
+        cm, dm = _bernoulli_integer_form(m)
+        c, d = _int_poly_mul(c, cm), d * dm
+    return c, d
+
+
+def _bernoulli_basis_integral(c: Sequence[int], d: int) -> Fraction:
+    """int_0^1 of sum_i (c_i / d) x^i as p(0) - sum_n (B_n / n!) jump_n, with
+    B_n / n! = t_n / D: the integer (D c_0 - sum_n t_n jump_n) over D d."""
+    jumps = _endpoint_jumps(c)
+    t, D = _bernoulli_over_factorial(len(jumps))
+    return Fraction(D * c[0] - sum(map(mul, t[1:], jumps)), D * d)
+
+
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -303,7 +357,7 @@ def poly_reflect(p: RatPoly) -> RatPoly:
 
 def poly_integral_01(p: RatPoly) -> Fraction:
     """Exact integral of p over [0, 1], term-wise antiderivative."""
-    return sum((c / (k + 1) for k, c in enumerate(p.coeffs)), Fraction(0))
+    return _termwise_integral(*_integer_form(p))
 
 
 def bernoulli_product_integral(indices: Sequence[int]) -> Fraction:
@@ -320,19 +374,11 @@ def bernoulli_product_integral(indices: Sequence[int]) -> Fraction:
         int_0^1 p = p(0) - sum_{n>=1} B_n * (p^{(n-1)}(1) - p^{(n-1)}(0)) / n!
 
     which gives an integration path independent of ``poly_integral_01``.
-    The product and its jumps are taken in the integer core.
+    The product, its jumps and the sum are taken in the integer core.
     """
     if any(m < 1 for m in indices):
         raise ValueError("Bernoulli product indices must be >= 1")
-    c, d = [1], 1
-    for m in indices:
-        cm, dm = _integer_form(bernoulli_polynomial(m))
-        c, d = _int_poly_mul(c, cm), d * dm
-    total = Fraction(c[0])
-    for n, jump in enumerate(_endpoint_jumps(c), start=1):
-        if jump and (n == 1 or n % 2 == 0):  # B_n = 0 for the other n
-            total -= bernoulli_number(n) * jump / factorial(n)
-    return total / d
+    return _bernoulli_basis_integral(*_bernoulli_product_form(indices))
 
 
 def zeta_neg_int_poly(m: int) -> RatPoly:

@@ -132,7 +132,7 @@ class RationalFunctionOfS:
 
     @staticmethod
     def one() -> "RationalFunctionOfS":
-        return RationalFunctionOfS(RatPoly((1,)))
+        return RationalFunctionOfS._reduced(RatPoly((1,)), RatPoly((1,)))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

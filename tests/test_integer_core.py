@@ -1,7 +1,8 @@
 """Property tests of ``zetalab.exact``: the private integer core (integer
 numerators over the least common denominator, and the endpoint jumps
-p^(k-1)(1) - p^(k-1)(0) against the Fraction derivative chain), and the
-reflection p(1 - x); and of the scalar fast paths of
+p^(k-1)(1) - p^(k-1)(0) against the Fraction derivative chain), the two
+[0, 1] integration routes against their Fraction sums, and the reflection
+p(1 - x); and of the scalar fast paths of
 ``zetalab.reduction.RationalFunctionOfS``."""
 
 import math
@@ -13,8 +14,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from zetalab.exact import (RatPoly, _endpoint_jumps, _int_poly_mul,  # noqa: E402
-                           _integer_form, poly_reflect)
+from zetalab.exact import (RatPoly, _bernoulli_over_factorial,  # noqa: E402
+                           _endpoint_jumps, _int_poly_mul, _integer_form,
+                           bernoulli_number, bernoulli_polynomial,
+                           bernoulli_product_integral, poly_integral_01,
+                           poly_reflect)
 from zetalab.reduction import RationalFunctionOfS  # noqa: E402
 
 coefficients = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
@@ -104,6 +108,52 @@ def test_product_with_a_scalar_scales(p, c):
     scaled = RatPoly(c * a for a in p.coeffs)
     assert p * c == scaled and c * p == scaled
     assert p * c == fraction_product(p, RatPoly((c,)))
+
+
+def fraction_termwise_integral(p):
+    """The Fraction sum that poly_integral_01 took before the integer core,
+    kept as the reference."""
+    return sum((c / (k + 1) for k, c in enumerate(p.coeffs)), Fraction(0))
+
+
+@PROPERTY
+@given(st.lists(wide_coefficients, max_size=65).map(RatPoly))  # degree -1..64
+@example(RatPoly())
+@example(RatPoly((Fraction(-7, 3),)))
+@example(RatPoly((Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3))))  # B_2, mean 0
+@example(RatPoly((0,) * 64 + (Fraction(-1, 10**40 + 1),)))
+def test_termwise_integral_matches_the_fraction_sum(p):
+    value = poly_integral_01(p)
+    assert type(value) is Fraction and value == fraction_termwise_integral(p)
+
+
+def test_bernoulli_table_is_one_table_over_one_denominator():
+    t, D = _bernoulli_over_factorial(64)
+    assert len(t) > 64
+    for n in range(65):
+        assert Fraction(t[n], D) == bernoulli_number(n) / math.factorial(n)
+    # a lower degree reads the same table, not one of its own
+    assert _bernoulli_over_factorial(3) is _bernoulli_over_factorial(64)
+
+
+def fraction_bernoulli_basis(p):
+    """p(0) - sum_n B_n (p^(n-1)(1) - p^(n-1)(0)) / n! in Fractions."""
+    total = p.coefficient(0)
+    for n, jump in enumerate(chain_jumps(p), start=1):
+        total -= bernoulli_number(n) * jump / math.factorial(n)
+    return total
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 30), max_size=3))  # degree 0..90
+@example([])
+@example([1, 1])
+@example([30, 30, 30])  # past the table's first degree, so it grows
+def test_bernoulli_product_integral_matches_the_fraction_sums(ms):
+    p = math.prod(map(bernoulli_polynomial, ms), start=RatPoly.one())
+    value = bernoulli_product_integral(ms)
+    assert type(value) is Fraction
+    assert value == fraction_bernoulli_basis(p) == fraction_termwise_integral(p)
 
 
 @PROPERTY

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import zetalab
-from zetalab import checks, kernels
+from zetalab import calculus, checks, kernels, reduction
 from zetalab.checks import (REQUIRED_ID_PREFIXES, build_registry,
                             render_report, run_checks)
 from zetalab.cli import main, parse_complex
@@ -468,3 +468,29 @@ class TestWrappedRegistry:
         assert capsys.readouterr().out == plain
         ran = [spec.id for spec in registry() if spec.id.startswith(prefix)]
         assert ran and calls == dict.fromkeys(ran, 1)
+
+
+class TestExactChecksOnTheIntegerCore:
+    def test_wrong_antiderivative_coefficient_fails_the_collapse(self, monkeypatch):
+        terms = calculus.antiderivative_terms
+
+        def off_by_one(r):
+            out = list(terms(r))
+            if r == 4:
+                out[2] = dataclasses.replace(out[2], coefficient=out[2].coefficient + 1)
+            return tuple(out)
+
+        monkeypatch.setattr(calculus, "antiderivative_terms", off_by_one)
+        results = {r.id: r.status for r in run_checks("cor1_collapse")}
+        assert results.pop("cor1_collapse_r4") == "fail"
+        assert set(results.values()) == {"pass"}
+
+    @pytest.mark.parametrize("family", ["cor1", "cor6"])
+    def test_no_polynomial_gcd_runs(self, monkeypatch, family):
+        def refused(*args):
+            raise AssertionError("the Euclidean polynomial engine ran")
+
+        for name in ("_poly_gcd", "_poly_divmod"):
+            monkeypatch.setattr(reduction, name, refused)
+        results = run_checks(family)
+        assert results and all(r.status == "pass" for r in results)
