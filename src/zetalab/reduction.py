@@ -390,9 +390,6 @@ def eval_combination(lc: LinearCombination, s: complex) -> complex:
 # Closed-form product integrals
 # ---------------------------------------------------------------------------
 
-_LOG_TWO_PI = math.log(2.0 * math.pi)
-
-
 def pair_integral(s1: complex, s2: complex) -> complex:
     """Closed form of int_0^1 zeta(s1, a) zeta(s2, a) da:
 
@@ -406,7 +403,7 @@ def pair_integral(s1: complex, s2: complex) -> complex:
     kernels._refuse_huge_real(s1, "s1")
     kernels._refuse_huge_real(s2, "s2")
     try:
-        value = (2.0 * cmath.exp((s1 + s2 - 2.0) * _LOG_TWO_PI)
+        value = (2.0 * kernels._TWO_PI ** (s1 + s2 - 2.0)
                  * kernels.gamma_complex(1.0 - s1)
                  * kernels.gamma_complex(1.0 - s2)
                  * cmath.cos(0.5 * math.pi * (s1 - s2))
@@ -434,7 +431,7 @@ def triple_product_integral(s: complex) -> complex:
     if s.real <= 1.0:
         raise DomainError("triple_product_integral requires Re s > 1")
     try:
-        term = (2.0 * cmath.exp(-2.0 * s * _LOG_TWO_PI)
+        term = (2.0 * kernels._TWO_PI ** (-2.0 * s)
                 * kernels.gamma_complex(s) ** 2
                 * kernels.riemann_zeta(2.0 * s))
         zeta_sq = kernels.riemann_zeta(1.0 - s) ** 2
