@@ -356,7 +356,7 @@ def build_registry() -> list[CheckSpec]:
 
     # -- Corollary 1: antiderivative family ---------------------------------
 
-    for r in range(5):
+    for r in range(7):
         add(f"cor1_collapse_r{r}",
             "symbolic d/da of the antiderivative family collapses to zeta^(r)(s,a)",
             "Corollary 1a-f", 0.0,

@@ -136,14 +136,14 @@ def test_criterion_05_stieltjes_chain():
 
 def test_criterion_06_antiderivative_family():
     from zetalab.reduction import RationalFunctionOfS
-    for r in range(5):
+    for r in range(7):
         collapsed = calculus.antiderivative_alpha_derivative_symbolic(r)
         assert collapsed == {r: RationalFunctionOfS.one()}, r
     assert tuple(t.coefficient for t in calculus.antiderivative_terms(1)) == \
         (Fraction(1), Fraction(1))
     assert tuple(t.coefficient for t in calculus.antiderivative_terms(2)) == \
         (Fraction(2), Fraction(2), Fraction(1))
-    report(6, "symbolic collapse exact for r<=4; r=1,2 coefficient displays literal")
+    report(6, "symbolic collapse exact for r<=6; r=1,2 coefficient displays literal")
 
 
 def test_criterion_07_improper_integral():

@@ -46,7 +46,7 @@ class TestAntiderivativeTerms:
 
 
 class TestSymbolicCollapse:
-    @pytest.mark.parametrize("r", range(5))
+    @pytest.mark.parametrize("r", range(7))
     def test_collapses_to_single_term(self, r):
         collapsed = antiderivative_alpha_derivative_symbolic(r)
         assert collapsed == {r: RationalFunctionOfS.one()}
