@@ -587,9 +587,20 @@ def run_checks(filter: str | None = None) -> list[CheckResult]:
 
     Individual check failures are results, not errors; kernel evaluation
     errors become skipped(reason) results.  Results are ordered by id.
+
+    The checks share one table of zeta jets (``kernels._JET_TABLE``), set
+    for this call only, and run in descending id order: a family numbers
+    its orders upward (``note_fwd_r0..r3``), so its top order takes each
+    jet and the lower orders read it.
     """
-    return [_execute(spec) for spec in build_registry()
-            if filter is None or spec.id.startswith(filter)]
+    specs = [spec for spec in build_registry()
+             if filter is None or spec.id.startswith(filter)]
+    token = kernels._JET_TABLE.set({})
+    try:
+        results = [_execute(spec) for spec in reversed(specs)]
+    finally:
+        kernels._JET_TABLE.reset(token)
+    return results[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,19 @@ def _require(value, flag: str):
     return value
 
 
+# The options each eval --fn reads; another one given is refused, not ignored.
+_EVAL_OPTIONS = {"zeta": ("--deriv", "--s"), "hurwitz": ("--deriv", "--s", "--alpha"),
+                 "digamma": ("--alpha",), "stieltjes": ("--deriv", "--alpha"),
+                 "gamma": ("--s",)}
+
+
 def _run_eval(args) -> str:
     fn = args.fn
+    given = {"--deriv": args.deriv != 0, "--s": args.s is not None,
+             "--alpha": args.alpha is not None}
+    for flag, used in given.items():
+        if used and flag not in _EVAL_OPTIONS[fn]:
+            raise EvaluationError(f"--fn {fn} does not take {flag}")
     if fn == "gamma":
         return format_complex(kernels.gamma_complex(_require(args.s, "--s")))
     if fn == "digamma":

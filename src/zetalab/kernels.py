@@ -21,7 +21,7 @@ expm1(-t*log(M+a))/t.  Subtracting the pole from finished zeta values
 instead would lose all precision near t = 0.  The same sum at a complex
 alpha + k gives zeta(s, alpha) for complex alpha (``hurwitz_taylor``).
 
-A single point is a pure-Python sum (``_em_jet``), and never loads numpy.
+A single point is a pure-Python sum (``_em_jet_sum``), and never loads numpy.
 A quadrature check needs zeta^(r)(s, a) at every node a of a tanh-sinh
 level and takes it from the numpy twin at one s (``_zeta_level``, from
 ``_em_jet_batch``), each node keeping its own M and J; the twin imports
@@ -30,6 +30,14 @@ returned, by one rule after its sum (``_refuse``): a NaN, an alpha <= 0, s
 on the pole, then a non-finite value.  A node the batch leaves non-finite
 is taken again from the scalar sum, which refuses it.
 
+Within one verify pass (``checks.run_checks``) each jet is taken once:
+``_JET_TABLE`` then holds the pass's jets, and a later request for the same
+point, at the same or a lower order, is served from them (a scalar jet from
+``_em_jet``, a level's batch from ``_zeta_level``; neither serves the other).
+No coefficient depends on the highest order asked for, so a served value is
+the bits of a fresh one.  Outside a pass the table is unset and every call
+takes its own sum.
+
 The README lists where, measured against mpmath, values miss the accuracy
 target without warning.
 """
@@ -37,9 +45,11 @@ target without warning.
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
 import numbers
 import operator
+import struct
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -73,6 +83,17 @@ _EM_TAIL_TERMS = 12
 _POLE_GUARD = 0.5
 # The highest s-derivative order of the kernels.
 _MAX_ORDER = 6
+
+# The jets taken so far in the running verify pass, or None outside one (see
+# the module docstring).  A scalar jet's key is the bytes of s, alpha, whether
+# alpha is complex and minus_pole; a batch's is the pair (bytes of s, bytes of
+# the alphas).  Bytes, not the numbers: 1.0 == 1+0j and 0.0 == -0.0, and both
+# pairs hash alike, yet each side of a pair takes its own path or signs its
+# own zeros.
+_JET_TABLE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "zetalab_jet_table", default=None)
+_JET_KEY = struct.Struct("4d2?").pack
+_S_KEY = struct.Struct("2d").pack
 
 
 # B_{2j}/(2j)! and B_{2j}/(2j) for j = 1..20, from the exact module.
@@ -235,6 +256,21 @@ def _jet_head_lengths(s: complex, alphas: np.ndarray) -> np.ndarray:
 
 
 def _em_jet(s: complex, alpha, order: int, minus_pole: bool = False) -> list[complex]:
+    """:func:`_em_jet_sum`, or, within a verify pass, the pass's jet at this
+    point cut to ``order``: a point first asked for, or asked for at a higher
+    order than its jet has, takes the sum at ``order`` and keeps it."""
+    table = _JET_TABLE.get()
+    if table is None:
+        return _em_jet_sum(s, alpha, order, minus_pole)
+    key = _JET_KEY(s.real, s.imag, alpha.real, alpha.imag, isinstance(alpha, complex),
+                   minus_pole)
+    jet = table.get(key)
+    if jet is None or len(jet) <= order:
+        jet = table[key] = _em_jet_sum(s, alpha, order, minus_pole)
+    return jet[:order + 1]
+
+
+def _em_jet_sum(s: complex, alpha, order: int, minus_pole: bool = False) -> list[complex]:
     """Taylor coefficients a_0..a_order of zeta(s+t, alpha) in t, for a
     float alpha > 0 or a complex alpha with Re alpha > 0.
 
@@ -419,15 +455,16 @@ def _times(z: np.ndarray, w) -> np.ndarray:
 
 
 def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
-    """:func:`_em_jet` at one s and every alpha of the 1-D float array
+    """:func:`_em_jet_sum` at one s and every alpha of the 1-D float array
     ``alphas`` (each finite and > 0): column i of the (order + 1) x
     len(alphas) result holds a_0..a_order of zeta(s+t, alphas[i]).
 
     Every node keeps its own head length (:func:`_jet_head_lengths`) and its
     own Bernoulli cut, taken from the order-0 magnitudes as in
-    :func:`_jet_tail`, so its column does not depend on the other nodes.  The
-    head terms are laid out with the term index first, so each running sum
-    runs over all nodes at once; the corrections are sum_j w_j (s+t)_{2j-1},
+    :func:`_jet_tail`, so its column does not depend on the other nodes, and
+    no row depends on the highest order asked for.  The head terms are laid
+    out with the term index first, so each running sum runs over all nodes
+    at once; the corrections are sum_j w_j (s+t)_{2j-1},
     as in :func:`_jet_tail`, the polynomials in t shared by every node and
     the weights w_j zero past a node's cut.  Overflow yields non-finite
     entries, never a warning.
@@ -497,6 +534,9 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
 def _zeta_level(r: int, s: complex, alphas: np.ndarray) -> np.ndarray:
     """zeta^(r)(s, a) at every a of the 1-D float array ``alphas``, a
     quadrature level's nodes, from one :func:`_em_jet_batch` call: r! a_r.
+    Within a verify pass the batch is the pass's batch at s and these nodes,
+    if it reaches order r, and is otherwise taken at order r and kept
+    read-only.
 
     Values and refusals are those of hurwitz_zeta_deriv(r, s, a) node by
     node: s and the first node pass :func:`_refuse` before the batch, and a
@@ -510,9 +550,19 @@ def _zeta_level(r: int, s: complex, alphas: np.ndarray) -> np.ndarray:
     if alphas.size:  # s's refusals, or the first node's, before the batch
         _refuse(r, s, alphas[0], 0j)
     good = (alphas > 0.0) & (alphas < math.inf)
+    nodes = alphas[good]
+    table = _JET_TABLE.get()
+    if table is None:
+        jets = _em_jet_batch(s, nodes, r)
+    else:
+        key = (_S_KEY(s.real, s.imag), nodes.tobytes())
+        jets = table.get(key)
+        if jets is None or len(jets) <= r:
+            jets = table[key] = _em_jet_batch(s, nodes, r)
+            jets.flags.writeable = False
     values = np.full(len(alphas), complex(math.nan, math.nan))
     with np.errstate(invalid="ignore"):  # an inf+nan column is taken again below
-        values[good] = factorial(r) * _em_jet_batch(s, alphas[good], r)[r]
+        values[good] = factorial(r) * jets[r]
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         values[i] = hurwitz_zeta_deriv(r, s, alphas[i])
     return values

@@ -835,6 +835,17 @@ class TestJetBatch:
                     worst = max(worst, math.factorial(r) * abs(got - ref) / bound)
         assert worst <= 1.0
 
+    def test_rows_do_not_depend_on_the_highest_order(self):
+        # a verify pass serves row r from a batch taken at a higher order
+        alphas = np.concatenate([quadrature._opening_nodes(), quadrature._level_nodes(4)[0]])
+        cases = [(s, alphas) for _, s in quadrature_s_values()]
+        cases += [(s, np.array([1e-3, 0.7, 200.0])) for s in CUT_CIRCLES]
+        for s, xs in cases:
+            jets = [kernels._em_jet_batch(s, xs, top) for top in range(kernels._MAX_ORDER + 1)]
+            for top, jet in enumerate(jets):
+                for r in range(top + 1):
+                    assert jet[:r + 1].tobytes() == jets[r].tobytes(), (s, r, top)
+
     def test_columns_do_not_depend_on_the_other_nodes(self):
         alphas = np.array(GRID_ALPHAS)
         for s in GRID_CENTRES:
