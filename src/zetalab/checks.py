@@ -665,6 +665,8 @@ def _render_json(results: Sequence[CheckResult]) -> str:
         # the fixed policy, so the report records what its numbers rest on
         "config": {"target_abs_error": kernels._TARGET_ABS_ERROR,
                    "em_cutoff": kernels._EM_CUTOFF,
+                   "em_min_reach": kernels._EM_MIN_REACH,
+                   "em_reach_per_s": kernels._EM_REACH_PER_S,
                    "em_tail_terms": kernels._EM_TAIL_TERMS},
         "summary": {"passed": passed, "failed": failed, "skipped": skipped},
         "checks": [

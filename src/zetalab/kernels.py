@@ -6,10 +6,12 @@ Hurwitz zeta is computed by Euler-Maclaurin summation,
     zeta(s, a) ~= sum_{n<M} (n+a)^-s  +  (M+a)^(1-s)/(s-1)  +  (M+a)^-s / 2
                   + sum_{j=1..J} B_{2j}/(2j)! * (s)_{2j-1} * (M+a)^(-s-2j+1),
 
-with the head length M and the Bernoulli-correction count J fixed by module
-constants.  For Re s < 1/2 the head length is shrunk so the head/integral
-cancellation cannot eat the fixed absolute accuracy target; the correction
-sum always stops at its smallest term (optimal truncation).
+with the head length M and the Bernoulli-correction count J set by module
+constants.  M + a goes no further than max(8, 4|s|/(2 pi)), where the
+corrections have fallen below rounding (Johansson, arXiv:1309.2877
+section 3), and M is at most 25; for Re s < 1/2 it is shrunk further so the
+head/integral cancellation cannot eat the fixed absolute accuracy target.
+The correction sum always stops at its smallest term (optimal truncation).
 
 There is one such sum, taken as a power series in t at s + t (Taylor mode,
 Johansson, arXiv:1309.2877 sections 2-3): every piece has a closed-form
@@ -74,11 +76,14 @@ __all__ = [
 _MACH_EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 # The fixed numerical policy: the absolute accuracy target for moderate-size
-# values, Euler-Maclaurin head length M and correction count J; s-derivatives
-# are refused within _POLE_GUARD of the pole at s = 1.  Read at call time, so
-# a test may monkeypatch them.
+# values, Euler-Maclaurin head length M (at most _EM_CUTOFF, and no longer
+# than M + a = max(_EM_MIN_REACH, _EM_REACH_PER_S |s|) needs) and correction
+# count J; s-derivatives are refused within _POLE_GUARD of the pole at s = 1.
+# Read at call time, so a test may monkeypatch them.
 _TARGET_ABS_ERROR = 1e-11
 _EM_CUTOFF = 25
+_EM_MIN_REACH = 8.0
+_EM_REACH_PER_S = 4.0 / _TWO_PI
 _EM_TAIL_TERMS = 12
 _POLE_GUARD = 0.5
 # The highest s-derivative order of the kernels.
@@ -205,13 +210,27 @@ def _em_tail_terms(s: complex) -> int:
 def _jet_head_length(s: complex, alpha: float) -> int:
     """Head length M of a Taylor-mode sum.
 
+    M + a need not pass the reach R = max(_EM_MIN_REACH, _EM_REACH_PER_S |s|)
+    (Johansson, arXiv:1309.2877 section 3): the corrections shrink about as
+    (|s| / (2 pi (M+a)))^2 a term, so by R the J of them take the sum below
+    rounding.  M is at most ceil(R - a), at least 2, and never longer than
+    the cancellation rule below gives; where R - a passes _EM_CUTOFF that
+    cap binds, and values at large |Im s| stay the fixed cap's.
+
     For Re s < 1/2 the k-th coefficient's head/integral cancellation is
     L^k/k! times the value's, L = log(M+a), so M allows for the largest such
     factor up to _MAX_ORDER, but is shrunk no further than M + a = 0.6 |Im s|:
     below that the corrections stop converging before they are small
-    (measured).  Raises OverflowError or ValueError for an infinite or NaN
-    alpha.
+    (measured).  That rule is not evaluated where R - a <= 2, whose M is 2
+    whatever it gives: so an infinite alpha takes M = 2.  A NaN alpha raises
+    ValueError for Re s < 1/2.
     """
+    reach = _EM_REACH_PER_S * abs(s)
+    if reach < _EM_MIN_REACH:  # not max(), which costs twice the rest of this path
+        reach = _EM_MIN_REACH
+    reach -= alpha
+    if reach <= 2.0:
+        return 2
     m = _em_head_length(s, alpha)
     if m > 2 and s.real < 0.5:  # 2 is the least M, whatever the growth and floor
         # the largest L^k/k!, k <= _MAX_ORDER, as a running product: the
@@ -221,38 +240,52 @@ def _jet_head_length(s: complex, alpha: float) -> int:
             growth *= log_t / k
         floor = 0.6 * abs(s.imag) - alpha + 1.0
         m = max(_em_head_length(s, alpha, growth), int(floor) if floor < m else m)
-    return m
+    # an infinite or NaN reach (an infinite or NaN s) keeps m
+    return math.ceil(reach) if reach < m else m
 
 
 def _jet_head_lengths(s: complex, alphas: np.ndarray) -> np.ndarray:
     """:func:`_jet_head_length` at one s and every alpha of the 1-D float
-    array ``alphas`` (each finite and > 0), as an integer array.
+    array ``alphas`` (each finite and > 0), as an integer array.  The
+    cancellation rule is evaluated only at the nodes whose reach passes 2.
 
-    Every step rounds as the scalar rule does: powers by ``np.float_power``,
-    which calls the C library's pow as Python's ``**`` does (``np.power``
-    may differ from it by an ulp, and an ulp moved in round(cap - alpha)
-    would move M); logarithms by ``math.log``; ties of round(cap - alpha) to
-    even as Python's round; and min() keeping M when the other side is not
-    smaller.
+    Every step rounds as the scalar rule does: R - alpha and its ceiling
+    are exact in both; powers by ``np.float_power``, which calls the C
+    library's pow as Python's ``**`` does (``np.power`` may differ from it
+    by an ulp, and an ulp moved in round(cap - alpha) would move M);
+    logarithms by ``math.log``; ties of round(cap - alpha) to even as
+    Python's round; and min() keeping M when the other side is not smaller.
     """
     import numpy as np
 
-    if not s.real < 0.5:
-        return np.full(len(alphas), _EM_CUTOFF)
-    power = 1.0 / (1.0 - s.real)
+    reach = _EM_REACH_PER_S * abs(s)
+    if reach < _EM_MIN_REACH:
+        reach = _EM_MIN_REACH
+    reach = reach - alphas
+    far = reach > 2.0
+    m = np.full(len(alphas), 2)
+    if not far.any():
+        return m
+    reach, alphas = reach[far], alphas[far]
+    if s.real < 0.5:
+        power = 1.0 / (1.0 - s.real)
 
-    def length(cap):  # _em_head_length's M, given its cap
-        return np.minimum(np.maximum(np.round(cap - alphas) + 1.0, 2.0), _EM_CUTOFF)
+        def length(cap):  # _em_head_length's M, given its cap
+            return np.minimum(np.maximum(np.round(cap - alphas) + 1.0, 2.0), _EM_CUTOFF)
 
-    m = length((_TARGET_ABS_ERROR / (5.0 * _MACH_EPS)) ** power)
-    log_t = np.array(list(map(math.log, (m + alphas).tolist())))
-    growth = np.ones(len(alphas))
-    for k in range(1, _MAX_ORDER + 1):
-        growth = np.where(k <= log_t, growth * (log_t / k), growth)
-    floor = 0.6 * abs(s.imag) - alphas + 1.0
-    return np.maximum(length(np.float_power(_TARGET_ABS_ERROR / (5.0 * _MACH_EPS * growth),
-                                            power)),
-                      np.trunc(np.where(floor < m, floor, m))).astype(int)
+        cut = length((_TARGET_ABS_ERROR / (5.0 * _MACH_EPS)) ** power)
+        log_t = np.array(list(map(math.log, (cut + alphas).tolist())))
+        growth = np.ones(len(alphas))
+        for k in range(1, _MAX_ORDER + 1):
+            growth = np.where(k <= log_t, growth * (log_t / k), growth)
+        floor = 0.6 * abs(s.imag) - alphas + 1.0
+        cut = np.maximum(length(np.float_power(_TARGET_ABS_ERROR / (5.0 * _MACH_EPS * growth),
+                                               power)),
+                         np.trunc(np.where(floor < cut, floor, cut)))
+    else:
+        cut = np.full(len(alphas), float(_EM_CUTOFF))
+    m[far] = np.where(reach < cut, np.ceil(reach), cut)
+    return m
 
 
 def _em_jet(s: complex, alpha, order: int, minus_pole: bool = False) -> list[complex]:
@@ -355,6 +388,13 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
     orders >= 1 only, sums the higher coefficients of the polynomials
     (s+t)_{2j-1} up to that cut.  Neither pass depends on ``size`` below the
     coefficients it makes, so no coefficient does.
+
+    J stays fixed.  A stop once |term| <= eps |acc| would fire at the first
+    exactly zero term: at a non-positive integer s the rising factorial
+    (s)_{2j-1} vanishes once j >= 1 - s/2 (from j = 1 at s = 0), so every
+    later order-0 term is zero, while the higher coefficients are not.  In
+    a trial such a stop cut them short, and the finite-difference checks
+    prop3_fd_r1..r3 and cor2_* missed by 1e-5.
     """
     inv_t2 = 1.0 / (big_t * big_t)
     weight, poch, acc, min_mag, a = 1.0 / big_t, s, 0j, math.inf, s + 1.0

@@ -760,6 +760,64 @@ def ulps_around(x, count=20):
     return [x + d * EPS * abs(x) for d in range(-count, count + 1)]
 
 
+def fixed_cap_head_length(s, alpha):
+    """The head length rule before the reach bound, copied as the reference
+    the reach may only shorten: _EM_CUTOFF, shrunk for Re s < 1/2 so the
+    head/integral cancellation times the largest L^k/k! stays below the
+    target, and floored at M + alpha = 0.6 |Im s|."""
+    def shrunk(growth):
+        if s.real < 0.5:
+            cap = (kernels._TARGET_ABS_ERROR / (5.0 * EPS * growth)) ** (1.0 / (1.0 - s.real))
+            return min(kernels._EM_CUTOFF, max(2, round(cap - alpha) + 1))
+        return kernels._EM_CUTOFF
+
+    m = shrunk(1.0)
+    if m > 2 and s.real < 0.5:
+        log_t, growth = math.log(m + alpha), 1.0
+        for k in range(1, min(int(log_t), kernels._MAX_ORDER) + 1):
+            growth *= log_t / k
+        floor = 0.6 * abs(s.imag) - alpha + 1.0
+        m = max(shrunk(growth), int(floor) if floor < m else m)
+    return m
+
+
+def reach(s):
+    """max(_EM_MIN_REACH, _EM_REACH_PER_S |s|): how far M + alpha need go."""
+    return max(kernels._EM_MIN_REACH, kernels._EM_REACH_PER_S * abs(s))
+
+
+class TestHeadLength:
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
+    def test_reach_only_shortens_the_fixed_cap_rule(self, target):
+        # M = min(fixed cap rule, max(2, ceil(R - alpha))) on a seeded grid,
+        # and M = 2 at alpha = inf, where the fixed cap rule raises for
+        # Re s < 1/2
+        rng = random.Random(20261019)
+        alphas = [math.exp(rng.uniform(math.log(1e-8), math.log(1e6))) for _ in range(40)]
+        shortened = kept = 0
+        for _ in range(400):
+            s = complex(rng.uniform(-60.0, 30.0), rng.uniform(-100.0, 100.0))
+            for alpha in alphas:
+                m, fixed = kernels._jet_head_length(s, alpha), fixed_cap_head_length(s, alpha)
+                assert m <= fixed, (s, alpha)
+                assert m == min(fixed, max(2, math.ceil(reach(s) - alpha))), (s, alpha)
+                shortened += m < fixed
+                kept += m == fixed > 2
+            assert kernels._jet_head_length(s, math.inf) == 2
+            assert jet_lengths_match_scalar(s, alphas)
+        assert shortened and kept  # both rules bind somewhere on the grid
+
+    def test_a_reach_within_two_skips_the_cancellation_rule(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("the cancellation rule was evaluated")
+
+        monkeypatch.setattr(kernels, "_em_head_length", unused)
+        for s in (2.0 + 0j, -40.5 + 3.0j, 0.3 + 5.0j, 12.0 + 50.0j):
+            for alpha in (reach(s) - 1.0, reach(s), 50.0, 1e78, 1e160, math.inf):
+                assert kernels._jet_head_length(s, alpha) == 2, (s, alpha)
+            assert kernels._jet_head_lengths(s, np.array([reach(s), 1e78])).tolist() == [2, 2]
+
+
 def quadrature_s_values():
     """(r, s) of every zeta factor the quadrature checks integrate, recorded
     from a run of the registry."""
@@ -779,17 +837,40 @@ def quadrature_s_values():
 
 class TestJetBatch:
     @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
-    def test_head_lengths_match_scalar_rule(self, target):
+    def test_head_lengths_match_scalar_rule(self, target, monkeypatch):
         rng = random.Random(20261020)
         alphas = GRID_ALPHAS + [math.exp(rng.uniform(math.log(1e-3), math.log(200.0)))
                                 for _ in range(10)]
-        # both sides of Re s = 1/2, the extremes, and random points where the
-        # 0.6 |Im s| floor may bind
+        # both sides of Re s = 1/2, the extremes, random points where the
+        # 0.6 |Im s| floor may bind, and random points right of 1/2 where
+        # the reach grows with |s|
         points = [complex(x, y) for x in ulps_around(0.5) + [0.4999, -1e300, -40.5, 1e300]
                   for y in (0.0, 7.0, -60.0)]
         points += [complex(rng.uniform(-3.0, 0.5), rng.uniform(-80.0, 80.0))
                    for _ in range(500)]
+        points += [complex(rng.uniform(0.5, 30.0), rng.uniform(-80.0, 80.0))
+                   for _ in range(200)]
         assert all(jet_lengths_match_scalar(s, alphas) for s in points)
+        # R - alpha at an integer k and an ulp or so either side: R =
+        # _EM_MIN_REACH at alpha = 8 - k, or _EM_REACH_PER_S |s| on circles
+        # |s| = (k + alpha) / _EM_REACH_PER_S outside |s| = 8 / _EM_REACH_PER_S,
+        # past the cutoff too
+        for s in (2.0 + 0j, 0.3 + 5.0j, -1.5 + 4.0j):
+            assert all(jet_lengths_match_scalar(s, ulps_around(kernels._EM_MIN_REACH - k, 3))
+                       for k in range(1, 8))
+        exact = 0
+        for k in range(1, kernels._EM_CUTOFF + 6):
+            for alpha in (0.3, 2.7, 12.0):
+                if k + alpha < kernels._EM_MIN_REACH:
+                    continue
+                for x in (-1.0, 0.2, 0.7, 3.0):
+                    y = math.sqrt(((k + alpha) / kernels._EM_REACH_PER_S) ** 2 - x * x)
+                    for s in (complex(x, y) for y in ulps_around(y, 3)):
+                        exact += reach(s) - alpha == k
+                        assert jet_lengths_match_scalar(s, [alpha]), (s, alpha)
+        assert exact
+        # the cancellation rule's own ties, with the reach out of its way
+        monkeypatch.setattr(kernels, "_EM_MIN_REACH", math.inf)
         base = target / (5.0 * EPS)
         for alpha in ALPHAS:
             # round(cap - alpha) at k + 1/2, first with the plain cap, then

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -103,8 +104,9 @@ class TestReports:
 
     def test_json_config_block(self, full_results):
         doc = json.loads(render_report(full_results, "json"))
-        assert doc["config"] == {"em_cutoff": 25, "em_tail_terms": 12,
-                                 "target_abs_error": 1e-11}
+        assert doc["config"] == {"em_cutoff": 25, "em_min_reach": 8.0,
+                                 "em_reach_per_s": 4.0 / (2.0 * math.pi),
+                                 "em_tail_terms": 12, "target_abs_error": 1e-11}
 
     def test_json_report_matches_pinned_digest(self, capsys):
         assert main(["verify", "--format", "json"]) == 0
