@@ -379,7 +379,7 @@ class TestNaNArguments:
         lambda: hurwitz_taylor(-1e300, 0.5, 2),
         lambda: pair_integral(1e300, 0.2),
         lambda: gamma_complex(-1e300),
-        # the head length for Re s < 1/2 meets alpha = inf
+        # alpha = inf at Re s < 1/2: M = 2, and (M+a)^(1-s) is infinite
         lambda: hurwitz_zeta_deriv(1, 0.3, math.inf),
         lambda: hurwitz_zeta(0.3, math.inf),
     ], ids=["re+inf", "re-inf", "im+inf", "im-inf", "re-3_im+inf", "taylor_im+inf",
@@ -413,6 +413,8 @@ class TestConfig:
     def test_defaults(self):
         assert kernels._TARGET_ABS_ERROR == 1e-11
         assert kernels._EM_CUTOFF == 25 and kernels._EM_TAIL_TERMS == 12
+        assert kernels._EM_MIN_REACH == 8.0
+        assert kernels._EM_REACH_PER_S == 4.0 / (2.0 * math.pi)
         assert kernels._POLE_GUARD == 0.5 and kernels._MAX_ORDER == 6
 
     def test_no_public_callable_takes_a_config(self):
@@ -440,8 +442,11 @@ class TestConfig:
         assert checked > 50
 
     def test_custom_precision_still_accurate(self, monkeypatch):
+        # a reach past the cutoff, so the head is the 40 terms asked for
         monkeypatch.setattr(kernels, "_EM_CUTOFF", 40)
+        monkeypatch.setattr(kernels, "_EM_MIN_REACH", 50.0)
         monkeypatch.setattr(kernels, "_EM_TAIL_TERMS", 14)
+        assert kernels._jet_head_length(2.0 + 0j, 1.0) == 40
         assert abs(riemann_zeta(2.0) - math.pi ** 2 / 6.0) < 1e-12
         assert abs(riemann_zeta_deriv(1, 2.0) - zeta_prime_2_oracle()) < 1e-9
 
