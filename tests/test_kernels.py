@@ -870,7 +870,7 @@ class TestJetBatch:
                     continue
                 for x in (-1.0, 0.2, 0.7, 3.0):
                     y = math.sqrt(((k + alpha) / kernels._EM_REACH_PER_S) ** 2 - x * x)
-                    for s in (complex(x, y) for y in ulps_around(y, 3)):
+                    for s in (complex(x, v) for v in ulps_around(y, 3)):
                         exact += reach(s) - alpha == k
                         assert jet_lengths_match_scalar(s, [alpha]), (s, alpha)
         assert exact
