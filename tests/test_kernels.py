@@ -326,6 +326,7 @@ class TestNaNArguments:
         (lambda: hurwitz_zeta(NAN, 1.0), "hurwitz_zeta", "s"),
         (lambda: hurwitz_zeta(complex(2.0, NAN), 1.0), "hurwitz_zeta", "s"),
         (lambda: hurwitz_zeta(2.0, NAN), "hurwitz_zeta", "alpha"),
+        (lambda: hurwitz_zeta(-1.5 + 4.0j, NAN), "hurwitz_zeta", "alpha"),
         (lambda: hurwitz_zeta_deriv(0, NAN, 1.0), "hurwitz_zeta", "s"),
         (lambda: hurwitz_zeta_deriv(1, NAN, 1.0), "hurwitz_zeta_deriv", "s"),
         (lambda: hurwitz_zeta_deriv(4, 2.0, NAN), "hurwitz_zeta_deriv", "alpha"),
@@ -349,6 +350,8 @@ class TestNaNArguments:
         (lambda: hurwitz_zeta(-1.5 + 2.0j, -0.3), "hurwitz_zeta"),
         (lambda: hurwitz_zeta_deriv(0, 2.0, -1.0), "hurwitz_zeta"),
         (lambda: hurwitz_zeta_deriv(3, 2.0, 0.0), "hurwitz_zeta_deriv"),
+        (lambda: hurwitz_zeta(2.0, -math.inf), "hurwitz_zeta"),
+        (lambda: hurwitz_zeta_deriv(2, 0.3 + 5.0j, -math.inf), "hurwitz_zeta_deriv"),
         (lambda: stieltjes(2, -0.5), "stieltjes"),
         (lambda: stieltjes(-1, 0.0), "stieltjes"),
         (lambda: digamma(0.0), "digamma"),
