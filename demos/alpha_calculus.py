@@ -7,8 +7,8 @@ import math
 from zetalab import (alpha_derivative, alpha_derivative_at_zero,
                      antiderivative_alpha_derivative_symbolic,
                      antiderivative_terms, digamma, hurwitz_zeta_deriv,
-                     integral_01, integral_1_inf, psi_chain, riemann_zeta,
-                     stieltjes_alpha_derivative)
+                     integral_1_inf, integral_poly_zeta, psi_chain,
+                     riemann_zeta, stieltjes_alpha_derivative)
 
 print("Forward rule d/da zeta^(r)(s,a) = -r zeta^(r-1)(s+1,a) - s zeta^(r)(s+1,a),")
 print("checked against a finite difference:")
@@ -45,7 +45,8 @@ print(f"  fd check psi'(0.5): {(digamma(0.5+h) - digamma(0.5-h))/(2*h):.10g} "
       f"vs {psi_chain(1, 0.5).real:.10g}")
 
 print("\nDefinite integrals that follow:")
-print(f"  int_0^1 zeta'(-0.5, a) da (endpoint route) = {abs(integral_01(1, -0.5)):.2e}")
+print(f"  int_0^1 zeta'(s, a) da, Re s < 1, reduces exactly to "
+      f"{integral_poly_zeta((), 1).serialize()}")
 print(f"  int_1^inf zeta(3, a) da = {integral_1_inf(0, 3.0).real:.12g} "
       f"(zeta(2)/2 = {riemann_zeta(2.0).real/2:.12g})")
 print(f"  int_1^inf zeta'(3, a) da = {integral_1_inf(1, 3.0).real:.12g}")

@@ -10,7 +10,7 @@ verifies every identity the package implements.
 from .calculus import (AntiderivativeTerm, alpha_derivative,
                        alpha_derivative_at_zero,
                        antiderivative_alpha_derivative_symbolic,
-                       antiderivative_eval, antiderivative_terms, integral_01,
+                       antiderivative_eval, antiderivative_terms,
                        integral_1_inf, psi_chain, stieltjes_alpha_derivative)
 from .checks import (CheckResult, CheckSpec, build_registry, render_report,
                      run_checks)

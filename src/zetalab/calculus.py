@@ -1,6 +1,7 @@
 """The alpha-calculus layer: antiderivative families in alpha, the forward
-alpha-derivative rule, the digamma derivative chain, and the two definite
-integrals that follow from them.
+alpha-derivative rule, the digamma derivative chain, and the integral over
+[1, inf) that follows from them.  The zero mean over [0, 1] (Corollary 4)
+is the empty product of :func:`zetalab.reduction.integral_poly_zeta`.
 
 Central derived fact: the antiderivative of zeta^(r)(s, .) is
 
@@ -34,7 +35,6 @@ __all__ = [
     "alpha_derivative_at_zero",
     "stieltjes_alpha_derivative",
     "psi_chain",
-    "integral_01",
     "integral_1_inf",
 ]
 
@@ -172,23 +172,6 @@ def psi_chain(r: int, alpha: float) -> complex:
         raise NumericOverflowError("psi_chain overflow")
     value = (-1.0) ** (r - 1) * factorial(r) * kernels.hurwitz_zeta(r + 1.0, alpha)
     return kernels._require_finite(value, "psi_chain")
-
-
-def integral_01(r: int, s: complex) -> complex:
-    """int_0^1 zeta^(r)(s, a) da for Re s < 1, via antiderivative endpoints.
-
-    For Re s < 1 the antiderivative F is continuous up to a = 0, and term by
-    term F(0+) equals F(1): both are sums of zeta^(l)(s-1).  So the endpoint
-    route F(1) - F(0+) is an identity and returns 0; evaluating F still
-    refuses the points where the kernels do.  The independent check of the
-    statement is tanh-sinh quadrature (the ``cor4_quad`` checks).
-    """
-    r = kernels._check_order(r)
-    s = complex(s)
-    if s.real >= 1.0:
-        raise DomainError("integral_01 requires Re s < 1")
-    at_one = _antiderivative(r, s, 1.0)
-    return at_one - at_one
 
 
 def integral_1_inf(r: int, s: complex) -> complex:

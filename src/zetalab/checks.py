@@ -5,8 +5,11 @@ integral, and pole-order fact of the alpha-calculus gets at least one
 registered check.  Exact statements (rational arithmetic, symbolic
 collapses) are checked for literal equality; numeric statements carry a
 per-check absolute tolerance derived from the kernel accuracy analysis:
-~1e-9 for direct kernel identities, 1e-6 for finite-difference checks,
-1e-3 for the s -> 1 limit extrapolation.
+1e-12 to 1e-9 for direct kernel identities, 1e-8 to 1e-6 for quadrature
+and finite-difference checks, 1e-5 for the finite differences of
+``cor2_second_link`` and ``cor2_gamma1_chain``, 5e-2, 5e-3 and 1e-3
+for the s -> 1 limit at s = 0.9, 0.99 and 0.999, and 1e-3 for the
+eps -> 0 limit of ``pole_psi_simple``.
 
 The kernels run at one fixed accuracy policy, which the JSON report
 records under "config".  Checks are pure; two runs produce identical
@@ -417,13 +420,6 @@ def build_registry() -> list[CheckSpec]:
         lambda: (calculus.integral_1_inf(0, 3.0), kernels.riemann_zeta(2.0) / 2.0))
 
     # -- Corollary 4: zero mean on [0, 1] ------------------------------------
-
-    for r in (0, 1, 2):
-        add(f"cor4_endpoint_r{r}",
-            "int_0^1 zeta^(r)(s,a) da vanishes via antiderivative endpoints",
-            "Corollary 4", 1e-9,
-            lambda r=r: _worst(product((-1.0, -0.5, -2.5, 0.3, 0.5 + 0.5j)),
-                               partial(calculus.integral_01, r), lambda s: 0j))
 
     for r in (0, 1, 2):
         add(f"cor4_quad_r{r}",

@@ -38,8 +38,8 @@ from typing import Iterator, Sequence
 
 from . import kernels
 from .errors import DomainError, NumericOverflowError, PoleProximityError
-from .exact import (RatPoly, _endpoint_jumps, _int_poly_mul, _integer_form,
-                    bernoulli_polynomial)
+from .exact import (RatPoly, _bernoulli_product_form, _endpoint_jumps,
+                    _int_poly_mul, _integer_form)
 
 __all__ = [
     "DerivAtom",
@@ -335,11 +335,10 @@ def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
     degree = sum(m + 1 for m in ms)
     if degree > MAX_DEGREE:
         raise ValueError(f"total product degree {degree} exceeds {MAX_DEGREE}")
-    c, d = [1], 1
-    for m in ms:
-        cb, db = _integer_form(bernoulli_polynomial(m + 1))
-        c, d = _int_poly_mul(c, [-x for x in cb]), d * db * (m + 1)
-    return _reduce_integer_form(c, d, r)
+    c, d = _bernoulli_product_form([m + 1 for m in ms])
+    if len(ms) % 2:
+        c = [-x for x in c]
+    return _reduce_integer_form(c, d * math.prod(m + 1 for m in ms), r)
 
 
 def eval_combination(lc: LinearCombination, s: complex) -> complex:

@@ -1,5 +1,5 @@
 """Alpha-calculus layer: antiderivatives, forward rule, Stieltjes chain,
-and the two definite integrals."""
+and the integral over [1, inf)."""
 
 import math
 from fractions import Fraction
@@ -12,7 +12,7 @@ from zetalab.calculus import (AntiderivativeTerm, alpha_derivative,
                               alpha_derivative_at_zero,
                               antiderivative_alpha_derivative_symbolic,
                               antiderivative_eval, antiderivative_terms,
-                              integral_01, integral_1_inf, psi_chain,
+                              integral_1_inf, psi_chain,
                               stieltjes_alpha_derivative)
 from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import zeta_neg_int_poly
@@ -194,20 +194,6 @@ class TestPsiChain:
             psi_chain(170, 0.5)
 
 
-class TestIntegral01:
-    def test_r0_s_minus_one_exact(self):
-        assert integral_01(0, -1.0) == 0j
-
-    @pytest.mark.parametrize("r", [0, 1, 2])
-    @pytest.mark.parametrize("s", [-2.5, -0.5, 0.3, 0.5 + 0.5j])
-    def test_magnitude_certificate(self, r, s):
-        assert abs(integral_01(r, s)) <= 1e-9
-
-    def test_precondition(self):
-        with pytest.raises(DomainError):
-            integral_01(0, 1.5)
-
-
 class TestIntegral1Inf:
     def test_r0_s3(self):
         assert abs(integral_1_inf(0, 3.0) - math.pi ** 2 / 12.0) < 1e-10
@@ -276,19 +262,6 @@ def per_order_antiderivative(r, s, alpha):
     return total
 
 
-def per_order_integral_01(r, s):
-    """integral_01 as F(1) - F(0+), both endpoints evaluated order by order."""
-    s = complex(s)
-    one_minus_s = 1.0 - s
-    total = 0j
-    for term in antiderivative_terms(r):
-        at_one = hurwitz_zeta_deriv(term.deriv_order, s - 1.0, 1.0)
-        at_zero = riemann_zeta_deriv(term.deriv_order, s - 1.0)
-        total += (float(term.coefficient)
-                  * (at_one - at_zero) / one_minus_s ** term.pole_power)
-    return total
-
-
 def per_order_integral_1_inf(r, s):
     """integral_1_inf as minus the Riemann-zeta sum, order by order."""
     s = complex(s)
@@ -332,12 +305,6 @@ class TestOneJetPerPoint:
                             == per_order_alpha_derivative(r, s, a)), (r, s, a)
 
     @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
-    def test_integral_01(self, target):
-        for r in range(7):
-            for s in (-2.5, -0.5, 0.3, 0.5 + 0.5j, -1.5 + 2.0j):
-                assert integral_01(r, s) == per_order_integral_01(r, s)
-
-    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
     def test_integral_1_inf(self, target):
         for r in range(7):
             for s in (2.6, 3.0, 4.0 + 1.0j, 2.2 - 0.5j):
@@ -345,10 +312,9 @@ class TestOneJetPerPoint:
 
     @pytest.mark.parametrize("call, r_max", [
         (lambda r: antiderivative_eval(r, -0.5 + 1.0j, 0.7), 6),
-        (lambda r: integral_01(r, 0.3), 6),
         (lambda r: integral_1_inf(r, 3.0), 6),
         (lambda r: alpha_derivative(r, 2.0, 0.3), 6),
-    ], ids=["antiderivative_eval", "integral_01", "integral_1_inf", "alpha_derivative"])
+    ], ids=["antiderivative_eval", "integral_1_inf", "alpha_derivative"])
     def test_one_jet_per_call(self, monkeypatch, call, r_max):
         jets = []
         jet = kernels._em_jet

@@ -9,7 +9,7 @@ from zetalab import calculus
 from zetalab.calculus import (alpha_derivative, alpha_derivative_at_zero,
                               antiderivative_alpha_derivative_symbolic,
                               antiderivative_eval, antiderivative_terms,
-                              integral_01, integral_1_inf, psi_chain,
+                              integral_1_inf, psi_chain,
                               stieltjes_alpha_derivative)
 from zetalab.errors import NumericOverflowError
 from zetalab.exact import RatPoly
@@ -32,7 +32,6 @@ ENTRY_POINTS = {
     "alpha_derivative_at_zero": lambda r: alpha_derivative_at_zero(r, 0.7),
     "stieltjes_alpha_derivative": lambda r: stieltjes_alpha_derivative(r, 1.0),
     "psi_chain": lambda r: psi_chain(r, 1.0),
-    "integral_01": lambda r: integral_01(r, -0.5),
     "integral_1_inf": lambda r: integral_1_inf(r, 3.0),
     "reduce_monomial": lambda r: reduce_monomial(2, r).serialize(),
     "reduce_poly": lambda r: reduce_poly(RatPoly((1, 2, 3)), r).serialize(),

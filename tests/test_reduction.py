@@ -198,8 +198,13 @@ class TestIntegralPolyZeta:
         lc = integral_poly_zeta((0,), 0)
         assert lc == LinearCombination({DerivAtom(0, 1): rf((1,), S_MINUS_1)})
 
-    def test_empty_sequence_is_zero(self):
-        assert integral_poly_zeta((), 0).is_zero()
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_empty_sequence_is_zero(self, r):
+        # Corollary 4: int_0^1 zeta^(r)(s, a) da = 0 for Re s < 1
+        lc = integral_poly_zeta((), r)
+        assert lc.is_zero()
+        for s in (-1.0, -0.5, -2.5, 0.3, 0.5 + 0.5j):
+            assert eval_combination(lc, s) == 0j
 
     def test_shift_bound_r1(self):
         lc = integral_poly_zeta((1, 2), 1)
