@@ -1,5 +1,5 @@
 """Alpha-calculus layer: antiderivatives, forward rule, Stieltjes chain,
-and the integral over [1, inf)."""
+the zero mean over [0, 1], and the integral over [1, inf)."""
 
 import math
 from fractions import Fraction
@@ -18,6 +18,7 @@ from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import zeta_neg_int_poly
 from zetalab.kernels import (digamma, hurwitz_zeta, hurwitz_zeta_deriv,
                              riemann_zeta, riemann_zeta_deriv, stieltjes)
+from zetalab.quadrature import tanh_sinh_01
 from zetalab.reduction import RationalFunctionOfS
 
 from test_kernels import zeta_prime_2_oracle
@@ -192,6 +193,31 @@ class TestPsiChain:
         # 170! * zeta(171, 0.5) ~ 2^171 * 170! is past the largest double
         with pytest.raises(NumericOverflowError):
             psi_chain(170, 0.5)
+
+
+class TestZeroMeanOnUnitInterval:
+    """Corollary 4: int_0^1 zeta^(r)(s, a) da = 0 for Re s < 1."""
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("s", [-2.5, -0.5, 0.3, 0.5 + 0.5j])
+    def test_quadrature_vanishes(self, r, s):
+        q = tanh_sinh_01(
+            lambda xs: [hurwitz_zeta_deriv(r, s, a) for a in xs.tolist()], 1e-8)
+        assert abs(q.value) <= 1e-9
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("s", [-2.5, -0.5, 0.3, 0.5 + 0.5j])
+    def test_unit_shift_gap_vanishes_at_zero(self, r, s):
+        # F(a) - F(a+1) = sum_l c_l (-log a)^l a^(1-s)/(1-s)^(r+1-l), from
+        # zeta(s-1, a) - zeta(s-1, a+1) = a^(1-s); it tends to 0 as a -> 0+
+        # when Re s < 1, which is why F(0+) = F(1)
+        s = complex(s)
+        for a in (0.5, 1e-2, 1e-4, 1e-6):
+            gap = sum(float(t.coefficient) * (-math.log(a)) ** t.deriv_order
+                      * a ** (1.0 - s) / (1.0 - s) ** t.pole_power
+                      for t in antiderivative_terms(r))
+            shifted = antiderivative_eval(r, s, a) - antiderivative_eval(r, s, a + 1.0)
+            assert abs(shifted - gap) <= 1e-12, (a, shifted, gap)
 
 
 class TestIntegral1Inf:
