@@ -122,7 +122,7 @@ def _laurent_in_one_minus_s(row: dict[int, Fraction], top: int) -> RationalFunct
         for i in range(k + 1):
             num[i] += (-1) ** (top + i) * comb(k, i) * c
     den = RatPoly((-1) ** (top - i) * comb(top, i) for i in range(top + 1))
-    return RationalFunctionOfS._reduced(RatPoly(num), den)
+    return RationalFunctionOfS(RatPoly(num), den)
 
 
 def alpha_derivative(r: int, s: complex, alpha: float) -> complex:

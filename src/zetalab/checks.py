@@ -348,7 +348,7 @@ def build_registry() -> list[CheckSpec]:
     add("prop4_closed_r1", "d/da gamma_0(a) = -zeta(2, a)",
         "Proposition 4 / Corollary 2", 1e-9,
         lambda: (calculus.stieltjes_alpha_derivative(1, 1.0),
-                 -kernels.hurwitz_zeta(2.0, 1.0)))
+                 complex(-math.pi ** 2 / 6)))
 
     # -- Note: forward difference with log factor ----------------------------
 
@@ -417,13 +417,13 @@ def build_registry() -> list[CheckSpec]:
 
     add("cor3_exact_r0_s3", "r=0, s=3 value is zeta(2)/2",
         "Corollary 3", 1e-10,
-        lambda: (calculus.integral_1_inf(0, 3.0), kernels.riemann_zeta(2.0) / 2.0))
+        lambda: (calculus.integral_1_inf(0, 3.0), complex(math.pi ** 2 / 12)))
 
     # -- Corollary 4: zero mean on [0, 1] ------------------------------------
 
     for r in (0, 1, 2):
         add(f"cor4_quad_r{r}",
-            "the same vanishing integral by tanh-sinh quadrature",
+            "int_0^1 zeta^(r)(s,a) da = 0 by tanh-sinh quadrature",
             "Corollary 4", 1e-7,
             lambda r=r: _worst(product((-1.5, 0.3)),
                                lambda s: _quad(lambda xs: kernels._zeta_level(r, s, xs), 1e-8),
@@ -537,7 +537,7 @@ def build_registry() -> list[CheckSpec]:
         lambda: (complex(_central(kernels.digamma, 0.5, 1e-4)), calculus.psi_chain(1, 0.5)))
     add("pole_psi_chain_r2", "d^2/da^2 psi(a) = -2 zeta(3, a) at a=1",
         "psi derivative chain", 1e-9,
-        lambda: (calculus.psi_chain(2, 1.0), -2.0 * kernels.riemann_zeta(3.0)))
+        lambda: (calculus.psi_chain(2, 1.0), complex(-2 * 1.2020569031595942)))  # zeta(3)
 
     # -- Kernel cross-validation (supporting checks) ---------------------------
 

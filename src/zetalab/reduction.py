@@ -19,7 +19,10 @@ Bernoulli polynomials) is held as integer numerators over one denominator in
 the integer core of ``zetalab.exact``, whose endpoint jumps give the
 numerators of the rational constants, and the denominators Q_k(s), Q_k'(s)
 and Q_k(s)^2 come from one table cached for k <= MAX_DEGREE.  Poles of the
-coefficients land only at integer shifts s = 1..N by construction.
+coefficients land only at integer shifts s = 1..N by construction.  Q_k has
+simple roots, so every coefficient is built reduced over a monic
+denominator, and :class:`RationalFunctionOfS` stores it as built: no
+polynomial gcd runs.
 
 The closed-form product integrals (the two-factor integral over (0,1), its
 s -> 1 limit combination, and the specific triple-product evaluation) live
@@ -58,73 +61,30 @@ MAX_DEGREE = 64
 
 
 # ---------------------------------------------------------------------------
-# Polynomial gcd machinery (over Fraction coefficients)
-# ---------------------------------------------------------------------------
-
-
-def _poly_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(a.degree - b.degree + 1, 0)
-    rem = list(a.coeffs)
-    db, lead = b.degree, b.leading()
-    while len(rem) - 1 >= db and rem:
-        factor = rem[-1] / lead
-        shift = len(rem) - 1 - db
-        q[shift] = factor
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= factor * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return RatPoly(q), RatPoly(rem)
-
-
-def _poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.scale(1 / a.leading())  # monic
-
-
-# ---------------------------------------------------------------------------
 # The coefficients: rational functions of s
 # ---------------------------------------------------------------------------
 
 
 class RationalFunctionOfS:
-    """A quotient of polynomials in s, stored gcd-reduced with monic denominator."""
+    """A quotient num/den of polynomials in s, stored as given.
+
+    Nothing is cancelled or made monic: the reductions build every
+    coefficient reduced over a monic denominator, and a hand-built or
+    arithmetic quotient keeps the num and den it was made from.  Equality
+    compares values, num * other.den == other.num * den, so instances are
+    unhashable.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: RatPoly, den: RatPoly = RatPoly((1,))):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = RatPoly(), RatPoly((1,))
-        else:
-            g = _poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = _poly_divmod(num, g)
-                den, _ = _poly_divmod(den, g)
-            lead = den.leading()
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalFunctionOfS is immutable")
-
-    @classmethod
-    def _reduced(cls, num: RatPoly, den: RatPoly) -> "RationalFunctionOfS":
-        """Wrap a quotient the caller knows is gcd-reduced with monic den."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        return self
 
     @staticmethod
     def zero() -> "RationalFunctionOfS":
@@ -132,7 +92,7 @@ class RationalFunctionOfS:
 
     @staticmethod
     def one() -> "RationalFunctionOfS":
-        return RationalFunctionOfS._reduced(RatPoly((1,)), RatPoly((1,)))
+        return RationalFunctionOfS(RatPoly((1,)))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -147,14 +107,11 @@ class RationalFunctionOfS:
         return self + (-other)
 
     def __neg__(self) -> "RationalFunctionOfS":
-        return self._reduced(-self.num, self.den)
+        return RationalFunctionOfS(-self.num, self.den)
 
     def __mul__(self, other) -> "RationalFunctionOfS":
         if isinstance(other, (int, Fraction)):
-            # a nonzero scalar changes neither the gcd nor the monic den
-            if other == 0:
-                return self.zero()
-            return self._reduced(self.num.scale(other), self.den)
+            return RationalFunctionOfS(self.num.scale(other), self.den)
         if not isinstance(other, RationalFunctionOfS):
             return NotImplemented
         return RationalFunctionOfS(self.num * other.num, self.den * other.den)
@@ -163,10 +120,9 @@ class RationalFunctionOfS:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFunctionOfS)
-                and self.num == other.num and self.den == other.den)
+                and self.num * other.den == other.num * self.den)
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+    __hash__ = None  # equal values need not share a num and den
 
     def shifted_argument(self, delta) -> "RationalFunctionOfS":
         """Return f(s + delta)."""
@@ -299,8 +255,8 @@ def reduce_poly(p: RatPoly, r: int) -> LinearCombination:
         r = 1:  zeta'(s-k) * (-A_k/Q_k)  +  zeta(s-k) * (A_k Q_k'/Q_k^2),
 
     the r = 1 line being the s-derivative of the r = 0 one.  Q_k has simple
-    roots, so both coefficients are already gcd-reduced with monic
-    denominators; atoms with A_k = 0 are omitted.
+    roots, so both coefficients are built reduced over monic denominators;
+    atoms with A_k = 0 are omitted.
     """
     r = _check_r(r)
     if p.degree > MAX_DEGREE:
@@ -316,9 +272,9 @@ def _reduce_integer_form(c: list[int], d: int, r: int) -> LinearCombination:
             continue
         a_k = Fraction(jump, d)
         q, dq, q2 = _pochhammer(k)
-        terms[DerivAtom(r, k)] = RationalFunctionOfS._reduced(RatPoly((-a_k,)), q)
+        terms[DerivAtom(r, k)] = RationalFunctionOfS(RatPoly((-a_k,)), q)
         if r == 1:
-            terms[DerivAtom(0, k)] = RationalFunctionOfS._reduced(dq.scale(a_k), q2)
+            terms[DerivAtom(0, k)] = RationalFunctionOfS(dq.scale(a_k), q2)
     return LinearCombination(terms)
 
 
@@ -349,10 +305,11 @@ def eval_combination(lc: LinearCombination, s: complex) -> complex:
     the highest order in the combination; every value and refusal equals
     its one-atom evaluation.  The sum runs in atom order.
 
-    Refuses s within 1e-8 of an integer coefficient pole (the shifts, for a
-    reduction), or on any other coefficient pole, and reports which shift is
-    at fault when a zeta evaluation sits on the pole.  Errors are raised at
-    the first atom, in atom order, whose value or coefficient fails.
+    Refuses s within 1e-8 of an integer root of a coefficient's stored
+    denominator (the shifts, for a reduction; a removable one, for a
+    hand-built quotient), or on any other coefficient pole, and reports which
+    shift is at fault when a zeta evaluation sits on the pole.  Errors are
+    raised at the first atom, in atom order, whose value or coefficient fails.
     """
     s = complex(s)
     # Integers are 1 apart, so only the nearest one can lie within 1e-8 of s.

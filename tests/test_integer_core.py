@@ -2,7 +2,7 @@
 numerators over the least common denominator, and the endpoint jumps
 p^(k-1)(1) - p^(k-1)(0) against the Fraction derivative chain), the two
 [0, 1] integration routes against their Fraction sums, and the reflection
-p(1 - x); and of the scalar fast paths of
+p(1 - x); and of scalar products of
 ``zetalab.reduction.RationalFunctionOfS``."""
 
 import math

@@ -1,6 +1,6 @@
 """The README's examples run as written: the "Library quick start" Python
 block, and every ``zetalab ...`` line of the "Command line" block through
-``cli.main`` (each must exit 0)."""
+``cli.main`` (each must exit 0); its check count is the registry's."""
 
 import re
 import shlex
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from zetalab import cli
+from zetalab.checks import build_registry
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -37,3 +38,8 @@ def test_command_line_exits_zero(line, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # ``--out`` writes here
     argv = shlex.split(line, comments=True)[1:]
     assert cli.main(argv) == 0, line
+
+
+def test_verify_paragraph_counts_the_registry():
+    count = re.search(r"`zetalab verify` runs the identity registry \((\d+) checks", README)
+    assert count and int(count.group(1)) == len(build_registry())

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import zetalab
-from zetalab import calculus, checks, kernels, reduction
+from zetalab import calculus, checks, kernels
 from zetalab.checks import (REQUIRED_ID_PREFIXES, build_registry,
                             render_report, run_checks)
 from zetalab.cli import main, parse_complex
@@ -475,6 +475,24 @@ class TestCaseListsReachTheirEnds:
         assert result.id == check and result.status == "fail"
 
 
+class TestConstantsNotFromTheKernel:
+    # These checks compare a kernel value with a constant written down
+    # (pi^2/6, pi^2/12, Apery's zeta(3)), not with the kernel's own sum, so a
+    # Euler-Maclaurin sum 1e-8 off at s = 2 and 3 must fail all three.
+    IDS = ("cor3_exact_r0_s3", "pole_psi_chain_r2", "prop4_closed_r1")
+
+    def test_a_sum_off_at_two_and_three_fails_them(self, monkeypatch):
+        em_jet_sum = kernels._em_jet_sum
+
+        def off(s, alpha, order, minus_pole=False):
+            jet = em_jet_sum(s, alpha, order, minus_pole)
+            return [c * (1 + 1e-8) for c in jet] if s in (2, 3) else jet
+
+        monkeypatch.setattr(kernels, "_em_jet_sum", off)
+        results = {r.id: r.status for r in run_checks() if r.id in self.IDS}
+        assert results == dict.fromkeys(self.IDS, "fail")
+
+
 class TestWrappedRegistry:
     # perfbench/spans.py times each check by replacing its run with
     # dataclasses.replace(spec, run=wrapper); that must change nothing else
@@ -513,13 +531,3 @@ class TestExactChecksOnTheIntegerCore:
         results = {r.id: r.status for r in run_checks("cor1_collapse")}
         assert results.pop("cor1_collapse_r4") == "fail"
         assert set(results.values()) == {"pass"}
-
-    @pytest.mark.parametrize("family", ["cor1", "cor6"])
-    def test_no_polynomial_gcd_runs(self, monkeypatch, family):
-        def refused(*args):
-            raise AssertionError("the Euclidean polynomial engine ran")
-
-        for name in ("_poly_gcd", "_poly_divmod"):
-            monkeypatch.setattr(reduction, name, refused)
-        results = run_checks(family)
-        assert results and all(r.status == "pass" for r in results)
