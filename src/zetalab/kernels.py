@@ -27,10 +27,14 @@ A single point is a pure-Python sum (``_em_jet_sum``), and never loads numpy.
 A quadrature check needs zeta^(r)(s, a) at every node a of a tanh-sinh
 level and takes it from the numpy twin at one s (``_zeta_level``, from
 ``_em_jet_batch``), each node keeping its own M and J; the twin imports
-numpy on its first call.  Every value zeta^(r)(s, a) is refused, or
-returned, by one rule after its sum (``_refuse``): a NaN, an alpha <= 0, s
-on the pole, then a non-finite value.  A node the batch leaves non-finite
-is taken again from the scalar sum, which refuses it.
+numpy on its first call.  Its head lengths (``_jet_head_lengths``) come
+from the reach alone where a bound shows the cancellation rule cannot
+bind, and otherwise from the scalar rule node by node.
+
+Every value zeta^(r)(s, a) is refused, or returned, by one rule after its
+sum (``_refuse``): a NaN, an alpha <= 0, s on the pole, then a non-finite
+value.  A node the batch leaves non-finite is taken again from the scalar
+sum, which refuses it.
 
 Within one verify pass (``checks.run_checks``) each jet is taken once:
 ``_JET_TABLE`` then holds the pass's jets, and a later request for the same
@@ -246,46 +250,32 @@ def _jet_head_length(s: complex, alpha: float) -> int:
 
 def _jet_head_lengths(s: complex, alphas: np.ndarray) -> np.ndarray:
     """:func:`_jet_head_length` at one s and every alpha of the 1-D float
-    array ``alphas`` (each finite and > 0), as an integer array.  The
-    cancellation rule is evaluated only at the nodes whose reach passes 2.
+    array ``alphas`` (each finite and > 0), as an integer array.
 
-    Every step rounds as the scalar rule does: R - alpha and its ceiling
-    are exact in both; powers by ``np.float_power``, which calls the C
-    library's pow as Python's ``**`` does (``np.power`` may differ from it
-    by an ulp, and an ulp moved in round(cap - alpha) would move M);
-    logarithms by ``math.log``; ties of round(cap - alpha) to even as
-    Python's round; and min() keeping M when the other side is not smaller.
+    A node with R - alpha <= 2, R the reach, takes M = 2.  Every other node
+    takes the reach rule's min(ceil(R - alpha), _EM_CUTOFF), which is the
+    scalar's M wherever the cancellation rule cannot bind: for Re s >= 1/2,
+    and for Re s < 1/2 when that rule's cap, taken at the growth G =
+    _EM_CUTOFF + 1 + the largest alpha among these nodes, is at least R.
+    G bounds each such node's growth, which is some L^k/k! <= e^L = M +
+    alpha <= _EM_CUTOFF + alpha, M the head length of the ungrown cap.  A
+    smaller growth gives a larger cap, and every step of the cap rounds
+    monotonically, so each node's cap - alpha is at least R - alpha, and
+    round(cap - alpha) + 1 > R - alpha is at least ceil(R - alpha): the
+    rule leaves the reach's M.  Otherwise every node takes the scalar rule
+    itself.
     """
     import numpy as np
 
     reach = _EM_REACH_PER_S * abs(s)
     if reach < _EM_MIN_REACH:
         reach = _EM_MIN_REACH
-    reach = reach - alphas
-    far = reach > 2.0
-    m = np.full(len(alphas), 2)
-    if not far.any():
-        return m
-    reach, alphas = reach[far], alphas[far]
-    if s.real < 0.5:
-        power = 1.0 / (1.0 - s.real)
-
-        def length(cap):  # _em_head_length's M, given its cap
-            return np.minimum(np.maximum(np.round(cap - alphas) + 1.0, 2.0), _EM_CUTOFF)
-
-        cut = length((_TARGET_ABS_ERROR / (5.0 * _MACH_EPS)) ** power)
-        log_t = np.array(list(map(math.log, (cut + alphas).tolist())))
-        growth = np.ones(len(alphas))
-        for k in range(1, _MAX_ORDER + 1):
-            growth = np.where(k <= log_t, growth * (log_t / k), growth)
-        floor = 0.6 * abs(s.imag) - alphas + 1.0
-        cut = np.maximum(length(np.float_power(_TARGET_ABS_ERROR / (5.0 * _MACH_EPS * growth),
-                                               power)),
-                         np.trunc(np.where(floor < cut, floor, cut)))
-    else:
-        cut = np.full(len(alphas), float(_EM_CUTOFF))
-    m[far] = np.where(reach < cut, np.ceil(reach), cut)
-    return m
+    far = reach - alphas > 2.0
+    if s.real < 0.5 and far.any():
+        growth = _EM_CUTOFF + 1.0 + alphas[far].max()
+        if (_TARGET_ABS_ERROR / (5.0 * _MACH_EPS * growth)) ** (1.0 / (1.0 - s.real)) < reach:
+            return np.array([_jet_head_length(s, alpha) for alpha in alphas.tolist()])
+    return np.where(far, np.minimum(np.ceil(reach - alphas), _EM_CUTOFF), 2).astype(int)
 
 
 def _em_jet(s: complex, alpha, order: int, minus_pole: bool = False) -> list[complex]:

@@ -1,5 +1,6 @@
-"""Shared finite-difference stencils used as oracles across test modules, and
-the ``target`` fixture that runs a test at another accuracy target."""
+"""Shared finite-difference stencils used as oracles across test modules, the
+``target`` fixture that runs a test at another accuracy target, and the
+number of sums and batches a verify pass takes."""
 
 import pytest
 
@@ -10,6 +11,9 @@ from zetalab import kernels
 # ``@pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)``.
 TARGETS = (None, 1e-13)
 TARGET_IDS = ("default", "tight")
+# The Taylor-mode sums and numpy batches of one full registry pass: 512 sums
+# and 49 batches when every check took its own
+SUMS_PER_PASS, BATCHES_PER_PASS = 268, 30
 
 
 @pytest.fixture

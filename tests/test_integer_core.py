@@ -177,8 +177,14 @@ def test_reflection_evaluates_to_p_at_one_minus_x(p, xs):
 @example(RatPoly((1, 1)), RatPoly((-1, 0, 1)), 0)
 @example(RatPoly((Fraction(1, 3),)), RatPoly((2, -1)), -3)
 @example(RatPoly((0, 1)), RatPoly((Fraction(-1, 2), 1)), Fraction(-2, 7))
-def test_scaling_a_rational_function_skips_the_reduction(num, den, c):
+def test_scaling_a_rational_function_scales_its_numerator(num, den, c):
+    # the reference never calls .scale: the den as given, c * x for each
+    # numerator coefficient x in Fractions, and the value at rational points
     f = RationalFunctionOfS(num, den)
-    reference = RationalFunctionOfS(f.num.scale(c), f.den)
-    assert f * c == reference and c * f == reference
-    assert -f == RationalFunctionOfS(f.num.scale(-1), f.den)
+    for got, factor in ((f * c, c), (c * f, c), (-f, -1)):
+        assert got.den.coeffs == den.coeffs
+        assert got.num.coeffs == (tuple(factor * x for x in num.coeffs) if factor else ())
+        for x in (Fraction(1, 3), Fraction(-5, 2), Fraction(7)):
+            if den.evaluate(x):
+                value = got.num.evaluate(x) / got.den.evaluate(x)
+                assert value == factor * num.evaluate(x) / den.evaluate(x)

@@ -15,13 +15,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import BATCHES_PER_PASS, SUMS_PER_PASS  # noqa: E402
 from zetalab import checks, kernels  # noqa: E402
 from zetalab.checks import render_report, run_checks  # noqa: E402
 
 PINNED_REPORT = Path(__file__).parent / "data" / "verify_json_sha256.txt"
-# The Taylor-mode sums and numpy batches of one full registry pass: 512 sums
-# and 49 batches when every check took its own
-SUMS_PER_PASS, BATCHES_PER_PASS = 268, 30
 
 
 def bits(jet):

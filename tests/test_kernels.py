@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import TARGET_IDS, TARGETS
+from conftest import BATCHES_PER_PASS, TARGET_IDS, TARGETS
 import zetalab
 from zetalab import calculus, kernels, quadrature
 from zetalab.errors import (DomainError, EvaluationError, NumericOverflowError,
@@ -764,6 +764,30 @@ def jet_lengths_match_scalar(s, alphas):
     return got.tolist() == [kernels._jet_head_length(complex(s), a) for a in alphas]
 
 
+def scalar_head_lengths_per_batch(monkeypatch):
+    """Patch the batch head-length rule to record, for each of its calls, how
+    many head lengths it took from the scalar rule."""
+    scalar, batch = kernels._jet_head_length, kernels._jet_head_lengths
+    calls, inside = [], []
+
+    def counted(s, alpha):
+        if inside:
+            calls[-1] += 1
+        return scalar(s, alpha)
+
+    def recorded(s, alphas):
+        calls.append(0)
+        inside.append(True)
+        try:
+            return batch(s, alphas)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(kernels, "_jet_head_length", counted)
+    monkeypatch.setattr(kernels, "_jet_head_lengths", recorded)
+    return calls
+
+
 def ulps_around(x, count=20):
     return [x + d * EPS * abs(x) for d in range(-count, count + 1)]
 
@@ -898,6 +922,26 @@ class TestJetBatch:
                       for y in ulps_around((n + alpha - 1.0) / 0.6, 3) for x in (-1.0, 0.2)]
             assert all(jet_lengths_match_scalar(s, [alpha])
                        for s in floors + [complex(x) for x in ties])
+
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
+    def test_reach_rule_holds_up_to_the_growth_bound(self, target, monkeypatch):
+        # Re s from -4 up to 1/2, where the cancellation cap at the growth
+        # bound falls below the reach, at the opening nodes on (0, 1), the
+        # same nodes mapped to [1, 200] as cor3 takes them, and both at once
+        scalar_calls = scalar_head_lengths_per_batch(monkeypatch)
+        opening = quadrature._opening_nodes()
+        node_sets = [opening.tolist(), (1.0 + 199.0 * opening).tolist()]
+        node_sets.append(node_sets[0] + node_sets[1])
+        for k in range(450):
+            for y in (0.0, 3.0, -9.0):
+                s = complex(-4.0 + 0.01 * k, y)
+                assert all(jet_lengths_match_scalar(s, alphas) for alphas in node_sets), s
+        assert 0 in scalar_calls and max(scalar_calls) > 0  # both branches ran
+
+    def test_a_verify_pass_takes_the_reach_rule_at_every_batch(self, monkeypatch):
+        scalar_calls = scalar_head_lengths_per_batch(monkeypatch)
+        assert all(r.status == "pass" for r in run_checks())
+        assert scalar_calls == [0] * BATCHES_PER_PASS
 
     def test_coefficients_match_scalar(self):
         # every coefficient r <= 6, within a tenth of the README bound, and on

@@ -1,6 +1,7 @@
 """The README's examples run as written: the "Library quick start" Python
 block, and every ``zetalab ...`` line of the "Command line" block through
-``cli.main`` (each must exit 0); its check count is the registry's."""
+``cli.main`` (each must exit 0); its check count is the registry's, and its
+count of sums and batches a verify pass takes is the jet table tests'."""
 
 import re
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BATCHES_PER_PASS, SUMS_PER_PASS
 from zetalab import cli
 from zetalab.checks import build_registry
 
@@ -43,3 +45,8 @@ def test_command_line_exits_zero(line, tmp_path, monkeypatch):
 def test_verify_paragraph_counts_the_registry():
     count = re.search(r"`zetalab verify` runs the identity registry \((\d+) checks", README)
     assert count and int(count.group(1)) == len(build_registry())
+
+
+def test_jet_table_paragraph_counts_a_pass():
+    count = re.search(r"A pass takes (\d+) scalar sums and (\d+) batches", README)
+    assert count and tuple(map(int, count.groups())) == (SUMS_PER_PASS, BATCHES_PER_PASS)
