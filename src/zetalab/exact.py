@@ -112,14 +112,6 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
@@ -133,15 +125,7 @@ class RatPoly:
             out[i] += c
         return RatPoly(out)
 
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+    def __mul__(self, other: "RatPoly") -> "RatPoly":
         if not isinstance(other, RatPoly):
             return NotImplemented
         # integer numerators over one denominator, as in the integer core below
@@ -149,8 +133,6 @@ class RatPoly:
         b, db = _integer_form(other)
         d = da * db
         return RatPoly(Fraction(c, d) for c in _int_poly_mul(a, b))
-
-    __rmul__ = __mul__
 
     def scale(self, c: Fraction | int) -> "RatPoly":
         c = Fraction(c)

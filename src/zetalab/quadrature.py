@@ -93,20 +93,13 @@ def _level_nodes(level: int) -> tuple[np.ndarray, tuple[float, ...]]:
 
     nodes = []
     h = 2.0 ** (-level)
-    if level == 0:
-        ks: list[float] = [0.0]
-        k = 1.0
-        while True:
-            ks.extend((k, -k))
-            if k * h > 7.0:
-                break
-            k += 1.0
-    else:
-        ks = []
-        k = 1.0
-        while k * h <= 7.0:
-            ks.extend((k, -k))
-            k += 2.0
+    # level 0 takes t = k h at every k, a later level only its new, odd k
+    ks: list[float] = [0.0] if level == 0 else []
+    step = 1.0 if level == 0 else 2.0
+    k = 1.0
+    while k * h <= 7.0:
+        ks.extend((k, -k))
+        k += step
     for k in ks:
         x, w = _tanh_sinh_node(k * h)
         if 0.0 < x < 1.0 and w > 1e-300:

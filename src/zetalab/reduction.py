@@ -69,8 +69,8 @@ class RationalFunctionOfS:
     """A quotient num/den of polynomials in s, stored as given.
 
     Nothing is cancelled or made monic: the reductions build every
-    coefficient reduced over a monic denominator, and a hand-built or
-    arithmetic quotient keeps the num and den it was made from.  Equality
+    coefficient reduced over a monic denominator, and a hand-built quotient
+    or a sum keeps the num and den it was made from.  Equality
     compares values, num * other.den == other.num * den, so instances are
     unhashable.
     """
@@ -87,10 +87,6 @@ class RationalFunctionOfS:
         raise AttributeError("RationalFunctionOfS is immutable")
 
     @staticmethod
-    def zero() -> "RationalFunctionOfS":
-        return RationalFunctionOfS(RatPoly())
-
-    @staticmethod
     def one() -> "RationalFunctionOfS":
         return RationalFunctionOfS(RatPoly((1,)))
 
@@ -103,31 +99,11 @@ class RationalFunctionOfS:
         return RationalFunctionOfS(self.num * other.den + other.num * self.den,
                                    self.den * other.den)
 
-    def __sub__(self, other: "RationalFunctionOfS") -> "RationalFunctionOfS":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalFunctionOfS":
-        return RationalFunctionOfS(-self.num, self.den)
-
-    def __mul__(self, other) -> "RationalFunctionOfS":
-        if isinstance(other, (int, Fraction)):
-            return RationalFunctionOfS(self.num.scale(other), self.den)
-        if not isinstance(other, RationalFunctionOfS):
-            return NotImplemented
-        return RationalFunctionOfS(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFunctionOfS)
                 and self.num * other.den == other.num * self.den)
 
     __hash__ = None  # equal values need not share a num and den
-
-    def shifted_argument(self, delta) -> "RationalFunctionOfS":
-        """Return f(s + delta)."""
-        return RationalFunctionOfS(self.num.shift_argument(delta),
-                                   self.den.shift_argument(delta))
 
     def evaluate(self, s: complex) -> complex:
         return self.num.evaluate_complex(s) / self.den.evaluate_complex(s)
@@ -171,9 +147,6 @@ class LinearCombination:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, atom: DerivAtom) -> RationalFunctionOfS:
-        return self._terms.get(atom, RationalFunctionOfS.zero())
-
     def atoms(self) -> list[DerivAtom]:
         return sorted(self._terms)
 
@@ -185,17 +158,6 @@ class LinearCombination:
         for atom, coeff in other._terms.items():
             merged[atom] = merged[atom] + coeff if atom in merged else coeff
         return LinearCombination(merged)
-
-    def scale(self, factor) -> "LinearCombination":
-        return LinearCombination({a: c * factor for a, c in self._terms.items()})
-
-    def shifted(self) -> "LinearCombination":
-        """Rewrite a combination in u at u = s - 1: shifts grow by one and
-        coefficients are composed with s - 1."""
-        return LinearCombination({
-            DerivAtom(a.deriv_order, a.shift + 1): c.shifted_argument(-1)
-            for a, c in self._terms.items()
-        })
 
     def max_shift(self) -> int:
         return max((a.shift for a in self._terms), default=0)

@@ -1,9 +1,8 @@
 """Property tests of ``zetalab.exact``: the private integer core (integer
 numerators over the least common denominator, and the endpoint jumps
 p^(k-1)(1) - p^(k-1)(0) against the Fraction derivative chain), the two
-[0, 1] integration routes against their Fraction sums, and the reflection
-p(1 - x); and of scalar products of
-``zetalab.reduction.RationalFunctionOfS``."""
+[0, 1] integration routes against their Fraction sums, the reflection
+p(1 - x), and the scalar product ``RatPoly.scale``."""
 
 import math
 from fractions import Fraction
@@ -19,7 +18,6 @@ from zetalab.exact import (RatPoly, _bernoulli_over_factorial,  # noqa: E402
                            bernoulli_number, bernoulli_polynomial,
                            bernoulli_product_integral, poly_integral_01,
                            poly_reflect)
-from zetalab.reduction import RationalFunctionOfS  # noqa: E402
 
 coefficients = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
 polys = st.lists(coefficients, max_size=65).map(RatPoly)  # degree -1..64
@@ -104,10 +102,10 @@ def test_product_matches_the_fraction_double_loop(p, q):
 @given(wide_polys, st.one_of(st.integers(-10**20, 10**20), wide_coefficients))
 @example(RatPoly((1, -2)), 0)
 @example(RatPoly(), Fraction(-3, 4))
-def test_product_with_a_scalar_scales(p, c):
-    scaled = RatPoly(c * a for a in p.coeffs)
-    assert p * c == scaled and c * p == scaled
-    assert p * c == fraction_product(p, RatPoly((c,)))
+def test_scale_is_the_product_with_a_constant(p, c):
+    scaled = p.scale(c)
+    assert scaled == RatPoly(c * a for a in p.coeffs)
+    assert scaled == fraction_product(p, RatPoly((c,)))
 
 
 def fraction_termwise_integral(p):
@@ -138,7 +136,7 @@ def test_bernoulli_table_is_one_table_over_one_denominator():
 
 def fraction_bernoulli_basis(p):
     """p(0) - sum_n B_n (p^(n-1)(1) - p^(n-1)(0)) / n! in Fractions."""
-    total = p.coefficient(0)
+    total = p.coeffs[0]
     for n, jump in enumerate(chain_jumps(p), start=1):
         total -= bernoulli_number(n) * jump / math.factorial(n)
     return total
@@ -166,25 +164,3 @@ def test_reflection_evaluates_to_p_at_one_minus_x(p, xs):
     assert q.degree == p.degree
     for x in xs:
         assert q.evaluate(x) == sum(c * (1 - x) ** k for k, c in enumerate(p.coeffs))
-
-
-@PROPERTY
-@given(st.lists(coefficients, max_size=6).map(RatPoly),
-       st.lists(coefficients, min_size=1, max_size=6).map(RatPoly)
-       .filter(lambda den: not den.is_zero()),
-       st.one_of(st.integers(-10**20, 10**20), wide_coefficients))
-@example(RatPoly(), RatPoly((1,)), 5)
-@example(RatPoly((1, 1)), RatPoly((-1, 0, 1)), 0)
-@example(RatPoly((Fraction(1, 3),)), RatPoly((2, -1)), -3)
-@example(RatPoly((0, 1)), RatPoly((Fraction(-1, 2), 1)), Fraction(-2, 7))
-def test_scaling_a_rational_function_scales_its_numerator(num, den, c):
-    # the reference never calls .scale: the den as given, c * x for each
-    # numerator coefficient x in Fractions, and the value at rational points
-    f = RationalFunctionOfS(num, den)
-    for got, factor in ((f * c, c), (c * f, c), (-f, -1)):
-        assert got.den.coeffs == den.coeffs
-        assert got.num.coeffs == (tuple(factor * x for x in num.coeffs) if factor else ())
-        for x in (Fraction(1, 3), Fraction(-5, 2), Fraction(7)):
-            if den.evaluate(x):
-                value = got.num.evaluate(x) / got.den.evaluate(x)
-                assert value == factor * num.evaluate(x) / den.evaluate(x)
