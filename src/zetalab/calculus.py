@@ -19,11 +19,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from . import kernels
 from .errors import DomainError, NumericOverflowError, PoleProximityError
-from .exact import RatPoly
+from .exact import RatPoly, poly_reflect
 from .reduction import RationalFunctionOfS
 
 __all__ = [
@@ -114,15 +114,13 @@ def antiderivative_alpha_derivative_symbolic(r: int) -> dict[int, RationalFuncti
 
 def _laurent_in_one_minus_s(row: dict[int, Fraction], top: int) -> RationalFunctionOfS:
     """sum_p c_p (1-s)^(-p), with c_top != 0 the highest power, over the
-    monic (s-1)^top: the numerator (-1)^top sum_p c_p (1-s)^(top-p) is c_top
-    at s = 1, so the quotient is already reduced."""
-    num = [Fraction(0)] * (top + 1)
-    for p, c in row.items():
-        k = top - p  # c (1-s)^k, by the binomial expansion
-        for i in range(k + 1):
-            num[i] += (-1) ** (top + i) * comb(k, i) * c
-    den = RatPoly((-1) ** (top - i) * comb(top, i) for i in range(top + 1))
-    return RationalFunctionOfS(RatPoly(num), den)
+    monic (s-1)^top: in u = 1 - s, (-1)^top sum_p c_p u^(top-p) over
+    (-1)^top u^top, both reflected to s.  The numerator is c_top at s = 1,
+    so the quotient is already reduced."""
+    sign = (-1) ** top
+    num = RatPoly(sign * row.get(top - k, 0) for k in range(top + 1))
+    den = RatPoly((0,) * top + (sign,))
+    return RationalFunctionOfS(poly_reflect(num), poly_reflect(den))
 
 
 def alpha_derivative(r: int, s: complex, alpha: float) -> complex:

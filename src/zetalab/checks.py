@@ -32,9 +32,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import calculus, kernels
 from .errors import EvaluationError
-from .exact import (RatPoly, _bernoulli_product_form, _termwise_integral,
-                    bernoulli_product_integral, poly_integral_01, rational_str,
-                    zeta_neg_int_poly)
+from .exact import (RatPoly, _bernoulli_product, bernoulli_product_integral,
+                    poly_integral_01, rational_str, zeta_neg_int_poly)
 from .kernels import format_complex
 from .quadrature import tanh_sinh_01
 from .reduction import (DerivAtom, LinearCombination, RationalFunctionOfS,
@@ -213,9 +212,9 @@ def _multisets(max_total: int) -> list[tuple[int, ...]]:
 
 def _cor6_two_paths() -> tuple:
     # the Bernoulli-basis route against the term-wise integral of the same
-    # integer product
+    # product
     return _indicator(all(
-        bernoulli_product_integral(ms) == _termwise_integral(*_bernoulli_product_form(ms))
+        bernoulli_product_integral(ms) == poly_integral_01(_bernoulli_product(ms))
         for ms in _multisets(12)))
 
 

@@ -1,16 +1,14 @@
 """Exact rational arithmetic: Bernoulli numbers and polynomials.
 
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator,
-zero stored as 0/1).  Polynomials are dense sequences of rational
-coefficients in ascending degree order, wrapped in :class:`RatPoly`.
-
-The hot paths run on a private integer core: a polynomial as integer
-numerators over one common denominator, multiplied by integer convolution,
-with the endpoint jumps p^(k-1)(1) - p^(k-1)(0) taken along the integer
-derivative chain.  They are ``RatPoly`` products, both [0, 1] integration
-routes here (the term-wise sum over lcm(1..n+1), and the Bernoulli-basis sum
-against one table of B_n/n! over a common denominator), and the IBP
-reduction in ``zetalab.reduction``.  Only the final values become Fractions.
+zero stored as 0/1).  A polynomial is a :class:`RatPoly`: integer numerators
+in ascending degree order over one positive denominator, in lowest terms.
+Every operation runs on that stored form: products by integer convolution,
+the shift p(x + delta) by an integer Taylor shift, both [0, 1] integration
+routes (the term-wise sum over lcm(1..n+1), and the Bernoulli-basis sum of
+the endpoint jumps p^(k-1)(1) - p^(k-1)(0) against one table of B_n/n! over
+a common denominator), and the IBP reduction in ``zetalab.reduction``.  Only
+the final values become Fractions.
 
 Convention: B1 = -1/2 (the "first" Bernoulli numbers).  This is forced by
 zeta(0, a) = 1/2 - a together with zeta(-n, a) = -B_{n+1}(a)/(n+1); the
@@ -22,7 +20,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -83,19 +81,39 @@ def bernoulli_number(n: int) -> Fraction:
 class RatPoly:
     """Polynomial with rational coefficients, ascending degree order.
 
-    Immutable; the zero polynomial has an empty coefficient tuple.  The
-    highest-degree stored coefficient is always nonzero.
+    Immutable.  Stored as integer numerators over one positive denominator,
+    in lowest terms: the gcd of the denominator and every numerator is 1 and
+    the highest-degree numerator is nonzero, so equal values share one stored
+    form.  The zero polynomial has no numerators and denominator 1.
+    ``coeffs`` builds the Fractions when read.
     """
 
-    # _floats: the coefficients rounded to floats, highest degree first, set
-    # by the first evaluate_complex
-    __slots__ = ("coeffs", "_floats")
+    # _ints, _den: the numerators (ascending) and the denominator; _floats:
+    # the coefficients rounded to floats, highest degree first, set by the
+    # first evaluate_complex
+    __slots__ = ("_ints", "_den", "_floats")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
+        d = lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (d // c.denominator) for c in cs], d)
+
+    @classmethod
+    def _from_ints(cls, ints: list[int], den: int) -> "RatPoly":
+        """sum_i (ints_i / den) x^i for den > 0."""
+        p = cls.__new__(cls)
+        p._store(ints, den)
+        return p
+
+    def _store(self, ints: list[int], den: int) -> None:
+        """Store sum_i (ints_i / den) x^i, den > 0, in lowest terms."""
+        while ints and not ints[-1]:
+            ints.pop()
+        g = gcd(den, *ints)
+        if g != 1:
+            ints = [x // g for x in ints]
+        object.__setattr__(self, "_ints", tuple(ints))
+        object.__setattr__(self, "_den", den // g)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RatPoly is immutable")
@@ -105,44 +123,49 @@ class RatPoly:
         return RatPoly((1,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending degree order."""
+        return tuple(Fraction(x, self._den) for x in self._ints)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
         if not isinstance(other, RatPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        d = lcm(self._den, other._den)
+        a = [x * (d // self._den) for x in self._ints]
+        b = [x * (d // other._den) for x in other._ints]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
+        for i, x in enumerate(b):
+            a[i] += x
+        return RatPoly._from_ints(a, d)
 
     def __mul__(self, other: "RatPoly") -> "RatPoly":
         if not isinstance(other, RatPoly):
             return NotImplemented
-        # integer numerators over one denominator, as in the integer core below
-        a, da = _integer_form(self)
-        b, db = _integer_form(other)
-        d = da * db
-        return RatPoly(Fraction(c, d) for c in _int_poly_mul(a, b))
+        return RatPoly._from_ints(_int_poly_mul(self._ints, other._ints),
+                                  self._den * other._den)
 
     def scale(self, c: Fraction | int) -> "RatPoly":
         c = Fraction(c)
-        return RatPoly(tuple(c * a for a in self.coeffs))
+        return RatPoly._from_ints([c.numerator * x for x in self._ints],
+                                  c.denominator * self._den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, RatPoly) and self._den == other._den
+                and self._ints == other._ints)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._ints, self._den))
 
     def __repr__(self) -> str:
         return f"RatPoly({list(self.coeffs)!r})"
@@ -151,25 +174,24 @@ class RatPoly:
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         """Exact evaluation at a rational point x = p/q, by Horner in
-        integers: with d the common denominator of the coefficients,
-        d q^n P(p/q) = sum_i (d c_i) p^i q^(n-i) is an integer."""
+        integers: with c_i / d the coefficients, d q^n P(p/q) =
+        sum_i c_i p^i q^(n-i) is an integer."""
         x = Fraction(x)
         p, q = x.numerator, x.denominator
-        cs, d = _integer_form(self)
         acc, q_pow = 0, 1
-        for c in reversed(cs):
+        for c in reversed(self._ints):
             acc = acc * p + c * q_pow
             q_pow *= q
-        return Fraction(acc, d * q ** max(self.degree, 0))
+        return Fraction(acc, self._den * q ** max(self.degree, 0))
 
     def evaluate_complex(self, z: complex) -> complex:
         """Horner evaluation at a complex point, or elementwise over a numpy
         array of points (coefficients rounded once per polynomial, on the
-        first call)."""
+        first call; c / d rounds as float(Fraction(c, d)) does)."""
         try:
             floats = self._floats
         except AttributeError:
-            floats = tuple(float(c) for c in reversed(self.coeffs))
+            floats = tuple(c / self._den for c in reversed(self._ints))
             object.__setattr__(self, "_floats", floats)
         acc = 0j
         for c in floats:
@@ -177,32 +199,32 @@ class RatPoly:
         return acc
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        return RatPoly._from_ints([k * c for k, c in enumerate(self._ints)][1:],
+                                  self._den)
 
     def shift_argument(self, delta: Fraction | int) -> "RatPoly":
-        """Return q with q(x) = p(x + delta), by exact binomial expansion."""
+        """Return q with q(x) = p(x + delta), delta = a/b, by an integer
+        Taylor shift: with P(y) = sum_i c_i b^(n-i) y^i, d b^n q(x) is
+        P(y + a) at y = b x."""
         delta = Fraction(delta)
         if delta == 0 or self.is_zero():
             return self
+        a, b = delta.numerator, delta.denominator
         n = self.degree
-        out = [Fraction(0)] * (n + 1)
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            # c * (x + delta)^k
-            pw = Fraction(1)
-            for j in range(k, -1, -1):
-                out[j] += c * comb(k, j) * pw
-                pw *= delta
-        return RatPoly(out)
+        c = [x * b ** (n - i) for i, x in enumerate(self._ints)]
+        for i in range(n):  # n rounds of synthetic division by y - a
+            for j in range(n - 1, i - 1, -1):
+                c[j] += a * c[j + 1]
+        return RatPoly._from_ints([x * b ** j for j, x in enumerate(c)],
+                                  self._den * b ** n)
 
     def ascending_str(self, var: str = "s") -> str:
         """Canonical ascending-degree text form, e.g. "-1 + 1*s + 2*s^2"."""
-        if not self.coeffs:
+        if self.is_zero():
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
-            if c == 0:
+            if not c:
                 continue
             if k == 0:
                 parts.append(str(c))
@@ -214,12 +236,13 @@ class RatPoly:
 
     def pretty_str(self, var: str = "alpha") -> str:
         """Human-facing descending form, e.g. "alpha^2 - alpha + 1/6"."""
-        if not self.coeffs:
+        if self.is_zero():
             return "0"
         parts: list[str] = []
+        cs = self.coeffs
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
+            c = cs[k]
+            if not c:
                 continue
             mag = abs(c)
             if k == 0:
@@ -235,14 +258,8 @@ class RatPoly:
 
 
 # ---------------------------------------------------------------------------
-# Integer core: integer numerators over one common denominator
+# Integer helpers on the stored numerators
 # ---------------------------------------------------------------------------
-
-
-def _integer_form(p: RatPoly) -> tuple[list[int], int]:
-    """(c, d) with p = sum_i (c_i / d) x^i, d the least common denominator."""
-    d = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
 
 
 def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -257,22 +274,15 @@ def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _endpoint_jumps(c: Sequence[int]) -> list[int]:
-    """[p^(k-1)(1) - p^(k-1)(0) for k = 1..deg p] for p = sum_i c_i x^i,
-    with c free of trailing zeros, by the integer derivative chain."""
+def _endpoint_jumps(p: RatPoly) -> list[int]:
+    """[p^(k-1)(1) - p^(k-1)(0) for k = 1..deg p], as numerators over p's
+    denominator, by the integer derivative chain."""
     jumps = []
-    deriv = list(c)
+    deriv = list(p._ints)
     while len(deriv) > 1:
         jumps.append(sum(deriv[1:]))
         deriv = [i * deriv[i] for i in range(1, len(deriv))]
     return jumps
-
-
-def _termwise_integral(c: Sequence[int], d: int) -> Fraction:
-    """int_0^1 of sum_i (c_i / d) x^i as sum_i c_i (L / (i+1)) / (d L), with
-    L = lcm(1..n+1): one integer sum and one Fraction."""
-    L = lcm(*range(1, len(c) + 1))
-    return Fraction(sum(x * (L // (i + 1)) for i, x in enumerate(c)), d * L)
 
 
 # B_n/n! as integer numerators t_n over one denominator D, for n = 0..len-1:
@@ -295,28 +305,13 @@ def _bernoulli_over_factorial(n: int) -> tuple[tuple[int, ...], int]:
     return table
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_integer_form(m: int) -> tuple[tuple[int, ...], int]:
-    """The integer form of B_m(x), as a tuple."""
-    c, d = _integer_form(bernoulli_polynomial(m))
-    return tuple(c), d
-
-
-def _bernoulli_product_form(indices: Sequence[int]) -> tuple[list[int], int]:
-    """(c, d): the product of B_{m_i}(x) as integer numerators over d."""
+def _bernoulli_product(indices: Sequence[int]) -> RatPoly:
+    """The product of B_{m_i}(x): the numerators multiplied raw, reduced once."""
     c, d = [1], 1
     for m in indices:
-        cm, dm = _bernoulli_integer_form(m)
-        c, d = _int_poly_mul(c, cm), d * dm
-    return c, d
-
-
-def _bernoulli_basis_integral(c: Sequence[int], d: int) -> Fraction:
-    """int_0^1 of sum_i (c_i / d) x^i as p(0) - sum_n (B_n / n!) jump_n, with
-    B_n / n! = t_n / D: the integer (D c_0 - sum_n t_n jump_n) over D d."""
-    jumps = _endpoint_jumps(c)
-    t, D = _bernoulli_over_factorial(len(jumps))
-    return Fraction(D * c[0] - sum(map(mul, t[1:], jumps)), D * d)
+        b = bernoulli_polynomial(m)
+        c, d = _int_poly_mul(c, b._ints), d * b._den
+    return RatPoly._from_ints(c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +329,15 @@ def bernoulli_polynomial(n: int) -> RatPoly:
 def poly_reflect(p: RatPoly) -> RatPoly:
     """Return q with q(x) = p(1 - x): that is r(-x) for r(y) = p(y + 1)."""
     r = p.shift_argument(1)
-    return RatPoly(-c if k % 2 else c for k, c in enumerate(r.coeffs))
+    return RatPoly._from_ints([-c if k % 2 else c for k, c in enumerate(r._ints)],
+                              r._den)
 
 
 def poly_integral_01(p: RatPoly) -> Fraction:
-    """Exact integral of p over [0, 1], term-wise antiderivative."""
-    return _termwise_integral(*_integer_form(p))
+    """Exact integral of p over [0, 1], term-wise antiderivative: with
+    L = lcm(1..n+1), sum_i c_i (L / (i+1)) over d L."""
+    L = lcm(*range(1, len(p._ints) + 1))
+    return Fraction(sum(x * (L // (i + 1)) for i, x in enumerate(p._ints)), p._den * L)
 
 
 def bernoulli_product_integral(indices: Sequence[int]) -> Fraction:
@@ -356,11 +354,15 @@ def bernoulli_product_integral(indices: Sequence[int]) -> Fraction:
         int_0^1 p = p(0) - sum_{n>=1} B_n * (p^{(n-1)}(1) - p^{(n-1)}(0)) / n!
 
     which gives an integration path independent of ``poly_integral_01``.
-    The product, its jumps and the sum are taken in the integer core.
+    With B_n / n! = t_n / D over one table, that is the integer
+    D c_0 - sum_n t_n jump_n over D d.
     """
     if any(m < 1 for m in indices):
         raise ValueError("Bernoulli product indices must be >= 1")
-    return _bernoulli_basis_integral(*_bernoulli_product_form(indices))
+    p = _bernoulli_product(indices)
+    jumps = _endpoint_jumps(p)
+    t, D = _bernoulli_over_factorial(len(jumps))
+    return Fraction(D * p._ints[0] - sum(map(mul, t[1:], jumps)), D * p._den)
 
 
 def zeta_neg_int_poly(m: int) -> RatPoly:

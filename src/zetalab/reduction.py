@@ -15,14 +15,13 @@ repetition has an explicit solution: the coefficient of zeta(s - k) is
 and differentiating in s gives the zeta' variant, so :func:`reduce_poly`
 writes every coefficient down directly.  All coefficient arithmetic is
 exact: the polynomial (for :func:`integral_poly_zeta`, the product of
-Bernoulli polynomials) is held as integer numerators over one denominator in
-the integer core of ``zetalab.exact``, whose endpoint jumps give the
-numerators of the rational constants, and the denominators Q_k(s), Q_k'(s)
-and Q_k(s)^2 come from one table cached for k <= MAX_DEGREE.  Poles of the
-coefficients land only at integer shifts s = 1..N by construction.  Q_k has
-simple roots, so every coefficient is built reduced over a monic
-denominator, and :class:`RationalFunctionOfS` stores it as built: no
-polynomial gcd runs.
+Bernoulli polynomials) is a ``RatPoly``, integer numerators over one
+denominator, whose endpoint jumps give the numerators of the rational
+constants, and the denominators Q_k(s), Q_k'(s) and Q_k(s)^2 come from one
+table cached for k <= MAX_DEGREE.  Poles of the coefficients land only at
+integer shifts s = 1..N by construction.  Q_k has simple roots, so every
+coefficient is built reduced over a monic denominator, and
+:class:`RationalFunctionOfS` stores it as built: no polynomial gcd runs.
 
 The closed-form product integrals (the two-factor integral over (0,1), its
 s -> 1 limit combination, and the specific triple-product evaluation) live
@@ -41,8 +40,7 @@ from typing import Iterator, Sequence
 
 from . import kernels
 from .errors import DomainError, NumericOverflowError, PoleProximityError
-from .exact import (RatPoly, _bernoulli_product_form, _endpoint_jumps,
-                    _int_poly_mul, _integer_form)
+from .exact import RatPoly, _bernoulli_product, _endpoint_jumps
 
 __all__ = [
     "DerivAtom",
@@ -194,7 +192,7 @@ def _pochhammer(k: int) -> tuple[RatPoly, RatPoly, RatPoly]:
     for j in range(1, k + 1):
         q = [lo - j * hi for hi, lo in zip(q + [0], [0] + q)]  # q * (s - j)
     poly = RatPoly(q)
-    return poly, poly.derivative(), RatPoly(_int_poly_mul(q, q))
+    return poly, poly.derivative(), poly * poly
 
 
 def reduce_monomial(i: int, r: int) -> LinearCombination:
@@ -223,16 +221,11 @@ def reduce_poly(p: RatPoly, r: int) -> LinearCombination:
     r = _check_r(r)
     if p.degree > MAX_DEGREE:
         raise ValueError(f"polynomial degree must be <= {MAX_DEGREE}")
-    return _reduce_integer_form(*_integer_form(p), r)
-
-
-def _reduce_integer_form(c: list[int], d: int, r: int) -> LinearCombination:
-    """:func:`reduce_poly` of p = sum_i (c_i / d) a^i: A_k is jump_k / d."""
     terms: dict[DerivAtom, RationalFunctionOfS] = {}
-    for k, jump in enumerate(_endpoint_jumps(c), start=1):
+    for k, jump in enumerate(_endpoint_jumps(p), start=1):
         if jump == 0:
             continue
-        a_k = Fraction(jump, d)
+        a_k = Fraction(jump, p._den)
         q, dq, q2 = _pochhammer(k)
         terms[DerivAtom(r, k)] = RationalFunctionOfS(RatPoly((-a_k,)), q)
         if r == 1:
@@ -244,8 +237,7 @@ def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
     """Reduction of int_0^1 zeta(-m_1, a) ... zeta(-m_k, a) zeta^(r)(s, a) da.
 
     Builds the exact product polynomial prod_i (-B_{m_i+1}(a)/(m_i+1)) of
-    degree N = sum (m_i + 1), in integers over one denominator; the
-    resulting atoms have shifts 1..N.
+    degree N = sum (m_i + 1); the resulting atoms have shifts 1..N.
     """
     r = _check_r(r)
     if any(m < 0 for m in ms):
@@ -253,10 +245,9 @@ def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
     degree = sum(m + 1 for m in ms)
     if degree > MAX_DEGREE:
         raise ValueError(f"total product degree {degree} exceeds {MAX_DEGREE}")
-    c, d = _bernoulli_product_form([m + 1 for m in ms])
-    if len(ms) % 2:
-        c = [-x for x in c]
-    return _reduce_integer_form(c, d * math.prod(m + 1 for m in ms), r)
+    sign = -1 if len(ms) % 2 else 1
+    p = _bernoulli_product([m + 1 for m in ms])
+    return reduce_poly(p.scale(Fraction(sign, math.prod(m + 1 for m in ms))), r)
 
 
 def eval_combination(lc: LinearCombination, s: complex) -> complex:

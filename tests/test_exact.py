@@ -159,7 +159,7 @@ class TestIntegrals:
 
 def chain_product_integral(indices):
     """The Bernoulli-basis integral by the Fraction derivative chain that the
-    integer core replaced: every p^(n-1) evaluated at 0 and at 1."""
+    integer endpoint jumps replaced: every p^(n-1) evaluated at 0 and at 1."""
     if any(m < 1 for m in indices):
         raise ValueError("Bernoulli product indices must be >= 1")
     prod = RatPoly.one()

@@ -1,8 +1,10 @@
-"""Property tests of ``zetalab.exact``: the private integer core (integer
-numerators over the least common denominator, and the endpoint jumps
-p^(k-1)(1) - p^(k-1)(0) against the Fraction derivative chain), the two
-[0, 1] integration routes against their Fraction sums, the reflection
-p(1 - x), and the scalar product ``RatPoly.scale``."""
+"""Property tests of ``zetalab.exact``: the stored form of ``RatPoly``
+(integer numerators over one positive denominator, in lowest terms, however
+the polynomial was built), the endpoint jumps p^(k-1)(1) - p^(k-1)(0)
+against the Fraction derivative chain, products, scalar products and the
+integer Taylor shift against their Fraction loops, the two [0, 1]
+integration routes against their Fraction sums, and the reflection
+p(1 - x)."""
 
 import math
 from fractions import Fraction
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from zetalab.exact import (RatPoly, _bernoulli_over_factorial,  # noqa: E402
-                           _endpoint_jumps, _int_poly_mul, _integer_form,
+                           _bernoulli_product, _endpoint_jumps, _int_poly_mul,
                            bernoulli_number, bernoulli_polynomial,
                            bernoulli_product_integral, poly_integral_01,
                            poly_reflect)
@@ -40,8 +42,7 @@ def chain_jumps(p):
 @example(RatPoly((Fraction(-7, 3),)))
 @example(RatPoly((0,) * 64 + (1,)))
 def test_jumps_match_the_derivative_chain(p):
-    c, d = _integer_form(p)
-    assert [Fraction(j, d) for j in _endpoint_jumps(c)] == chain_jumps(p)
+    assert [Fraction(j, p._den) for j in _endpoint_jumps(p)] == chain_jumps(p)
 
 
 @PROPERTY
@@ -49,26 +50,27 @@ def test_jumps_match_the_derivative_chain(p):
 @example(RatPoly())
 @example(RatPoly((5,)))
 @example(RatPoly((Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3))))
-def test_integer_form_round_trips_over_the_least_denominator(p):
-    c, d = _integer_form(p)
-    assert d >= 1 and all(isinstance(x, int) for x in c)
+def test_stored_form_round_trips_over_the_least_denominator(p):
+    c, d = p._ints, p._den
+    assert d >= 1 and all(type(x) is int for x in c)
     assert tuple(Fraction(x, d) for x in c) == p.coeffs
+    assert RatPoly(p.coeffs) == p
     # d is least: no factor of d divides every numerator
     assert math.gcd(d, *c) == 1
+    assert d == math.lcm(*(x.denominator for x in p.coeffs))
 
 
 @PROPERTY
 @given(st.lists(coefficients, max_size=33).map(RatPoly),
        st.lists(coefficients, max_size=33).map(RatPoly))
 def test_integer_product_matches_ratpoly_product(p, q):
-    (a, da), (b, db) = _integer_form(p), _integer_form(q)
-    product = _int_poly_mul(a, b)
-    assert tuple(Fraction(x, da * db) for x in product) == (p * q).coeffs
+    product = _int_poly_mul(p._ints, q._ints)
+    assert tuple(Fraction(x, p._den * q._den) for x in product) == (p * q).coeffs
 
 
 def fraction_product(p, q):
-    """The Fraction double loop that RatPoly products used before the
-    integer core, kept as the reference."""
+    """The Fraction double loop that RatPoly products used before they ran
+    on integer numerators, kept as the reference."""
     out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1) if p.coeffs and q.coeffs else []
     for i, a in enumerate(p.coeffs):
         if a == 0:
@@ -109,8 +111,8 @@ def test_scale_is_the_product_with_a_constant(p, c):
 
 
 def fraction_termwise_integral(p):
-    """The Fraction sum that poly_integral_01 took before the integer core,
-    kept as the reference."""
+    """The Fraction sum that poly_integral_01 took before it ran on integer
+    numerators, kept as the reference."""
     return sum((c / (k + 1) for k, c in enumerate(p.coeffs)), Fraction(0))
 
 
@@ -149,6 +151,7 @@ def fraction_bernoulli_basis(p):
 @example([30, 30, 30])  # past the table's first degree, so it grows
 def test_bernoulli_product_integral_matches_the_fraction_sums(ms):
     p = math.prod(map(bernoulli_polynomial, ms), start=RatPoly.one())
+    assert _bernoulli_product(ms) == p
     value = bernoulli_product_integral(ms)
     assert type(value) is Fraction
     assert value == fraction_bernoulli_basis(p) == fraction_termwise_integral(p)
@@ -164,3 +167,78 @@ def test_reflection_evaluates_to_p_at_one_minus_x(p, xs):
     assert q.degree == p.degree
     for x in xs:
         assert q.evaluate(x) == sum(c * (1 - x) ** k for k, c in enumerate(p.coeffs))
+
+
+def fraction_shift(p, delta):
+    """The Fraction binomial expansion that shift_argument took before the
+    integer Taylor shift, kept as the reference."""
+    delta = Fraction(delta)
+    out = [Fraction(0)] * len(p.coeffs)
+    for k, c in enumerate(p.coeffs):
+        pw = Fraction(1)
+        for j in range(k, -1, -1):
+            out[j] += c * math.comb(k, j) * pw
+            pw *= delta
+    return RatPoly(out)
+
+
+deltas = st.one_of(st.sampled_from([Fraction(-2, 3), Fraction(5, 7), Fraction(10**30, 3)]),
+                   coefficients)
+
+
+@PROPERTY
+@given(polys, deltas)  # degree -1..64
+@example(RatPoly(), Fraction(5, 7))
+@example(RatPoly((Fraction(-7, 3),)), Fraction(-2, 3))
+@example(RatPoly((0,) * 64 + (1,)), Fraction(-2, 3))
+@example(RatPoly((0,) * 64 + (Fraction(1, 7),)), Fraction(5, 7))
+@example(RatPoly((Fraction(1, 3),) * 65), Fraction(10**30, 3))
+@example(RatPoly((Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3))), 0)
+def test_shift_matches_the_fraction_binomial_expansion(p, delta):
+    shifted = p.shift_argument(delta)
+    assert shifted == fraction_shift(p, delta)
+    assert shifted.shift_argument(-delta) == p
+
+
+def assert_stored_form(p):
+    """Numerators over a positive denominator, in lowest terms, with no
+    trailing zero numerator."""
+    c, d = p._ints, p._den
+    assert type(d) is int and d >= 1
+    assert all(type(x) is int for x in c)
+    assert math.gcd(d, *c) == 1
+    assert not c or c[-1] != 0
+
+
+@PROPERTY
+@given(wide_polys, wide_polys, wide_coefficients, deltas)
+@example(RatPoly(), RatPoly(), Fraction(0), Fraction(1))
+@example(RatPoly((Fraction(1, 2), 1)), RatPoly((Fraction(-1, 2), -1)), Fraction(2), Fraction(-2, 3))
+@example(RatPoly((0, Fraction(1, 2))), RatPoly((2,)), Fraction(6, 5), Fraction(5, 7))
+def test_every_operation_keeps_the_stored_form(p, q, c, delta):
+    built = [p, q, RatPoly(p.coeffs + (0, 0)), p + q, q + p, p * q, p.scale(c),
+             p.derivative(), p.shift_argument(delta), poly_reflect(p)]
+    for r in built:
+        assert_stored_form(r)
+    # equal values compare and hash equal, however they were built
+    pairs = [
+        (RatPoly(p.coeffs + (0, 0)), p),
+        (p + q, q + p),
+        (p + q, RatPoly(a + b for a, b in zip(p.coeffs + (0,) * 12, q.coeffs + (0,) * 12))),
+        (p * q, q * p),
+        (p.scale(c), p * RatPoly((c,))),
+        (p.derivative(), RatPoly(k * a for k, a in enumerate(p.coeffs) if k)),
+        (p.shift_argument(delta).shift_argument(-delta), p),
+        (poly_reflect(poly_reflect(p)), p),
+        (p + p.scale(-1), RatPoly()),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 64])
+def test_bernoulli_polynomials_keep_the_stored_form(n):
+    p = bernoulli_polynomial(n)
+    assert_stored_form(p)
+    assert p == RatPoly(math.comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
+    assert_stored_form(_bernoulli_product([n, n, 1] if n else []))
