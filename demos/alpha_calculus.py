@@ -25,8 +25,13 @@ for r in range(4):
                       for t in terms)
     print(f"  r={r}: {desc}")
 
-print("\nDifferentiating that family symbolically collapses it back (exact):")
-print(f"  r=3 collapse: {antiderivative_alpha_derivative_symbolic(3)}")
+print("\nDifferentiating that family symbolically collapses it back (exact).")
+print("Rows {j: {p: c_p}}: zeta^(j)(s,a) times sum_p c_p (1-s)^-p:")
+for r in range(4):
+    rows = antiderivative_alpha_derivative_symbolic(r)
+    text = ", ".join(f"{j}: {{{', '.join(f'{p}: {c}' for p, c in row.items())}}}"
+                     for j, row in rows.items())
+    print(f"  r={r}: {{{text}}}")
 
 print("\nAt s = 0 the alpha-derivative is a Stieltjes constant,")
 print("d/da zeta^(r)(0,a) = -r! gamma_{r-1}(a):")

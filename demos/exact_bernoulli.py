@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from zetalab import (bernoulli_number, bernoulli_polynomial,
                      bernoulli_product_integral, poly_integral_01,
-                     poly_reflect, zeta_neg_int_poly)
+                     zeta_neg_int_poly)
 
 print("Bernoulli numbers (B1 = -1/2 convention):")
 for n in (0, 1, 2, 4, 12, 30):
@@ -17,10 +17,10 @@ print("\nBernoulli polynomials:")
 for n in range(5):
     print(f"  B_{n}(alpha) = {bernoulli_polynomial(n).pretty_str()}")
 
-print("\nReflection B_n(1 - alpha) = (-1)^n B_n(alpha):")
+print("\nReflection B_n(1 - alpha) = (-1)^n B_n(alpha), evaluated exactly:")
 b3 = bernoulli_polynomial(3)
-print(f"  B_3(alpha)   = {b3.pretty_str()}")
-print(f"  B_3(1-alpha) = {poly_reflect(b3).pretty_str()}")
+for x in (Fraction(1, 5), Fraction(1, 3), Fraction(7, 4)):
+    print(f"  B_3({1 - x}) = {b3.evaluate(1 - x)},  -B_3({x}) = {-b3.evaluate(x)}")
 
 print("\nzeta at non-positive integers is a polynomial, zeta(-m, .) = -B_{m+1}/(m+1):")
 for m in range(3):

@@ -18,7 +18,7 @@ from .errors import (ConvergenceError, DomainError, EvaluationError,
                      NumericOverflowError, PoleProximityError)
 from .exact import (RatPoly, bernoulli_number, bernoulli_polynomial,
                     bernoulli_product_integral, poly_integral_01,
-                    poly_reflect, rational_str, zeta_neg_int_poly)
+                    rational_str, zeta_neg_int_poly)
 from .kernels import (digamma, format_complex, gamma_complex, hurwitz_taylor,
                       hurwitz_zeta, hurwitz_zeta_deriv, riemann_zeta,
                       riemann_zeta_deriv, stieltjes)

@@ -8,10 +8,10 @@ Central derived fact: the antiderivative of zeta^(r)(s, .) is
     sum_{l=0..r} c_l zeta^(l)(s-1, a) / (1-s)^(r+1-l),   c_l = r!/l!.
 
 The coefficients are not taken on faith: differentiating the family in alpha
-with the forward rule must collapse, as an exact rational-function identity,
-to the single term zeta^(r)(s, a) -- see
-:func:`antiderivative_alpha_derivative_symbolic`, which the test suite runs
-for every r used anywhere else.
+with the forward rule must collapse to the single term zeta^(r)(s, a), as an
+exact identity between Laurent polynomials in 1/(1-s) with Fraction
+coefficients -- see :func:`antiderivative_alpha_derivative_symbolic`, which
+the test suite runs for every r used anywhere else.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from math import factorial
 
 from . import kernels
 from .errors import DomainError, NumericOverflowError, PoleProximityError
-from .exact import RatPoly, poly_reflect
-from .reduction import RationalFunctionOfS
 
 __all__ = [
     "AntiderivativeTerm",
@@ -80,18 +78,18 @@ def antiderivative_eval(r: int, s: complex, alpha: float) -> complex:
     return _antiderivative(r, s, alpha)
 
 
-def antiderivative_alpha_derivative_symbolic(r: int) -> dict[int, RationalFunctionOfS]:
+def antiderivative_alpha_derivative_symbolic(r: int) -> dict[int, dict[int, Fraction]]:
     """Differentiate the antiderivative family in alpha, symbolically.
 
     Each term c_l zeta^(l)(s-1, a)/(1-s)^(r+1-l) maps under d/da to
     -l zeta^(l-1)(s, a) - (s-1) zeta^(l)(s, a) times its coefficient.  The
-    result maps derivative order j to the exact rational-function coefficient
-    of zeta^(j)(s, a); the family is a true antiderivative iff this collapses
-    to {r: 1}.
+    coefficient of each zeta^(j)(s, a) is a Laurent polynomial in 1-s, and
+    the result is its rows: {j: {p: c_p}} for sum_p c_p (1-s)^(-p), with only
+    nonzero c_p, powers ascending, and only nonempty rows.  The family is a
+    true antiderivative iff this collapses to {r: {0: 1}}.
 
-    Every coefficient is a Laurent polynomial in 1-s, held as {p: c_p} for
-    sum_p c_p (1-s)^(-p): c/(1-s)^p on zeta^(l)(s-1, a) sends -l c/(1-s)^p
-    to zeta^(l-1)(s, a) and c/(1-s)^(p-1) to zeta^(l)(s, a).
+    c/(1-s)^p on zeta^(l)(s-1, a) sends -l c/(1-s)^p to zeta^(l-1)(s, a) and
+    c/(1-s)^(p-1) to zeta^(l)(s, a).
     """
     rows: dict[int, dict[int, Fraction]] = {}
 
@@ -106,21 +104,10 @@ def antiderivative_alpha_derivative_symbolic(r: int) -> dict[int, RationalFuncti
         add(l, p - 1, c)
     out = {}
     for j, row in rows.items():
-        powers = [p for p, c in row.items() if c]
-        if powers:
-            out[j] = _laurent_in_one_minus_s(row, max(powers))
+        row = {p: c for p, c in sorted(row.items()) if c}
+        if row:
+            out[j] = row
     return out
-
-
-def _laurent_in_one_minus_s(row: dict[int, Fraction], top: int) -> RationalFunctionOfS:
-    """sum_p c_p (1-s)^(-p), with c_top != 0 the highest power, over the
-    monic (s-1)^top: in u = 1 - s, (-1)^top sum_p c_p u^(top-p) over
-    (-1)^top u^top, both reflected to s.  The numerator is c_top at s = 1,
-    so the quotient is already reduced."""
-    sign = (-1) ** top
-    num = RatPoly(sign * row.get(top - k, 0) for k in range(top + 1))
-    den = RatPoly((0,) * top + (sign,))
-    return RationalFunctionOfS(poly_reflect(num), poly_reflect(den))
 
 
 def alpha_derivative(r: int, s: complex, alpha: float) -> complex:

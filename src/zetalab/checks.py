@@ -363,7 +363,7 @@ def build_registry() -> list[CheckSpec]:
             "symbolic d/da of the antiderivative family collapses to zeta^(r)(s,a)",
             "Corollary 1a-f", 0.0,
             lambda r=r: _indicator(calculus.antiderivative_alpha_derivative_symbolic(r)
-                                   == {r: RationalFunctionOfS.one()}))
+                                   == {r: {0: 1}}))
 
     for r, coeffs, anchor in ((1, (1, 1), "Corollary 1b"), (2, (2, 2, 1), "Corollary 1c")):
         add(f"cor1_coeffs_r{r}", f"antiderivative coefficients for r={r} are {coeffs}",

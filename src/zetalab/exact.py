@@ -4,11 +4,10 @@ Rationals are ``fractions.Fraction`` (always reduced, positive denominator,
 zero stored as 0/1).  A polynomial is a :class:`RatPoly`: integer numerators
 in ascending degree order over one positive denominator, in lowest terms.
 Every operation runs on that stored form: products by integer convolution,
-the shift p(x + delta) by an integer Taylor shift, both [0, 1] integration
-routes (the term-wise sum over lcm(1..n+1), and the Bernoulli-basis sum of
-the endpoint jumps p^(k-1)(1) - p^(k-1)(0) against one table of B_n/n! over
-a common denominator), and the IBP reduction in ``zetalab.reduction``.  Only
-the final values become Fractions.
+both [0, 1] integration routes (the term-wise sum over lcm(1..n+1), and the
+Bernoulli-basis sum of the endpoint jumps p^(k-1)(1) - p^(k-1)(0) against
+one table of B_n/n! over a common denominator), the text form, and the IBP
+reduction in ``zetalab.reduction``.  Only the final values become Fractions.
 
 Convention: B1 = -1/2 (the "first" Bernoulli numbers).  This is forced by
 zeta(0, a) = 1/2 - a together with zeta(-n, a) = -B_{n+1}(a)/(n+1); the
@@ -28,7 +27,6 @@ __all__ = [
     "RatPoly",
     "bernoulli_number",
     "bernoulli_polynomial",
-    "poly_reflect",
     "poly_integral_01",
     "bernoulli_product_integral",
     "zeta_neg_int_poly",
@@ -202,32 +200,20 @@ class RatPoly:
         return RatPoly._from_ints([k * c for k, c in enumerate(self._ints)][1:],
                                   self._den)
 
-    def shift_argument(self, delta: Fraction | int) -> "RatPoly":
-        """Return q with q(x) = p(x + delta), delta = a/b, by an integer
-        Taylor shift: with P(y) = sum_i c_i b^(n-i) y^i, d b^n q(x) is
-        P(y + a) at y = b x."""
-        delta = Fraction(delta)
-        if delta == 0 or self.is_zero():
-            return self
-        a, b = delta.numerator, delta.denominator
-        n = self.degree
-        c = [x * b ** (n - i) for i, x in enumerate(self._ints)]
-        for i in range(n):  # n rounds of synthetic division by y - a
-            for j in range(n - 1, i - 1, -1):
-                c[j] += a * c[j + 1]
-        return RatPoly._from_ints([x * b ** j for j, x in enumerate(c)],
-                                  self._den * b ** n)
-
     def ascending_str(self, var: str = "s") -> str:
-        """Canonical ascending-degree text form, e.g. "-1 + 1*s + 2*s^2"."""
+        """Canonical ascending-degree text form, e.g. "-1 + 1*s + 2*s^2",
+        each coefficient written as str(Fraction) writes it."""
         if self.is_zero():
             return "0"
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
+        d = self._den
+        for k, x in enumerate(self._ints):
+            if not x:
                 continue
+            g = gcd(x, d)
+            c = f"{x // g}" if g == d else f"{x // g}/{d // g}"
             if k == 0:
-                parts.append(str(c))
+                parts.append(c)
             elif k == 1:
                 parts.append(f"{c}*{var}")
             else:
@@ -324,13 +310,6 @@ def bernoulli_polynomial(n: int) -> RatPoly:
     if n < 0:
         raise ValueError("Bernoulli polynomial index must be non-negative")
     return RatPoly(comb(n, i) * bernoulli_number(n - i) for i in range(n + 1))
-
-
-def poly_reflect(p: RatPoly) -> RatPoly:
-    """Return q with q(x) = p(1 - x): that is r(-x) for r(y) = p(y + 1)."""
-    r = p.shift_argument(1)
-    return RatPoly._from_ints([-c if k % 2 else c for k, c in enumerate(r._ints)],
-                              r._den)
 
 
 def poly_integral_01(p: RatPoly) -> Fraction:

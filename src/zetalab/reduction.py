@@ -84,10 +84,6 @@ class RationalFunctionOfS:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalFunctionOfS is immutable")
 
-    @staticmethod
-    def one() -> "RationalFunctionOfS":
-        return RationalFunctionOfS(RatPoly((1,)))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -152,6 +148,8 @@ class LinearCombination:
         return iter(sorted(self._terms.items(), key=lambda kv: kv[0]))
 
     def __add__(self, other: "LinearCombination") -> "LinearCombination":
+        if not isinstance(other, LinearCombination):
+            return NotImplemented
         merged = dict(self._terms)
         for atom, coeff in other._terms.items():
             merged[atom] = merged[atom] + coeff if atom in merged else coeff

@@ -8,7 +8,7 @@ import pytest
 
 from zetalab.exact import (RatPoly, bernoulli_number, bernoulli_polynomial,
                            bernoulli_product_integral, poly_integral_01,
-                           poly_reflect, rational_str, zeta_neg_int_poly)
+                           rational_str, zeta_neg_int_poly)
 
 
 def multisets(max_total, max_len=3):
@@ -97,13 +97,10 @@ class TestBernoulliPolynomials:
 
     @pytest.mark.parametrize("n", range(17))
     def test_reflection(self, n):
-        # B_n(1 - x) = (-1)^n B_n(x), coefficient-wise
+        # B_n(1 - x) = (-1)^n B_n(x), by exact evaluation at rational points
         bn = bernoulli_polynomial(n)
-        assert poly_reflect(bn) == bn.scale((-1) ** n)
-
-    def test_reflect_constant(self):
-        c = RatPoly((Fraction(5, 7),))
-        assert poly_reflect(c) == c
+        for x in (0, 1, -3, Fraction(1, 2), Fraction(7, 3), Fraction(-5, 12)):
+            assert bn.evaluate(1 - x) == (-1) ** n * bn.evaluate(x), (n, x)
 
     def test_degree_formula(self):
         for n in range(12):
@@ -232,10 +229,6 @@ class TestRatPolyBasics:
     def test_zero_polynomial(self):
         z = RatPoly()
         assert z.is_zero() and z.degree == -1
-
-    def test_shift_argument(self):
-        p = RatPoly((0, 0, 1))  # x^2
-        assert p.shift_argument(-1) == RatPoly((1, -2, 1))  # (x-1)^2
 
     def test_derivative(self):
         p = RatPoly((5, 3, 1))

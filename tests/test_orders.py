@@ -18,7 +18,7 @@ from zetalab.reduction import (DerivAtom, LinearCombination, RationalFunctionOfS
                                eval_combination, integral_poly_zeta,
                                reduce_monomial, reduce_poly)
 
-ONE = RationalFunctionOfS.one()
+ONE = RationalFunctionOfS(RatPoly((1,)))
 
 # name -> the entry point as a function of its order alone
 ENTRY_POINTS = {

@@ -20,7 +20,7 @@ EXPORTS = [
     "eval_combination", "format_complex", "gamma_complex", "hurwitz_taylor",
     "hurwitz_zeta", "hurwitz_zeta_deriv", "integral_1_inf",
     "integral_poly_zeta", "pair_integral", "pair_limit_weighted",
-    "poly_integral_01", "poly_reflect", "psi_chain", "rational_str",
+    "poly_integral_01", "psi_chain", "rational_str",
     "reduce_monomial", "reduce_poly", "render_report", "riemann_zeta",
     "riemann_zeta_deriv", "run_checks", "stieltjes",
     "stieltjes_alpha_derivative", "tanh_sinh_01", "triple_product_integral",
@@ -32,11 +32,11 @@ MEMBERS = {
         "__add__", "__eq__", "__hash__", "__init__", "__mul__", "__repr__",
         "__setattr__", "ascending_str", "coeffs", "degree", "derivative",
         "evaluate", "evaluate_complex", "is_zero", "one", "pretty_str",
-        "scale", "shift_argument",
+        "scale",
     ],
     "RationalFunctionOfS": [
         "__add__", "__eq__", "__init__", "__repr__", "__setattr__", "__str__",
-        "den", "evaluate", "is_zero", "num", "one",
+        "den", "evaluate", "is_zero", "num",
     ],
     "LinearCombination": [
         "__add__", "__eq__", "__init__", "__len__", "__repr__", "__setattr__",

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TARGET_IDS, TARGETS
+from conftest import TARGET_IDS, TARGETS, fraction_shift
 from zetalab import calculus, kernels
 from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import (RatPoly, bernoulli_number, poly_integral_01,
@@ -32,6 +32,9 @@ S_MINUS_2 = RatPoly((-2, 1))
 def rf(num, den=RatPoly((1,))):
     return RationalFunctionOfS(RatPoly(num) if not isinstance(num, RatPoly) else num,
                                RatPoly(den) if not isinstance(den, RatPoly) else den)
+
+
+ONE = rf((1,))
 
 
 class TestRationalFunction:
@@ -64,14 +67,16 @@ class TestRationalFunction:
         total = a + b                  # (1+2s)/(s(1+s))
         assert total == rf((1, 2), RatPoly((0, 1)) * RatPoly((1, 1)))
 
-    # the quotients are values, not an algebra: + is their only arithmetic
-    @pytest.mark.parametrize("other", [0.5, 1j, "x", RatPoly((1, 2)), 2, Fraction(1, 3)])
+    # the quotients and the combinations are values, not an algebra: + with
+    # their own type is their only arithmetic
+    @pytest.mark.parametrize("other", [0.5, 1j, "x", None, RatPoly((1, 2)), 2,
+                                       Fraction(1, 3)])
     def test_other_operand_types_are_a_type_error(self, other):
-        f = rf((1,), S_MINUS_1)
-        for op in (lambda: f * other, lambda: other * f, lambda: f + other,
-                   lambda: other + f, lambda: f - other):
-            with pytest.raises(TypeError):
-                op()
+        for f in (rf((1,), S_MINUS_1), integral_poly_zeta((1,), 0)):
+            for op in (lambda: f * other, lambda: other * f, lambda: f + other,
+                       lambda: other + f, lambda: f - other):
+                with pytest.raises(TypeError):
+                    op()
 
     def test_evaluate(self):
         f = rf((-1,), S_MINUS_1)       # 1/(1-s)
@@ -195,7 +200,7 @@ def _shift_and_scale(combo, fnum, fden):
     """{atom: (num, den)} at u = s - 1, times fnum/fden: each shift grows by
     one and each num and den is composed with s - 1, then multiplied."""
     return {DerivAtom(a.deriv_order, a.shift + 1):
-            (num.shift_argument(-1) * fnum, den.shift_argument(-1) * fden)
+            (fraction_shift(num, -1) * fnum, fraction_shift(den, -1) * fden)
             for a, (num, den) in combo.items()}
 
 
@@ -318,17 +323,19 @@ class TestBuiltReducedAndMonic:
 
     @pytest.mark.parametrize("r", range(7))
     def test_symbolic_alpha_derivative(self, monkeypatch, r):
-        collapsed = calculus.antiderivative_alpha_derivative_symbolic(r)
-        assert all(_reduced_and_monic(c) for c in collapsed.values())
-        # the true family collapses to {r: 1}; with every odd order's pole
-        # raised by one, rows of several powers of 1/(1-s) are left
+        # the alpha-calculus builds Laurent rows in 1/(1-s), not quotients:
+        # nonzero Fractions at ascending powers, so equal values are equal rows
+        assert calculus.antiderivative_alpha_derivative_symbolic(r) == {r: {0: 1}}
+        # with every odd order's pole raised by one, a row is left per order
         terms = calculus.antiderivative_terms
         monkeypatch.setattr(calculus, "antiderivative_terms", lambda r: tuple(
             dataclasses.replace(t, pole_power=t.pole_power + t.deriv_order % 2)
             for t in terms(r)))
         rows = calculus.antiderivative_alpha_derivative_symbolic(r)
-        assert len(rows) == r + 1
-        assert all(_reduced_and_monic(c) for c in rows.values())
+        assert sorted(rows) == list(range(r + 1))
+        for row in rows.values():
+            assert row and list(row) == sorted(row)
+            assert all(type(c) is Fraction and c for c in row.values())
 
 
 class TestHighDegreeClosedForm:
@@ -431,12 +438,12 @@ class TestEvalCombination:
     def test_removable_integer_root_is_refused(self):
         # (s+2)/(s+2) equals 1, but its stored denominator vanishes at -2
         removable = rf((2, 1), (2, 1))
-        assert removable == RationalFunctionOfS.one()
+        assert removable == ONE
         lc = LinearCombination({DerivAtom(0, 1): removable})
         with pytest.raises(PoleProximityError) as err:
             eval_combination(lc, -2.0)
         assert str(err.value) == "coefficient of zeta^(0)(s-1) has a pole at s = -2"
-        one = LinearCombination({DerivAtom(0, 1): RationalFunctionOfS.one()})
+        one = LinearCombination({DerivAtom(0, 1): ONE})
         assert eval_combination(one, -2.0) == pytest.approx(1 / 120)  # zeta(-3)
 
     def test_empty(self):
@@ -543,7 +550,6 @@ class TestShiftBatch:
                 got = outcome(lambda: eval_combination(lc, s))
                 assert got == outcome(lambda: atom_by_atom(lc, s)), (ms, s)
 
-    ONE = RationalFunctionOfS.one()
     # 1/(s - 33/10): a pole off the integers, at s = 3.3
     POLE_33 = rf((1,), (Fraction(-33, 10), 1))
     POLE_6395 = rf((1,), (Fraction(1279, 2), 1))
