@@ -86,10 +86,8 @@ class RatPoly:
     ``coeffs`` builds the Fractions when read.
     """
 
-    # _ints, _den: the numerators (ascending) and the denominator; _floats:
-    # the coefficients rounded to floats, highest degree first, set by the
-    # first evaluate_complex
-    __slots__ = ("_ints", "_den", "_floats")
+    # _ints, _den: the numerators (ascending) and the denominator
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
@@ -184,16 +182,11 @@ class RatPoly:
 
     def evaluate_complex(self, z: complex) -> complex:
         """Horner evaluation at a complex point, or elementwise over a numpy
-        array of points (coefficients rounded once per polynomial, on the
-        first call; c / d rounds as float(Fraction(c, d)) does)."""
-        try:
-            floats = self._floats
-        except AttributeError:
-            floats = tuple(c / self._den for c in reversed(self._ints))
-            object.__setattr__(self, "_floats", floats)
+        array of points (each coefficient c / d rounds as float(Fraction(c, d))
+        does)."""
         acc = 0j
-        for c in floats:
-            acc = acc * z + c
+        for c in reversed(self._ints):
+            acc = acc * z + c / self._den
         return acc
 
     def derivative(self) -> "RatPoly":

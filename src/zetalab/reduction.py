@@ -22,6 +22,8 @@ table cached for k <= MAX_DEGREE.  Poles of the coefficients land only at
 integer shifts s = 1..N by construction.  Q_k has simple roots, so every
 coefficient is built reduced over a monic denominator, and
 :class:`RationalFunctionOfS` stores it as built: no polynomial gcd runs.
+A reduction also keeps its order and those constants A_k, from which alone
+:func:`eval_combination` evaluates it: never from the expanded Q_k.
 
 The closed-form product integrals (the two-factor integral over (0,1), its
 s -> 1 limit combination, and the specific triple-product evaluation) live
@@ -99,9 +101,6 @@ class RationalFunctionOfS:
 
     __hash__ = None  # equal values need not share a num and den
 
-    def evaluate(self, s: complex) -> complex:
-        return self.num.evaluate_complex(s) / self.den.evaluate_complex(s)
-
     def __str__(self) -> str:
         return f"({self.num.ascending_str('s')})/({self.den.ascending_str('s')})"
 
@@ -126,11 +125,13 @@ class LinearCombination:
     Zero coefficients are never stored; instances are immutable.
     """
 
-    __slots__ = ("_terms",)
+    # _jumps: a reduction's (r, {k: A_k}) for eval_combination; None here and after +
+    __slots__ = ("_terms", "_jumps")
 
     def __init__(self, terms: dict[DerivAtom, RationalFunctionOfS] | None = None):
         clean = {a: c for a, c in (terms or {}).items() if not c.is_zero()}
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_jumps", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LinearCombination is immutable")
@@ -219,16 +220,17 @@ def reduce_poly(p: RatPoly, r: int) -> LinearCombination:
     r = _check_r(r)
     if p.degree > MAX_DEGREE:
         raise ValueError(f"polynomial degree must be <= {MAX_DEGREE}")
+    jumps = {k: Fraction(jump, p._den)
+             for k, jump in enumerate(_endpoint_jumps(p), start=1) if jump}
     terms: dict[DerivAtom, RationalFunctionOfS] = {}
-    for k, jump in enumerate(_endpoint_jumps(p), start=1):
-        if jump == 0:
-            continue
-        a_k = Fraction(jump, p._den)
+    for k, a_k in jumps.items():
         q, dq, q2 = _pochhammer(k)
         terms[DerivAtom(r, k)] = RationalFunctionOfS(RatPoly((-a_k,)), q)
         if r == 1:
             terms[DerivAtom(0, k)] = RationalFunctionOfS(dq.scale(a_k), q2)
-    return LinearCombination(terms)
+    lc = LinearCombination(terms)
+    object.__setattr__(lc, "_jumps", (r, jumps))
+    return lc
 
 
 def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
@@ -249,47 +251,51 @@ def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
 
 
 def eval_combination(lc: LinearCombination, s: complex) -> complex:
-    """Numeric value of a reduction at the point s.
+    """Numeric value at s of a reduction from reduce_poly, reduce_monomial
+    or integral_poly_zeta; any other combination raises DomainError.
 
-    Every atom of shift k takes its value from one Taylor-mode
-    Euler-Maclaurin sum about s - k, made at the shift's first atom up to
-    the highest order in the combination; every value and refusal equals
-    its one-atom evaluation.  The sum runs in atom order.
+    The value comes from the reduction's jumps A_k, not from its printed
+    coefficients: with 1/Q_k = prod_{j<=k} 1/(s - j) and H_k = sum_{j<=k}
+    1/(s - j) as one running product and one running sum, zeta^(r)(s-k)
+    weighs -A_k/Q_k and, for r = 1, zeta(s-k) weighs (A_k/Q_k) H_k.
 
-    Refuses s within 1e-8 of an integer root of a coefficient's stored
-    denominator (the shifts, for a reduction; a removable one, for a
-    hand-built quotient), or on any other coefficient pole, and reports which
-    shift is at fault when a zeta evaluation sits on the pole.  Errors are
-    raised at the first atom, in atom order, whose value or coefficient fails.
+    Each shift k takes one Taylor-mode Euler-Maclaurin sum about s - k,
+    made at its first atom up to order r, so every value and refusal equals
+    its one-atom evaluation; the sum runs in atom order.  Refuses s within
+    1e-8 of a coefficient pole, an integer 1..N, naming the first atom with
+    it, and names the shift whose zeta evaluation sits on the kernel's pole.
+    Errors are raised at the first atom, in atom order, whose value fails.
     """
-    s = complex(s)
+    if lc._jumps is None:
+        raise DomainError("eval_combination evaluates only a reduction from reduce_poly, "
+                          "reduce_monomial or integral_poly_zeta")
+    (r, jumps), s = lc._jumps, complex(s)
+    top = max(jumps, default=0)
     # Integers are 1 apart, so only the nearest one can lie within 1e-8 of s.
-    root = round(s.real) if math.isfinite(s.real) else None
-    if root is not None and abs(s - root) <= 1e-8:
-        for atom, coeff in lc.items():
-            if coeff.den.evaluate(root) == 0:
-                raise PoleProximityError(
-                    f"coefficient of {atom} has a pole at s = {root}")
-    terms = list(lc.items())
-    orders = [operator.index(a.deriv_order) for a, _ in terms]  # refuse float orders up front
-    top = min(max(orders, default=0), kernels._MAX_ORDER)
-    jets: dict[int, list[complex]] = {}  # shift -> a_0..a_top about s - k
+    root = round(s.real) if math.isfinite(s.real) else 0
+    if 1 <= root <= top and abs(s - root) <= 1e-8:
+        k = min(k for k in jumps if k >= root)
+        raise PoleProximityError(f"coefficient of {DerivAtom(0, k)} has a pole at s = {root}")
+    terms = []  # (order, shift, coefficient), in atom order once sorted
+    inv_q, h = 1.0, 0j
+    for j in range(1, top + 1):
+        step = 1.0 / (s - j)
+        inv_q, h = inv_q * step, h + step
+        if j in jumps:
+            a_over_q = float(jumps[j]) * inv_q
+            terms.append((r, j, -a_over_q))
+            if r == 1:
+                terms.append((0, j, a_over_q * h))
+    jets: dict[int, list[complex]] = {}  # shift -> a_0..a_r about s - k
     total = 0j
-    for atom, coeff in terms:
-        n, k = atom.deriv_order, atom.shift
+    for n, k, coeff in sorted(terms):
         try:
-            n = kernels._check_order(n)
             if k not in jets:
-                jets[k] = kernels._em_jet(s - k, 1.0, top)
+                jets[k] = kernels._em_jet(s - k, 1.0, r)
             value = kernels._refuse(n, s - k, 1.0, jets[k][n])
         except PoleProximityError as exc:
             raise PoleProximityError(f"shift {k}: {exc}") from None
-        try:
-            total += coeff.evaluate(s) * value
-        except ZeroDivisionError:
-            # a hand-built coefficient with a pole off the integers
-            raise PoleProximityError(
-                f"coefficient of {atom} has a pole at s = {kernels.format_complex(s)}") from None
+        total += coeff * value
     return total
 
 

@@ -1,15 +1,10 @@
 """Shared finite-difference stencils used as oracles across test modules, the
-Fraction reference for the shift p(x + delta), the ``target`` fixture that
-runs a test at another accuracy target, and the number of sums and batches a
-verify pass takes."""
-
-import math
-from fractions import Fraction
+``target`` fixture that runs a test at another accuracy target, and the
+number of sums and batches a verify pass takes."""
 
 import pytest
 
 from zetalab import kernels
-from zetalab.exact import RatPoly
 
 # The values a ``target`` axis takes: the fixed policy, and a tighter target,
 # which shrinks the head length M at more points.  Use them as
@@ -45,16 +40,3 @@ def diff2_5(f, x, h):
 def central(f, x, h):
     """Plain central first difference."""
     return (f(x + h) - f(x - h)) / (2 * h)
-
-
-def fraction_shift(p, delta):
-    """q with q(x) = p(x + delta), by the Fraction binomial expansion: a
-    reference, not a fast path."""
-    delta = Fraction(delta)
-    out = [Fraction(0)] * len(p.coeffs)
-    for k, c in enumerate(p.coeffs):
-        pw = Fraction(1)
-        for j in range(k, -1, -1):
-            out[j] += c * math.comb(k, j) * pw
-            pw *= delta
-    return RatPoly(out)

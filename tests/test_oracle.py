@@ -12,20 +12,27 @@ absolute floor of the bound and is held to the relative part alone; and
 zeta(s, alpha) at complex alpha from hurwitz_taylor, every point within
 1e-9, or 1e-13 relative for large values, or refused.
 
-Last, Gamma(z) on Re z in [-60, 171.6], |Im z| <= 60, next to its poles and
+Then Gamma(z) on Re z in [-60, 171.6], |Im z| <= 60, next to its poles and
 next to the largest double, within the README's max(1e-11, 1e-13 |Gamma|);
 and the pair integral with Gamma(1 - s1) next to a pole.
+
+Last, the coefficients of a reduction at degree up to 64: eval_combination
+of int_0^1 B_k(a) zeta^(r)(s, a) da against -A_k/Q_k(s), and (A_k/Q_k) H_k
+for r = 1, taken in mpmath and multiplied by the package's own zeta values,
+within 4 k eps times the sum of the terms' magnitudes.
 """
 
 import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from zetalab import (gamma_complex, hurwitz_taylor, hurwitz_zeta, hurwitz_zeta_deriv,
-                     pair_integral, stieltjes)
+from zetalab import (bernoulli_polynomial, eval_combination, gamma_complex, hurwitz_taylor,
+                     hurwitz_zeta, hurwitz_zeta_deriv, pair_integral, reduce_poly,
+                     riemann_zeta_deriv, stieltjes)
 from zetalab.errors import EvaluationError
 from zetalab.kernels import _zeta_level
 
@@ -198,3 +205,38 @@ def test_pair_integral_next_to_a_gamma_pole():
                          * mp.cos(mp.pi * (a - b) / 2) * mp.zeta(2 - a - b))
     got = pair_integral(s1, s2)
     assert abs(got - expected) <= 1e-13 * abs(expected), (got, expected)
+
+
+# Re s and Im s of the reduction grid: the band 0 < Re s < 1, the left half
+# plane, and heights where the expanded Q_k loses every digit in floats
+REDUCTION_S = [complex(x, y) for x in (-2.5, 0.3, 0.5, 0.99)
+               for y in (0.0, 0.4, -0.4, 10.0, 30.0, 60.0, 100.0)]
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_reduction_coefficients_within_bound(r):
+    # B_k^(j-1) = k!/(k-j+1)! B_{k-j+1} has a jump at 0..1 only for j = k,
+    # where it is k! (a - 1/2): the reduction of B_k is the single shift k
+    # with A_k = k!
+    reductions = [reduce_poly(bernoulli_polynomial(k), r) for k in range(1, 65)]
+    assert all({atom.shift for atom in lc.atoms()} == {k}
+               for k, lc in enumerate(reductions, start=1))
+    eps, misses, values = sys.float_info.epsilon, [], 0
+    for s in REDUCTION_S:
+        z = mp.mpc(s.real, s.imag)
+        inv_q, h = mp.mpf(1), mp.mpf(0)  # 1/Q_k(s) and H_k(s), in mpmath
+        for k, lc in enumerate(reductions, start=1):
+            inv_q, h = inv_q / (z - k), h + 1 / (z - k)
+            a_over_q = math.factorial(k) * inv_q
+            coeffs = [(r, -a_over_q)] + ([(0, a_over_q * h)] if r else [])
+            try:
+                terms = [c * riemann_zeta_deriv(n, s - k) for n, c in coeffs]
+            except EvaluationError:
+                continue
+            values += 1
+            bound = 4 * k * eps * float(mp.fsum(abs(term) for term in terms))
+            err = float(abs(eval_combination(lc, s) - mp.fsum(terms)))
+            if err > bound:
+                misses.append((k, s, err / bound))
+    assert not misses, (len(misses), max(misses, key=lambda m: m[2]))
+    assert values > 0.9 * len(reductions) * len(REDUCTION_S)

@@ -14,11 +14,7 @@ from zetalab.calculus import (alpha_derivative, alpha_derivative_at_zero,
 from zetalab.errors import NumericOverflowError
 from zetalab.exact import RatPoly
 from zetalab.kernels import hurwitz_zeta_deriv, riemann_zeta_deriv, stieltjes
-from zetalab.reduction import (DerivAtom, LinearCombination, RationalFunctionOfS,
-                               eval_combination, integral_poly_zeta,
-                               reduce_monomial, reduce_poly)
-
-ONE = RationalFunctionOfS(RatPoly((1,)))
+from zetalab.reduction import integral_poly_zeta, reduce_monomial, reduce_poly
 
 # name -> the entry point as a function of its order alone
 ENTRY_POINTS = {
@@ -36,8 +32,6 @@ ENTRY_POINTS = {
     "reduce_monomial": lambda r: reduce_monomial(2, r).serialize(),
     "reduce_poly": lambda r: reduce_poly(RatPoly((1, 2, 3)), r).serialize(),
     "integral_poly_zeta": lambda r: integral_poly_zeta((1,), r).serialize(),
-    "eval_combination": lambda r: eval_combination(
-        LinearCombination({DerivAtom(0, 2): ONE, DerivAtom(r, 1): ONE}), -0.5),
 }
 NOT_AN_INT = "'float' object cannot be interpreted as an integer"
 

@@ -36,7 +36,7 @@ MEMBERS = {
     ],
     "RationalFunctionOfS": [
         "__add__", "__eq__", "__init__", "__repr__", "__setattr__", "__str__",
-        "den", "evaluate", "is_zero", "num",
+        "den", "is_zero", "num",
     ],
     "LinearCombination": [
         "__add__", "__eq__", "__init__", "__len__", "__repr__", "__setattr__",

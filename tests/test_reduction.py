@@ -6,13 +6,14 @@ import itertools
 import json
 import math
 import types
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from conftest import TARGET_IDS, TARGETS, fraction_shift
+from conftest import TARGET_IDS, TARGETS
 from zetalab import calculus, kernels
 from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
 from zetalab.exact import (RatPoly, bernoulli_number, poly_integral_01,
@@ -32,9 +33,6 @@ S_MINUS_2 = RatPoly((-2, 1))
 def rf(num, den=RatPoly((1,))):
     return RationalFunctionOfS(RatPoly(num) if not isinstance(num, RatPoly) else num,
                                RatPoly(den) if not isinstance(den, RatPoly) else den)
-
-
-ONE = rf((1,))
 
 
 class TestRationalFunction:
@@ -77,10 +75,6 @@ class TestRationalFunction:
                        lambda: other + f, lambda: f - other):
                 with pytest.raises(TypeError):
                     op()
-
-    def test_evaluate(self):
-        f = rf((-1,), S_MINUS_1)       # 1/(1-s)
-        assert abs(f.evaluate(3.0) - (-0.5)) < 1e-15
 
     def test_integer_roots(self):
         f = rf((1,), S_MINUS_1 * S_MINUS_2)
@@ -196,50 +190,62 @@ class TestIntegralPolyZeta:
             integral_poly_zeta((-1,), 0)
 
 
-def _shift_and_scale(combo, fnum, fden):
-    """{atom: (num, den)} at u = s - 1, times fnum/fden: each shift grows by
-    one and each num and den is composed with s - 1, then multiplied."""
-    return {DerivAtom(a.deriv_order, a.shift + 1):
-            (fraction_shift(num, -1) * fnum, fraction_shift(den, -1) * fden)
-            for a, (num, den) in combo.items()}
-
-
-def _add(*combos):
-    """Sum of {atom: (num, den)} maps, over a shared den where they are equal."""
-    out = {}
-    for combo in combos:
-        for atom, (num, den) in combo.items():
-            if atom not in out:
-                out[atom] = (num, den)
-            else:
-                n0, d0 = out[atom]
-                out[atom] = (n0 + num, den) if d0 == den else (n0 * den + num * d0, d0 * den)
+def _linear_factors(roots):
+    """prod_{m in roots} (s - m) for a Counter of integer roots."""
+    out = RatPoly.one()
+    for m in roots.elements():
+        out = out * RatPoly((-m, 1))
     return out
+
+
+def _shift_and_scale(coeff, scale, pole):
+    """(num, roots) at s - 1, by Horner on (s - 1), times scale/(s-1)^pole:
+    num / prod (s - m) becomes num(s-1) scale / prod (s - m - 1) (s-1)^pole."""
+    num, roots = coeff
+    out = RatPoly()
+    for c in reversed(num.coeffs):
+        out = out * S_MINUS_1 + RatPoly((c,))
+    shifted = Counter({m + 1: n for m, n in roots.items()})
+    shifted[1] += pole
+    return out.scale(scale), shifted
+
+
+def _add(a, b):
+    """Sum of two (num, roots) over the least common multiple of the dens."""
+    (n0, r0), (n1, r1) = a, b
+    roots = r0 | r1
+    return n0 * _linear_factors(roots - r0) + n1 * _linear_factors(roots - r1), roots
 
 
 @lru_cache(maxsize=None)
 def _recursive_monomial(i, r):
     """The reduction as one integration by parts at a time: boundary terms
-    at a = 1 plus i times the (i-1, s-1) integral.  This was the engine
-    before the closed form; it stays here as the exact reference, on
-    (num, den) pairs of its own rather than RationalFunctionOfS."""
+    at a = 1 plus i/(s-1) times the (i-1, s-1) integral, whose shift-k atoms
+    become shift k+1 (and, for r = 1, minus i/(s-1)^2 times the r = 0 one).
+    This was the engine before the closed form; it stays here as the exact
+    reference, {atom: (num, roots)} for num / prod_{m in roots} (s - m), the
+    roots a Counter: sums go over the lcm of the dens, so the den of a
+    shift-k atom divides Q_k^2 and never grows past degree 2k."""
     if i == 0:
         return {}
-    inv_1ms = (RatPoly((-1,)), S_MINUS_1)                 # 1/(1-s)
-    inv_1ms2 = (RatPoly.one(), S_MINUS_1 * S_MINUS_1)     # 1/(1-s)^2
-    if r == 0:
-        return _add({DerivAtom(0, 1): inv_1ms},
-                    _shift_and_scale(_recursive_monomial(i - 1, 0), RatPoly((i,)), S_MINUS_1))
-    return _add({DerivAtom(1, 1): inv_1ms, DerivAtom(0, 1): inv_1ms2},
-                _shift_and_scale(_recursive_monomial(i - 1, 1), RatPoly((i,)), S_MINUS_1),
-                _shift_and_scale(_recursive_monomial(i - 1, 0), RatPoly((-i,)), inv_1ms2[1]))
+    out = {DerivAtom(r, 1): (RatPoly((-1,)), Counter({1: 1}))}  # 1/(1-s)
+    if r == 1:
+        out[DerivAtom(0, 1)] = (RatPoly.one(), Counter({1: 2}))  # 1/(1-s)^2
+    parts = [(r, i, 1)] + ([(0, -i, 2)] if r == 1 else [])
+    for inner, scale, pole in parts:
+        for a, coeff in _recursive_monomial(i - 1, inner).items():
+            atom = DerivAtom(a.deriv_order, a.shift + 1)
+            term = _shift_and_scale(coeff, scale, pole)
+            out[atom] = _add(out[atom], term) if atom in out else term
+    return out
 
 
 def _equal_by_value(lc, combo):
     """The reduction lc has the atoms of combo's nonzero pairs, and each of
     its coefficients num/den equals the pair's value."""
     got = dict(lc.items())
-    want = {a: nd for a, nd in combo.items() if not nd[0].is_zero()}
+    want = {a: (num, _linear_factors(roots)) for a, (num, roots) in combo.items()
+            if not num.is_zero()}
     return set(got) == set(want) and all(
         got[a].num * den == num * got[a].den for a, (num, den) in want.items())
 
@@ -379,6 +385,15 @@ class TestBenchmarkReadsTheReduction:
         wrong = lc + LinearCombination({atom: nudge})
         assert not self.MOMENT.coefficients_match(wrong, expected)
 
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("ms", [(0,), (4,), (2, 3), (1, 2, 4), (5, 5, 2)])
+    def test_value_within_the_benchmark_bound(self, ms, r):
+        # at the point perfbench/selftest.py evaluates its reductions
+        mpmath = pytest.importorskip("mpmath")
+        s = complex(-0.7, 0.2)
+        ref = self.MOMENT.reference_value(mpmath, self.MOMENT.closed_form(ms, r), s)
+        assert abs(eval_combination(integral_poly_zeta(ms, r), s) - ref) <= self.MOMENT.VALUE_TOL
+
 
 def _scanned_pole_error(lc, s):
     """The message the refusal must give: the first atom, in order, whose
@@ -420,34 +435,19 @@ class TestPoleRefusal:
 
 
 class TestEvalCombination:
-    def test_pole_outside_the_shifts(self):
-        # a hand-built coefficient with its pole at s = 100
-        lc = LinearCombination({DerivAtom(0, 1): RationalFunctionOfS(
-            RatPoly((1,)), RatPoly((-100, 1)))})
-        with pytest.raises(PoleProximityError) as err:
-            eval_combination(lc, 100.0)
-        assert str(err.value) == "coefficient of zeta^(0)(s-1) has a pole at s = 100"
+    @pytest.mark.parametrize("lc", [
+        LinearCombination({DerivAtom(0, 1): rf((-1,), S_MINUS_1)}),  # equals reduce_monomial(1, 0)
+        reduce_monomial(2, 1) + reduce_monomial(2, 1),
+        reduce_monomial(2, 0) + LinearCombination(),
+        LinearCombination(),
+    ], ids=["hand-built", "sum", "sum-with-empty", "empty"])
+    def test_only_a_reduction_is_evaluated(self, lc):
+        with pytest.raises(DomainError, match="evaluates only a reduction"):
+            eval_combination(lc, -0.5)
 
-    def test_pole_off_the_integers(self):
-        lc = LinearCombination({DerivAtom(0, 1): RationalFunctionOfS(
-            RatPoly((1,)), RatPoly((-1, 2)))})
-        with pytest.raises(PoleProximityError) as err:
-            eval_combination(lc, 0.5)
-        assert str(err.value) == "coefficient of zeta^(0)(s-1) has a pole at s = 0.5+0i"
-
-    def test_removable_integer_root_is_refused(self):
-        # (s+2)/(s+2) equals 1, but its stored denominator vanishes at -2
-        removable = rf((2, 1), (2, 1))
-        assert removable == ONE
-        lc = LinearCombination({DerivAtom(0, 1): removable})
-        with pytest.raises(PoleProximityError) as err:
-            eval_combination(lc, -2.0)
-        assert str(err.value) == "coefficient of zeta^(0)(s-1) has a pole at s = -2"
-        one = LinearCombination({DerivAtom(0, 1): ONE})
-        assert eval_combination(one, -2.0) == pytest.approx(1 / 120)  # zeta(-3)
-
-    def test_empty(self):
-        assert eval_combination(LinearCombination(), 0.3) == 0j
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_empty(self, r):
+        assert eval_combination(integral_poly_zeta((), r), 0.3) == 0j
 
     def test_monomial_at_minus_one(self):
         # zeta(-2)/2 = 0
@@ -479,8 +479,7 @@ class TestEvalCombination:
             eval_combination(reduce_monomial(2, 0), 2.0)
         assert "s = 2" in str(err.value)
         with pytest.raises(PoleProximityError) as err:
-            eval_combination(
-                LinearCombination({DerivAtom(0, 3): rf((1,))}), 4.0 + 1e-12j)
+            eval_combination(reduce_monomial(3, 0), 4.0 + 1e-12j)
         assert "shift 3" in str(err.value)
 
 
@@ -492,8 +491,12 @@ def riemann_zeta_deriv_cached(n, z, target):
 
 
 def atom_by_atom(lc, s):
-    """eval_combination as one riemann_zeta_deriv call per atom: the loop
-    that the batch over shifts replaced, kept as its reference."""
+    """eval_combination as one riemann_zeta_deriv call per atom, each atom
+    forming its own 1/Q_k = prod_{j<=k} 1/(s-j) and H_k = sum_{j<=k} 1/(s-j),
+    and its pole refusal from an exact scan of the printed denominators: the
+    loop that the batch over shifts and the running products replaced, kept
+    as their reference.  A_k is read from -A_k/Q_k, the top order's
+    coefficient."""
     s = complex(s)
     root = round(s.real) if math.isfinite(s.real) else None
     if root is not None and abs(s - root) <= 1e-8:
@@ -501,18 +504,21 @@ def atom_by_atom(lc, s):
             if coeff.den.evaluate(root) == 0:
                 raise PoleProximityError(
                     f"coefficient of {atom} has a pole at s = {root}")
+    coeffs = dict(lc.items())
+    r = max((atom.deriv_order for atom in coeffs), default=0)
     total = 0j
-    for atom, coeff in lc.items():
+    for atom in lc.atoms():
+        n, k = atom.deriv_order, atom.shift
         try:
-            value = riemann_zeta_deriv_cached(atom.deriv_order, s - atom.shift,
-                                              kernels._TARGET_ABS_ERROR)
+            value = riemann_zeta_deriv_cached(n, s - k, kernels._TARGET_ABS_ERROR)
         except PoleProximityError as exc:
-            raise PoleProximityError(f"shift {atom.shift}: {exc}") from None
-        try:
-            total += coeff.evaluate(s) * value
-        except ZeroDivisionError:
-            raise PoleProximityError(
-                f"coefficient of {atom} has a pole at s = {kernels.format_complex(s)}") from None
+            raise PoleProximityError(f"shift {k}: {exc}") from None
+        inv_q, h = 1.0, 0j
+        for j in range(1, k + 1):
+            step = 1.0 / (s - j)
+            inv_q, h = inv_q * step, h + step
+        a_over_q = float(-coeffs[DerivAtom(r, k)].num.coeffs[0]) * inv_q
+        total += (-a_over_q if n == r else a_over_q * h) * value
     return total
 
 
@@ -550,46 +556,24 @@ class TestShiftBatch:
                 got = outcome(lambda: eval_combination(lc, s))
                 assert got == outcome(lambda: atom_by_atom(lc, s)), (ms, s)
 
-    # 1/(s - 33/10): a pole off the integers, at s = 3.3
-    POLE_33 = rf((1,), (Fraction(-33, 10), 1))
-    POLE_6395 = rf((1,), (Fraction(1279, 2), 1))
-    POLE_6411 = rf((1,), (Fraction(6411, 10), 1))
-
-    @pytest.mark.parametrize("terms, s, error, message", [
-        ({DerivAtom(0, 1): ONE, DerivAtom(1, 2): ONE}, complex("nan"), DomainError,
-         "hurwitz_zeta got NaN for s"),
-        ({DerivAtom(1, 1): ONE, DerivAtom(2, 3): ONE}, complex("nan"), DomainError,
-         "hurwitz_zeta_deriv got NaN for s"),
-        ({DerivAtom(0, 1): ONE, DerivAtom(1, 1): ONE}, complex(0.3, math.inf),
-         NumericOverflowError, "Euler-Maclaurin overflow in hurwitz_zeta"),
-        ({DerivAtom(1, 1): ONE, DerivAtom(1, 2): ONE}, complex(0.3, math.inf),
-         NumericOverflowError, "non-finite value in hurwitz_zeta_deriv"),
-        ({DerivAtom(1, 1): ONE, DerivAtom(7, 2): ONE, DerivAtom(1, 3): ONE}, 0.3,
-         ValueError, "derivative order must be in 0..6"),
-        ({DerivAtom(-1, 2): ONE, DerivAtom(1, 1): ONE}, 0.3,
-         ValueError, "derivative order must be in 0..6"),
-        ({DerivAtom(0, 1): ONE, DerivAtom(1, 3): ONE, DerivAtom(1, 1): ONE,
-          DerivAtom(2, 2): ONE}, 2.3, PoleProximityError,
+    # the first atom of a reduction is zeta(s-1), so a NaN or an infinite
+    # Im s is refused at order 0 for either r
+    @pytest.mark.parametrize("i, r, s, error, message", [
+        (2, 0, complex("nan"), DomainError, "hurwitz_zeta got NaN for s"),
+        (2, 1, complex("nan"), DomainError, "hurwitz_zeta got NaN for s"),
+        (2, 0, complex(0.3, math.inf), NumericOverflowError,
+         "Euler-Maclaurin overflow in hurwitz_zeta"),
+        (2, 1, complex(0.3, math.inf), NumericOverflowError,
+         "Euler-Maclaurin overflow in hurwitz_zeta"),
+        # zeta(1.3) passes the order-0 guard, zeta'(1.3) does not
+        (3, 1, 2.3, PoleProximityError,
          "shift 1: s=(1.2999999999999998+0j) is within 0.5 of the pole at 1"),
-        ({DerivAtom(1, 1): POLE_33, DerivAtom(1, 2): ONE, DerivAtom(2, 4): ONE}, 3.3,
-         PoleProximityError, "coefficient of zeta^(1)(s-1) has a pole at s = 3.3+0i"),
-        ({DerivAtom(1, 2): ONE, DerivAtom(2, 1): POLE_33}, 3.3, PoleProximityError,
-         "shift 2: s=(1.2999999999999998+0j) is within 0.5 of the pole at 1"),
-        # zeta(-640.5) and zeta'(-640.5) are finite, zeta'(-643.5) overflows
-        ({DerivAtom(1, 1): ONE, DerivAtom(1, 4): ONE}, -639.5,
-         NumericOverflowError, "non-finite value in hurwitz_zeta_deriv"),
-        ({DerivAtom(1, 1): POLE_6395, DerivAtom(1, 4): ONE}, -639.5, PoleProximityError,
-         "coefficient of zeta^(1)(s-1) has a pole at s = -639.5+0i"),
-        ({DerivAtom(0, 1): POLE_6395, DerivAtom(1, 4): ONE}, -639.5, PoleProximityError,
-         "coefficient of zeta^(0)(s-1) has a pole at s = -639.5+0i"),
-        # zeta'(-643.1) is finite and zeta^(6)(-643.1) overflows, both from
-        # the jet of shift 2: the coefficient pole of the atom between them
-        # is the refusal
-        ({DerivAtom(1, 2): ONE, DerivAtom(2, 1): POLE_6411, DerivAtom(6, 2): ONE}, -641.1,
-         PoleProximityError, "coefficient of zeta^(2)(s-1) has a pole at s = -641.1+0i"),
+        # zeta(-643.5) overflows; zeta(-643.4) is finite and zeta'(-643.4) is not
+        (4, 0, -639.5, NumericOverflowError, "Euler-Maclaurin overflow in hurwitz_zeta"),
+        (4, 1, -639.4, NumericOverflowError, "non-finite value in hurwitz_zeta_deriv"),
     ])
-    def test_refusals_equal_atom_by_atom(self, terms, s, error, message):
-        lc = LinearCombination(terms)
+    def test_refusals_equal_atom_by_atom(self, i, r, s, error, message):
+        lc = reduce_monomial(i, r)
         got = outcome(lambda: eval_combination(lc, s))
         assert got == (error, message)
         assert got == outcome(lambda: atom_by_atom(lc, s))
