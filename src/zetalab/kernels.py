@@ -349,15 +349,15 @@ def _em_jet_sum(s: complex, alpha, order: int, minus_pole: bool = False) -> list
         if order:
             # the series of e^(-tL), one term beyond ``order``
             decay = [(-log_t) ** k / factorial(k) for k in range(size + 1)]
-            logs = [log(n + alpha) for n in range(m)]
+            neg_logs = [-log(n + alpha) for n in range(m)]
             for k in range(1, size):
                 # sum_n (n+a)^-s (-log(n+a))^k / k!
-                terms = [term * -log_x for term, log_x in zip(terms, logs)]
+                terms = list(map(operator.mul, terms, neg_logs))
                 if minus_pole:
                     integral = decay[k + 1]
                 else:  # ((s-1) + t) f = (M+a)^(1-s) e^(-tL)
                     integral = (big_t_ms * decay[k] - integral) * inv_d
-                corrections = sum(tail[i] * decay[k - i] for i in range(k + 1))
+                corrections = sum(map(operator.mul, tail[:k + 1], decay[k::-1]))
                 coefficients.append(sum(terms) / factorial(k) + integral + t_ms * corrections)
         return coefficients
     except (OverflowError, ZeroDivisionError, ValueError):
@@ -375,9 +375,13 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
     smallest: for Re s < 0 the term magnitudes legitimately rise before
     falling, so the sum is cut back to its last smallest term only when the
     final term has clearly re-entered asymptotic growth.  A second pass, for
-    orders >= 1 only, sums the higher coefficients of the polynomials
-    (s+t)_{2j-1} up to that cut.  Neither pass depends on ``size`` below the
-    coefficients it makes, so no coefficient does.
+    orders >= 1 only, takes the same sum up to that cut by Horner's rule in
+    j, on series in t truncated at ``size``: with u = s + t and q_j =
+    (u + 2j - 1)(u + 2j), R = w_cut, then R <- w_j + q_j R for j = cut-1
+    down to 1, and the sum is u R.  Its t^0 coefficient is left to the first
+    pass; for real s and alpha the recurrence runs in floats.  Lane k of a
+    series reads only lanes <= k, so neither pass depends on ``size`` below
+    the coefficients it makes, and no coefficient does.
 
     J stays fixed.  A stop once |term| <= eps |acc| would fire at the first
     exactly zero term: at a non-positive integer s the rising factorial
@@ -401,13 +405,21 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
         cut = j
     tail = [acc_at_min if cut < j else acc]
     if size > 1:
-        tail += [0j] * (size - 1)
-        weight = 1.0 / big_t
-        for b2j, poly in zip(_B2J_OVER_FACT[:cut], _rising(s, size, cut)):
-            w = b2j * weight
-            for k in range(1, size):
-                tail[k] += w * poly[k + 2]
+        weights, weight = [], 1.0 / big_t
+        for b2j in _B2J_OVER_FACT[:cut]:
+            weights.append(b2j * weight)
             weight *= inv_t2
+        u = s.real if not s.imag and isinstance(big_t, float) else s
+        # R as coefficients of t^0..t^(size-1) from entry 2 on; two leading
+        # zeros stand for those of t^-2 and t^-1
+        r = [0.0, 0.0, weights.pop()] + [0.0] * (size - 1)
+        for j in range(cut - 1, 0, -1):
+            a = u + (2 * j - 1)
+            q0, q1 = a * (a + 1.0), 2.0 * a + 1.0  # q_j = q0 + q1 t + t^2
+            for k in range(size + 1, 1, -1):  # highest power first
+                r[k] = q0 * r[k] + q1 * r[k - 1] + r[k - 2]
+            r[2] += weights.pop()
+        tail += [u * r[k] + r[k - 1] for k in range(3, size + 2)]
     return tail
 
 
@@ -415,7 +427,9 @@ def _rising(s: complex, size: int, count: int):
     """(s+t)_{2j-1} for j = 1..count, each the one before times
     (s+t+2j-1)(s+t+2j), as one list updated in place: read each before
     taking the next.  Entries 2..size+1 hold the coefficients of
-    t^0..t^(size-1); two leading zeros stand for those of t^-2 and t^-1."""
+    t^0..t^(size-1); two leading zeros stand for those of t^-2 and t^-1.
+    Only the batch (:func:`_em_jet_batch`) uses them; the scalar sum takes
+    its corrections by recurrence (:func:`_jet_tail`)."""
     poly = [0j, 0j, s, 1.0 + 0j] + [0j] * (size - 2)
     for j in range(1, count + 1):
         yield poly
@@ -494,10 +508,10 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
     :func:`_jet_tail`, so its column does not depend on the other nodes, and
     no row depends on the highest order asked for.  The head terms are laid
     out with the term index first, so each running sum runs over all nodes
-    at once; the corrections are sum_j w_j (s+t)_{2j-1},
-    as in :func:`_jet_tail`, the polynomials in t shared by every node and
-    the weights w_j zero past a node's cut.  Overflow yields non-finite
-    entries, never a warning.
+    at once; the corrections are sum_j w_j (s+t)_{2j-1}, summed forward
+    (:func:`_jet_tail` takes the same sum by recurrence), the polynomials in
+    t shared by every node and the weights w_j zero past a node's cut.
+    Overflow yields non-finite entries, never a warning.
     """
     import numpy as np
 

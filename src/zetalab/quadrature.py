@@ -28,6 +28,7 @@ error estimate is the max over components.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -120,11 +121,11 @@ def _opening_nodes() -> np.ndarray:
     return xs
 
 
-def _check_sample(v: complex, x: float) -> complex:
-    v = complex(v)
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise NumericOverflowError(f"non-finite integrand sample at x={x!r}")
-    return v
+def _check_level(xs: np.ndarray, samples: list[complex]) -> None:
+    """Refuse the level's first non-finite sample, naming its node."""
+    for x, v in zip(xs.tolist(), samples):
+        if not cmath.isfinite(v):
+            raise NumericOverflowError(f"non-finite integrand sample at x={x!r}")
 
 
 def tanh_sinh_01(f: Callable[[np.ndarray], Sequence[complex]], tol: float) -> QuadResult:
@@ -136,12 +137,16 @@ def tanh_sinh_01(f: Callable[[np.ndarray], Sequence[complex]], tol: float) -> Qu
     at a level-1..3 node raises even when an earlier level converges.
     Refines until the difference between consecutive levels drops below
     ``tol`` or the next level would exceed the evaluation budget (then raises
-    :class:`ConvergenceError`).  A sample is checked when it enters the
-    value, so a non-finite sample past the converged level is never seen.
-    The integrand is never called at 0 or 1.
+    :class:`ConvergenceError`).  A level's samples are checked when they
+    enter the value, so a non-finite sample past the converged level is never
+    seen: only a level whose running sum is not finite is scanned, and its
+    first non-finite sample refused, while finite samples that overflow the
+    sum are not.  The integrand is never called at 0 or 1.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
+    import numpy as np
+
     evaluations = 0
     partial = 0j  # sum of w*f over all nodes seen so far (no h factor)
     value_prev: complex | None = None
@@ -163,9 +168,12 @@ def tanh_sinh_01(f: Callable[[np.ndarray], Sequence[complex]], tol: float) -> Qu
         else:
             samples = f(xs)
         h = 2.0 ** (-level)
-        for x, w, v in zip(xs.tolist(), ws, samples, strict=True):
-            partial += w * _check_sample(v, x)
-            evaluations += 1
+        samples = np.asarray(samples, dtype=complex).tolist()
+        for w, v in zip(ws, samples, strict=True):
+            partial += w * v
+        evaluations += len(ws)
+        if not cmath.isfinite(partial):
+            _check_level(xs, samples)
         value = h * partial
         if value_prev is not None:
             diff = value - value_prev

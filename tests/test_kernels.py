@@ -4,7 +4,8 @@ Oracles used here: closed forms (pi^2/6, sqrt(pi), -log(2 pi)/2), the exact
 rational module for zeta at non-positive integers, the dyadic identity
 zeta(s, 1/2) = (2^s - 1) zeta(s), lgamma for zeta'(0, a), an accelerated
 alternating series for zeta'(2), finite differences for derivative
-consistency, the Laurent definition for Stieltjes constants, and mpmath
+consistency, the Laurent definition for Stieltjes constants, an exact
+rational forward sum for the Bernoulli corrections' jet, and mpmath
 (optional) for the Taylor-mode derivatives and Stieltjes constants.  zeta
 itself is the Taylor-mode sum at order 0, checked bit for bit against the
 order-6 sum; the Taylor-mode batch behind the quadrature checks is checked
@@ -16,6 +17,7 @@ import cmath
 import inspect
 import math
 import random
+import struct
 import warnings
 from fractions import Fraction
 
@@ -731,6 +733,109 @@ class TestOneCore:
                 value = math.factorial(r) * ref
                 bound = 0.1 * zeta_bound(value) if r == 0 else tenth_of_bound(value)
                 assert math.factorial(r) * abs(got - ref) <= bound, (s, alpha, r)
+
+
+# ---------------------------------------------------------------------------
+# The Bernoulli corrections' jet against the forward sum
+# ---------------------------------------------------------------------------
+
+
+def correction_jet_points():
+    """(s, M + a) as the scalar sum takes them, seeded: the non-positive
+    integers, where the order-0 terms vanish from j = 1 - s/2 on and the
+    higher lanes do not; Re s down to -40, where the cut falls before J;
+    |Im s| <= 40; a complex alpha + 3, as hurwitz_taylor passes it; and
+    s = 1, where the Stieltjes series (``minus_pole``) takes its tail."""
+    rng = random.Random(20261020)
+
+    def alpha():
+        return math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+
+    points = [(complex(-n), alpha()) for n in range(21)]
+    points += [(complex(rng.uniform(-40.0, 10.0), rng.uniform(-40.0, 40.0)), alpha())
+               for _ in range(40)]
+    points += [(complex(rng.uniform(-40.0, 10.0)), alpha()) for _ in range(15)]
+    points += [(complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.0, 2.0)),
+                complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) + 3)
+               for _ in range(15)]
+    points += [(1.0 + 0j, alpha()) for _ in range(8)]
+    return [(s, kernels._jet_head_length(s, a.real) + a) for s, a in points]
+
+
+def correction_weights(s, big_t):
+    """The weights w_j = B_{2j}/(2j)! (M+a)^(1-2j) up to the order-0 pass's
+    cut, each formed as the kernel forms it, and whether the cut fell before
+    J.  The cut is the kernel's rule, copied: the last smallest order-0
+    term where the final one is more than ten times it, otherwise J."""
+    inv_t2 = 1.0 / (big_t * big_t)
+    weights, mags, weight, poch, a = [], [], 1.0 / big_t, s, s + 1.0
+    for b2j in kernels._B2J_OVER_FACT[:kernels._em_tail_terms(s)]:
+        weights.append(b2j * weight)
+        mags.append(abs(b2j * weight * poch))
+        poch *= a * (a + 1.0)
+        weight *= inv_t2
+        a += 2.0
+    last_smallest = len(mags) - mags[::-1].index(min(mags))
+    cut = last_smallest if mags[-1] > 10.0 * min(mags) else len(mags)
+    return weights[:cut], cut < len(mags)
+
+
+def forward_correction_jet(s, weights, size):
+    """Lanes t^0..t^(size-1) of sum_j w_j (s+t)_{2j-1}, summed term by term
+    in exact rational arithmetic on the float ``weights``, and each lane's
+    scale sum_j |w_j| [t^k] prod_i (|s + i| + t): the forward sum's terms,
+    every factor s + i taken by modulus.  Horner's rule rounds on that
+    scale.  On sum_j |w_j [t^k](s+t)_{2j-1}| its error reads up to 200 eps
+    at the non-positive integers: at s = -1, (s+t)_3 = t^3 - t has no t^2,
+    while the recurrence's last step u R adds w_2 into lane 2 and takes it
+    out again."""
+    def times(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def plus(x, y):
+        return x[0] + y[0], x[1] + y[1]
+
+    re, im = Fraction(s.real), Fraction(s.imag)
+    zero = (Fraction(0), Fraction(0))
+    poly, poly_abs = [zero] * size, [0.0] * size  # (s+t)_{2j-1}, from j = 0
+    poly[0], poly_abs[0] = (Fraction(1), Fraction(0)), 1.0
+    lanes, scales = [zero] * size, [0.0] * size
+    for j, w in enumerate(weights, 1):
+        for i in range(max(2 * j - 3, 0), 2 * j - 1):  # times (s + i + t)
+            c, c_abs = (re + i, im), abs(s + i)
+            poly = [plus(times(c, p), q) for p, q in zip(poly, [zero] + poly)]
+            poly_abs = [c_abs * p + q for p, q in zip(poly_abs, [0.0] + poly_abs)]
+        w_exact = Fraction(complex(w).real), Fraction(complex(w).imag)
+        lanes = [plus(lane, times(w_exact, p)) for lane, p in zip(lanes, poly)]
+        scales = [scale + abs(w) * p for scale, p in zip(scales, poly_abs)]
+    return [complex(float(x), float(y)) for x, y in lanes], scales
+
+
+def lane_bits(lanes):
+    return [struct.pack("2d", z.real, z.imag) for z in lanes]
+
+
+class TestCorrectionJet:
+    SIZE = kernels._MAX_ORDER + 1
+
+    def test_lanes_hold_the_forward_sum(self):
+        # lanes 1..6 (lane 0 is the order-0 pass, kept apart) within 4 eps of
+        # the scale the recurrence rounds on; worst seen 2.1 eps
+        short_cut = 0
+        for s, big_t in correction_jet_points():
+            got = kernels._jet_tail(s, big_t, self.SIZE)
+            weights, before_j = correction_weights(s, big_t)
+            lanes, scales = forward_correction_jet(s, weights, self.SIZE)
+            for k in range(1, self.SIZE):
+                assert abs(got[k] - lanes[k]) <= 4.0 * EPS * scales[k], (s, big_t, k)
+            short_cut += before_j
+        assert short_cut  # the grid reaches a cut before J
+
+    def test_lane_bits_do_not_depend_on_the_size(self):
+        for s, big_t in correction_jet_points():
+            every = lane_bits(kernels._jet_tail(s, big_t, self.SIZE))
+            for size in range(1, self.SIZE):
+                assert lane_bits(kernels._jet_tail(s, big_t, size)) == every[:size], (s, size)
 
 
 # ---------------------------------------------------------------------------
