@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="reduce int_0^1 zeta(-m1,a)...zeta(-mk,a) zeta^(r)(s,a) da")
     p.add_argument("--ms", type=_parse_ms, required=True, metavar="M1,M2,...")
     p.add_argument("--deriv", type=int, choices=(0, 1), default=0)
-    p.add_argument("--s", type=parse_complex, default=None, metavar="COMPLEX")
+    p.add_argument("--s", type=parse_complex, default=None, metavar="COMPLEX", help="Re s < 1")
     p.add_argument("--symbolic", action="store_true",
                    help="print the canonical symbolic combination")
 

@@ -17,13 +17,12 @@ writes every coefficient down directly.  All coefficient arithmetic is
 exact: the polynomial (for :func:`integral_poly_zeta`, the product of
 Bernoulli polynomials) is a ``RatPoly``, integer numerators over one
 denominator, whose endpoint jumps give the numerators of the rational
-constants, and the denominators Q_k(s), Q_k'(s) and Q_k(s)^2 come from one
-table cached for k <= MAX_DEGREE.  Poles of the coefficients land only at
-integer shifts s = 1..N by construction.  Q_k has simple roots, so every
-coefficient is built reduced over a monic denominator, and
-:class:`RationalFunctionOfS` stores it as built: no polynomial gcd runs.
-A reduction also keeps its order and those constants A_k, from which alone
-:func:`eval_combination` evaluates it: never from the expanded Q_k.
+constants A_k.  A reduction keeps its order and those integer jumps, which
+are all :func:`eval_combination` reads; its coefficients are built when
+first read, with Q_k(s), Q_k'(s) and Q_k(s)^2 from one table cached for
+k <= MAX_DEGREE, so poles land only at s = 1..N.  Q_k has simple roots, so
+every coefficient is built reduced over a monic denominator and stored as
+built: no polynomial gcd runs.
 
 The closed-form product integrals (the two-factor integral over (0,1), its
 s -> 1 limit combination, and the specific triple-product evaluation) live
@@ -35,13 +34,14 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import kernels
-from .errors import DomainError, NumericOverflowError, PoleProximityError
+from .errors import ConvergenceError, DomainError, NumericOverflowError
 from .exact import RatPoly, _bernoulli_product, _endpoint_jumps
 
 __all__ = [
@@ -125,16 +125,29 @@ class LinearCombination:
     Zero coefficients are never stored; instances are immutable.
     """
 
-    # _jumps: a reduction's (r, {k: A_k}) for eval_combination; None here and after +
-    __slots__ = ("_terms", "_jumps")
+    # _jumps: a reduction's (r, den, {k: integer jump}), A_k = jump/den, else None;
+    # _coeffs: None until a reduction's are read (two first reads build equal dicts)
+    __slots__ = ("_coeffs", "_jumps")
 
     def __init__(self, terms: dict[DerivAtom, RationalFunctionOfS] | None = None):
         clean = {a: c for a, c in (terms or {}).items() if not c.is_zero()}
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_coeffs", clean)
         object.__setattr__(self, "_jumps", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LinearCombination is immutable")
+
+    @property
+    def _terms(self) -> dict[DerivAtom, RationalFunctionOfS]:
+        if self._coeffs is None:  # a reduction's, from its jumps (reduce_poly)
+            (r, den, jumps), terms = self._jumps, {}
+            for k, jump in jumps.items():
+                a_k, (q, dq, q2) = Fraction(jump, den), _pochhammer(k)
+                terms[DerivAtom(r, k)] = RationalFunctionOfS(RatPoly((-a_k,)), q)
+                if r == 1:
+                    terms[DerivAtom(0, k)] = RationalFunctionOfS(dq.scale(a_k), q2)
+            object.__setattr__(self, "_coeffs", terms)
+        return self._coeffs
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -215,21 +228,15 @@ def reduce_poly(p: RatPoly, r: int) -> LinearCombination:
 
     the r = 1 line being the s-derivative of the r = 0 one.  Q_k has simple
     roots, so both coefficients are built reduced over monic denominators;
-    atoms with A_k = 0 are omitted.
+    atoms with A_k = 0 are omitted.  The coefficients are built when read.
     """
     r = _check_r(r)
     if p.degree > MAX_DEGREE:
         raise ValueError(f"polynomial degree must be <= {MAX_DEGREE}")
-    jumps = {k: Fraction(jump, p._den)
-             for k, jump in enumerate(_endpoint_jumps(p), start=1) if jump}
-    terms: dict[DerivAtom, RationalFunctionOfS] = {}
-    for k, a_k in jumps.items():
-        q, dq, q2 = _pochhammer(k)
-        terms[DerivAtom(r, k)] = RationalFunctionOfS(RatPoly((-a_k,)), q)
-        if r == 1:
-            terms[DerivAtom(0, k)] = RationalFunctionOfS(dq.scale(a_k), q2)
-    lc = LinearCombination(terms)
-    object.__setattr__(lc, "_jumps", (r, jumps))
+    lc = LinearCombination()
+    object.__setattr__(lc, "_coeffs", None)
+    object.__setattr__(lc, "_jumps", (r, p._den, {
+        k: jump for k, jump in enumerate(_endpoint_jumps(p), start=1) if jump}))
     return lc
 
 
@@ -250,53 +257,116 @@ def integral_poly_zeta(ms: Sequence[int], r: int) -> LinearCombination:
     return reduce_poly(p.scale(Fraction(sign, math.prod(m + 1 for m in ms))), r)
 
 
+# ---------------------------------------------------------------------------
+# The value of a reduction: the functional equation with exact low modes
+# ---------------------------------------------------------------------------
+
+_MODE_BITS, _FIRST_MODES, _LAST_MODES, _TAIL_SHARE = 128, 8, 64, 1e-14
+_LOG_TWO_PI = math.log(kernels._TWO_PI)
+
+
+@lru_cache(maxsize=None)
+def _inv_two_pi(bits: int) -> int:
+    """floor(2^bits / (2 pi)), pi = 16 atan(1/5) - 4 atan(1/239) to 32 guard bits."""
+    one, pi = 1 << (bits + 32), 0
+    for weight, m in ((16, 5), (-4, 239)):  # alternating series of atan(1/m)
+        term, n = weight * one // m, 1
+        while term:
+            pi, term, n = pi + term // n, -term // (m * m), n + 2
+    return (one << bits) // (2 * pi)
+
+
+def _mode(row: list[int], q: int, den: int, n: int) -> float:
+    """e_n (q = 0) or o_n (q = 1), the sum over k = q mod 2 of sigma_k A_k
+    (2 pi n)^-k, exact, then rounded once.  ``row`` holds sigma_k jump_k for
+    k = 2 - q, 4 - q, ..., so the sum is x^(2-q) H(x^2) / den, x = 1/(2 pi n):
+    Horner's rule in P-bit fixed point errs by at most 16 max(1, n L^2 T)
+    units of 2^-P, L the row's length and T its largest |c_i| x^(2i) (log_t
+    bounds it, 6.28 < 2 pi), and P doubles until that is 2^-60 of the sum."""
+    if not any(row):
+        return 0.0
+    log_t = max(c.bit_length() - 2 * i * math.log2(6.28 * n) for i, c in enumerate(row) if c)
+    need, bits = 67 + max(0.0, math.log2(n * len(row) ** 2) + log_t), _MODE_BITS
+    while True:
+        x = _inv_two_pi(bits) // n
+        y, h = x * x >> bits, 0
+        for c in reversed(row):
+            h = (h * y >> bits) + (c << bits)
+        h = h * (y if q == 0 else x) >> bits
+        if h.bit_length() >= need:
+            return h / (den << bits)  # int / int rounds correctly
+        bits *= 2
+
+
 def eval_combination(lc: LinearCombination, s: complex) -> complex:
-    """Numeric value at s of a reduction from reduce_poly, reduce_monomial
-    or integral_poly_zeta; any other combination raises DomainError.
+    """Value at s, Re s < 1, of a reduction from reduce_poly, reduce_monomial
+    or integral_poly_zeta; any other combination, Re s >= 1 (where the
+    integral diverges) and NaN raise DomainError.
 
-    The value comes from the reduction's jumps A_k, not from its printed
-    coefficients: with 1/Q_k = prod_{j<=k} 1/(s - j) and H_k = sum_{j<=k}
-    1/(s - j) as one running product and one running sum, zeta^(r)(s-k)
-    weighs -A_k/Q_k and, for r = 1, zeta(s-k) weighs (A_k/Q_k) H_k.
-
-    Each shift k takes one Taylor-mode Euler-Maclaurin sum about s - k,
-    made at its first atom up to order r, so every value and refusal equals
-    its one-atom evaluation; the sum runs in atom order.  Refuses s within
-    1e-8 of a coefficient pole, an integer 1..N, naming the first atom with
-    it, and names the shift whose zeta evaluation sits on the kernel's pole.
-    Errors are raised at the first atom, in atom order, whose value fails.
+    Gamma(1-s+k) = (-1)^k Q_k(s) Gamma(1-s) and the functional equation
+    (DLMF 25.4.2) turn the sum of -A_k/Q_k zeta(s-k) into
+    -2 Gamma(1-s) (2 pi)^(s-1) [sin(pi s/2) E + cos(pi s/2) O], E and O the
+    sums over even and odd k of (-1)^floor(k/2) A_k (2 pi)^-k zeta(1+k-s).
+    Each zeta(1+k-s) is sum_{n<=n_0} n^(s-1-k), its modes exact
+    (:func:`_mode`), plus one Euler-Maclaurin sum zeta(1+k-s, n_0+1).  n_0
+    doubles from 8 while the tail sums cannot reach 4 |Im s| / (2 pi), or
+    while their rounding passes 1e-14 of the bracket and the modes'
+    rounding; past 64 it raises ConvergenceError.  r = 1 gives I'(s), with
+    psi(1-s) from the minus-pole jet.  sin and cos go about the nearest
+    integer, so each is exactly 0 where it vanishes; past the float range of
+    them or of Gamma(1-s) the value raises NumericOverflowError.
     """
     if lc._jumps is None:
         raise DomainError("eval_combination evaluates only a reduction from reduce_poly, "
                           "reduce_monomial or integral_poly_zeta")
-    (r, jumps), s = lc._jumps, complex(s)
-    top = max(jumps, default=0)
-    # Integers are 1 apart, so only the nearest one can lie within 1e-8 of s.
-    root = round(s.real) if math.isfinite(s.real) else 0
-    if 1 <= root <= top and abs(s - root) <= 1e-8:
-        k = min(k for k in jumps if k >= root)
-        raise PoleProximityError(f"coefficient of {DerivAtom(0, k)} has a pole at s = {root}")
-    terms = []  # (order, shift, coefficient), in atom order once sorted
-    inv_q, h = 1.0, 0j
-    for j in range(1, top + 1):
-        step = 1.0 / (s - j)
-        inv_q, h = inv_q * step, h + step
-        if j in jumps:
-            a_over_q = float(jumps[j]) * inv_q
-            terms.append((r, j, -a_over_q))
-            if r == 1:
-                terms.append((0, j, a_over_q * h))
-    jets: dict[int, list[complex]] = {}  # shift -> a_0..a_r about s - k
-    total = 0j
-    for n, k, coeff in sorted(terms):
-        try:
-            if k not in jets:
-                jets[k] = kernels._em_jet(s - k, 1.0, r)
-            value = kernels._refuse(n, s - k, 1.0, jets[k][n])
-        except PoleProximityError as exc:
-            raise PoleProximityError(f"shift {k}: {exc}") from None
-        total += coeff * value
-    return total
+    s = complex(s)
+    if cmath.isnan(s) or s.real >= 1.0:
+        raise DomainError(f"eval_combination requires Re s < 1, where the integral converges, "
+                          f"not s = {s!r}")
+    r, den, jumps = lc._jumps
+    if not jumps:
+        return 0j
+    rows = tuple([(-1) ** (k // 2) * jumps.get(k, 0) for k in range(2 - p, max(jumps) + 1, 2)]
+                 for p in (0, 1))
+    try:
+        q = round(s.real)
+        sin_u, cos_u = cmath.sin(0.5 * math.pi * (s - q)), cmath.cos(0.5 * math.pi * (s - q))
+        w = ((sin_u, cos_u), (cos_u, -sin_u), (-sin_u, -cos_u), (-cos_u, sin_u))[q % 4]
+        gamma = kernels.gamma_complex(1.0 - s)
+        if abs(gamma) < sys.float_info.min:
+            raise NumericOverflowError(f"Gamma(1 - s) underflows at s = {s!r}")
+        scale = -2.0 * gamma * kernels._TWO_PI ** (s - 1.0)
+        # weights (a, b) of E or O and of its s-derivative in the bracket, by
+        # parity: dw and g are d/ds of w and of log(Gamma(1-s) (2 pi)^(s-1))
+        dw = (0.5 * math.pi * w[1], -0.5 * math.pi * w[0])
+        g = _LOG_TWO_PI + kernels._em_jet(1.0, 1.0 - s, 0, minus_pole=True)[0] if r else 0
+        weights = [(g * w[p] + dw[p], w[p]) if r else (w[p], 0.0) for p in (0, 1)]
+        coeffs = {k: (-1) ** (k // 2) * (jump / den) * kernels._TWO_PI ** -k
+                  for k, jump in jumps.items()}
+        modes, n0 = [], _FIRST_MODES  # [e_n, o_n] for n = 1..n_0
+        while n0 + 1 + kernels._EM_CUTOFF < kernels._EM_REACH_PER_S * abs(s.imag):
+            n0 *= 2
+        while n0 <= _LAST_MODES:
+            modes += [[_mode(row, p, den, n) for p, row in enumerate(rows)]
+                      for n in range(len(modes) + 1, n0 + 1)]
+            bracket, tail_size, mode_size = 0j, 0.0, 0.0
+            for k, c in coeffs.items():
+                jet = kernels._em_jet(1.0 + k - s, n0 + 1.0, r)
+                a, b = weights[k % 2]
+                v, d = a * c * jet[0], -b * c * jet[1] if r else 0j  # d/ds zeta(1+k-s) = -zeta'
+                bracket += v + d
+                tail_size += abs(v) + abs(d)
+            for n, mode in enumerate(modes, start=1):
+                power, log_n = n ** (s - 1.0), math.log(n)
+                for (a, b), m in zip(weights, mode):
+                    term = (a + b * log_n) * power * m
+                    bracket, mode_size = bracket + term, mode_size + abs(term)
+            if not tail_size > max(mode_size, _TAIL_SHARE / kernels._MACH_EPS * abs(bracket)):
+                return kernels._require_finite(scale * bracket, "eval_combination")
+            n0 *= 2
+    except (OverflowError, ZeroDivisionError):
+        raise NumericOverflowError(f"eval_combination overflow at s = {s!r}") from None
+    raise ConvergenceError(f"no n_0 <= {_LAST_MODES} bounds the tail's error at s = {s!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,25 +16,29 @@ Then Gamma(z) on Re z in [-60, 171.6], |Im z| <= 60, next to its poles and
 next to the largest double, within the README's max(1e-11, 1e-13 |Gamma|);
 and the pair integral with Gamma(1 - s1) next to a pole.
 
-Last, the coefficients of a reduction at degree up to 64: eval_combination
-of int_0^1 B_k(a) zeta^(r)(s, a) da against -A_k/Q_k(s), and (A_k/Q_k) H_k
-for r = 1, taken in mpmath and multiplied by the package's own zeta values,
-within 4 k eps times the sum of the terms' magnitudes.
+Last, moment integrals at degree up to 64, r = 0 and 1: eval_combination
+of int_0^1 B_k(a) zeta^(r)(s, a) da, k = 1..64, within max(1e-7,
+1e-13 |I|), and products whose shifts cancel to many digits within 1e-13
+relative, against the sum of -A_k/Q_k(s) zeta^(j)(s - k) and its
+s-derivative taken in mpmath; and the two ingredients of the route that the
+kernels' own grids do not cover, the fixed-point 1/(2 pi) and psi at
+complex argument.
 """
 
 import cmath
 import math
 import random
-import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from zetalab import (bernoulli_polynomial, eval_combination, gamma_complex, hurwitz_taylor,
-                     hurwitz_zeta, hurwitz_zeta_deriv, pair_integral, reduce_poly,
-                     riemann_zeta_deriv, stieltjes)
+from zetalab import (RatPoly, bernoulli_polynomial, eval_combination, gamma_complex,
+                     hurwitz_taylor, hurwitz_zeta, hurwitz_zeta_deriv, integral_poly_zeta,
+                     pair_integral, reduce_poly, stieltjes, zeta_neg_int_poly)
 from zetalab.errors import EvaluationError
-from zetalab.kernels import _zeta_level
+from zetalab.kernels import _em_jet, _zeta_level
+from zetalab.reduction import _inv_two_pi
 
 mp = pytest.importorskip("mpmath")
 
@@ -213,30 +217,88 @@ REDUCTION_S = [complex(x, y) for x in (-2.5, 0.3, 0.5, 0.99)
                for y in (0.0, 0.4, -0.4, 10.0, 30.0, 60.0, 100.0)]
 
 
-@pytest.mark.parametrize("r", [0, 1])
-def test_reduction_coefficients_within_bound(r):
+def zeta_jet(z):
+    """zeta(z) and zeta'(z) at Re z < 0 in mpmath, from mpmath's zeta and
+    zeta' at 1 - z by the functional equation zeta(z) = chi(z) zeta(1 - z),
+    chi(z) = 2 (2 pi)^(z-1) sin(pi z/2) Gamma(1 - z): at Re z < 0 mpmath
+    takes zeta' about 30 times slower."""
+    w = 1 - z
+    chi = 2 * (2 * mp.pi) ** (-w) * mp.cos(mp.pi * w / 2) * mp.gamma(w)
+    value = chi * mp.zeta(w)
+    log_chi_prime = mp.log(2 * mp.pi) + mp.pi / 2 * mp.tan(mp.pi * w / 2) - mp.digamma(w)
+    return value, value * log_chi_prime - chi * mp.zeta(w, 1, 1)
+
+
+def reduction_reference(jumps, s):
+    """sum_k -A_k/Q_k(s) zeta(s-k), and its s-derivative sum_k -A_k/Q_k
+    zeta'(s-k) + A_k/Q_k H_k(s) zeta(s-k), for {k: A_k}, in mpmath."""
+    z = mp.mpc(s.real, s.imag)
+    inv_q, h, values = mp.mpf(1), mp.mpf(0), [mp.mpc(0), mp.mpc(0)]
+    for k in range(1, max(jumps) + 1):
+        inv_q, h = inv_q / (z - k), h + 1 / (z - k)
+        if k in jumps:
+            value, deriv = zeta_jet(z - k)
+            a_over_q = mp.mpf(jumps[k].numerator) / jumps[k].denominator * inv_q
+            values[0] -= a_over_q * value
+            values[1] += a_over_q * (h * value - deriv)
+    return [complex(v) for v in values]
+
+
+def test_reduction_of_b_k_within_bound():
     # B_k^(j-1) = k!/(k-j+1)! B_{k-j+1} has a jump at 0..1 only for j = k,
     # where it is k! (a - 1/2): the reduction of B_k is the single shift k
-    # with A_k = k!
-    reductions = [reduce_poly(bernoulli_polynomial(k), r) for k in range(1, 65)]
+    # with A_k = k!.  Every value must lie within max(1e-7, 1e-13 |I|).
+    reductions = [[reduce_poly(bernoulli_polynomial(k), r) for k in range(1, 65)]
+                  for r in (0, 1)]
     assert all({atom.shift for atom in lc.atoms()} == {k}
-               for k, lc in enumerate(reductions, start=1))
-    eps, misses, values = sys.float_info.epsilon, [], 0
+               for k, lc in enumerate(reductions[0], start=1))
+    misses = []
     for s in REDUCTION_S:
-        z = mp.mpc(s.real, s.imag)
-        inv_q, h = mp.mpf(1), mp.mpf(0)  # 1/Q_k(s) and H_k(s), in mpmath
-        for k, lc in enumerate(reductions, start=1):
-            inv_q, h = inv_q / (z - k), h + 1 / (z - k)
-            a_over_q = math.factorial(k) * inv_q
-            coeffs = [(r, -a_over_q)] + ([(0, a_over_q * h)] if r else [])
-            try:
-                terms = [c * riemann_zeta_deriv(n, s - k) for n, c in coeffs]
-            except EvaluationError:
-                continue
-            values += 1
-            bound = 4 * k * eps * float(mp.fsum(abs(term) for term in terms))
-            err = float(abs(eval_combination(lc, s) - mp.fsum(terms)))
-            if err > bound:
-                misses.append((k, s, err / bound))
-    assert not misses, (len(misses), max(misses, key=lambda m: m[2]))
-    assert values > 0.9 * len(reductions) * len(REDUCTION_S)
+        for k in range(1, 65):
+            refs = reduction_reference({k: Fraction(math.factorial(k))}, s)
+            for r, ref in enumerate(refs):
+                err = abs(eval_combination(reductions[r][k - 1], s) - ref)
+                if err > max(1e-7, 1e-13 * abs(ref)):
+                    misses.append((k, s, r, err / abs(ref)))
+    assert not misses, (len(misses), misses[:5])
+
+
+# ms, s: products whose atom sum lost every digit (up to 1e57 relative), and
+# integrals down to 1e-37
+REDUCTION_ROWS = [((2,), 0.3), ((3, 4, 5), 0.3), ((6, 6, 6), 0.55), ((10, 10, 10), 0.3),
+                  ((20, 20), 0.3), ((20, 20), 0.5 + 30j), ((63,), 0.55), ((31, 31), 0.3),
+                  ((7,) * 8, 0.55), ((0,) * 64, 0.3), ((3,) * 16, -2.5 + 1j)]
+
+
+@pytest.mark.parametrize("ms, s", REDUCTION_ROWS)
+def test_reduction_rows_within_1e_minus_13(ms, s):
+    # the jumps A_k = p^(k-1)(1) - p^(k-1)(0) of the product p, and 100
+    # digits for the cancellation of the shifts
+    p = RatPoly((1,))
+    for m in ms:
+        p = p * zeta_neg_int_poly(m)
+    jumps, q = {}, p
+    for k in range(1, p.degree + 1):
+        jumps[k], q = q.evaluate(Fraction(1)) - q.evaluate(Fraction(0)), q.derivative()
+    with mp.workdps(100):
+        refs = reduction_reference({k: a for k, a in jumps.items() if a}, complex(s))
+    for r, ref in enumerate(refs):
+        got = eval_combination(integral_poly_zeta(ms, r), s)
+        assert abs(got - ref) <= 1e-13 * abs(ref), (r, got, ref)
+
+
+@pytest.mark.parametrize("bits", [128 << i for i in range(6)])
+def test_inv_two_pi_to_the_last_bit(bits):
+    # the exact modes' fixed point starts at 128 bits and doubles; the
+    # reductions above reach 512
+    with mp.workdps(bits // 3 + 30):
+        assert _inv_two_pi(bits) == int(mp.floor(mp.mpf(2) ** bits / (2 * mp.pi)))
+
+
+@pytest.mark.parametrize("z", [0.7, 0.7 + 0.4j, 1.5 - 3j, 0.05 + 20j, 0.9 + 100j, 3.5 + 0.2j])
+def test_digamma_from_the_minus_pole_jet(z):
+    # psi(1 - s) of the r = 1 reductions: zeta(1 + t, z) - 1/t at t = 0 is -psi(z)
+    z = complex(z)
+    expected = complex(mp.digamma(mp.mpc(z.real, z.imag)))
+    got = -_em_jet(1.0, z, 0, minus_pole=True)[0]
+    assert abs(got - expected) <= 1e-15 * abs(expected)

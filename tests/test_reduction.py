@@ -1,10 +1,13 @@
 """IBP reduction engine: symbolic structure, exact values, closed forms."""
 
+import cmath
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import random
+import sys
 import types
 from collections import Counter
 from fractions import Fraction
@@ -13,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TARGET_IDS, TARGETS
-from zetalab import calculus, kernels
-from zetalab.errors import DomainError, NumericOverflowError, PoleProximityError
+from zetalab import calculus, kernels, reduction
+from zetalab.errors import (ConvergenceError, DomainError, NumericOverflowError,
+                            PoleProximityError)
 from zetalab.exact import (RatPoly, bernoulli_number, poly_integral_01,
                            zeta_neg_int_poly)
 from zetalab.kernels import hurwitz_zeta, riemann_zeta
@@ -395,45 +398,6 @@ class TestBenchmarkReadsTheReduction:
         assert abs(eval_combination(integral_poly_zeta(ms, r), s) - ref) <= self.MOMENT.VALUE_TOL
 
 
-def _scanned_pole_error(lc, s):
-    """The message the refusal must give: the first atom, in order, whose
-    denominator has an integer root within 1e-8 of s (every pole a reduction
-    can have, 1..MAX_DEGREE, is in the scan)."""
-    for atom, coeff in lc.items():
-        for root in range(-8, MAX_DEGREE + 6):
-            if coeff.den.evaluate(root) == 0 and abs(s - root) <= 1e-8:
-                return f"coefficient of {atom} has a pole at s = {root}"
-    return None
-
-
-class TestPoleRefusal:
-    LC = reduce_monomial(6, 1)
-
-    @pytest.mark.parametrize("shift", range(1, 7))
-    @pytest.mark.parametrize("offset", [0, 5e-9, -9e-9, 5e-9j, -7e-9j, 6e-9 + 6e-9j])
-    def test_refuses_near_each_shift(self, shift, offset):
-        s = shift + offset
-        expected = _scanned_pole_error(self.LC, s)
-        assert expected is not None
-        with pytest.raises(PoleProximityError) as err:
-            eval_combination(self.LC, s)
-        assert str(err.value) == expected
-
-    @pytest.mark.parametrize("s", [0.0, 1e-9, -3.0, -3.0 + 5e-9j])
-    def test_evaluates_near_non_pole_integers(self, s):
-        assert _scanned_pole_error(self.LC, s) is None
-        assert math.isfinite(abs(eval_combination(self.LC, s)))
-
-    @pytest.mark.parametrize("s", [2.0 + 2e-8, 3.0 - 2e-8j])
-    def test_window_is_1e_minus_8(self, s):
-        # just outside the window the coefficients are let through; the
-        # zeta(s-k) factor on the kernel's pole is refused instead
-        assert _scanned_pole_error(self.LC, s) is None
-        with pytest.raises(PoleProximityError) as err:
-            eval_combination(self.LC, s)
-        assert str(err.value).startswith("shift ")
-
-
 class TestEvalCombination:
     @pytest.mark.parametrize("lc", [
         LinearCombination({DerivAtom(0, 1): rf((-1,), S_MINUS_1)}),  # equals reduce_monomial(1, 0)
@@ -474,131 +438,125 @@ class TestEvalCombination:
             1e-10)
         assert abs(eval_combination(lc, s) - quad.value) < 1e-8
 
-    def test_pole_guard_names_shift(self):
-        with pytest.raises(PoleProximityError) as err:
-            eval_combination(reduce_monomial(2, 0), 2.0)
-        assert "s = 2" in str(err.value)
-        with pytest.raises(PoleProximityError) as err:
-            eval_combination(reduce_monomial(3, 0), 4.0 + 1e-12j)
-        assert "shift 3" in str(err.value)
+
+def seeded_multiset(n):
+    """One multiset of indices m with sum(m + 1) == n, drawn by a generator
+    seeded with n."""
+    rng = random.Random(f"exact-at-integers:{n}")
+    ms, rest = [], n
+    while rest:
+        part = rng.randint(1, rest)
+        ms.append(part - 1)
+        rest -= part
+    return tuple(ms)
 
 
-@lru_cache(maxsize=None)
-def riemann_zeta_deriv_cached(n, z, target):
-    """riemann_zeta_deriv at the accuracy target ``target``, remembered: the
-    parity grid meets each zeta^(n)(s-k) at every degree >= k."""
-    return kernels.riemann_zeta_deriv(n, z)
+class TestExactAtTheIntegers:
+    """At s = -m the integrand is the polynomial p(a) zeta(-m, a), so the
+    integral is the rational poly_integral_01 of that product: a reference
+    that needs no mpmath and sees any wrong digit.  The per-shift atom sum
+    missed every non-zero point of this grid (worst 2.4e25 relative) and
+    returned up to 7.8e30 where the integral is 0."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5])
+    def test_within_1e_minus_13_and_exact_zeros(self, m):
+        misses, zeros = [], 0
+        for n in range(2, MAX_DEGREE + 1):
+            ms = seeded_multiset(n)
+            prod = zeta_neg_int_poly(m)
+            for mi in ms:
+                prod = prod * zeta_neg_int_poly(mi)
+            exact = poly_integral_01(prod)
+            got = eval_combination(integral_poly_zeta(ms, 0), complex(-m))
+            if exact == 0:
+                zeros += 1
+                if got != 0:
+                    misses.append((ms, got))
+            elif abs(got - float(exact)) > 1e-13 * abs(float(exact)):
+                misses.append((ms, abs(got / float(exact) - 1)))
+        assert not misses, misses
+        assert 0 < zeros < MAX_DEGREE - 1  # both kinds of point are on the grid
 
 
-def atom_by_atom(lc, s):
-    """eval_combination as one riemann_zeta_deriv call per atom, each atom
-    forming its own 1/Q_k = prod_{j<=k} 1/(s-j) and H_k = sum_{j<=k} 1/(s-j),
-    and its pole refusal from an exact scan of the printed denominators: the
-    loop that the batch over shifts and the running products replaced, kept
-    as their reference.  A_k is read from -A_k/Q_k, the top order's
-    coefficient."""
-    s = complex(s)
-    root = round(s.real) if math.isfinite(s.real) else None
-    if root is not None and abs(s - root) <= 1e-8:
-        for atom, coeff in lc.items():
-            if coeff.den.evaluate(root) == 0:
-                raise PoleProximityError(
-                    f"coefficient of {atom} has a pole at s = {root}")
-    coeffs = dict(lc.items())
-    r = max((atom.deriv_order for atom in coeffs), default=0)
-    total = 0j
-    for atom in lc.atoms():
-        n, k = atom.deriv_order, atom.shift
-        try:
-            value = riemann_zeta_deriv_cached(n, s - k, kernels._TARGET_ABS_ERROR)
-        except PoleProximityError as exc:
-            raise PoleProximityError(f"shift {k}: {exc}") from None
-        inv_q, h = 1.0, 0j
-        for j in range(1, k + 1):
-            step = 1.0 / (s - j)
-            inv_q, h = inv_q * step, h + step
-        a_over_q = float(-coeffs[DerivAtom(r, k)].num.coeffs[0]) * inv_q
-        total += (-a_over_q if n == r else a_over_q * h) * value
-    return total
+class TestRefusals:
+    """eval_combination serves Re s < 1 and returns a value or raises."""
+
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("s", [1.0, 1.0 + 1e-9, 1.5, 2.6 + 0.4j])
+    def test_re_s_at_least_one(self, s, r):
+        for lc in (integral_poly_zeta((1, 2), r), integral_poly_zeta((), r)):
+            with pytest.raises(DomainError, match="requires Re s < 1"):
+                eval_combination(lc, s)
+
+    @pytest.mark.parametrize("s", [complex("nan"), complex(0.3, math.nan)])
+    def test_nan(self, s):
+        with pytest.raises(DomainError, match="requires Re s < 1"):
+            eval_combination(integral_poly_zeta((1, 2), 0), s)
+
+    # sin(pi s/2) passes the largest double from |Im s| = 452.4 on, and
+    # Gamma(1 - s) (2 pi)^(s-1) from Re s = -170.6 down
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("s", [complex(0.3, math.inf), complex(0.3, -math.inf),
+                                   0.3 + 500j, -2.5 - 460j, -200.0, complex(-math.inf, 0.0)])
+    def test_out_of_the_float_range(self, s, r):
+        with pytest.raises(NumericOverflowError):
+            eval_combination(integral_poly_zeta((1, 2), r), s)
+
+    def test_gamma_underflow_is_refused_not_zero(self):
+        # here sin and cos of pi s/2 are finite and Gamma(1 - s) is subnormal
+        s = 0.5 + 451.75j
+        assert abs(kernels.gamma_complex(1 - s)) < sys.float_info.min
+        assert math.isfinite(abs(cmath.sin(0.5 * math.pi * s)))
+        with pytest.raises(NumericOverflowError, match="underflows"):
+            eval_combination(integral_poly_zeta((1, 2), 0), s)
+
+    @pytest.mark.parametrize("height", [141.5, 200.0, 449.0])
+    def test_heights_past_the_tails_reach(self, height):
+        # the Euler-Maclaurin tail at n_0 + 1 = 65 is sure only to
+        # |Im s| = 2 pi (65 + 25) / 4 = 141.4
+        assert eval_combination(integral_poly_zeta((1, 2), 0), 0.3 + 141.3j)
+        with pytest.raises(ConvergenceError):
+            eval_combination(integral_poly_zeta((1, 2), 0), complex(0.3, height))
+
+    def test_modes_past_the_last_count(self, monkeypatch):
+        # (0,) * 64 at 0.3 needs more than 8 exact modes: its tail terms
+        # reach 1e-14 while the integral is 1.6e-21
+        lc = integral_poly_zeta((0,) * 64, 0)
+        value = eval_combination(lc, 0.3)
+        monkeypatch.setattr(reduction, "_LAST_MODES", 8)
+        with pytest.raises(ConvergenceError):
+            eval_combination(lc, 0.3)
+        monkeypatch.setattr(reduction, "_LAST_MODES", 64)
+        assert eval_combination(lc, 0.3) == value
 
 
-def outcome(call):
-    """The value of call(), or the type and message of the ValueError it raised."""
-    try:
-        return call()
-    except ValueError as exc:  # EvaluationError is a ValueError
-        return type(exc), str(exc)
+class TestLazyCoefficients:
+    """A reduction is its jumps: the coefficients are built on first read."""
+
+    def test_reduction_and_evaluation_build_no_quotient(self, monkeypatch):
+        monkeypatch.setattr(reduction, "RationalFunctionOfS", None)  # any build fails
+        lc = integral_poly_zeta((3, 4, 5), 1)
+        eval_combination(lc, -0.7 + 0.2j)
+        monkeypatch.undo()
+        assert len(lc) == 2 * 6  # six odd shifts, two atoms each
+
+    @pytest.mark.parametrize("read", [
+        lambda lc: lc.items(), lambda lc: lc.atoms(), lambda lc: lc.serialize(),
+        lambda lc: lc == lc, lambda lc: lc + LinearCombination(), len,
+        lambda lc: lc.max_shift(), lambda lc: lc.is_zero(), repr,
+    ], ids=["items", "atoms", "serialize", "eq", "add", "len", "max_shift", "is_zero", "repr"])
+    def test_every_reader_builds_the_same_coefficients(self, read):
+        lc = integral_poly_zeta((1, 2), 1)
+        read(lc)
+        built = lc._terms
+        assert built is lc._terms  # built once, then kept
+        assert built == dict(integral_poly_zeta((1, 2), 1).items())
 
 
 def parity_multiset(n):
     """One multiset of degree n: 1, 2 or 3 near-equal factors by n mod 3."""
     parts = min(1 + n % 3, n)
     return tuple(n // parts + (i < n % parts) - 1 for i in range(parts))
-
-
-# At 1.3 shift 1, and at 2.6+0.4i shifts 1 and 2, lie within 1 of the pole
-# guard around s = 1.
-PARITY_S = (0.0, -1.0, -3.0, 0.3, 0.55, -0.7 + 0.2j, -1.6 - 0.4j, 1.3, 2.6 + 0.4j)
-
-
-class TestShiftBatch:
-    """eval_combination takes every order of a shift from one Taylor-mode
-    sum; each value and each refusal must equal the atom-by-atom loop's."""
-
-    @pytest.mark.parametrize("r", [0, 1])
-    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
-    def test_bitwise_equal_to_atom_by_atom(self, target, r):
-        for n in range(2, MAX_DEGREE + 1):
-            ms = parity_multiset(n)
-            assert sum(m + 1 for m in ms) == n
-            lc = integral_poly_zeta(ms, r)
-            for s in PARITY_S:
-                got = outcome(lambda: eval_combination(lc, s))
-                assert got == outcome(lambda: atom_by_atom(lc, s)), (ms, s)
-
-    # the first atom of a reduction is zeta(s-1), so a NaN or an infinite
-    # Im s is refused at order 0 for either r
-    @pytest.mark.parametrize("i, r, s, error, message", [
-        (2, 0, complex("nan"), DomainError, "hurwitz_zeta got NaN for s"),
-        (2, 1, complex("nan"), DomainError, "hurwitz_zeta got NaN for s"),
-        (2, 0, complex(0.3, math.inf), NumericOverflowError,
-         "Euler-Maclaurin overflow in hurwitz_zeta"),
-        (2, 1, complex(0.3, math.inf), NumericOverflowError,
-         "Euler-Maclaurin overflow in hurwitz_zeta"),
-        # zeta(1.3) passes the order-0 guard, zeta'(1.3) does not
-        (3, 1, 2.3, PoleProximityError,
-         "shift 1: s=(1.2999999999999998+0j) is within 0.5 of the pole at 1"),
-        # zeta(-643.5) overflows; zeta(-643.4) is finite and zeta'(-643.4) is not
-        (4, 0, -639.5, NumericOverflowError, "Euler-Maclaurin overflow in hurwitz_zeta"),
-        (4, 1, -639.4, NumericOverflowError, "non-finite value in hurwitz_zeta_deriv"),
-    ])
-    def test_refusals_equal_atom_by_atom(self, i, r, s, error, message):
-        lc = reduce_monomial(i, r)
-        got = outcome(lambda: eval_combination(lc, s))
-        assert got == (error, message)
-        assert got == outcome(lambda: atom_by_atom(lc, s))
-
-    @pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS, indirect=True)
-    @pytest.mark.parametrize("n", [2, 8, 9, 16, 33, MAX_DEGREE])
-    def test_one_jet_per_shift(self, monkeypatch, target, n):
-        calls = []
-        jet = kernels._em_jet
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return jet(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "_em_jet", counted)
-        ms = parity_multiset(n)
-        s = -0.7 + 0.2j
-        for r in (0, 1):
-            calls.clear()
-            lc = integral_poly_zeta(ms, r)
-            eval_combination(lc, s)
-            # one sum about s - k up to order r for each shift k, order 0
-            # included, in shift order
-            shifts = sorted({atom.shift for atom in lc.atoms()})
-            assert shifts and calls == [(s - k, 1.0, r) for k in shifts], r
 
 
 class TestPairIntegral:

@@ -197,6 +197,31 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert out.startswith("-0.0027777777")
 
+    # the values of mpmath 1.3 at 80 digits; the per-shift atom sum printed
+    # -5.88e15, -7.45e29, -3.32e28 and 5.69+827.8i here
+    @pytest.mark.parametrize("ms, s, value", [
+        ("20,20", "0.3", -355.31820794086890744),
+        ("63", "0.55", 2.1412881440121064467e36),
+        ("31,31", "0.3", 11180340349775791.597),
+        ("20,20", "0.5+30i", 42.081128620438818766 + 1252.9550443425794271j),
+    ])
+    def test_integrate_high_degree(self, capsys, ms, s, value):
+        assert main(["integrate", "--ms", ms, "--s", s]) == 0
+        printed = complex(capsys.readouterr().out.strip().replace("i", "j"))
+        assert abs(printed - value) <= 1e-13 * abs(value)
+
+    def test_integrate_refuses_re_s_at_least_one(self, capsys):
+        assert main(["integrate", "--ms", "2", "--s", "1.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: eval_combination requires Re s < 1, "
+                                     "where the integral converges, not s = (1.5+0j)\n")
+
+    def test_integrate_help_states_the_domain(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["integrate", "--help"])
+        assert info.value.code == 0
+        assert "Re s < 1" in capsys.readouterr().out
+
     def test_pair(self, capsys):
         assert main(["pair", "--s1", "-1", "--s2", "-1"]) == 0
         assert capsys.readouterr().out.strip().startswith("0.00138888888888889")
