@@ -32,8 +32,9 @@ from typing import Callable, Iterable, Sequence
 
 from . import calculus, kernels
 from .errors import EvaluationError
-from .exact import (RatPoly, _bernoulli_product, bernoulli_product_integral,
-                    poly_integral_01, rational_str, zeta_neg_int_poly)
+from .exact import (RatPoly, _bernoulli_basis_integral, bernoulli_polynomial,
+                    bernoulli_product_integral, poly_integral_01, rational_str,
+                    zeta_neg_int_poly)
 from .kernels import format_complex
 from .quadrature import tanh_sinh_01
 from .reduction import (DerivAtom, LinearCombination, RationalFunctionOfS,
@@ -212,10 +213,12 @@ def _multisets(max_total: int) -> list[tuple[int, ...]]:
 
 def _cor6_two_paths() -> tuple:
     # the Bernoulli-basis route against the term-wise integral of the same
-    # product
-    return _indicator(all(
-        bernoulli_product_integral(ms) == poly_integral_01(_bernoulli_product(ms))
-        for ms in _multisets(12)))
+    # product, each product taken once, from its prefix's
+    products, ok = {(): RatPoly.one()}, True
+    for ms in _multisets(12):
+        p = products[ms] = products[ms[:-1]] * bernoulli_polynomial(ms[-1])
+        ok = ok and _bernoulli_basis_integral(p) == poly_integral_01(p)
+    return _indicator(ok)
 
 
 def _cor6_odd_zero() -> tuple:

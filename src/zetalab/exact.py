@@ -255,13 +255,14 @@ def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _endpoint_jumps(p: RatPoly) -> list[int]:
     """[p^(k-1)(1) - p^(k-1)(0) for k = 1..deg p], as numerators over p's
-    denominator, by the integer derivative chain."""
-    jumps = []
-    deriv = list(p._ints)
-    while len(deriv) > 1:
-        jumps.append(sum(deriv[1:]))
-        deriv = [i * deriv[i] for i in range(1, len(deriv))]
-    return jumps
+    denominator: (k-1)! times the x^(k-1) coefficient of p(x+1) - p(x), p(x+1)
+    by one Taylor shift (repeated synthetic division: additions only)."""
+    shifted, n = list(p._ints), len(p._ints) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            shifted[j] += shifted[j + 1]
+    return [factorial(k) * (after - before)
+            for k, (after, before) in enumerate(zip(shifted, p._ints[:-1]))]
 
 
 # B_n/n! as integer numerators t_n over one denominator D, for n = 0..len-1:
@@ -331,7 +332,11 @@ def bernoulli_product_integral(indices: Sequence[int]) -> Fraction:
     """
     if any(m < 1 for m in indices):
         raise ValueError("Bernoulli product indices must be >= 1")
-    p = _bernoulli_product(indices)
+    return _bernoulli_basis_integral(_bernoulli_product(indices))
+
+
+def _bernoulli_basis_integral(p: RatPoly) -> Fraction:
+    """int_0^1 p of a nonzero p by the Bernoulli basis (see above)."""
     jumps = _endpoint_jumps(p)
     t, D = _bernoulli_over_factorial(len(jumps))
     return Fraction(D * p._ints[0] - sum(map(mul, t[1:], jumps)), D * p._den)

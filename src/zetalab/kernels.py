@@ -29,7 +29,8 @@ level and takes it from the numpy twin at one s (``_zeta_level``, from
 ``_em_jet_batch``), each node keeping its own M and J; the twin imports
 numpy on its first call.  Its head lengths (``_jet_head_lengths``) come
 from the reach alone where a bound shows the cancellation rule cannot
-bind, and otherwise from the scalar rule node by node.
+bind, and otherwise from the scalar rule node by node.  At real s (and
+alpha) both run in floats, and every finite value keeps the complex bits.
 
 Every value zeta^(r)(s, a) is refused, or returned, by one rule after its
 sum (``_refuse``): a NaN, an alpha <= 0, s on the pole, then a non-finite
@@ -166,9 +167,17 @@ def gamma_complex(z: complex) -> complex:
                 raise PoleProximityError(f"gamma pole at non-positive integer near {z!r}")
             # Gamma(z) Gamma(1-z) = pi / sin(pi z), with sin(pi z) =
             # (-1)^n sin(pi (z - n)) and z - n exact near the pole n
-            return _require_finite(
-                math.pi / ((-1) ** n * cmath.sin(math.pi * (z - n)) * gamma_complex(1.0 - z)),
-                "gamma reflection")
+            w = math.pi * (z - n)
+            try:
+                value = math.pi / ((-1) ** n * cmath.sin(w) * gamma_complex(1.0 - z))
+            except OverflowError:
+                # from |Im z| ~ 226 on sin(w) overflows before the quotient:
+                # move h = e^(i sign(Im z) w/2), |h| = e^(-pi |Im z|/2), from
+                # Gamma(1-z) to sin(w), and sin(w) h = (e^(iw) - e^(-iw)) h / 2i
+                half = math.copysign(0.5, z.imag) * 1j * w
+                sin_h = (cmath.exp(1j * w + half) - cmath.exp(half - 1j * w)) / 2j
+                value = math.pi / ((-1) ** n * sin_h) / (gamma_complex(1.0 - z) / cmath.exp(half))
+            return _require_finite(value, "gamma reflection")
         shift = 1.0
         while z.real < _STIRLING_SHIFT:
             shift *= z
@@ -180,7 +189,7 @@ def gamma_complex(z: complex) -> complex:
         half = z ** (0.5 * (z - 0.5)) * cmath.exp(-0.5 * z)
         value = half * half * (math.sqrt(_TWO_PI) * cmath.exp(series / z)) / shift
     except (OverflowError, ZeroDivisionError):
-        # round(-inf), sin of a large imaginary part and power overflow; an
+        # round(-inf), exponentials past |Im z| ~ 452 and power overflow; an
         # infinite Im z makes the power's phase infinite, which CPython's
         # complex ** reports as ZeroDivisionError
         raise NumericOverflowError("gamma overflow") from None
@@ -306,10 +315,11 @@ def _em_jet_sum(s: complex, alpha, order: int, minus_pole: bool = False) -> list
       corrections sum_j B_{2j}/(2j)! (s+t)_{2j-1} (M+a)^(1-s-2j) e^(-tL),
                   cut where the order-0 term is smallest (:func:`_jet_tail`)
 
-    For a float alpha every power x^-s is formed as modulus x^(-Re s) and
-    phase -Im s log x, and so is (M+a)^(1-s): from (M+a)^-s times (M+a) it
-    would be subnormal, and wrong, once Re s log(M+a) passes about 708.  A
-    complex alpha takes complex powers and logarithms, and M from Re alpha.
+    At real s and a float alpha the sum runs in floats, returned as complex
+    (module docstring).  Otherwise x^-s is modulus x^(-Re s) and phase
+    -Im s log x, and so is (M+a)^(1-s): from (M+a)^-s times (M+a) it would be
+    subnormal, and wrong, once Re s log(M+a) passes about 708.  A complex
+    alpha takes complex powers and logarithms, and M from Re alpha.
 
     With ``minus_pole`` s must be 1, and the series is zeta(1+t, a) - 1/t:
     the integral term minus the pole is expm1(-tL)/t.  M comes from
@@ -318,23 +328,15 @@ def _em_jet_sum(s: complex, alpha, order: int, minus_pole: bool = False) -> list
     exception.
     """
     size = order + 1
-    neg_re = -s.real
     complex_alpha = isinstance(alpha, complex)
     try:
         m, log = _jet_head_length(s, alpha.real), cmath.log if complex_alpha else math.log
-        # (n+a)^-s for n = 0..M, the last one (M+a)^-s, and (M+a)^(1-s).
-        # For a > 0 Python's complex power forms x^-s as modulus x^(-Re s)
-        # and phase -Im s log x, except at a real integral exponent, which
-        # it multiplies out and may overflow on the way: there it is a real
-        # power.
+        s = s if complex_alpha or s.imag else s.real
+        # (n+a)^-s for n = 0..M, the last one (M+a)^-s, and (M+a)^(1-s)
         big_t = m + alpha
-        if complex_alpha or s.imag or not s.real.is_integer():
-            neg_s = -s
-            terms = [(n + alpha) ** neg_s for n in range(m + 1)]
-            big_t_ms = big_t ** (1.0 - s)
-        else:
-            terms = [complex((n + alpha) ** neg_re) for n in range(m + 1)]
-            big_t_ms = complex(big_t ** (1.0 + neg_re))
+        neg_s = -s
+        terms = [(n + alpha) ** neg_s for n in range(m + 1)]
+        big_t_ms = big_t ** (1.0 - s)
         t_ms = terms.pop()
         log_t = log(big_t)
         tail = _jet_tail(s, big_t, size)
@@ -359,7 +361,7 @@ def _em_jet_sum(s: complex, alpha, order: int, minus_pole: bool = False) -> list
                     integral = (big_t_ms * decay[k] - integral) * inv_d
                 corrections = sum(map(operator.mul, tail[:k + 1], decay[k::-1]))
                 coefficients.append(sum(terms) / factorial(k) + integral + t_ms * corrections)
-        return coefficients
+        return coefficients if type(s) is complex else list(map(complex, coefficients))
     except (OverflowError, ZeroDivisionError, ValueError):
         # a power, exponential, modulus or head length beyond the float
         # range, or an infinite phase
@@ -379,7 +381,7 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
     j, on series in t truncated at ``size``: with u = s + t and q_j =
     (u + 2j - 1)(u + 2j), R = w_cut, then R <- w_j + q_j R for j = cut-1
     down to 1, and the sum is u R.  Its t^0 coefficient is left to the first
-    pass; for real s and alpha the recurrence runs in floats.  Lane k of a
+    pass; at a float s both passes run in floats.  Lane k of a
     series reads only lanes <= k, so neither pass depends on ``size`` below
     the coefficients it makes, and no coefficient does.
 
@@ -391,7 +393,7 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
     prop3_fd_r1..r3 and cor2_* missed by 1e-5.
     """
     inv_t2 = 1.0 / (big_t * big_t)
-    weight, poch, acc, min_mag, a = 1.0 / big_t, s, 0j, math.inf, s + 1.0
+    weight, poch, acc, min_mag, a = 1.0 / big_t, s, 0.0, math.inf, s + 1.0
     for j, b2j in enumerate(_B2J_OVER_FACT[:_em_tail_terms(s)], 1):
         term = b2j * weight * poch
         acc += term
@@ -409,17 +411,17 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
         for b2j in _B2J_OVER_FACT[:cut]:
             weights.append(b2j * weight)
             weight *= inv_t2
-        u = s.real if not s.imag and isinstance(big_t, float) else s
         # R as coefficients of t^0..t^(size-1) from entry 2 on; two leading
         # zeros stand for those of t^-2 and t^-1
         r = [0.0, 0.0, weights.pop()] + [0.0] * (size - 1)
+        lanes = range(size + 1, 1, -1)  # highest power first
         for j in range(cut - 1, 0, -1):
-            a = u + (2 * j - 1)
+            a = s + (2 * j - 1)
             q0, q1 = a * (a + 1.0), 2.0 * a + 1.0  # q_j = q0 + q1 t + t^2
-            for k in range(size + 1, 1, -1):  # highest power first
+            for k in lanes:
                 r[k] = q0 * r[k] + q1 * r[k - 1] + r[k - 2]
             r[2] += weights.pop()
-        tail += [u * r[k] + r[k - 1] for k in range(3, size + 2)]
+        tail += [s * r[k] + r[k - 1] for k in range(3, size + 2)]
     return tail
 
 
@@ -430,7 +432,7 @@ def _rising(s: complex, size: int, count: int):
     t^0..t^(size-1); two leading zeros stand for those of t^-2 and t^-1.
     Only the batch (:func:`_em_jet_batch`) uses them; the scalar sum takes
     its corrections by recurrence (:func:`_jet_tail`)."""
-    poly = [0j, 0j, s, 1.0 + 0j] + [0j] * (size - 2)
+    poly = [0.0, 0.0, s, 1.0] + [0.0] * (size - 2)
     for j in range(1, count + 1):
         yield poly
         a = s + (2 * j - 1)
@@ -510,12 +512,14 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
     out with the term index first, so each running sum runs over all nodes
     at once; the corrections are sum_j w_j (s+t)_{2j-1}, summed forward
     (:func:`_jet_tail` takes the same sum by recurrence), the polynomials in
-    t shared by every node and the weights w_j zero past a node's cut.
-    Overflow yields non-finite entries, never a warning.
+    t shared by every node and the weights w_j zero past a node's cut; at
+    real s they are float arrays, with no phase.  Overflow yields non-finite
+    entries, never a warning.
     """
     import numpy as np
 
     s = complex(s)
+    s, times = (s, _times) if s.imag else (s.real, operator.mul)
     alphas = np.asarray(alphas, dtype=float)
     size = order + 1
     try:
@@ -539,9 +543,10 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
         # each node's M: row M holds its (M+a)^-s.  sum_n (n+a)^-s
         # (-log(n+a))^k in the scalar's order: running sums over n, read off
         # at each node's M-1; the 1/k! comes at the end
-        modulus = np.float_power(xs, -s.real)
-        phase = -s.imag * logs
-        terms = modulus * np.cos(phase) + 1j * (modulus * np.sin(phase))
+        terms = np.float_power(xs, -s.real)
+        if s.imag:
+            phase = -s.imag * logs
+            terms = terms * np.cos(phase) + 1j * (terms * np.sin(phase))
         t_ms = terms[m, cols]
         head = [terms.cumsum(axis=0)[m - 1, cols]]
         for _ in range(order):
@@ -551,11 +556,13 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
         log_t = logs[m, cols]
         decay = [np.float_power(-log_t, k) / factorial(k) for k in range(size + 1)]
         # (M+a)^(1-s), not (M+a)^-s (M+a), which may be subnormal
-        modulus, phase = np.float_power(big_t, 1.0 - s.real), phase[m, cols]
-        big_t_ms = modulus * np.cos(phase) + 1j * (modulus * np.sin(phase))
-        integral, prev = [], 0j
+        big_t_ms = np.float_power(big_t, 1.0 - s.real)
+        if s.imag:
+            phase = phase[m, cols]
+            big_t_ms = big_t_ms * np.cos(phase) + 1j * (big_t_ms * np.sin(phase))
+        integral, prev = [], 0.0
         for k in range(size):  # ((s-1) + t) f = (M+a)^(1-s) e^(-tL)
-            prev = _times(big_t_ms * decay[k] - prev, inv_d)
+            prev = times(big_t_ms * decay[k] - prev, inv_d)
             integral.append(prev)
         # w_j = B_{2j}/(2j)! (M+a)^(1-2j), kept up to the last smallest
         # order-0 term, or to J unless the final term has clearly re-entered
@@ -570,8 +577,8 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
         tail = [(rising[:, k, None] * weights).cumsum(axis=0)[-1] for k in range(size)]
         tail[0] += 0.5  # the half term
         # head / k! part by part, as Python divides a complex by an int
-        return np.array([(head[k].view(float) / factorial(k)).view(complex) + integral[k]
-                         + _times(sum(tail[i] * decay[k - i] for i in range(k + 1)), t_ms)
+        return np.array([(head[k].view(float) / factorial(k)).view(head[k].dtype) + integral[k]
+                         + times(sum(tail[i] * decay[k - i] for i in range(k + 1)), t_ms)
                          for k in range(size)])
 
 

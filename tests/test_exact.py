@@ -1,14 +1,15 @@
 """Exact rational layer: Bernoulli numbers/polynomials and [0,1] integrals."""
 
 import math
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from zetalab.exact import (RatPoly, bernoulli_number, bernoulli_polynomial,
-                           bernoulli_product_integral, poly_integral_01,
-                           rational_str, zeta_neg_int_poly)
+from zetalab.exact import (RatPoly, _endpoint_jumps, bernoulli_number,
+                           bernoulli_polynomial, bernoulli_product_integral,
+                           poly_integral_01, rational_str, zeta_neg_int_poly)
 
 
 def multisets(max_total, max_len=3):
@@ -194,6 +195,33 @@ class TestProductIntegralAgainstChain:
     def test_index_below_one_rejected(self, ms):
         with pytest.raises(ValueError):
             bernoulli_product_integral(ms)
+
+
+def derivative_chain_jumps(ints):
+    """[p^(k-1)(1) - p^(k-1)(0) for k = 1..deg p] of the integer polynomial
+    with ascending coefficients ``ints``, by the integer derivative chain
+    that the Taylor shift replaced: each jump is the sum of a derivative's
+    coefficients past the constant one."""
+    jumps, deriv = [], list(ints)
+    while len(deriv) > 1:
+        jumps.append(sum(deriv[1:]))
+        deriv = [i * deriv[i] for i in range(1, len(deriv))]
+    return jumps
+
+
+class TestEndpointJumps:
+    @pytest.mark.parametrize("degree", range(65))
+    def test_taylor_shift_matches_the_derivative_chain(self, degree):
+        # seeded integers of up to 40 digits, either sign, leading one nonzero
+        rng = random.Random(f"jumps:{degree}")
+        for _ in range(4):
+            ints = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(degree)]
+            ints.append(rng.choice([-1, 1]) * rng.randint(1, 10 ** 40))
+            p = RatPoly._from_ints(list(ints), rng.randint(1, 10 ** 6))
+            assert _endpoint_jumps(p) == derivative_chain_jumps(p._ints)
+
+    def test_zero_polynomial_has_no_jumps(self):
+        assert _endpoint_jumps(RatPoly()) == []
 
 
 class TestZetaNegIntPoly:

@@ -96,6 +96,17 @@ class TestGamma:
             expected /= z + k
         assert abs(gamma_complex(z) - expected) <= 1e-13 * abs(expected)
 
+    @pytest.mark.parametrize("y", [230.0, 300.0, 400.0])
+    def test_modulus_on_the_imaginary_axis_past_the_sine_overflow(self, y):
+        # |Gamma(iy)|^2 = pi / (y sinh(pi y)) (DLMF 5.4.3).  From |Im z| ~ 226
+        # on, the reflection's sin(pi z) overflows while Gamma(z) is far from
+        # the smallest double; log sinh x = x - log 2 + log1p(-e^(-2x)) keeps
+        # the reference finite
+        x = math.pi * y
+        log_sinh = x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
+        expected = 0.5 * (math.log(math.pi) - math.log(y) - log_sinh)
+        assert abs(math.log(abs(gamma_complex(complex(0.0, y)))) - expected) <= 1e-12
+
     def test_overflow_is_an_error(self):
         for z in (400.0, 171.7):
             with pytest.raises(NumericOverflowError):
@@ -496,6 +507,37 @@ class TestOverflow:
     def test_scalar_overflow_raises(self, s):
         with pytest.raises(NumericOverflowError):
             hurwitz_zeta(s, 1e6)
+
+
+class TestExtremeRealS:
+    # Real s runs in float arithmetic.  At these s every refusal is the one
+    # the complex arithmetic gave, and the only values returned where it
+    # refused are the true ones at s = 1e300: 1 at alpha = 1 and 0 above,
+    # every derivative 0.  Other returned values are not pinned here (the
+    # README lists the real-axis faults); the level batch must return the
+    # scalar's bits.
+    S = [math.inf, -math.inf, 1e300, -1e300, 400.0, -400.0, 700.5, -171.5]
+    REFUSED = {(s, alpha) for s in (math.inf, -math.inf, -1e300) for alpha in (0.5, 1.0, 3.0)}
+    REFUSED.add((1e300, 0.5))
+    PINNED = {(1e300, 1.0, 0): 1.0, (1e300, 1.0, 2): 0.0, (1e300, 3.0, 0): 0.0,
+              (1e300, 3.0, 2): 0.0}
+
+    @pytest.mark.parametrize("s", S)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_scalar_and_level_outcomes(self, s, alpha, r):
+        scalar = outcome(lambda: hurwitz_zeta_deriv(r, s, alpha))
+        level = outcome(lambda: kernels._zeta_level(r, s, np.array([alpha]))[0])
+        if (s, alpha) in self.REFUSED:
+            message = ("non-finite value in hurwitz_zeta_deriv" if r
+                       else "Euler-Maclaurin overflow in hurwitz_zeta")
+            assert scalar == level == (NumericOverflowError, message)
+            return
+        assert struct.pack("2d", scalar.real, scalar.imag) == struct.pack(
+            "2d", level.real, level.imag)
+        assert type(scalar) is complex and cmath.isfinite(scalar)
+        if (s, alpha, r) in self.PINNED:
+            assert scalar == self.PINNED[s, alpha, r]
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,18 @@ zeta(s, alpha) at complex alpha from hurwitz_taylor, every point within
 1e-9, or 1e-13 relative for large values, or refused.
 
 Then Gamma(z) on Re z in [-60, 171.6], |Im z| <= 60, next to its poles and
-next to the largest double, within the README's max(1e-11, 1e-13 |Gamma|);
+next to the largest double, within the README's max(1e-11, 1e-13 |Gamma|),
+and within 1e-12 relative at four points where the reflection's sin(pi z)
+overflows;
 and the pair integral with Gamma(1 - s1) next to a pole.
 
 Last, moment integrals at degree up to 64, r = 0 and 1: eval_combination
 of int_0^1 B_k(a) zeta^(r)(s, a) da, k = 1..64, within max(1e-7,
 1e-13 |I|), and products whose shifts cancel to many digits within 1e-13
 relative, against the sum of -A_k/Q_k(s) zeta^(j)(s - k) and its
-s-derivative taken in mpmath; and the two ingredients of the route that the
+s-derivative taken in mpmath; a seeded grid of products at every degree
+N = 2..64 and seven s with Re s < 1, |Im s| <= 100, within the same
+max(1e-7, 1e-13 |I|); and the two ingredients of the route that the
 kernels' own grids do not cover, the fixed-point 1/(2 pi) and psi at
 complex argument.
 """
@@ -200,6 +204,16 @@ def test_gamma_within_bound():
     assert not refused, refused  # every Gamma on this grid is a finite double
 
 
+@pytest.mark.parametrize("z", [0.3 + 250j, -2.5 + 230j, 0.01 - 300j, 0.1 - 400j])
+def test_gamma_where_the_reflection_sine_overflows(z):
+    # sin(pi z) passes the largest double while |Gamma(z)| is 1e-164..1e-274.
+    # The absolute floor of the README bound would pass a 0 here, so each is
+    # held to 1e-12 relative, the rounding of its phase (|Im z| log|z| eps)
+    with mp.workdps(30):
+        expected = complex(mp.gamma(mp.mpc(z.real, z.imag)))
+    assert abs(gamma_complex(z) - expected) <= 1e-12 * abs(expected)
+
+
 def test_pair_integral_next_to_a_gamma_pole():
     # Gamma(1 - s1) at -5e-11, just outside gamma_complex's pole guard of 1e-12
     s1, s2 = 1.00000000005, -0.5
@@ -285,6 +299,79 @@ def test_reduction_rows_within_1e_minus_13(ms, s):
     for r, ref in enumerate(refs):
         got = eval_combination(integral_poly_zeta(ms, r), s)
         assert abs(got - ref) <= 1e-13 * abs(ref), (r, got, ref)
+
+
+def jumps_of(p):
+    """{k: p^(k-1)(1) - p^(k-1)(0)} over the nonzero jumps of p, by the
+    Fraction derivative chain."""
+    jumps, q = {}, p
+    for k in range(1, p.degree + 1):
+        jumps[k], q = q.evaluate(Fraction(1)) - q.evaluate(Fraction(0)), q.derivative()
+    return {k: a for k, a in jumps.items() if a}
+
+
+def moment_grid():
+    """Seven seeded s with Re s < 1 and |Im s| <= 100, apart from
+    REDUCTION_S: five complex, one negative real and one next to the real
+    axis in 0 < Re s < 1; and for each degree N = 2..64 one seeded product
+    of zeta_neg_int_poly(m), with sum (m + 1) = N, at one of them."""
+    rng = random.Random("oracle:moments")
+    points = [complex(rng.uniform(-4.0, 1.0), rng.uniform(-100.0, 100.0)) for _ in range(5)]
+    points += [complex(rng.uniform(-4.0, 0.0)),
+               complex(rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))]
+    cases = []
+    for n in range(2, 65):
+        ms, left = [], n
+        while left:
+            m = rng.randint(0, min(left, 24) - 1)
+            ms.append(m)
+            left -= m + 1
+        cases.append((tuple(sorted(ms)), points[n % len(points)]))
+    return points, cases
+
+
+# Digits of the grid's reference: the shifts cancel to 45 digits at most on
+# it, and the test asserts the reference's rounding stays below 1e-3 of the
+# bound
+MOMENT_DPS = 50
+
+
+def test_moment_integrals_on_a_seeded_grid():
+    # ROADMAP item 2's gate: every N = 2..64 at r = 0 and 1 within
+    # max(1e-7, 1e-13 |I|) or refused.  The reference is the sum of
+    # -A_k/Q_k(s) zeta(s - k) and its s-derivative, as reduction_reference
+    # takes it, with each shift's terms taken once per s
+    points, cases = moment_grid()
+    assert set(range(2, 65)) == {sum(m + 1 for m in ms) for ms, _ in cases}
+    misses, refused = [], []
+    with mp.workdps(MOMENT_DPS):
+        for s in points:
+            z = mp.mpc(s.real, s.imag)
+            inv_q, h, shifts = mp.mpf(1), mp.mpf(0), {}
+            for k in range(1, 65):
+                inv_q, h = inv_q / (z - k), h + 1 / (z - k)
+                value, deriv = zeta_jet(z - k)
+                shifts[k] = (-inv_q * value, inv_q * (h * value - deriv))
+            for ms, _ in [case for case in cases if case[1] == s]:
+                p = RatPoly((1,))
+                for m in ms:
+                    p = p * zeta_neg_int_poly(m)
+                jumps = jumps_of(p)
+                for r in (0, 1):
+                    terms = [mp.mpf(a.numerator) / a.denominator * shifts[k][r]
+                             for k, a in jumps.items()]
+                    ref = complex(mp.fsum(terms))
+                    bound = max(1e-7, 1e-13 * abs(ref))
+                    assert sum(abs(t) for t in terms) * mp.mpf(10) ** -MOMENT_DPS <= 1e-3 * bound
+                    try:
+                        got = eval_combination(integral_poly_zeta(ms, r), s)
+                    except EvaluationError:
+                        refused.append((ms, s, r))
+                        continue
+                    if abs(got - ref) > bound:
+                        misses.append((ms, s, r, abs(got - ref) / bound))
+    assert not misses, (len(misses), misses[:5])
+    assert not refused, refused  # |Im s| <= 100, below the refusal at 141.4
 
 
 @pytest.mark.parametrize("bits", [128 << i for i in range(6)])

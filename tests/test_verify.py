@@ -18,6 +18,7 @@ from zetalab import calculus, checks, kernels
 from zetalab.checks import (REQUIRED_ID_PREFIXES, build_registry,
                             render_report, run_checks)
 from zetalab.cli import main, parse_complex
+from zetalab.exact import _bernoulli_product
 
 
 # sha256 of the default ``zetalab verify --format json`` output.  A change
@@ -488,8 +489,11 @@ class TestCaseListsReachTheirEnds:
     # The pinned digest records only each check's worst pair, so a check that
     # stopped short of its last cases would still match it.  Each case below
     # is wrong at one late point only, and the check must see it.
+    # cor6_two_paths hands each product, built once, to the Bernoulli-basis
+    # route, so its last case is the product B_4^3.
     @pytest.mark.parametrize("check, module, name, bad", [
-        ("cor6_two_paths", checks, "bernoulli_product_integral", ((4, 4, 4),)),
+        ("cor6_two_paths", checks, "_bernoulli_basis_integral",
+         (_bernoulli_product((4, 4, 4)),)),
         ("cor6_odd_zero", checks, "bernoulli_product_integral", ((5, 5, 5),)),
         ("kernel_neg_int_poly", kernels, "hurwitz_zeta", (-8, 1.9)),
         ("note_fwd_r3", kernels, "hurwitz_zeta_deriv", (3, 0.5 + 0.5j, 0.7)),
