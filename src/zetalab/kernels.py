@@ -380,10 +380,13 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
     orders >= 1 only, takes the same sum up to that cut by Horner's rule in
     j, on series in t truncated at ``size``: with u = s + t and q_j =
     (u + 2j - 1)(u + 2j), R = w_cut, then R <- w_j + q_j R for j = cut-1
-    down to 1, and the sum is u R.  Its t^0 coefficient is left to the first
-    pass; at a float s both passes run in floats.  Lane k of a
-    series reads only lanes <= k, so neither pass depends on ``size`` below
-    the coefficients it makes, and no coefficient does.
+    down to 1, and the sum is u R.  Lane k of q_j R is
+    q0 R_k + q1 R_(k-1) + R_(k-2); lanes 1 and 0, which have no R_(k-2) or
+    R_(k-1), are taken as q0 R_1 + q1 R_0 and q0 R_0 + w_j, so no step
+    multiplies a zero pad.  The sum's t^0 coefficient is left to the first
+    pass; at a float s both passes run in floats.  Lane k of a series reads
+    only lanes <= k, so neither pass depends on ``size`` below the
+    coefficients it makes, and no coefficient does.
 
     J stays fixed.  A stop once |term| <= eps |acc| would fire at the first
     exactly zero term: at a non-positive integer s the rising factorial
@@ -411,17 +414,17 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
         for b2j in _B2J_OVER_FACT[:cut]:
             weights.append(b2j * weight)
             weight *= inv_t2
-        # R as coefficients of t^0..t^(size-1) from entry 2 on; two leading
-        # zeros stand for those of t^-2 and t^-1
-        r = [0.0, 0.0, weights.pop()] + [0.0] * (size - 1)
-        lanes = range(size + 1, 1, -1)  # highest power first
+        # R as coefficients of t^0..t^(size-1)
+        r = [weights.pop()] + [0.0] * (size - 1)
+        lanes = range(size - 1, 1, -1)  # highest power first
         for j in range(cut - 1, 0, -1):
             a = s + (2 * j - 1)
             q0, q1 = a * (a + 1.0), 2.0 * a + 1.0  # q_j = q0 + q1 t + t^2
             for k in lanes:
                 r[k] = q0 * r[k] + q1 * r[k - 1] + r[k - 2]
-            r[2] += weights.pop()
-        tail += [s * r[k] + r[k - 1] for k in range(3, size + 2)]
+            r[1] = q0 * r[1] + q1 * r[0]
+            r[0] = q0 * r[0] + weights.pop()
+        tail += [s * r[k] + r[k - 1] for k in range(1, size)]
     return tail
 
 

@@ -24,6 +24,11 @@ k <= MAX_DEGREE, so poles land only at s = 1..N.  Q_k has simple roots, so
 every coefficient is built reduced over a monic denominator and stored as
 built: no polynomial gcd runs.
 
+:func:`eval_combination` reads only the order and the jumps: through the
+functional equation the value is a sum of shifted zeta values at Re > 1,
+whose low modes are exact, all of one parity of k from one integer Horner
+sweep (:func:`_modes`), and whose tails are Euler-Maclaurin sums.
+
 The closed-form product integrals (the two-factor integral over (0,1), its
 s -> 1 limit combination, and the specific triple-product evaluation) live
 here too, realised numerically with the kernel layer.
@@ -276,26 +281,45 @@ def _inv_two_pi(bits: int) -> int:
     return (one << bits) // (2 * pi)
 
 
-def _mode(row: list[int], q: int, den: int, n: int) -> float:
-    """e_n (q = 0) or o_n (q = 1), the sum over k = q mod 2 of sigma_k A_k
-    (2 pi n)^-k, exact, then rounded once.  ``row`` holds sigma_k jump_k for
-    k = 2 - q, 4 - q, ..., so the sum is x^(2-q) H(x^2) / den, x = 1/(2 pi n):
-    Horner's rule in P-bit fixed point errs by at most 16 max(1, n L^2 T)
-    units of 2^-P, L the row's length and T its largest |c_i| x^(2i) (log_t
-    bounds it, 6.28 < 2 pi), and P doubles until that is 2^-60 of the sum."""
-    if not any(row):
-        return 0.0
-    log_t = max(c.bit_length() - 2 * i * math.log2(6.28 * n) for i, c in enumerate(row) if c)
-    need, bits = 67 + max(0.0, math.log2(n * len(row) ** 2) + log_t), _MODE_BITS
-    while True:
-        x = _inv_two_pi(bits) // n
-        y, h = x * x >> bits, 0
-        for c in reversed(row):
-            h = (h * y >> bits) + (c << bits)
-        h = h * (y if q == 0 else x) >> bits
-        if h.bit_length() >= need:
-            return h / (den << bits)  # int / int rounds correctly
-        bits *= 2
+def _modes(row: list[int], q: int, den: int, first: int, last: int) -> list[float]:
+    """e_n (q = 0) or o_n (q = 1) for n = first..last: each the sum over
+    k = q mod 2 of sigma_k A_k (2 pi n)^-k, exact, then rounded once.
+
+    ``row`` holds c_i = sigma_k jump_k for k = 2i + 2 - q, i = 0..top, so
+    with m = n^2 the sum is n^-(2 top + 2 - q) sum_i g_i m^(top-i) / den,
+    g_i = c_i (2 pi)^-(2i+2-q).  In P-bit fixed point X = _inv_two_pi(P)
+    errs by at most 1.01 and Y = floor(X^2 / 2^P) by 2^(6-P) of itself, so
+    D_i = floor(c_i Z Y^i / 2^(P i)), Z = Y or X, is within
+    E_i = 3 + (i+1) |D_i| 2^(8-P) of 2^P g_i.  The D_i are formed once per
+    P; each mode is then one exact integer Horner sweep in m, h <- h m + D_i
+    from the first non-zero c_i (i_0) on, whose error is at most
+    m^(top-i_0) sum_i E_i, and one int/int division.  P starts at
+    _MODE_BITS and doubles, for the modes whose error passes 2^-61 of h,
+    until none does.
+    """
+    lead, top, e = next(i for i, c in enumerate(row) if c), len(row) - 1, 2 * len(row) - q
+    modes, pending, bits = {}, range(first, last + 1), _MODE_BITS
+    while pending:
+        x = _inv_two_pi(bits)
+        y = x * x >> bits
+        zy, ds, err = (y if q == 0 else x) * y ** lead, [], 0  # zy = Z Y^i
+        for i, c in enumerate(row[lead:], lead):
+            d = c * zy >> bits * i
+            ds.append(d)
+            if c:
+                err += 3 + ((i + 1) * abs(d) >> bits - 8)
+            zy *= y
+        missed = []
+        for n in pending:
+            m, h = n * n, 0
+            for d in ds:
+                h = h * m + d
+            if err * m ** (top - lead) << 61 > abs(h):
+                missed.append(n)
+            else:
+                modes[n] = h / (den * n ** e << bits)  # int / int rounds correctly
+        pending, bits = missed, 2 * bits
+    return [modes[n] for n in range(first, last + 1)]
 
 
 def eval_combination(lc: LinearCombination, s: complex) -> complex:
@@ -308,13 +332,16 @@ def eval_combination(lc: LinearCombination, s: complex) -> complex:
     -2 Gamma(1-s) (2 pi)^(s-1) [sin(pi s/2) E + cos(pi s/2) O], E and O the
     sums over even and odd k of (-1)^floor(k/2) A_k (2 pi)^-k zeta(1+k-s).
     Each zeta(1+k-s) is sum_{n<=n_0} n^(s-1-k), its modes exact
-    (:func:`_mode`), plus one Euler-Maclaurin sum zeta(1+k-s, n_0+1).  n_0
-    doubles from 8 while the tail sums cannot reach 4 |Im s| / (2 pi), or
-    while their rounding passes 1e-14 of the bracket and the modes'
-    rounding; past 64 it raises ConvergenceError.  r = 1 gives I'(s), with
-    psi(1-s) from the minus-pole jet.  sin and cos go about the nearest
-    integer, so each is exactly 0 where it vanishes; past the float range of
-    them or of Gamma(1-s) the value raises NumericOverflowError.
+    (:func:`_modes`, one sweep per parity, skipped for a parity with no
+    jump: a Bernoulli product's jumps all have one parity), plus one
+    Euler-Maclaurin sum zeta(1+k-s, n_0+1).  n_0 doubles from 8 while the
+    tail sums cannot reach 4 |Im s| / (2 pi), or while their rounding passes
+    1e-14 of the bracket and the modes' rounding; past 64 it raises
+    ConvergenceError.  The modes and (n^(s-1), log n) are kept across the
+    doublings.  r = 1 gives I'(s), with psi(1-s) from the minus-pole jet.
+    sin and cos go about the nearest integer, so each is exactly 0 where it
+    vanishes; past the float range of them or of Gamma(1-s) the value raises
+    NumericOverflowError.
     """
     if lc._jumps is None:
         raise DomainError("eval_combination evaluates only a reduction from reduce_poly, "
@@ -326,8 +353,9 @@ def eval_combination(lc: LinearCombination, s: complex) -> complex:
     r, den, jumps = lc._jumps
     if not jumps:
         return 0j
-    rows = tuple([(-1) ** (k // 2) * jumps.get(k, 0) for k in range(2 - p, max(jumps) + 1, 2)]
-                 for p in (0, 1))
+    rows = [(p, [(-1) ** (k // 2) * jumps.get(k, 0) for k in range(2 - p, max(jumps) + 1, 2)])
+            for p in (0, 1)]
+    rows = [(p, row) for p, row in rows if any(row)]
     try:
         q = round(s.real)
         sin_u, cos_u = cmath.sin(0.5 * math.pi * (s - q)), cmath.cos(0.5 * math.pi * (s - q))
@@ -343,12 +371,16 @@ def eval_combination(lc: LinearCombination, s: complex) -> complex:
         weights = [(g * w[p] + dw[p], w[p]) if r else (w[p], 0.0) for p in (0, 1)]
         coeffs = {k: (-1) ** (k // 2) * (jump / den) * kernels._TWO_PI ** -k
                   for k, jump in jumps.items()}
-        modes, n0 = [], _FIRST_MODES  # [e_n, o_n] for n = 1..n_0
+        # e_n or o_n for each parity with a jump, and (n^(s-1), log n), for
+        # n = 1..n_0
+        modes, powers, n0 = [[] for _ in rows], [], _FIRST_MODES
+        mode_weights = [weights[p] for p, _ in rows]
         while n0 + 1 + kernels._EM_CUTOFF < kernels._EM_REACH_PER_S * abs(s.imag):
             n0 *= 2
         while n0 <= _LAST_MODES:
-            modes += [[_mode(row, p, den, n) for p, row in enumerate(rows)]
-                      for n in range(len(modes) + 1, n0 + 1)]
+            for (p, row), mode in zip(rows, modes):
+                mode += _modes(row, p, den, len(mode) + 1, n0)
+            powers += [(n ** (s - 1.0), math.log(n)) for n in range(len(powers) + 1, n0 + 1)]
             bracket, tail_size, mode_size = 0j, 0.0, 0.0
             for k, c in coeffs.items():
                 jet = kernels._em_jet(1.0 + k - s, n0 + 1.0, r)
@@ -356,10 +388,9 @@ def eval_combination(lc: LinearCombination, s: complex) -> complex:
                 v, d = a * c * jet[0], -b * c * jet[1] if r else 0j  # d/ds zeta(1+k-s) = -zeta'
                 bracket += v + d
                 tail_size += abs(v) + abs(d)
-            for n, mode in enumerate(modes, start=1):
-                power, log_n = n ** (s - 1.0), math.log(n)
-                for (a, b), m in zip(weights, mode):
-                    term = (a + b * log_n) * power * m
+            for n, (power, log_n) in enumerate(powers):
+                for (a, b), mode in zip(mode_weights, modes):
+                    term = (a + b * log_n) * power * mode[n]
                     bracket, mode_size = bracket + term, mode_size + abs(term)
             if not tail_size > max(mode_size, _TAIL_SHARE / kernels._MACH_EPS * abs(bracket)):
                 return kernels._require_finite(scale * bracket, "eval_combination")

@@ -880,6 +880,129 @@ class TestCorrectionJet:
                 assert lane_bits(kernels._jet_tail(s, big_t, size)) == every[:size], (s, size)
 
 
+# (s, M + a, float.hex of Re and Im of lanes 0..6): _jet_tail as its order
+# >= 1 pass ran through two leading zero pads, before lanes 0 and 1 were
+# taken apart.  Seeded: the non-positive integers 0, -3 and -10, four real
+# and four complex s, M + a from 1.5 to 60, and one complex alpha.
+JET_TAIL_BITS = [
+    (0.0, 1.5, [
+        ('0x0.0p+0', '0x0.0p+0'),
+        ('0x1.60862e89f6818p-5', '0x0.0p+0'),
+        ('-0x1.6e56465b50f8cp-5', '0x0.0p+0'),
+        ('-0x1.25c61faa6d453p-4', '0x0.0p+0'),
+        ('-0x1.1cfd5e77cb802p-4', '0x0.0p+0'),
+        ('-0x1.77080398b123ap-5', '0x0.0p+0'),
+        ('-0x1.64b6683ca032ap-6', '0x0.0p+0'),
+    ]),
+    (-3.0, 7.25, [
+        ('-0x1.1a4db9e497c4dp-5', '0x0.0p+0'),
+        ('0x1.775464417fee9p-7', '0x0.0p+0'),
+        ('0x1.6f04dc7137976p-16', '0x0.0p+0'),
+        ('-0x1.e8123a19da529p-19', '0x0.0p+0'),
+        ('-0x1.1b9f2c288007ep-27', '0x0.0p+0'),
+        ('0x1.c8cd38c0b4caep-30', '0x0.0p+0'),
+        ('-0x1.9fba1c56fb4c0p-45', '0x0.0p+0'),
+    ]),
+    (-10.0, 60.0, [
+        ('-0x1.c6f59e7c32c96p-7', '0x0.0p+0'),
+        ('0x1.6bae629ad637cp-10', '0x0.0p+0'),
+        ('0x1.745edeeb5917cp-23', '0x0.0p+0'),
+        ('-0x1.b803d04b1264cp-28', '0x0.0p+0'),
+        ('-0x1.ddda0411559a2p-40', '0x0.0p+0'),
+        ('0x1.7c597167b38c5p-45', '0x0.0p+0'),
+        ('0x1.0a4bc8bb395d8p-56', '0x0.0p+0'),
+    ]),
+    (-7.618420684788788, 7.301441554338186, [
+        ('-0x1.600acf16923dfp-4', '0x0.0p+0'),
+        ('0x1.66fa2180aa625p-7', '0x0.0p+0'),
+        ('0x1.1df505dcf0187p-14', '0x0.0p+0'),
+        ('-0x1.9dc2a1276323ap-19', '0x0.0p+0'),
+        ('-0x1.6c973f12fe4f5p-25', '0x0.0p+0'),
+        ('0x1.5e3b878587bd1p-30', '0x0.0p+0'),
+        ('0x1.94f29de5405d1p-36', '0x0.0p+0'),
+    ]),
+    (-4.649541277029883, 1.9151290614649579, [
+        ('-0x1.8c437de136193p-3', '0x0.0p+0'),
+        ('0x1.26e20c1609dd5p-5', '0x0.0p+0'),
+        ('0x1.0301782dcb212p-9', '0x0.0p+0'),
+        ('-0x1.dba2d2ff0bb98p-14', '0x0.0p+0'),
+        ('-0x1.17c27094a17fap-16', '0x0.0p+0'),
+        ('0x1.e8cafee2f484ep-21', '0x0.0p+0'),
+        ('0x1.d004f83a88f48p-24', '0x0.0p+0'),
+    ]),
+    (-5.574798090628576, 5.980732747619282, [
+        ('-0x1.3bbf7279616c7p-4', '0x0.0p+0'),
+        ('0x1.bb8591ffaacbfp-7', '0x0.0p+0'),
+        ('0x1.6e6ceeb8f5c2cp-14', '0x0.0p+0'),
+        ('-0x1.9037dc07c9586p-18', '0x0.0p+0'),
+        ('-0x1.4657ff70635fap-24', '0x0.0p+0'),
+        ('0x1.0ee9887ea926bp-28', '0x0.0p+0'),
+        ('0x1.def3af8c1f247p-35', '0x0.0p+0'),
+    ]),
+    (-8.718726126281648, 2.809232672309032, [
+        ('-0x1.dc3d996d572e7p-3', '0x0.0p+0'),
+        ('0x1.4b5a85f709977p-6', '0x0.0p+0'),
+        ('0x1.f5b2f62e8c8f4p-11', '0x0.0p+0'),
+        ('0x1.884dee2cfc220p-19', '0x0.0p+0'),
+        ('-0x1.976af693c6b5ep-19', '0x0.0p+0'),
+        ('-0x1.0527c8c5d0b00p-23', '0x0.0p+0'),
+        ('0x1.4cb0364258c4fp-27', '0x0.0p+0'),
+    ]),
+    ((-17.940152797986926-18.64293473356654j), 5.057499165293016, [
+        ('-0x1.68bf4de579a67p-2', '-0x1.300e91cd93aa1p-3'),
+        ('0x1.17b519f7ef140p-9', '-0x1.3d137520e7042p-7'),
+        ('-0x1.367402890eee2p-12', '-0x1.5c68c2c478ae4p-11'),
+        ('0x1.ec67efeeee5f4p-17', '-0x1.00281a646b55ap-13'),
+        ('0x1.107b99f34c1c3p-16', '-0x1.9dd2de8d13483p-19'),
+        ('0x1.e27bc98247bb4p-22', '0x1.ceed4e8e18df8p-20'),
+        ('-0x1.541bff371e7bep-23', '0x1.09daea18c7f1ap-25'),
+    ]),
+    ((-4.569111050851259-2.1559470949145165j), 52.304809300729204, [
+        ('-0x1.dd1513a09a021p-8', '-0x1.c2218d00e2968p-9'),
+        ('0x1.a1985ce0737b5p-10', '-0x1.e1287a40d1d30p-22'),
+        ('0x1.be70e1b7160bdp-24', '0x1.0d84ed7c78c83p-24'),
+        ('-0x1.4d748aeff96cep-27', '0x1.494ae4a56ecbcp-37'),
+        ('-0x1.3195aa8161edfp-40', '-0x1.004b206ac4917p-40'),
+        ('0x1.7ca255f7973e5p-44', '-0x1.f9ecf454a5166p-54'),
+        ('0x1.3900ea5278fb2p-57', '0x1.ae14a56af8576p-57'),
+    ]),
+    ((-9.600550502345794-22.136556545763995j), 14.382352404108376, [
+        ('-0x1.f8efd9ff61fabp-5', '-0x1.0c4b6a781b4a0p-3'),
+        ('0x1.a32cfa9fea7fdp-8', '-0x1.44a3be9d6f515p-11'),
+        ('0x1.3bc8e1025881ep-16', '0x1.24ab1993dd3bap-15'),
+        ('-0x1.8612b40ecbf00p-21', '0x1.0dcf04499d79ap-22'),
+        ('-0x1.50324206b4f6ap-28', '-0x1.12a256d64def3p-27'),
+        ('0x1.22fffc786c38ep-33', '-0x1.322c6bd2b4a9fp-34'),
+        ('0x1.3ea7101df838ap-40', '0x1.f21133b442ed1p-40'),
+    ]),
+    ((-11.51827941016997-28.733645417313838j), 10.474433710381707, [
+        ('-0x1.09ec2d66a70a3p-3', '-0x1.f56f657417701p-3'),
+        ('0x1.610a05a6e3c2ep-7', '-0x1.dcd5ce896d2e5p-9'),
+        ('0x1.296567f75e37fp-13', '0x1.32afb194f30b6p-13'),
+        ('-0x1.f91fad7025885p-19', '0x1.1b5f9502e3dd1p-18'),
+        ('-0x1.126c5744ba2cap-23', '-0x1.6e897e248571ep-24'),
+        ('0x1.323c5b1aade5ap-29', '-0x1.f022c5bce954fp-29'),
+        ('0x1.b5e20df7f4aafp-34', '0x1.0b9bd521850b2p-34'),
+    ]),
+    ((0.5+2j), (4+1.25j), [
+        ('0x1.5ff4e7ea29756p-6', '0x1.1c6b5040dc500p-5'),
+        ('0x1.33c8d68e52532p-6', '-0x1.97b077b88b165p-8'),
+        ('-0x1.1bf06c34412d2p-13', '0x1.fe894c14014d0p-20'),
+        ('-0x1.377260dc64d24p-17', '0x1.e7a59ea252a3cp-17'),
+        ('0x1.cc4e2e5bab231p-23', '-0x1.26e3d60528401p-22'),
+        ('-0x1.9928988c34839p-29', '-0x1.24cee10c9bcb7p-26'),
+        ('0x1.9eb33f82b0685p-34', '0x1.74bcadf2551f8p-31'),
+    ]),
+]
+
+
+class TestCorrectionJetBits:
+    @pytest.mark.parametrize("s, big_t, lanes", JET_TAIL_BITS)
+    def test_lane_bits(self, s, big_t, lanes):
+        got = kernels._jet_tail(s, big_t, len(lanes))
+        assert [(complex(z).real.hex(), complex(z).imag.hex()) for z in got] == lanes
+
+
 # ---------------------------------------------------------------------------
 # The Taylor-mode batch behind the quadrature checks: one s, a level's alphas
 # ---------------------------------------------------------------------------

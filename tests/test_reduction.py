@@ -478,6 +478,141 @@ class TestExactAtTheIntegers:
         assert 0 < zeros < MAX_DEGREE - 1  # both kinds of point are on the grid
 
 
+# ---------------------------------------------------------------------------
+# The exact low modes and the value's bits
+# ---------------------------------------------------------------------------
+
+
+# jumps of both parities: p(1 - a) is neither p(a) nor -p(a)
+BOTH_PARITIES = RatPoly((Fraction(3, 7), Fraction(-2, 5), 1, Fraction(5, 3), 0, -7,
+                         Fraction(1, 11)))
+
+# (multiset or polynomial, r, s, float.hex of Re and Im, the last n0): the
+# values as each mode was summed on its own, before one sweep per parity
+# took them.  n0 starts at 32 and 64 at |Im s| = 72.5 and 97, and the tail
+# rule doubles it at (0,) * 64.
+EVAL_BITS = [
+    (BOTH_PARITIES, 0, (-0.75+0j), '0x1.83e89c5998d3ap-5', '-0x0.0p+0', 8),
+    (BOTH_PARITIES, 1, (0.3-2.5j), '-0x1.728104d48aa65p-3', '-0x1.971af0f7bba49p-6', 8),
+    ((0, 1), 0, (-0.5+0j), '-0x1.a4392f661fbadp-12', '0x0.0p+0', 8),
+    ((1, 1), 1, (-1.7+0.4j), '-0x1.404f246001516p-16', '-0x1.072102230dcc2p-16', 8),
+    ((2, 3, 4), 0, (-3+0j), '-0x1.4cfe03228e7b8p-31', '0x0.0p+0', 8),
+    ((2, 3, 4), 1, (-2+0j), '0x1.0d20ad4897de9p-29', '-0x0.0p+0', 8),
+    ((5, 6, 7), 1, (0.25+11j), '0x1.0c811c771c65dp-30', '0x1.b789f4bad6927p-29', 8),
+    ((9, 10, 12), 0, (-4.2-7.5j), '-0x1.5c10b0c38bfefp-21', '-0x1.49dc11d9ea23fp-20', 8),
+    ((15, 15, 16), 1, (0.6-1.25j), '-0x1.56345c52cb1ccp-4', '0x1.cfbad4ccdee78p-8', 8),
+    ((31, 31), 0, (0.1+3j), '-0x1.2e21e1860b39cp+52', '0x1.32ae4269ea6dcp+54', 8),
+    ((3, 4), 0, (0.2+72.5j), '0x1.252e41a5f0439p-18', '0x1.3b2af54da388ap-17', 32),
+    ((1, 2, 3), 1, (-0.4-97j), '-0x1.a125fdb3c078fp-16', '0x1.13082e74ae1e9p-17', 64),
+    ((0,) * 64, 0, (0.3+0j), '0x1.ddc2003b7d8bcp-70', '-0x0.0p+0', 16),
+    ((0,) * 64, 1, (0.45+0j), '0x1.5f0aaa46a337bp-65', '-0x0.0p+0', 16),
+]
+
+
+def _reduction(ms_or_poly, r):
+    if isinstance(ms_or_poly, RatPoly):
+        return reduce_poly(ms_or_poly, r)
+    return integral_poly_zeta(ms_or_poly, r)
+
+
+def _rows(lc):
+    """{parity q: row} as eval_combination builds them, rows of zeros left out."""
+    _, den, jumps = lc._jumps
+    rows = {q: [(-1) ** (k // 2) * jumps.get(k, 0) for k in range(2 - q, max(jumps) + 1, 2)]
+            for q in (0, 1)}
+    return den, {q: row for q, row in rows.items() if any(row)}
+
+
+class TestEvaluationBits:
+    @pytest.mark.parametrize("ms_or_poly, r, s, re, im, n0", EVAL_BITS)
+    def test_value_bits(self, monkeypatch, ms_or_poly, r, s, re, im, n0):
+        reached = []
+
+        def modes(row, q, den, first, last):
+            reached.append(last)
+            return sweep(row, q, den, first, last)
+
+        sweep = reduction._modes
+        monkeypatch.setattr(reduction, "_modes", modes)
+        value = eval_combination(_reduction(ms_or_poly, r), s)
+        assert (value.real.hex(), value.imag.hex()) == (re, im)
+        assert max(reached) == n0
+
+    def test_both_kinds_of_row_are_pinned(self):
+        assert len(_rows(reduce_poly(BOTH_PARITIES, 0))[1]) == 2
+        parities = {q for ms, *_ in EVAL_BITS if not isinstance(ms, RatPoly)
+                    for q in _rows(integral_poly_zeta(ms, 0))[1]}
+        assert parities == {0, 1}
+
+
+def _pi_times(bits):
+    """pi 2^bits, to within 8 units, from Stormer's formula
+    pi/4 = 6 atan(1/8) + 2 atan(1/57) + atan(1/239): not the program's."""
+    one, total = 1 << (bits + 16), 0
+    for weight, m in ((24, 8), (8, 57), (4, 239)):
+        term, n = weight * one // m, 1
+        while term:
+            total, term, n = total + term // n, -term // (m * m), n + 2
+    return total >> 16
+
+
+@lru_cache(maxsize=None)
+def _reference_powers(q, n, bits=4096):
+    """(2 pi n)^-(2i+2-q) for i = 0..MAX_DEGREE/2 in bits-bit fixed point:
+    x = 1/(2 pi n) and each power of it truncated, every error far below
+    2^-3000 of the power."""
+    x = (1 << 2 * bits) // (2 * _pi_times(bits) * n)
+    x2 = x * x >> bits
+    powers = [x2 if q == 0 else x]
+    for _ in range(MAX_DEGREE // 2):
+        powers.append(powers[-1] * x2 >> bits)
+    return powers
+
+
+def reference_mode(row, q, den, n, bits=4096):
+    """sum_i row_i (2 pi n)^-(2i+2-q) / den in bits-bit fixed point, rounded
+    once."""
+    total = sum(c * power for c, power in zip(row, _reference_powers(q, n, bits)))
+    return total / (den << bits)
+
+
+class TestModes:
+    """Each mode is the correctly rounded sum, against an independent
+    4096-bit evaluation."""
+
+    def test_seeded_products(self):
+        parities = set()
+        for n in range(2, MAX_DEGREE + 1):
+            den, rows = _rows(integral_poly_zeta(seeded_multiset(n), 0))
+            for q, row in rows.items():
+                parities.add(q)
+                got = reduction._modes(row, q, den, 1, 64)
+                want = [reference_mode(row, q, den, m) for m in range(1, 65)]
+                assert got == want, (n, q)
+        assert parities == {0, 1}
+
+    def test_both_parities_and_the_pieces_eval_combination_asks_for(self):
+        den, rows = _rows(reduce_poly(BOTH_PARITIES, 1))
+        for q, row in rows.items():
+            every = reduction._modes(row, q, den, 1, 64)
+            assert every == [reference_mode(row, q, den, m) for m in range(1, 65)]
+            pieces = [reduction._modes(row, q, den, a + 1, b)
+                      for a, b in ((0, 8), (8, 16), (16, 32), (32, 64))]
+            assert sum(pieces, []) == every
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_a_row_whose_first_precision_fails(self, monkeypatch, q):
+        # c_20 (2 pi)^-(42-q) is about 2^-111: at 128 bits its D is about
+        # 2^17, below 2^61 times its rounding bound, so every mode takes 256
+        row, den, asked = [0] * 20 + [1, -5, 3], 7, []
+        inv_two_pi = reduction._inv_two_pi
+        monkeypatch.setattr(reduction, "_inv_two_pi",
+                            lambda bits: asked.append(bits) or inv_two_pi(bits))
+        got = reduction._modes(row, q, den, 1, 64)
+        assert asked == [reduction._MODE_BITS, 2 * reduction._MODE_BITS]
+        assert got == [reference_mode(row, q, den, m) for m in range(1, 65)]
+
+
 class TestRefusals:
     """eval_combination serves Re s < 1 and returns a value or raises."""
 
