@@ -11,7 +11,9 @@ constants.  M + a goes no further than max(8, 4|s|/(2 pi)), where the
 corrections have fallen below rounding (Johansson, arXiv:1309.2877
 section 3), and M is at most 25; for Re s < 1/2 it is shrunk further so the
 head/integral cancellation cannot eat the fixed absolute accuracy target.
-The correction sum always stops at its smallest term (optimal truncation).
+The correction sum stops at its smallest term (optimal truncation); where
+a bound shows the terms fall all the way to J, that is the last one, and no
+search is made.
 
 There is one such sum, taken as a power series in t at s + t (Taylor mode,
 Johansson, arXiv:1309.2877 sections 2-3): every piece has a closed-form
@@ -27,10 +29,11 @@ A single point is a pure-Python sum (``_em_jet_sum``), and never loads numpy.
 A quadrature check needs zeta^(r)(s, a) at every node a of a tanh-sinh
 level and takes it from the numpy twin at one s (``_zeta_level``, from
 ``_em_jet_batch``), each node keeping its own M and J; the twin imports
-numpy on its first call.  Its head lengths (``_jet_head_lengths``) come
-from the reach alone where a bound shows the cancellation rule cannot
-bind, and otherwise from the scalar rule node by node.  At real s (and
-alpha) both run in floats, and every finite value keeps the complex bits.
+numpy on its first call.  Both take their head lengths from the reach
+alone where a bound shows the cancellation rule cannot bind
+(``_grown_cap``); otherwise the batch (``_jet_head_lengths``) takes the
+scalar rule node by node.  At real s (and alpha) both run in floats, and
+every finite value keeps the complex bits.
 
 Every value zeta^(r)(s, a) is refused, or returned, by one rule after its
 sum (``_refuse``): a NaN, an alpha <= 0, s on the pole, then a non-finite
@@ -91,6 +94,9 @@ _EM_MIN_REACH = 8.0
 _EM_REACH_PER_S = 4.0 / _TWO_PI
 _EM_TAIL_TERMS = 12
 _POLE_GUARD = 0.5
+# Where |s| + 2J < _EM_TAIL_FALL |M + a| each Bernoulli correction is below
+# 0.94^2 of the one before, so the smallest is the last (see _jet_tail).
+_EM_TAIL_FALL = 0.94 * _TWO_PI
 # The highest s-derivative order of the kernels.
 _MAX_ORDER = 6
 
@@ -235,26 +241,40 @@ def _jet_head_length(s: complex, alpha: float) -> int:
     factor up to _MAX_ORDER, but is shrunk no further than M + a = 0.6 |Im s|:
     below that the corrections stop converging before they are small
     (measured).  That rule is not evaluated where R - a <= 2, whose M is 2
-    whatever it gives: so an infinite alpha takes M = 2.  A NaN alpha raises
-    ValueError for Re s < 1/2.
+    whatever it gives: so an infinite alpha takes M = 2.  Nor is it where
+    its cap at the growth bound, :func:`_grown_cap`, is at least R: there it
+    gives M >= min(ceil(R - a), _EM_CUTOFF) (proof at
+    :func:`_jet_head_lengths`), so M is that.  A NaN alpha raises ValueError
+    for Re s < 1/2.
     """
     reach = _EM_REACH_PER_S * abs(s)
     if reach < _EM_MIN_REACH:  # not max(), which costs twice the rest of this path
         reach = _EM_MIN_REACH
-    reach -= alpha
-    if reach <= 2.0:
+    rest = reach - alpha
+    if rest <= 2.0:
         return 2
-    m = _em_head_length(s, alpha)
-    if m > 2 and s.real < 0.5:  # 2 is the least M, whatever the growth and floor
-        # the largest L^k/k!, k <= _MAX_ORDER, as a running product: the
-        # factors L/k are at least 1 up to k = L and below 1 after it
-        log_t, growth = math.log(m + alpha), 1.0
-        for k in range(1, min(int(log_t), _MAX_ORDER) + 1):
-            growth *= log_t / k
-        floor = 0.6 * abs(s.imag) - alpha + 1.0
-        m = max(_em_head_length(s, alpha, growth), int(floor) if floor < m else m)
+    m = _EM_CUTOFF
+    # not "cap < reach": a NaN alpha takes the rule, which raises
+    if s.real < 0.5 and not _grown_cap(s, alpha) >= reach:
+        m = _em_head_length(s, alpha)
+        if m > 2:  # 2 is the least M, whatever the growth and floor
+            # the largest L^k/k!, k <= _MAX_ORDER, as a running product: the
+            # factors L/k are at least 1 up to k = L and below 1 after it
+            log_t, growth = math.log(m + alpha), 1.0
+            for k in range(1, min(int(log_t), _MAX_ORDER) + 1):
+                growth *= log_t / k
+            floor = 0.6 * abs(s.imag) - alpha + 1.0
+            m = max(_em_head_length(s, alpha, growth), int(floor) if floor < m else m)
     # an infinite or NaN reach (an infinite or NaN s) keeps m
-    return math.ceil(reach) if reach < m else m
+    return math.ceil(rest) if rest < m else m
+
+
+def _grown_cap(s: complex, alpha) -> float:
+    """The cancellation rule's cap on M + a (:func:`_em_head_length`), for
+    Re s < 1/2, at the growth G = _EM_CUTOFF + 1 + alpha, which bounds the
+    growth the rule takes at every alpha' <= alpha."""
+    return (_TARGET_ABS_ERROR / (5.0 * _MACH_EPS * (_EM_CUTOFF + 1.0 + alpha))) ** (
+        1.0 / (1.0 - s.real))
 
 
 def _jet_head_lengths(s: complex, alphas: np.ndarray) -> np.ndarray:
@@ -264,9 +284,9 @@ def _jet_head_lengths(s: complex, alphas: np.ndarray) -> np.ndarray:
     A node with R - alpha <= 2, R the reach, takes M = 2.  Every other node
     takes the reach rule's min(ceil(R - alpha), _EM_CUTOFF), which is the
     scalar's M wherever the cancellation rule cannot bind: for Re s >= 1/2,
-    and for Re s < 1/2 when that rule's cap, taken at the growth G =
-    _EM_CUTOFF + 1 + the largest alpha among these nodes, is at least R.
-    G bounds each such node's growth, which is some L^k/k! <= e^L = M +
+    and for Re s < 1/2 when that rule's cap at the growth G = _EM_CUTOFF +
+    1 + the largest alpha among these nodes (:func:`_grown_cap`) is at least
+    R.  G bounds each such node's growth, which is some L^k/k! <= e^L = M +
     alpha <= _EM_CUTOFF + alpha, M the head length of the ungrown cap.  A
     smaller growth gives a larger cap, and every step of the cap rounds
     monotonically, so each node's cap - alpha is at least R - alpha, and
@@ -280,10 +300,8 @@ def _jet_head_lengths(s: complex, alphas: np.ndarray) -> np.ndarray:
     if reach < _EM_MIN_REACH:
         reach = _EM_MIN_REACH
     far = reach - alphas > 2.0
-    if s.real < 0.5 and far.any():
-        growth = _EM_CUTOFF + 1.0 + alphas[far].max()
-        if (_TARGET_ABS_ERROR / (5.0 * _MACH_EPS * growth)) ** (1.0 / (1.0 - s.real)) < reach:
-            return np.array([_jet_head_length(s, alpha) for alpha in alphas.tolist()])
+    if s.real < 0.5 and far.any() and _grown_cap(s, alphas[far].max()) < reach:
+        return np.array([_jet_head_length(s, alpha) for alpha in alphas.tolist()])
     return np.where(far, np.minimum(np.ceil(reach - alphas), _EM_CUTOFF), 2).astype(int)
 
 
@@ -376,11 +394,19 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
     The order-0 pass sums w_j (s)_{2j-1} and fixes the cut where that term is
     smallest: for Re s < 0 the term magnitudes legitimately rise before
     falling, so the sum is cut back to its last smallest term only when the
-    final term has clearly re-entered asymptotic growth.  A second pass, for
-    orders >= 1 only, takes the same sum up to that cut by Horner's rule in
-    j, on series in t truncated at ``size``: with u = s + t and q_j =
-    (u + 2j - 1)(u + 2j), R = w_cut, then R <- w_j + q_j R for j = cut-1
-    down to 1, and the sum is u R.  Lane k of q_j R is
+    final term has clearly re-entered asymptotic growth.  Where |s| + 2J <
+    _EM_TAIL_FALL |M+a| that search is not made and the cut is J: term j+1
+    over term j is B_{2j+2}/((2j+1)(2j+2) B_{2j}) (M+a)^-2 (s+2j-1)(s+2j),
+    whose first factor is below 1/(4 pi^2) (zeta(2j+2) < zeta(2j)), so the
+    ratio's modulus is below ((|s| + 2J) / (2 pi |M+a|))^2 < 0.94^2, a
+    margin that rounding, even of a subnormal weight, does not close: every
+    term is at most the one before, the last is the smallest and the growth
+    test cannot fire.  A non-finite sum there (a rising factorial past the
+    float range) is taken again with the search, which may cut it back to a
+    finite one.  A second pass, for orders >= 1 only, takes the same sum up
+    to that cut by Horner's rule in j, on series in t truncated at
+    ``size``: with u = s + t and q_j = (u + 2j - 1)(u + 2j), R = w_cut, then
+    R <- w_j + q_j R for j = cut-1 down to 1, and the sum is u R.  Lane k of q_j R is
     q0 R_k + q1 R_(k-1) + R_(k-2); lanes 1 and 0, which have no R_(k-2) or
     R_(k-1), are taken as q0 R_1 + q1 R_0 and q0 R_0 + w_j, so no step
     multiplies a zero pad.  The sum's t^0 coefficient is left to the first
@@ -396,19 +422,32 @@ def _jet_tail(s: complex, big_t, size: int) -> list[complex]:
     prop3_fd_r1..r3 and cor2_* missed by 1e-5.
     """
     inv_t2 = 1.0 / (big_t * big_t)
-    weight, poch, acc, min_mag, a = 1.0 / big_t, s, 0.0, math.inf, s + 1.0
-    for j, b2j in enumerate(_B2J_OVER_FACT[:_em_tail_terms(s)], 1):
-        term = b2j * weight * poch
-        acc += term
-        mag = abs(term)
-        if mag <= min_mag:
-            min_mag, cut, acc_at_min = mag, j, acc
-        poch *= a * (a + 1.0)  # a = s + 2j - 1
-        weight *= inv_t2
-        a += 2.0
-    if not mag > 10.0 * min_mag:
-        cut = j
-    tail = [acc_at_min if cut < j else acc]
+    depth = _em_tail_terms(s)
+    falls = abs(s) + 2.0 * depth < _EM_TAIL_FALL * abs(big_t)
+    if falls:
+        weight, poch, acc, a = 1.0 / big_t, s, 0.0, s + 1.0
+        for b2j in _B2J_OVER_FACT[:depth]:
+            acc += b2j * weight * poch
+            poch *= a * (a + 1.0)  # a = s + 2j - 1
+            weight *= inv_t2
+            a += 2.0
+        cut = depth
+    if not (falls and cmath.isfinite(acc)):
+        weight, poch, acc, min_mag, a = 1.0 / big_t, s, 0.0, math.inf, s + 1.0
+        for j, b2j in enumerate(_B2J_OVER_FACT[:depth], 1):
+            term = b2j * weight * poch
+            acc += term
+            mag = abs(term)
+            if mag <= min_mag:
+                min_mag, cut, acc_at_min = mag, j, acc
+            poch *= a * (a + 1.0)
+            weight *= inv_t2
+            a += 2.0
+        if not mag > 10.0 * min_mag:
+            cut = j
+        if cut < j:
+            acc = acc_at_min
+    tail = [acc]
     if size > 1:
         weights, weight = [], 1.0 / big_t
         for b2j in _B2J_OVER_FACT[:cut]:
@@ -511,7 +550,10 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
     Every node keeps its own head length (:func:`_jet_head_lengths`) and its
     own Bernoulli cut, taken from the order-0 magnitudes as in
     :func:`_jet_tail`, so its column does not depend on the other nodes, and
-    no row depends on the highest order asked for.  The head terms are laid
+    no row depends on the highest order asked for.  Where _jet_tail's bound
+    holds at the smallest M + alpha, and so at every node, and no order-0
+    rising factorial overflows, every cut is J and none is searched for;
+    the search would find the same cuts.  The head terms are laid
     out with the term index first, so each running sum runs over all nodes
     at once; the corrections are sum_j w_j (s+t)_{2j-1}, summed forward
     (:func:`_jet_tail` takes the same sum by recurrence), the polynomials in
@@ -569,13 +611,16 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
             integral.append(prev)
         # w_j = B_{2j}/(2j)! (M+a)^(1-2j), kept up to the last smallest
         # order-0 term, or to J unless the final term has clearly re-entered
-        # asymptotic growth (see _jet_tail)
+        # asymptotic growth (see _jet_tail); all J where the bound there
+        # holds at every node and no order-0 rising factorial overflows
         weights = np.array(_B2J_OVER_FACT[:depth])[:, None] * big_t ** (
             1.0 - 2.0 * np.arange(1, depth + 1))[:, None]
-        mags = np.abs(weights * rising[:, :1])
-        at_min = depth - 1 - mags[::-1].argmin(axis=0)
-        cut = np.where(mags[-1] > 10.0 * mags[at_min, cols], at_min, depth - 1)
-        weights[np.arange(depth)[:, None] > cut] = 0.0
+        if not (abs(s) + 2.0 * depth < _EM_TAIL_FALL * big_t.min(initial=math.inf)
+                and np.isfinite(rising[:, 0]).all()):
+            mags = np.abs(weights * rising[:, :1])
+            at_min = depth - 1 - mags[::-1].argmin(axis=0)
+            cut = np.where(mags[-1] > 10.0 * mags[at_min, cols], at_min, depth - 1)
+            weights[np.arange(depth)[:, None] > cut] = 0.0
         # cumsum adds in j order whatever the number of nodes; sum may pair terms
         tail = [(rising[:, k, None] * weights).cumsum(axis=0)[-1] for k in range(size)]
         tail[0] += 0.5  # the half term

@@ -14,19 +14,22 @@ checked against mpmath in test_oracle.py.
 """
 
 import cmath
+import gzip
 import inspect
+import json
 import math
 import random
 import struct
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import BATCHES_PER_PASS, TARGET_IDS, TARGETS
 import zetalab
-from zetalab import calculus, kernels, quadrature
+from zetalab import calculus, exact, kernels, quadrature
 from zetalab.errors import (DomainError, EvaluationError, NumericOverflowError,
                             PoleProximityError)
 from zetalab.exact import zeta_neg_int_poly
@@ -1302,6 +1305,194 @@ class TestJetBatch:
             with pytest.raises(NumericOverflowError) as info:
                 kernels._zeta_level(0, 2.0 - 45.0j, alphas)
         assert str(info.value) == "Euler-Maclaurin overflow in hurwitz_zeta"
+
+
+# ---------------------------------------------------------------------------
+# The bounds that settle the correction cut and the Re s < 1/2 head length
+# ---------------------------------------------------------------------------
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "kernel_refs.json.gz"
+HEAD_LENGTH_PINS = Path(__file__).parent / "data" / "jet_head_lengths.json"
+# (s, M + a) where (s)_{2j-1} overflows before J while the weights do not
+# vanish: with every term the sum is not finite, and the search cuts it back
+# to a finite one
+RISING_OVERFLOW = [(complex(3.18e13), 6.36e12), (complex(0.0, 3.18e13), 6.36e12),
+                   (complex(3.18e13), 9.54e12)]
+
+
+@pytest.fixture(scope="module")
+def corpus_sums():
+    """(s, alpha, order, minus_pole) of the Taylor-mode sum behind every
+    stored kernel-eval input: zeta and the broken region at order 0, the
+    derivatives at order r, the Stieltjes constants at s = 1 minus the
+    pole, and hurwitz_taylor(s, alpha, 3) at the complex alpha + 3."""
+    with gzip.open(CORPUS, "rt") as fh:
+        classes = json.load(fh)["classes"]
+    sums = [(complex(x, y), a, 0, False) for x, y, a, *_ in classes["zeta"] + classes["broken"]]
+    sums += [(complex(x, y), a, r, False) for r, x, y, a, *_ in classes["deriv"]]
+    sums += [(1.0 + 0j, a, n, True) for n, a, *_ in classes["stieltjes"]]
+    sums += [(complex(x, y), complex(u, v) + 3, 0, False)
+             for x, y, u, v, *_ in classes["taylor"]]
+    return sums
+
+
+def bound_grid():
+    """(s, alpha), seeded: the integers -20..10 but the pole, real and
+    complex s with Re s in [-45, 12] and |Im s| up to 300, alpha from 1e-3
+    to 1e160 and inf."""
+    rng = random.Random(20261023)
+    alphas = [1e-3, 0.05, 0.7, 3.0, 12.0, 60.0, 500.0, 1e6, 1e78, 1e160, math.inf]
+    ss = [complex(n) for n in range(-20, 11) if n != 1]
+    ss += [complex(rng.uniform(-45.0, 12.0)) for _ in range(15)]
+    ss += [complex(rng.uniform(-45.0, 12.0), rng.uniform(-300.0, 300.0)) for _ in range(25)]
+    return [(s, alpha) for s in ss for alpha in alphas]
+
+
+def complex_alpha_grid():
+    """(s, alpha + 3) as hurwitz_taylor passes them, seeded, and s = 1 at
+    real alphas, for the Stieltjes series (``minus_pole``)."""
+    rng = random.Random(20261024)
+    points = [(complex(rng.uniform(-12.0, 8.0), rng.uniform(-40.0, 40.0)),
+               complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) + 3) for _ in range(60)]
+    points += [(complex(rng.uniform(-3.0, 3.0)), complex(rng.uniform(1e3, 1e6), 7.0))
+               for _ in range(10)]
+    return points
+
+
+def tail_falls(s, big_t):
+    """Whether _jet_tail's bound skips the smallest-term search."""
+    return abs(s) + 2.0 * kernels._em_tail_terms(s) < kernels._EM_TAIL_FALL * abs(big_t)
+
+
+def searched(call, inputs):
+    """``call`` at every input with the bound off, so every cut is searched for."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_EM_TAIL_FALL", 0.0)
+        return [call(*x) for x in inputs]
+
+
+def head_length_pin_grid():
+    """100 seeded s with Re s < 1/2, every third on the real axis and the
+    rest with |Im s| up to 40 or 1000, and at each 20 alphas: 16 in
+    [1e-3, 60], 1e-300, 1e-9, 1e160 and inf."""
+    rng = random.Random(20261022)
+    grid = []
+    for i in range(100):
+        x = rng.uniform(-3.0, 0.5) if i % 2 else rng.uniform(-60.0, -3.0)
+        y = [0.0, rng.uniform(-40.0, 40.0), rng.uniform(-1000.0, 1000.0)][i % 3]
+        alphas = [math.exp(rng.uniform(math.log(1e-3), math.log(60.0))) for _ in range(16)]
+        grid.append((complex(x, y), alphas + [1e-300, 1e-9, 1e160, math.inf]))
+    return grid
+
+
+def cancellation_rule_calls(monkeypatch):
+    """Patch the cancellation rule to count its evaluations."""
+    rule, calls = kernels._em_head_length, []
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(kernels, "_em_head_length", counted)
+    return calls
+
+
+class TestFallBound:
+    def test_bernoulli_factor(self):
+        # B_{2j+2} / ((2j+1)(2j+2) B_{2j}) < 1/(4 p^2) < 1/(4 pi^2) for every
+        # ratio of two of the at most 20 corrections, exactly, with p > pi:
+        # math.pi is pi rounded to nearest, within half its ulp of 2^-51.
+        # The factor is zeta(2j+2)/zeta(2j) / (4 pi^2), less than 1/(4 pi^2)
+        # by a share below 4^-j, so p = 355/113, 2.7e-7 above pi, fails from
+        # j = 12 on
+        pi_above = Fraction(math.pi) + Fraction(1, 2 ** 51)
+        assert len(kernels._B2J_OVER_FACT) == 20
+        for j in range(1, 20):
+            b, b_next = exact.bernoulli_number(2 * j), exact.bernoulli_number(2 * j + 2)
+            assert (2 * j + 1) * (2 * j + 2) * abs(b) > 4 * pi_above ** 2 * abs(b_next), j
+        assert (kernels._EM_TAIL_FALL / (2.0 * math.pi)) ** 2 < 0.89
+
+    def test_tail_bits(self):
+        points = [(s, kernels._jet_head_length(s, a) + a) for s, a in bound_grid()]
+        points += [(s, kernels._jet_head_length(s, a.real) + a) for s, a in complex_alpha_grid()]
+        points += RISING_OVERFLOW
+        sides = [tail_falls(s, big_t) for s, big_t in points]
+        assert any(sides) and not all(sides)
+        for size in range(1, kernels._MAX_ORDER + 2):
+            got = [lane_bits(kernels._jet_tail(s, big_t, size)) for s, big_t in points]
+            assert got == searched(lambda s, t: lane_bits(kernels._jet_tail(s, t, size)), points)
+        # where every term is summed the rising factorial overflows, and the
+        # search gives the finite tail
+        for s, big_t in RISING_OVERFLOW:
+            assert tail_falls(s, big_t) and cmath.isfinite(kernels._jet_tail(s, big_t, 1)[0])
+
+    def test_sum_bits(self):
+        points = [(s, a, False) for s, a in bound_grid()]
+        points += [(s, a, False) for s, a in complex_alpha_grid()]
+        points += [(1.0 + 0j, a, True) for _, a in bound_grid()[:11]]
+        points += [(s, big_t - 25.0, False) for s, big_t in RISING_OVERFLOW]
+        for order in range(kernels._MAX_ORDER + 1):
+            inputs = [(s, a, order, pole) for s, a, pole in points]
+            got = [lane_bits(kernels._em_jet_sum(*x)) for x in inputs]
+            assert got == searched(lambda *x: lane_bits(kernels._em_jet_sum(*x)), inputs), order
+
+    def test_batch_bits(self):
+        opening = quadrature._opening_nodes()
+        node_sets = [opening, quadrature._level_nodes(4)[0], quadrature._level_nodes(5)[0]]
+        node_sets += [1.0 + 199.0 * xs for xs in node_sets]
+        ss = [s for _, s in quadrature_s_values()]
+        ss += [s for s, _ in bound_grid()[::11]] + CUT_CIRCLES[::4]
+        cases = [(s, xs) for s in ss for xs in node_sets]
+        cases += [(s, np.array([big_t - 25.0, 1.5 * big_t])) for s, big_t in RISING_OVERFLOW]
+        sides = []
+        for s, xs in cases:
+            big_t = kernels._jet_head_lengths(s, xs) + xs
+            sides.append(tail_falls(s, big_t.min()))
+        assert any(sides) and not all(sides)
+        got = [kernels._em_jet_batch(s, xs, 6).tobytes() for s, xs in cases]
+        assert got == searched(lambda s, xs: kernels._em_jet_batch(s, xs, 6).tobytes(), cases)
+
+    def test_corpus_bits(self, corpus_sums):
+        got = [lane_bits(kernels._em_jet_sum(*x)) for x in corpus_sums]
+        assert got == searched(lambda *x: lane_bits(kernels._em_jet_sum(*x)), corpus_sums)
+
+    def test_corpus_takes_both_sides_of_each_bound(self, corpus_sums, monkeypatch):
+        calls = cancellation_rule_calls(monkeypatch)
+        tail = {True: 0, False: 0}
+        head = {"settled": 0, "rule": 0}
+        for s, alpha, _, _ in corpus_sums:
+            before = len(calls)
+            m = kernels._jet_head_length(s, alpha.real)
+            tail[tail_falls(s, m + alpha)] += 1
+            if s.real < 0.5 and reach(s) - alpha.real > 2.0:
+                head["rule" if len(calls) > before else "settled"] += 1
+        assert len(corpus_sums) == 76500
+        assert all(tail.values()) and all(head.values()), (tail, head)
+
+
+class TestHeadLengthPins:
+    def test_recorded_head_lengths(self, monkeypatch):
+        # M at Re s < 1/2 as recorded before the growth bound could settle it
+        # in the scalar rule, and the batch's M node by node
+        calls = cancellation_rule_calls(monkeypatch)
+        pins = json.loads(HEAD_LENGTH_PINS.read_text())["m"]
+        grid = head_length_pin_grid()
+        assert len(pins) == len(grid) == 100
+        settled = 0
+        for (s, alphas), row in zip(grid, pins):
+            for alpha, m in zip(alphas, row):
+                before = len(calls)
+                assert kernels._jet_head_length(s, alpha) == m, (s, alpha)
+                settled += len(calls) == before and reach(s) - alpha > 2.0
+            finite = alphas[:-1]  # the batch takes finite alphas only
+            assert kernels._jet_head_lengths(s, np.array(finite)).tolist() == row[:-1], s
+        assert settled and calls  # both sides of the growth bound
+
+    def test_nan_alpha_raises(self):
+        for s in (0.2 + 3.0j, -5.0 + 0j, -40.0 + 100.0j):
+            with pytest.raises(ValueError):
+                kernels._jet_head_length(s, math.nan)
 
 
 # ---------------------------------------------------------------------------
