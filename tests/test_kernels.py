@@ -1350,8 +1350,8 @@ def bound_grid():
 
 
 def complex_alpha_grid():
-    """(s, alpha + 3) as hurwitz_taylor passes them, seeded, and s = 1 at
-    real alphas, for the Stieltjes series (``minus_pole``)."""
+    """(s, alpha + 3) as hurwitz_taylor passes them, seeded, and complex
+    alphas with Re alpha up to 1e6."""
     rng = random.Random(20261024)
     points = [(complex(rng.uniform(-12.0, 8.0), rng.uniform(-40.0, 40.0)),
                complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) + 3) for _ in range(60)]
