@@ -12,8 +12,8 @@ corrections have fallen below rounding (Johansson, arXiv:1309.2877
 section 3), and M is at most 25; for Re s < 1/2 it is shrunk further so the
 head/integral cancellation cannot eat the fixed absolute accuracy target.
 The correction sum stops at its smallest term (optimal truncation); where
-a bound shows the terms fall all the way to J, that is the last one, and no
-search is made.
+a bound shows the terms fall all the way to J, that is the last one, and the
+scalar sum (``_jet_tail``) makes no search.
 
 There is one such sum, taken as a power series in t at s + t (Taylor mode,
 Johansson, arXiv:1309.2877 sections 2-3): every piece has a closed-form
@@ -241,9 +241,9 @@ def _jet_head_length(s: complex, alpha: float) -> int:
     factor up to _MAX_ORDER, but is shrunk no further than M + a = 0.6 |Im s|:
     below that the corrections stop converging before they are small
     (measured).  That rule is not evaluated where R - a <= 2, whose M is 2
-    whatever it gives: so an infinite alpha takes M = 2.  Nor is it where
-    its cap at the growth bound, :func:`_grown_cap`, is at least R: there it
-    gives M >= min(ceil(R - a), _EM_CUTOFF) (proof at
+    whatever it gives: so an infinite alpha takes M = 2.  Nor is it, for
+    alpha > 0, where its cap at the growth bound, :func:`_grown_cap`, is at
+    least R: there it gives M >= min(ceil(R - a), _EM_CUTOFF) (proof at
     :func:`_jet_head_lengths`), so M is that.  A NaN alpha raises ValueError
     for Re s < 1/2.
     """
@@ -254,8 +254,9 @@ def _jet_head_length(s: complex, alpha: float) -> int:
     if rest <= 2.0:
         return 2
     m = _EM_CUTOFF
-    # not "cap < reach": a NaN alpha takes the rule, which raises
-    if s.real < 0.5 and not _grown_cap(s, alpha) >= reach:
+    # not "cap < reach": a NaN alpha takes the rule, which raises, and so
+    # does an alpha <= 0, whose growth bound can be negative
+    if s.real < 0.5 and not (alpha > 0.0 and _grown_cap(s, alpha) >= reach):
         m = _em_head_length(s, alpha)
         if m > 2:  # 2 is the least M, whatever the growth and floor
             # the largest L^k/k!, k <= _MAX_ORDER, as a running product: the
@@ -272,7 +273,8 @@ def _jet_head_length(s: complex, alpha: float) -> int:
 def _grown_cap(s: complex, alpha) -> float:
     """The cancellation rule's cap on M + a (:func:`_em_head_length`), for
     Re s < 1/2, at the growth G = _EM_CUTOFF + 1 + alpha, which bounds the
-    growth the rule takes at every alpha' <= alpha."""
+    growth the rule takes at every alpha' in (0, alpha].  Below alpha = -26
+    G is negative and the power is complex: take it for alpha > 0 only."""
     return (_TARGET_ABS_ERROR / (5.0 * _MACH_EPS * (_EM_CUTOFF + 1.0 + alpha))) ** (
         1.0 / (1.0 - s.real))
 
@@ -550,10 +552,7 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
     Every node keeps its own head length (:func:`_jet_head_lengths`) and its
     own Bernoulli cut, taken from the order-0 magnitudes as in
     :func:`_jet_tail`, so its column does not depend on the other nodes, and
-    no row depends on the highest order asked for.  Where _jet_tail's bound
-    holds at the smallest M + alpha, and so at every node, and no order-0
-    rising factorial overflows, every cut is J and none is searched for;
-    the search would find the same cuts.  The head terms are laid
+    no row depends on the highest order asked for.  The head terms are laid
     out with the term index first, so each running sum runs over all nodes
     at once; the corrections are sum_j w_j (s+t)_{2j-1}, summed forward
     (:func:`_jet_tail` takes the same sum by recurrence), the polynomials in
@@ -611,16 +610,13 @@ def _em_jet_batch(s: complex, alphas: np.ndarray, order: int) -> np.ndarray:
             integral.append(prev)
         # w_j = B_{2j}/(2j)! (M+a)^(1-2j), kept up to the last smallest
         # order-0 term, or to J unless the final term has clearly re-entered
-        # asymptotic growth (see _jet_tail); all J where the bound there
-        # holds at every node and no order-0 rising factorial overflows
+        # asymptotic growth (see _jet_tail)
         weights = np.array(_B2J_OVER_FACT[:depth])[:, None] * big_t ** (
             1.0 - 2.0 * np.arange(1, depth + 1))[:, None]
-        if not (abs(s) + 2.0 * depth < _EM_TAIL_FALL * big_t.min(initial=math.inf)
-                and np.isfinite(rising[:, 0]).all()):
-            mags = np.abs(weights * rising[:, :1])
-            at_min = depth - 1 - mags[::-1].argmin(axis=0)
-            cut = np.where(mags[-1] > 10.0 * mags[at_min, cols], at_min, depth - 1)
-            weights[np.arange(depth)[:, None] > cut] = 0.0
+        mags = np.abs(weights * rising[:, :1])
+        at_min = depth - 1 - mags[::-1].argmin(axis=0)
+        cut = np.where(mags[-1] > 10.0 * mags[at_min, cols], at_min, depth - 1)
+        weights[np.arange(depth)[:, None] > cut] = 0.0
         # cumsum adds in j order whatever the number of nodes; sum may pair terms
         tail = [(rising[:, k, None] * weights).cumsum(axis=0)[-1] for k in range(size)]
         tail[0] += 0.5  # the half term
